@@ -185,8 +185,11 @@ impl Expander for CycleExpander {
         // by node id after the radius cut).
         let mut neighborhood = ball(g, &query_nodes, cfg.neighborhood_radius);
         neighborhood.truncate(cfg.max_neighborhood);
+        // The kept ball ascends; behind it sit only re-added query nodes.
+        let kept = neighborhood.len();
         for &qn in &query_nodes {
-            if !neighborhood.contains(&qn) {
+            let (in_ball, readded) = neighborhood.split_at(kept);
+            if in_ball.binary_search(&qn).is_err() && !readded.contains(&qn) {
                 neighborhood.push(qn);
             }
         }

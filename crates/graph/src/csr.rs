@@ -31,8 +31,14 @@ pub struct TypedGraph {
 impl TypedGraph {
     /// Build from an edge list that is already sorted by
     /// `(src, dst, type)` and deduplicated. Called by
-    /// [`crate::GraphBuilder::build`].
+    /// [`crate::GraphBuilder::build`], which sorts first, and by
+    /// [`crate::subgraph::induce`], whose edges come out of a parent CSR
+    /// in that order already.
     pub(crate) fn from_sorted_edges(n: u32, edges: &[(u32, u32, EdgeType)]) -> TypedGraph {
+        debug_assert!(
+            edges.windows(2).all(|w| w[0] < w[1]),
+            "edges must be strictly ascending by (src, dst, type)"
+        );
         let nu = n as usize;
 
         // Out-CSR: edges are already grouped by source.
@@ -67,40 +73,40 @@ impl TypedGraph {
             in_types[slot] = t.as_u8();
             cursor[d as usize] += 1;
         }
-        // Within each in-bucket, sort by (source, type) for binary search.
-        for v in 0..nu {
-            let (lo, hi) = (in_offsets[v] as usize, in_offsets[v + 1] as usize);
-            let mut pairs: Vec<(u32, u8)> = in_sources[lo..hi]
-                .iter()
-                .copied()
-                .zip(in_types[lo..hi].iter().copied())
-                .collect();
-            pairs.sort_unstable();
-            for (i, (s, t)) in pairs.into_iter().enumerate() {
-                in_sources[lo + i] = s;
-                in_types[lo + i] = t;
-            }
-        }
+        // The counting sort is stable and `edges` ascends by
+        // (source, target, type), so every in-bucket already ascends by
+        // (source, type) — the order `in_edges` documents.
 
-        // Undirected cycle view: unique neighbors over cycle-eligible
-        // edges in either direction.
-        let mut und_adj: Vec<(u32, u32)> = Vec::with_capacity(edges.len() * 2);
-        for &(s, d, t) in edges {
-            if t.cycle_eligible() {
-                und_adj.push((s, d));
-                und_adj.push((d, s));
+        // Undirected cycle view: per node, the union of its out-targets
+        // and in-sources over cycle-eligible edges. Both runs ascend, so
+        // a merge that drops repeats leaves each list sorted and unique.
+        fn eligible<'a>(ids: &'a [u32], types: &'a [u8]) -> impl Iterator<Item = u32> + 'a {
+            let redirect = EdgeType::Redirect.as_u8();
+            ids.iter()
+                .zip(types)
+                .filter(move |&(_, &t)| t != redirect)
+                .map(|(&u, _)| u)
+        }
+        let mut und_offsets = Vec::with_capacity(nu + 1);
+        und_offsets.push(0u32);
+        let mut und_neighbors: Vec<u32> = Vec::with_capacity(edges.len());
+        for v in 0..nu {
+            let (lo, hi) = (out_offsets[v] as usize, out_offsets[v + 1] as usize);
+            let mut outs = eligible(&out_targets[lo..hi], &out_types[lo..hi]).peekable();
+            let (lo, hi) = (in_offsets[v] as usize, in_offsets[v + 1] as usize);
+            let mut ins = eligible(&in_sources[lo..hi], &in_types[lo..hi]).peekable();
+            let start = und_neighbors.len();
+            while let Some(u) = match (outs.peek(), ins.peek()) {
+                (Some(a), Some(b)) if a <= b => outs.next(),
+                (Some(_), None) => outs.next(),
+                _ => ins.next(),
+            } {
+                if und_neighbors[start..].last() != Some(&u) {
+                    und_neighbors.push(u);
+                }
             }
+            und_offsets.push(und_neighbors.len() as u32);
         }
-        und_adj.sort_unstable();
-        und_adj.dedup();
-        let mut und_offsets = vec![0u32; nu + 1];
-        for &(s, _) in &und_adj {
-            und_offsets[s as usize + 1] += 1;
-        }
-        for i in 0..nu {
-            und_offsets[i + 1] += und_offsets[i];
-        }
-        let und_neighbors: Vec<u32> = und_adj.into_iter().map(|(_, d)| d).collect();
 
         TypedGraph {
             n,
@@ -351,6 +357,47 @@ mod tests {
         for u in 0..3 {
             assert_eq!(g.out_degree(u), 0);
             assert_eq!(g.und_degree(u), 0);
+        }
+    }
+
+    proptest::proptest! {
+        /// The three views against the edge list they were frozen from:
+        /// `from_sorted_edges` relies on its counting sort being stable
+        /// instead of sorting each in-bucket.
+        #[test]
+        fn views_are_sorted_projections_of_the_edge_list(
+            edges in proptest::collection::vec((0u32..12, 0u32..12, 0u8..4), 0..80),
+        ) {
+            let mut b = GraphBuilder::new(12);
+            for &(u, v, t) in &edges {
+                if u != v {
+                    b.add_edge(u, v, EdgeType::from_u8(t).expect("0..4"));
+                }
+            }
+            let g = b.build();
+            let all: Vec<(u32, u32, EdgeType)> = g.edges().collect();
+            proptest::prop_assert!(all.windows(2).all(|w| w[0] < w[1]));
+            for u in 0..12 {
+                let mut ins: Vec<(u32, EdgeType)> = all
+                    .iter()
+                    .filter(|&&(_, d, _)| d == u)
+                    .map(|&(s, _, t)| (s, t))
+                    .collect();
+                ins.sort_unstable();
+                proptest::prop_assert_eq!(g.in_edges(u).collect::<Vec<_>>(), ins);
+                let mut und: Vec<u32> = all
+                    .iter()
+                    .filter(|&&(_, _, t)| t.cycle_eligible())
+                    .filter_map(|&(s, d, _)| match (s == u, d == u) {
+                        (true, _) => Some(d),
+                        (_, true) => Some(s),
+                        _ => None,
+                    })
+                    .collect();
+                und.sort_unstable();
+                und.dedup();
+                proptest::prop_assert_eq!(g.und_neighbors(u), &und[..]);
+            }
         }
     }
 }

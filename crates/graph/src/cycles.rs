@@ -230,8 +230,8 @@ impl<'g> CycleFinder<'g> {
     }
 }
 
-/// Count the edges of the subgraph induced by `nodes`, with the paper's
-/// E(C) conventions (§3):
+/// Count the edges of the subgraph induced by `nodes` (distinct node
+/// ids — a cycle's), with the paper's E(C) conventions (§3):
 ///
 /// * article→article `Link` edges count individually (a reciprocal pair
 ///   contributes 2 — matching the `A·(A−1)` term of M(C));
@@ -241,7 +241,6 @@ impl<'g> CycleFinder<'g> {
 /// * `Redirect` edges never count.
 pub fn induced_cycle_edges(g: &TypedGraph, nodes: &[u32]) -> usize {
     let mut count = 0usize;
-    let mut inside_pairs: Vec<(u32, u32)> = Vec::new();
     for &u in nodes {
         for (v, t) in g.out_edges(u) {
             if !nodes.contains(&v) {
@@ -249,17 +248,18 @@ pub fn induced_cycle_edges(g: &TypedGraph, nodes: &[u32]) -> usize {
             }
             match t {
                 EdgeType::Link | EdgeType::Belongs => count += 1,
+                // An unordered pair is counted from its lower endpoint
+                // when that direction exists, else from the higher one.
                 EdgeType::Inside => {
-                    let pair = (u.min(v), u.max(v));
-                    if !inside_pairs.contains(&pair) {
-                        inside_pairs.push(pair);
+                    if u < v || !g.has_edge(v, u, EdgeType::Inside) {
+                        count += 1;
                     }
                 }
                 EdgeType::Redirect => {}
             }
         }
     }
-    count + inside_pairs.len()
+    count
 }
 
 #[cfg(test)]
@@ -547,6 +547,39 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// E(C) against the definition: links and memberships one by
+        /// one, `Inside` edges as a set of unordered pairs.
+        #[test]
+        fn induced_edges_match_the_definition(
+            edges in proptest::collection::vec((0u32..8, 0u32..8, 0u8..4), 0..40),
+            nodes in proptest::collection::btree_set(0u32..8, 1..6),
+        ) {
+            let mut b = GraphBuilder::new(8);
+            for (u, v, t) in edges {
+                if u != v {
+                    b.add_edge(u, v, EdgeType::from_u8(t).expect("0..4"));
+                }
+            }
+            let g = b.build();
+            let nodes: Vec<u32> = nodes.into_iter().collect();
+            let inside = |&(u, v, _): &(u32, u32, EdgeType)| nodes.contains(&u) && nodes.contains(&v);
+            let directed = g
+                .edges()
+                .filter(inside)
+                .filter(|&(_, _, t)| matches!(t, EdgeType::Link | EdgeType::Belongs))
+                .count();
+            let category_pairs: HashSet<(u32, u32)> = g
+                .edges()
+                .filter(inside)
+                .filter(|&(_, _, t)| t == EdgeType::Inside)
+                .map(|(u, v, _)| (u.min(v), u.max(v)))
+                .collect();
+            proptest::prop_assert_eq!(
+                induced_cycle_edges(&g, &nodes),
+                directed + category_pairs.len()
+            );
+        }
+
         #[test]
         fn matches_naive_on_random_graphs(
             edges in proptest::collection::vec((0u32..8, 0u32..8), 0..24),

@@ -16,8 +16,9 @@
 //!   the paper), the central primitive of the whole analysis.
 //! * [`subgraph`] — induced subgraphs with node mappings (query-graph
 //!   assembly, §2.3).
-//! * [`traversal`] — multi-source BFS distances ("expansion features up
-//!   to distance three from query articles", §3).
+//! * [`traversal`] — multi-source BFS distances and the depth-bounded
+//!   [`traversal::ball`] the cycle expander cuts its search
+//!   neighbourhood with (§4's real-time challenge).
 //!
 //! All algorithms operate on dense `u32` node ids ([`NodeId`]); the
 //! Wikipedia layer (`querygraph-wiki`) maps articles and categories onto

@@ -1,8 +1,17 @@
 //! Breadth-first traversals over the undirected cycle view.
 //!
-//! Used by the analysis layer to measure how far expansion features sit
-//! from the original query articles ("expansion features being up to
-//! distance three from query articles", §3).
+//! The one user is `CycleExpander` (`querygraph-core`), which bounds its
+//! cycle search to the nodes within a small radius of the query articles
+//! — the local search the paper's §4 real-time challenge ("6 minutes per
+//! query graph") makes mandatory on a multi-million-article graph.
+//!
+//! Costs, for a graph of |V| nodes and |E| undirected-view edges:
+//!
+//! * [`bfs_distances`] — O(|V| + |E|): the plain full-graph routine, and
+//!   the oracle [`ball`] is property-tested against.
+//! * [`ball`] — O(nodes and edges within `radius` + |V|/64): it never
+//!   leaves the ball, and the only |V|-sized state is a one-bit-per-node
+//!   visited set.
 
 use crate::csr::TypedGraph;
 use std::collections::VecDeque;
@@ -12,7 +21,7 @@ pub const UNREACHABLE: u32 = u32::MAX;
 
 /// Multi-source BFS over the undirected cycle view. Returns one distance
 /// per node; sources have distance 0; unreachable nodes get
-/// [`UNREACHABLE`].
+/// [`UNREACHABLE`]. O(|V| + |E|).
 pub fn bfs_distances(g: &TypedGraph, sources: &[u32]) -> Vec<u32> {
     let mut dist = vec![UNREACHABLE; g.node_count() as usize];
     let mut queue = VecDeque::new();
@@ -34,26 +43,61 @@ pub fn bfs_distances(g: &TypedGraph, sources: &[u32]) -> Vec<u32> {
     dist
 }
 
-/// The maximum finite BFS distance from `sources` to any node of
-/// `targets`; `None` when no target is reachable or `targets` is empty.
-pub fn max_distance_to(g: &TypedGraph, sources: &[u32], targets: &[u32]) -> Option<u32> {
-    let dist = bfs_distances(g, sources);
-    targets
-        .iter()
-        .map(|&t| dist[t as usize])
-        .filter(|&d| d != UNREACHABLE)
-        .max()
-}
-
 /// All nodes within `radius` hops of `sources` (including the sources),
 /// ascending.
+///
+/// A level-synchronous BFS that expands `radius` frontiers and stops, so
+/// the cost is the ball's own nodes and edges plus a ⌈|V|/64⌉-word
+/// visited bitset; the result is read off the bitset's set bits, which
+/// is what makes it ascending without a sort.
+///
+/// # Panics
+/// If a source is not a node of `g`.
 pub fn ball(g: &TypedGraph, sources: &[u32], radius: u32) -> Vec<u32> {
-    bfs_distances(g, sources)
-        .into_iter()
-        .enumerate()
-        .filter(|&(_, d)| d != UNREACHABLE && d <= radius)
-        .map(|(i, _)| i as u32)
-        .collect()
+    let n = g.node_count();
+    let mut visited = vec![0u64; (n as usize).div_ceil(64)];
+    // Marks `u`; true when it was not marked before.
+    let mut visit = |u: u32| {
+        let (word, bit) = (&mut visited[(u / 64) as usize], 1u64 << (u % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    };
+
+    // Reached nodes in BFS order; the last level is `reached[level..]`.
+    let mut reached: Vec<u32> = Vec::new();
+    for &s in sources {
+        assert!(s < n, "source {s} out of range (n={n})");
+        if visit(s) {
+            reached.push(s);
+        }
+    }
+    let mut level = 0;
+    for _ in 0..radius {
+        let end = reached.len();
+        if level == end {
+            break;
+        }
+        for i in level..end {
+            for &v in g.und_neighbors(reached[i]) {
+                if visit(v) {
+                    reached.push(v);
+                }
+            }
+        }
+        level = end;
+    }
+
+    // The same nodes, ascending: read them back off the bitset.
+    reached.clear();
+    for (w, &word) in visited.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            reached.push(w as u32 * 64 + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+    reached
 }
 
 #[cfg(test)]
@@ -90,14 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn max_distance_to_targets() {
-        let g = chain();
-        assert_eq!(max_distance_to(&g, &[0], &[2, 3]), Some(3));
-        assert_eq!(max_distance_to(&g, &[0], &[4]), None);
-        assert_eq!(max_distance_to(&g, &[0], &[]), None);
-    }
-
-    #[test]
     fn ball_radius() {
         let g = chain();
         assert_eq!(ball(&g, &[1], 1), vec![0, 1, 2]);
@@ -106,9 +142,58 @@ mod tests {
     }
 
     #[test]
+    fn ball_crosses_bitset_words() {
+        // A path 0 - 1 - … - 199 spans four 64-bit words.
+        let mut b = GraphBuilder::new(200);
+        for u in 0..199 {
+            b.add_edge(u + 1, u, EdgeType::Belongs);
+        }
+        let g = b.build();
+        assert_eq!(ball(&g, &[64], 2), vec![62, 63, 64, 65, 66]);
+        assert_eq!(ball(&g, &[199, 0], 1), vec![0, 1, 198, 199]);
+        assert_eq!(ball(&g, &[100], u32::MAX).len(), 200);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn ball_rejects_a_source_outside_the_graph() {
+        ball(&chain(), &[6], 0);
+    }
+
+    #[test]
     fn duplicate_sources_are_fine() {
         let d = bfs_distances(&chain(), &[0, 0, 0]);
         assert_eq!(d[0], 0);
         assert_eq!(d[1], 1);
+    }
+
+    proptest::proptest! {
+        /// `ball` against its oracle: sparse random graphs of every edge
+        /// type (so: redirect-only nodes, isolated nodes, several
+        /// components), sources empty, duplicated or many.
+        #[test]
+        fn ball_is_the_filtered_full_bfs(
+            edges in proptest::collection::vec((0u32..70, 0u32..70, 0u8..4), 0..90),
+            sources in proptest::collection::vec(0u32..70, 0..5),
+            radius in 0u32..=5,
+        ) {
+            let radius = if radius == 5 { u32::MAX } else { radius };
+            let mut b = GraphBuilder::new(70);
+            for (u, v, t) in edges {
+                if u != v {
+                    b.add_edge(u, v, EdgeType::from_u8(t).expect("0..4"));
+                }
+            }
+            let g = b.build();
+            let expected: Vec<u32> = bfs_distances(&g, &sources)
+                .into_iter()
+                .enumerate()
+                .filter(|&(_, d)| d != UNREACHABLE && d <= radius)
+                .map(|(i, _)| i as u32)
+                .collect();
+            let got = ball(&g, &sources, radius);
+            proptest::prop_assert!(got.windows(2).all(|w| w[0] < w[1]));
+            proptest::prop_assert_eq!(got, expected);
+        }
     }
 }
