@@ -16,8 +16,8 @@
 //! qgx client  --connect <addr> [--healthz | --statz | --flood n |
 //!             --query text | --queries f | --seed-queries [tier flags]]
 //!             [--repeat n] [--top-k k] [--max-features n] [--timeout-ms n]
-//! qgx shard   --shard <i> --fingerprint <fp> [--listen <addr>] [--mmap]
-//!             (--dir <dir> --stem <stem> | --segstore <dir> --seq <s>)
+//! qgx shard   --segstore <dir> --seq <s> --shard <i> --fingerprint <fp>
+//!             [--listen <addr>] [--mmap]
 //! qgx dump    --out <path> [tier flags] [--skip n] [--docs n]
 //! qgx ingest  --dump <path> --segstore <dir> [tier flags]
 //!             [--batch-docs n] [--compact n] [--bench-out path]
@@ -61,17 +61,17 @@
 //!   n concurrent one-shot connections for forced-overload tests
 //!   (every response must still be clean, typed HTTP).
 //!
-//! * `shard` serves **one** `QGIX` segment as a standalone process over
-//!   the QGRP binary RPC protocol (DESIGN.md §13): it loads the
-//!   segment, verifies the embedded per-slot fingerprint, announces its
-//!   bound address on stdout (`QGRP listening <addr>`), and drains on
-//!   stdin EOF, SIGTERM/SIGINT, or a `Shutdown` frame. `serve
-//!   --shard-procs N` and `replay --shard-procs N` supervise N of these
-//!   children and scatter-gather across them through
-//!   `retrieval::remote::RemoteEngine` — byte-identical to the
-//!   in-process `--shards N` engine over the same artifact. With
-//!   `--segstore <dir> --seq <s>` it serves one segment-store segment
-//!   instead (seq-keyed fingerprint pinning).
+//! * `shard` serves **one** segment-store segment (`--segstore <dir>
+//!   --seq <s>`) as a standalone process over the QGRP binary RPC
+//!   protocol (DESIGN.md §13): it loads the segment, verifies the
+//!   embedded seq-keyed fingerprint, announces its bound address on
+//!   stdout (`QGRP listening <addr>`), and drains on stdin EOF,
+//!   SIGTERM/SIGINT, or a `Shutdown` frame. `serve --shard-procs N` and
+//!   `replay --shard-procs N` supervise N of these children — over a
+//!   `--segstore` directory or over the store an `--index-cache
+//!   --shards N` boot keeps in its cache — and scatter-gather across
+//!   them through `retrieval::remote::RemoteEngine`, byte-identical to
+//!   the in-process engine over the same segments.
 //!
 //! * `dump` / `ingest` / `compact` are the streaming build path
 //!   (DESIGN.md §14): `dump` writes a tier's corpus as an XML dump
@@ -170,9 +170,7 @@ const BENCH_FLAGS: [(&str, bool); 14] = [
     ("--bench-out", true),
 ];
 
-const SHARD_FLAGS: [(&str, bool); 8] = [
-    ("--dir", true),
-    ("--stem", true),
+const SHARD_FLAGS: [(&str, bool); 6] = [
     ("--segstore", true),
     ("--seq", true),
     ("--shard", true),
@@ -389,9 +387,9 @@ fn boot_world(
             1
         }
         // Never booted here: a remote fleet replaces the engine only
-        // *after* boot (see `spawn_shard_procs`), which recomputes the
-        // effective scatter width itself; a reloadable engine is
-        // installed only by the segstore serve path, after boot too.
+        // *after* boot (see `index_cache_fleet`), and its caller
+        // recomputes the effective scatter width; a reloadable engine
+        // is installed only by the segstore serve path, after boot too.
         querygraph_retrieval::backend::AnyEngine::Remote(_)
         | querygraph_retrieval::backend::AnyEngine::Reloadable(_) => 1,
     };
@@ -429,6 +427,25 @@ struct ShardFleet {
 }
 
 impl ShardFleet {
+    /// Shut the fleet down once `engine` — the remote engine fronting
+    /// it, or the reloadable slot holding that — is done serving: a
+    /// polite QGRP `Shutdown` to every child, then the stdin-EOF drain.
+    fn shutdown(self, engine: &querygraph_retrieval::backend::AnyEngine) {
+        use querygraph_retrieval::backend::AnyEngine;
+        let generation;
+        let engine = match engine {
+            AnyEngine::Reloadable(slot) => {
+                generation = slot.snapshot();
+                &generation.engine
+            }
+            engine => engine,
+        };
+        if let AnyEngine::Remote(remote) = engine {
+            remote.shutdown_all();
+        }
+        self.drain();
+    }
+
     /// Drain the fleet: close every child's stdin (its shutdown
     /// signal — works even if the QGRP socket is wedged), give them a
     /// shared grace window to exit, then kill stragglers. Always
@@ -476,143 +493,6 @@ fn kill_children(children: &mut [std::process::Child]) {
     for child in children.iter_mut() {
         let _ = child.kill();
         let _ = child.wait();
-    }
-}
-
-/// Spawn `n` `qgx shard` children over the segmented artifact the
-/// in-process boot just built/validated, wait for each one's stdout
-/// announce line, and connect a `RemoteEngine` across them. Exits
-/// (after killing any children already spawned) rather than serving
-/// with a partial fleet.
-fn spawn_shard_procs(
-    cli: &CliOptions,
-    ex: &ExpanderOptions,
-    n: usize,
-) -> (ShardFleet, querygraph_retrieval::remote::RemoteEngine) {
-    use std::process::{Command, Stdio};
-    let cache_dir = cli.index_cache.clone().unwrap_or_else(|| {
-        eprintln!(
-            "error: --shard-procs requires --index-cache (children load QGIX segments from it)"
-        );
-        std::process::exit(2);
-    });
-    if cli.shards != Some(n) {
-        eprintln!(
-            "error: --shard-procs {n} requires --shards {n} \
-             (the segmented artifact layout the children serve)"
-        );
-        std::process::exit(2);
-    }
-    let config = cli.config();
-    let stem = querygraph_core::cache::sharded_stem(&config, n);
-    let fingerprint = querygraph_core::cache::sharded_fingerprint(&config, n);
-    let exe = std::env::current_exe().unwrap_or_else(|e| {
-        eprintln!("error: cannot locate the qgx binary: {e}");
-        std::process::exit(1);
-    });
-
-    let mut children: Vec<std::process::Child> = Vec::with_capacity(n);
-    let mut addrs: Vec<String> = Vec::with_capacity(n);
-    for shard in 0..n {
-        let mut command = Command::new(&exe);
-        command
-            .arg("shard")
-            .arg("--dir")
-            .arg(&cache_dir)
-            .arg("--stem")
-            .arg(&stem)
-            .arg("--shard")
-            .arg(shard.to_string())
-            .arg("--fingerprint")
-            .arg(format!("{fingerprint:016x}"))
-            .arg("--listen")
-            .arg("127.0.0.1:0")
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped());
-        if cli.mmap {
-            command.arg("--mmap");
-        }
-        let mut child = match command.spawn() {
-            Ok(child) => child,
-            Err(e) => {
-                eprintln!("error: cannot spawn shard {shard}: {e}");
-                kill_children(&mut children);
-                std::process::exit(1);
-            }
-        };
-        // The child's first stdout line is its QGRP announce; EOF
-        // before that means it died (its stderr is inherited, so the
-        // reason is already on ours).
-        let stdout = child.stdout.take().expect("piped child stdout");
-        let mut line = String::new();
-        let read = std::io::BufReader::new(stdout).read_line(&mut line);
-        let addr = match read {
-            Ok(len) if len > 0 => querygraph_retrieval::remote::server::parse_announce(line.trim()),
-            _ => None,
-        };
-        let Some(addr) = addr else {
-            eprintln!(
-                "error: shard {shard} did not announce a QGRP address (got {:?})",
-                line.trim()
-            );
-            children.push(child);
-            kill_children(&mut children);
-            std::process::exit(1);
-        };
-        log_line(&format!(
-            "# qgx: shard {shard} pid {} listening on {addr}",
-            child.id()
-        ));
-        addrs.push(addr);
-        children.push(child);
-    }
-
-    let remote = match querygraph_retrieval::remote::RemoteEngine::connect(
-        &addrs,
-        querygraph_retrieval::lm::LmParams::default(),
-        fingerprint,
-    ) {
-        Ok(remote) => remote.with_search_threads(ex.shard_threads),
-        Err(e) => {
-            eprintln!("error: cannot connect to the shard fleet: {e}");
-            kill_children(&mut children);
-            std::process::exit(1);
-        }
-    };
-    (ShardFleet { children }, remote)
-}
-
-/// Parse `--shard-procs` and, when present, replace `world.engine`
-/// with a `RemoteEngine` over `n` freshly spawned shard children.
-/// Must run before the expander borrows the world. Returns the fleet
-/// (drain it after serving) and the effective scatter width.
-fn maybe_shard_procs(
-    args: &[String],
-    cli: &CliOptions,
-    ex: &ExpanderOptions,
-    world: &mut ServingWorld,
-    in_process_width: usize,
-) -> (Option<ShardFleet>, usize) {
-    match flag_usize(args, "--shard-procs") {
-        None => (None, in_process_width),
-        Some(0) => (None, in_process_width),
-        Some(n) => {
-            let (fleet, remote) = spawn_shard_procs(cli, ex, n);
-            let width = ex.shard_threads.min(n).max(1);
-            world.engine = querygraph_retrieval::backend::AnyEngine::Remote(remote);
-            (Some(fleet), width)
-        }
-    }
-}
-
-/// Shut the fleet down politely (QGRP `Shutdown` to every child, then
-/// the stdin-EOF drain path) once serving is over.
-fn teardown_fleet(fleet: Option<ShardFleet>, world: &ServingWorld) {
-    if let Some(fleet) = fleet {
-        if let querygraph_retrieval::backend::AnyEngine::Remote(remote) = &world.engine {
-            remote.shutdown_all();
-        }
-        fleet.drain();
     }
 }
 
@@ -679,6 +559,7 @@ fn boot_segstore_world(
         }
     };
     let manifest = generation.manifest.clone();
+    let shard_load_seconds = generation.segment_load_seconds.clone();
     let lm = querygraph_retrieval::lm::LmParams::default();
     let mut engine =
         querygraph_retrieval::sharded::ShardedEngine::from_shards(generation.into_engines(lm), lm);
@@ -694,7 +575,7 @@ fn boot_segstore_world(
         index_load_seconds,
         index_source: querygraph_core::cache::IndexSource::Loaded,
         shard_count: manifest.segments.len(),
-        shard_load_seconds: Vec::new(),
+        shard_load_seconds,
     };
     let world = ServingWorld {
         wiki,
@@ -729,10 +610,11 @@ fn boot_segstore_world(
 }
 
 /// Spawn one `qgx shard --segstore --seq` child per live segment of
-/// `manifest` and connect a `RemoteEngine` across them with seq-keyed
-/// fingerprint pinning. Unlike [`spawn_shard_procs`] this returns an
-/// error instead of exiting: the live-reload watcher must keep serving
-/// the old generation when a new fleet fails to come up.
+/// `manifest`, wait for each one's stdout announce line, and connect a
+/// `RemoteEngine` across them with seq-keyed fingerprint pinning.
+/// Returns an error (after killing any children already spawned)
+/// instead of exiting: the live-reload watcher must keep serving the
+/// old generation when a new fleet fails to come up.
 fn spawn_segstore_fleet(
     dir: &std::path::Path,
     store_fp: u64,
@@ -741,6 +623,12 @@ fn spawn_segstore_fleet(
     mmap: bool,
 ) -> Result<(ShardFleet, querygraph_retrieval::remote::RemoteEngine), String> {
     use std::process::{Command, Stdio};
+    if manifest.segments.is_empty() {
+        return Err(format!(
+            "generation {} lists no segments",
+            manifest.generation
+        ));
+    }
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate the qgx binary: {e}"))?;
     let mut children: Vec<std::process::Child> = Vec::with_capacity(manifest.segments.len());
     let mut addrs: Vec<String> = Vec::with_capacity(manifest.segments.len());
@@ -770,6 +658,9 @@ fn spawn_segstore_fleet(
                 return Err(format!("cannot spawn segment {}: {e}", seg.seq));
             }
         };
+        // The child's first stdout line is its QGRP announce; EOF
+        // before that means it died (its stderr is inherited, so the
+        // reason is already on ours).
         let stdout = child.stdout.take().expect("piped child stdout");
         let mut line = String::new();
         let read = std::io::BufReader::new(stdout).read_line(&mut line);
@@ -787,9 +678,9 @@ fn spawn_segstore_fleet(
             ));
         };
         log_line(&format!(
-            "# qgx: segment {} (slot {slot}) pid {} listening on {addr}",
-            seg.seq,
-            child.id()
+            "# qgx: shard {slot} pid {} listening on {addr} (segment {})",
+            child.id(),
+            seg.seq
         ));
         addrs.push(addr);
         children.push(child);
@@ -815,58 +706,90 @@ fn spawn_segstore_fleet(
     }
 }
 
-/// `--shard-procs` over a segment store: one child per live segment,
-/// swapped into the reloadable slot. The epoch is unchanged — same
-/// generation, byte-identical answers — so warmed expansion-cache
-/// entries stay valid. Exits on boot failure, like `spawn_shard_procs`.
-fn maybe_segstore_fleet(
-    boot: &SegstoreBoot,
-    shard_procs: Option<usize>,
+/// Boot-time `--shard-procs n`: one child per live segment of
+/// `manifest`. Exits rather than serving without the fleet the operator
+/// asked for — on a width that disagrees with the live generation, or
+/// on any child failing to come up.
+fn spawn_fleet_or_exit(
+    dir: &std::path::Path,
+    store_fp: u64,
+    manifest: &querygraph_retrieval::segstore::Manifest,
+    n: usize,
     ex: &ExpanderOptions,
     mmap: bool,
-) -> Option<ShardFleet> {
-    let n = shard_procs?;
-    if n != boot.manifest.segments.len() {
+) -> (ShardFleet, querygraph_retrieval::remote::RemoteEngine) {
+    if n != manifest.segments.len() {
         eprintln!(
             "error: --shard-procs {n} but the live generation has {} segment(s) — \
              `qgx compact --shards {n}` reshapes it",
-            boot.manifest.segments.len()
+            manifest.segments.len()
         );
         std::process::exit(2);
     }
-    match spawn_segstore_fleet(
-        &boot.dir,
-        boot.fingerprint,
-        &boot.manifest,
-        ex.shard_threads,
-        mmap,
-    ) {
-        Ok((fleet, remote)) => {
-            boot.reloadable.swap(
-                querygraph_retrieval::backend::AnyEngine::Remote(remote),
-                boot.reloadable.epoch(),
-            );
-            Some(fleet)
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
+    spawn_segstore_fleet(dir, store_fp, manifest, ex.shard_threads, mmap).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    })
 }
 
-/// Shut a segstore fleet down once serving is over: QGRP `Shutdown`
-/// through the current generation's remote engine, then the stdin-EOF
-/// drain path.
-fn teardown_segstore(boot: &SegstoreBoot, fleet: Option<ShardFleet>) {
-    if let Some(fleet) = fleet {
-        if let querygraph_retrieval::backend::AnyEngine::Remote(remote) =
-            &boot.reloadable.snapshot().engine
-        {
-            remote.shutdown_all();
-        }
-        fleet.drain();
+/// `--shard-procs` over a `--segstore` boot: the fleet swaps into the
+/// reloadable slot. The epoch is unchanged — same generation,
+/// byte-identical answers — so warmed expansion-cache entries stay
+/// valid.
+fn segstore_fleet(boot: &SegstoreBoot, n: usize, ex: &ExpanderOptions, mmap: bool) -> ShardFleet {
+    let (fleet, remote) =
+        spawn_fleet_or_exit(&boot.dir, boot.fingerprint, &boot.manifest, n, ex, mmap);
+    boot.reloadable.swap(
+        querygraph_retrieval::backend::AnyEngine::Remote(remote),
+        boot.reloadable.epoch(),
+    );
+    fleet
+}
+
+/// `--shard-procs n` over an `--index-cache --shards n` boot: the cache
+/// entry the in-process boot just loaded (or built and published) is a
+/// segment store, so the children serve its segments and the remote
+/// engine replaces `world.engine`. Must run before the expander
+/// borrows the world.
+fn index_cache_fleet(
+    cli: &CliOptions,
+    ex: &ExpanderOptions,
+    n: usize,
+    world: &mut ServingWorld,
+) -> ShardFleet {
+    let Some(cache_dir) = &cli.index_cache else {
+        eprintln!(
+            "error: --shard-procs requires --index-cache (children load QGIX segments from it)"
+        );
+        std::process::exit(2);
+    };
+    if cli.shards != Some(n) {
+        eprintln!(
+            "error: --shard-procs {n} requires --shards {n} \
+             (the segmented cache layout the children serve)"
+        );
+        std::process::exit(2);
     }
+    let config = cli.config();
+    let dir = querygraph_core::cache::store_dir(cache_dir, &config, n);
+    let fingerprint = querygraph_core::cache::config_fingerprint(&config);
+    let manifest = match querygraph_retrieval::segstore::read_manifest(&dir, fingerprint) {
+        Ok(Some(manifest)) => manifest,
+        Ok(None) => {
+            eprintln!(
+                "error: index cache {} holds no published store for the children to load",
+                dir.display()
+            );
+            std::process::exit(1);
+        }
+        Err(e) => {
+            eprintln!("error: index cache {}: {e}", dir.display());
+            std::process::exit(1);
+        }
+    };
+    let (fleet, remote) = spawn_fleet_or_exit(&dir, fingerprint, &manifest, n, ex, cli.mmap);
+    world.engine = querygraph_retrieval::backend::AnyEngine::Remote(remote);
+    fleet
 }
 
 /// Retire a replaced generation: wait for its in-flight queries to
@@ -880,12 +803,8 @@ fn retire_generation(
     while Arc::strong_count(&old) > 1 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    if let querygraph_retrieval::backend::AnyEngine::Remote(remote) = &old.engine {
-        remote.shutdown_all();
-    }
-    drop(old);
     if let Some(fleet) = old_fleet {
-        fleet.drain();
+        fleet.shutdown(&old.engine);
     }
 }
 
@@ -993,10 +912,7 @@ fn spawn_segstore_watcher(
             retire_generation(old, old_fleet);
         }
         if let Some(fleet) = fleet {
-            if let AnyEngine::Remote(remote) = &boot.reloadable.snapshot().engine {
-                remote.shutdown_all();
-            }
-            fleet.drain();
+            fleet.shutdown(&boot.reloadable.snapshot().engine);
         }
     })
 }
@@ -1049,13 +965,14 @@ fn run_serve(args: &[String]) {
     let (world, segstore, mut fleet, effective_shard_threads) = match &segstore_dir {
         Some(dir) => {
             let (world, boot) = boot_segstore_world(&cli, &ex, dir);
-            let fleet = maybe_segstore_fleet(&boot, shard_procs_flag, &ex, cli.mmap);
+            let fleet = shard_procs_flag.map(|n| segstore_fleet(&boot, n, &ex, cli.mmap));
             let width = ex.shard_threads.min(boot.manifest.segments.len()).max(1);
             (world, Some(boot), fleet, width)
         }
         None => {
             let (mut world, _, in_process_width) = boot_world(&cli, &ex, false);
-            let (fleet, width) = maybe_shard_procs(args, &cli, &ex, &mut world, in_process_width);
+            let fleet = shard_procs_flag.map(|n| index_cache_fleet(&cli, &ex, n, &mut world));
+            let width = shard_procs_flag.map_or(in_process_width, |n| ex.shard_threads.min(n));
             (world, None, fleet, width)
         }
     };
@@ -1118,7 +1035,9 @@ fn run_serve(args: &[String]) {
     if let Some(watcher) = watcher {
         let _ = watcher.join();
     }
-    teardown_fleet(fleet, &world);
+    if let Some(fleet) = fleet {
+        fleet.shutdown(&world.engine);
+    }
 
     let served = stats.queries_served() as usize;
     let failures = stats.failures() as usize;
@@ -1515,21 +1434,22 @@ fn run_replay(args: &[String]) {
     let config = cli.config();
     let segstore_dir = flag_operand(args, "--segstore").map(std::path::PathBuf::from);
     let shard_procs_flag = flag_usize(args, "--shard-procs").filter(|&n| n > 0);
-    let (world, seed_corpus, segstore, fleet, effective_shard_threads) = match &segstore_dir {
+    let (world, seed_corpus, fleet, effective_shard_threads) = match &segstore_dir {
         Some(dir) => {
             let (world, boot) = boot_segstore_world(&cli, &ex, dir);
-            let fleet = maybe_segstore_fleet(&boot, shard_procs_flag, &ex, cli.mmap);
+            let fleet = shard_procs_flag.map(|n| segstore_fleet(&boot, n, &ex, cli.mmap));
             // The tier's query set is derived from the same seeds the
             // ingested corpus came from; docs live in the segments.
             let seed_corpus = seed_queries
                 .then(|| querygraph_corpus::synth::generate_corpus(&world.wiki, &config.corpus));
             let width = ex.shard_threads.min(boot.manifest.segments.len()).max(1);
-            (world, seed_corpus, Some(boot), fleet, width)
+            (world, seed_corpus, fleet, width)
         }
         None => {
             let (mut world, seed_corpus, in_process_width) = boot_world(&cli, &ex, seed_queries);
-            let (fleet, width) = maybe_shard_procs(args, &cli, &ex, &mut world, in_process_width);
-            (world, seed_corpus, None, fleet, width)
+            let fleet = shard_procs_flag.map(|n| index_cache_fleet(&cli, &ex, n, &mut world));
+            let width = shard_procs_flag.map_or(in_process_width, |n| ex.shard_threads.min(n));
+            (world, seed_corpus, fleet, width)
         }
     };
     let shard_procs = fleet.as_ref().map(|f| f.children.len()).unwrap_or(0);
@@ -1640,9 +1560,8 @@ fn run_replay(args: &[String]) {
     }
 
     let total_seconds = t_serve.elapsed().as_secs_f64();
-    match &segstore {
-        Some(boot) => teardown_segstore(boot, fleet),
-        None => teardown_fleet(fleet, &world),
+    if let Some(fleet) = fleet {
+        fleet.shutdown(&world.engine);
     }
     let answered = tally.served + tally.failures;
     let latency = LatencySummary::of(&latencies_us);
@@ -1952,40 +1871,23 @@ fn require_flag(args: &[String], name: &str) -> String {
     })
 }
 
-/// One shard process: load one `QGIX` segment, verify its embedded
-/// fingerprint against the supervisor's manifest fingerprint, announce
-/// the bound QGRP address on stdout, and serve until stdin EOF (the
-/// supervisor's drain signal), SIGTERM/SIGINT, or a `Shutdown` frame.
+/// One shard process: load one segment-store segment, verify its
+/// embedded seq-keyed fingerprint against the supervisor's store
+/// fingerprint, announce the bound QGRP address on stdout, and serve
+/// until stdin EOF (the supervisor's drain signal), SIGTERM/SIGINT, or
+/// a `Shutdown` frame.
 fn run_shard(args: &[String]) {
     use querygraph_retrieval::ondisk::{load_index_with, ArtifactSource};
     use querygraph_retrieval::remote::{server, ShardServer};
-    use querygraph_retrieval::sharded::{segment_file, segment_fingerprint};
+    use querygraph_retrieval::segstore::{segment_file, segment_fp};
 
     reject_unknown_flags(args, &SHARD_FLAGS, "shard");
-    // Two segment layouts behind one serving loop: the slot-keyed
-    // `QGSM` sharded artifact (`--dir/--stem`) and the seq-keyed `QGSS`
-    // segment store (`--segstore/--seq`). Resolve the layout flags
-    // before the identity flags so a bare `qgx shard --dir …` hears
-    // about its missing `--stem` first.
-    enum Layout {
-        Store { dir: String, seq: u64 },
-        Sharded { dir: String, stem: String },
-    }
-    let layout = match flag_operand(args, "--segstore") {
-        Some(dir) => {
-            let seq = require_flag(args, "--seq");
-            let seq: u64 = seq.parse().unwrap_or_else(|_| {
-                eprintln!("error: --seq must be a segment sequence number, got {seq:?}");
-                std::process::exit(2);
-            });
-            Layout::Store { dir, seq }
-        }
-        None => {
-            let dir = require_flag(args, "--dir");
-            let stem = require_flag(args, "--stem");
-            Layout::Sharded { dir, stem }
-        }
-    };
+    let dir = require_flag(args, "--segstore");
+    let seq = require_flag(args, "--seq");
+    let seq: u64 = seq.parse().unwrap_or_else(|_| {
+        eprintln!("error: --seq must be a segment sequence number, got {seq:?}");
+        std::process::exit(2);
+    });
     let shard = require_flag(args, "--shard");
     let shard: usize = shard.parse().unwrap_or_else(|_| {
         eprintln!("error: --shard must be a shard index, got {shard:?}");
@@ -2004,22 +1906,14 @@ fn run_shard(args: &[String]) {
         ArtifactSource::Read
     };
 
-    let (path, want) = match layout {
-        Layout::Store { dir, seq } => (
-            std::path::Path::new(&dir).join(querygraph_retrieval::segstore::segment_file(seq)),
-            querygraph_retrieval::segstore::segment_fp(fingerprint, seq),
-        ),
-        Layout::Sharded { dir, stem } => (
-            std::path::Path::new(&dir).join(segment_file(&stem, shard)),
-            segment_fingerprint(fingerprint, shard),
-        ),
-    };
+    let path = std::path::Path::new(&dir).join(segment_file(seq));
+    let want = segment_fp(fingerprint, seq);
     let loaded = load_index_with(&path, source).unwrap_or_else(|e| {
         eprintln!("error: shard {shard}: cannot load {}: {e}", path.display());
         std::process::exit(1);
     });
-    // The same pinning the loaders enforce: the segment must carry the
-    // expected derived fingerprint, so a mis-deployed or stale segment
+    // The same pinning the store loader enforces: the segment must carry
+    // the expected derived fingerprint, so a mis-deployed or stale segment
     // dies here, before it can answer.
     if loaded.meta_fingerprint != want {
         eprintln!(

@@ -121,7 +121,7 @@ fn incremental_ingest_then_compaction_replays_byte_identically() {
     );
     for slot in 0..4 {
         assert!(
-            stderr.contains(&format!("(slot {slot}) pid")),
+            stderr.contains(&format!("shard {slot} pid")),
             "missing boot line for fleet slot {slot}: {stderr}"
         );
     }
@@ -185,6 +185,136 @@ fn segstore_flag_hygiene() {
     );
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&ingested);
+}
+
+/// Publish a generation that lists no segments over `store` — bytes
+/// the store's own API can leave behind (checksum-valid, well-formed),
+/// which no engine can serve.
+fn publish_empty_generation(store: &str) {
+    let fingerprint = querygraph_core::cache::config_fingerprint(
+        &querygraph_core::experiment::ExperimentConfig::tiny(),
+    );
+    querygraph_retrieval::segstore::SegStore::open(std::path::Path::new(store), fingerprint)
+        .expect("open the store")
+        .replace_segments(&[])
+        .expect("publish the empty generation");
+}
+
+#[test]
+fn empty_generation_is_a_typed_boot_refusal() {
+    let dir = scratch("empty-generation");
+    let store = dir.join("store");
+    let store = store.to_str().expect("utf-8 path");
+    ingest_tiny_in_two_slices(&dir, store);
+    publish_empty_generation(store);
+    let (status, _, stderr) = run(&["replay", "--tiny", "--segstore", store, "--seed-queries"]);
+    assert_eq!(status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("lists no segments"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The watcher — in-process and fleet mode alike — must outlive a
+/// generation it cannot serve: log it, keep the old one answering.
+#[cfg(unix)]
+#[test]
+fn watcher_keeps_the_old_generation_when_the_new_one_is_unservable() {
+    for fleet in [false, true] {
+        let dir = scratch(if fleet {
+            "unservable-fleet"
+        } else {
+            "unservable"
+        });
+        let store_path = dir.join("store");
+        let store = store_path.to_str().expect("utf-8 path");
+        let dump = dir.join("dump.xml");
+        let dump = dump.to_str().expect("utf-8 path");
+        run_ok(&["dump", "--tiny", "--out", dump, "--docs", "40"]);
+        run_ok(&[
+            "ingest",
+            "--tiny",
+            "--dump",
+            dump,
+            "--segstore",
+            store,
+            "--batch-docs",
+            "16",
+        ]);
+        let mut args = vec![
+            "serve",
+            "--tiny",
+            "--segstore",
+            store,
+            "--listen",
+            "127.0.0.1:0",
+            "--top-k",
+            "5",
+            "--deadline-ms",
+            "10000",
+        ];
+        if fleet {
+            args.extend(["--shard-procs", "3"]);
+        }
+        let mut serve = Command::new(QGX)
+            .args(&args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn qgx serve");
+        let mut reader = BufReader::new(serve.stderr.take().expect("piped stderr"));
+        let mut wait_for = |needle: &str| -> String {
+            for _ in 0..64 {
+                let mut line = String::new();
+                if reader.read_line(&mut line).expect("read serve stderr") == 0 {
+                    break;
+                }
+                if line.contains(needle) {
+                    return line;
+                }
+            }
+            panic!("serve never logged {needle:?} (fleet mode: {fleet})");
+        };
+        let listening = wait_for("# qgx: listening on ");
+        let http_addr = listening
+            .trim_start_matches("# qgx: listening on ")
+            .split_whitespace()
+            .next()
+            .expect("address")
+            .to_string();
+
+        publish_empty_generation(store);
+        let refusal = wait_for("still serving the previous one");
+        assert!(refusal.contains("lists no segments"), "{refusal}");
+
+        let (stdout, _) = run_ok(&[
+            "client",
+            "--connect",
+            &http_addr,
+            "--seed-queries",
+            "--tiny",
+            "--top-k",
+            "5",
+            "--timeout-ms",
+            "15000",
+        ]);
+        assert!(stdout.contains("\"hits\""), "old generation gone: {stdout}");
+        assert!(!stdout.contains("artifact_shard"), "{stdout}");
+
+        let term = Command::new("kill")
+            .args(["-TERM", &serve.id().to_string()])
+            .status()
+            .expect("kill runs");
+        assert!(term.success());
+        let status = serve.wait().expect("serve exits");
+        let mut rest = String::new();
+        reader
+            .read_to_string(&mut rest)
+            .expect("drain serve stderr");
+        assert!(status.success(), "serve must exit 0 after SIGTERM: {rest}");
+        assert!(!rest.contains("panicked"), "{rest}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[cfg(unix)]

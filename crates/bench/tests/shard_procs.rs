@@ -3,7 +3,7 @@
 //!
 //! The headline contract (ISSUE 8 / DESIGN.md §13): a fleet of shard
 //! *processes* answers byte-identically to the in-process sharded
-//! engine over the same segmented artifact, and a shard that dies
+//! engine over the same segment store, and a shard that dies
 //! mid-serving surfaces as a typed `artifact_shard` error naming its
 //! endpoint — never a hang, never a panic.
 
@@ -36,8 +36,9 @@ fn run(args: &[&str]) -> (std::process::ExitStatus, String, String) {
     )
 }
 
-/// Build the tiny tier's 2-shard segmented artifact into `cache` (one
-/// in-process replay run; the cache module persists segments + manifest).
+/// Build the tiny tier's `shards`-segment store into `cache` (one
+/// in-process replay run; the cache module stages the segments and
+/// publishes the manifest).
 fn build_sharded_cache(cache: &str, shards: &str) -> (String, String) {
     let (status, stdout, stderr) = run(&[
         "replay",
@@ -59,7 +60,7 @@ fn build_sharded_cache(cache: &str, shards: &str) -> (String, String) {
 fn shard_procs_replay_is_byte_identical_to_in_process() {
     let dir = scratch("identity");
     let cache = dir.to_str().expect("utf-8 temp path");
-    // Run 1 builds the segmented artifact and serves in process.
+    // Run 1 builds the cache's segment store and serves in process.
     let (in_process, _) = build_sharded_cache(cache, "3");
     // Run 2 serves the same workload across 3 supervised shard
     // processes loading those segments.
@@ -96,25 +97,55 @@ fn shard_procs_replay_is_byte_identical_to_in_process() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The segment store a `--shards <shards>` tiny-tier cache build keeps
+/// under `cache`.
+fn cache_store(cache: &std::path::Path, shards: usize) -> String {
+    let config = querygraph_core::experiment::ExperimentConfig::tiny();
+    let store = querygraph_core::cache::store_dir(cache, &config, shards);
+    assert!(store.join("segstore.qgss").exists(), "no published store");
+    store.to_str().expect("utf-8 path").to_string()
+}
+
+#[test]
+fn sharded_cache_directory_replays_as_a_segment_store() {
+    let dir = scratch("cache-is-store");
+    let cache = dir.to_str().expect("utf-8 temp path");
+    let (via_cache, _) = build_sharded_cache(cache, "4");
+    let store = cache_store(&dir, 4);
+    let (status, via_store, stderr) = run(&[
+        "replay",
+        "--tiny",
+        "--segstore",
+        &store,
+        "--seed-queries",
+        "--json",
+        "--top-k",
+        "5",
+    ]);
+    assert!(
+        status.success(),
+        "segstore replay of the cache failed: {stderr}"
+    );
+    assert_eq!(
+        via_cache, via_store,
+        "a --shards N index cache must serve byte-identically through --segstore"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn shard_child_refuses_a_wrong_fingerprint() {
     let dir = scratch("fingerprint");
     let cache = dir.to_str().expect("utf-8 temp path");
     build_sharded_cache(cache, "2");
-    // Recover the artifact stem from the segment files themselves —
-    // the child must die on a fingerprint mismatch before it can
+    // The child must die on a fingerprint mismatch before it can
     // answer for a segment it does not own.
-    let stem = std::fs::read_dir(&dir)
-        .expect("read cache dir")
-        .filter_map(|e| e.ok()?.file_name().into_string().ok())
-        .find_map(|name| Some(name.strip_suffix(".shard0.qgidx")?.to_string()))
-        .expect("a shard0 segment exists");
     let (status, _, stderr) = run(&[
         "shard",
-        "--dir",
-        cache,
-        "--stem",
-        &stem,
+        "--segstore",
+        &cache_store(&dir, 2),
+        "--seq",
+        "0",
         "--shard",
         "0",
         "--fingerprint",
@@ -127,9 +158,13 @@ fn shard_child_refuses_a_wrong_fingerprint() {
 
 #[test]
 fn shard_subcommand_requires_its_identity_flags() {
+    // The slot-keyed `--dir/--stem` layout is gone, not deprecated.
     let (status, _, stderr) = run(&["shard", "--dir", "/nonexistent"]);
     assert_eq!(status.code(), Some(2));
-    assert!(stderr.contains("requires --stem"), "stderr: {stderr}");
+    assert!(stderr.contains("unknown flag --dir"), "stderr: {stderr}");
+    let (status, _, stderr) = run(&["shard", "--shard", "0"]);
+    assert_eq!(status.code(), Some(2));
+    assert!(stderr.contains("requires --segstore"), "stderr: {stderr}");
     // And --shard-procs without the segmented layout is refused, not
     // silently served in process.
     let (status, _, stderr) = run(&["replay", "--tiny", "--shard-procs", "2", "--seed-queries"]);

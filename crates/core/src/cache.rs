@@ -13,7 +13,10 @@
 //! configurations, which determine the index bytes exactly. The
 //! fingerprint appears both in the artifact file name (so one cache
 //! directory serves many configurations) and inside the artifact header
-//! (so a renamed or stale file is rejected, not trusted). Any load
+//! (so a renamed or stale file is rejected, not trusted). A monolithic
+//! cache entry is one `QGIX` file; a `--shards N` entry is a segment
+//! store ([`querygraph_retrieval::segstore`]) published once — see
+//! [`store_dir`]. Any load
 //! failure — missing file, corrupt section, version bump, fingerprint
 //! mismatch — falls back to building and rewriting: a cache can lose
 //! time, never correctness.
@@ -31,8 +34,9 @@ use querygraph_retrieval::backend::AnyEngine;
 use querygraph_retrieval::engine::SearchEngine;
 use querygraph_retrieval::index::IndexBuilder;
 use querygraph_retrieval::lm::LmParams;
-use querygraph_retrieval::ondisk::{self, ArtifactSource};
-use querygraph_retrieval::sharded::{self, ShardedEngine, ShardedError};
+use querygraph_retrieval::ondisk::{self, ArtifactSource, OndiskError};
+use querygraph_retrieval::segstore::{self, SegStore, SegStoreError};
+use querygraph_retrieval::sharded::{self, ShardedEngine};
 use querygraph_wiki::synth::{generate, SynthWiki};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -44,7 +48,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorldOptions {
     /// `Some(n)`: a [`ShardedEngine`] over `n` doc-partitioned shards
-    /// (manifest + per-shard segments on disk; results byte-identical
+    /// (a one-generation segment store on disk; results byte-identical
     /// to the monolithic engine at any `n`, including 1). `None`: the
     /// monolithic engine and single-artifact layout.
     pub shards: Option<usize>,
@@ -113,7 +117,7 @@ pub struct BuildStats {
     /// Physical shards behind the engine (1 = monolithic).
     pub shard_count: usize,
     /// Per-shard segment read+decode seconds, in shard order (empty
-    /// unless a sharded artifact was loaded; segments load in
+    /// unless a segment store was loaded; segments load in
     /// parallel, so these can sum past `index_load_seconds`).
     pub shard_load_seconds: Vec<f64>,
 }
@@ -147,29 +151,17 @@ pub fn artifact_path(dir: &Path, config: &ExperimentConfig) -> PathBuf {
     dir.join(format!("index-{:016x}.qgidx", config_fingerprint(config)))
 }
 
-/// Fingerprint of a **sharded** artifact: the configuration inputs
-/// *plus the shard count*. A 4-shard and an 8-shard cache of the same
-/// world are different artifacts (different doc partitions, different
-/// segment sets), so they must never satisfy each other's loads.
-pub fn sharded_fingerprint(config: &ExperimentConfig, shards: usize) -> u64 {
-    let wiki = serde_json::to_string(&config.wiki).expect("wiki config serializes");
-    let corpus = serde_json::to_string(&config.corpus).expect("corpus config serializes");
-    ondisk::fnv1a(format!("{wiki}\n{corpus}\nshards={shards}").as_bytes())
-}
-
-/// The file stem of a sharded artifact (`<stem>.qgman` +
-/// `<stem>.shard<i>.qgidx`, see [`querygraph_retrieval::sharded`]).
-pub fn sharded_stem(config: &ExperimentConfig, shards: usize) -> String {
-    format!(
+/// The `shards`-way cache entry for `config` inside `dir`: a segment
+/// store keyed by the plain [`config_fingerprint`], holding one
+/// generation of `shards` [`sharded::doc_ranges`] segments. The shard
+/// count is in the name only — a 4-shard and an 8-shard cache of one
+/// world are different directories — so `qgx serve|replay --segstore`
+/// and `qgx compact` work on the directory as on any other store.
+pub fn store_dir(dir: &Path, config: &ExperimentConfig, shards: usize) -> PathBuf {
+    dir.join(format!(
         "index-{:016x}-s{shards}",
-        sharded_fingerprint(config, shards)
-    )
-}
-
-/// The manifest path of the `shards`-way artifact for `config` in
-/// `dir` — the existence probe for a sharded cache hit.
-pub fn sharded_manifest_path(dir: &Path, config: &ExperimentConfig, shards: usize) -> PathBuf {
-    dir.join(sharded::manifest_file(&sharded_stem(config, shards)))
+        config_fingerprint(config)
+    ))
 }
 
 /// Strictly load the engine for `config` from the fingerprint-keyed
@@ -231,16 +223,17 @@ pub fn load_engine_with(
     Ok(engine)
 }
 
-/// Strictly load the `shards`-way engine for `config` from the
-/// manifest-keyed sharded artifact in `dir`: every segment is
-/// independently validated and its phrase dictionary seeded, segments
-/// load in parallel, and every failure is a typed [`ServiceError`]
-/// that — for segment failures — names the shard
-/// ([`ServiceError::ArtifactShard`]).
+/// Strictly load the `shards`-way engine for `config` from its
+/// [`store_dir`] in `dir`: the store's current generation must list
+/// exactly `shards` segments; every segment is independently validated
+/// and its phrase dictionary seeded, segments load in parallel, and
+/// every failure is a typed [`ServiceError`] that — for segment
+/// failures — names the shard (its manifest slot,
+/// [`ServiceError::ArtifactShard`]).
 ///
 /// Returns the engine plus per-shard load seconds (for the bench
 /// records).
-pub fn load_sharded_engine(
+pub fn load_store_engine(
     config: &ExperimentConfig,
     dir: &Path,
     shards: usize,
@@ -248,43 +241,50 @@ pub fn load_sharded_engine(
     lm: LmParams,
     source: ArtifactSource,
 ) -> Result<(ShardedEngine, Vec<f64>), ServiceError> {
-    let manifest = sharded_manifest_path(dir, config, shards);
-    if !manifest.exists() {
-        return Err(ServiceError::ArtifactMissing { path: manifest });
-    }
-    let stem = sharded_stem(config, shards);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(shards);
-    let loaded = sharded::load_sharded(
-        dir,
-        &stem,
-        sharded_fingerprint(config, shards),
-        shards,
-        threads,
+    let store = store_dir(dir, config, shards);
+    let manifest = segstore::manifest_path(&store);
+    let fingerprint = config_fingerprint(config);
+    let load_failed = |source| ServiceError::ArtifactLoad {
+        path: manifest.clone(),
         source,
-    )
-    .map_err(|e| match e {
-        ShardedError::Manifest(ondisk::OndiskError::MetaMismatch { expected, found }) => {
-            ServiceError::ArtifactFingerprint {
-                path: manifest.clone(),
+    };
+    let mut generation = match segstore::load_generation(&store, fingerprint, source) {
+        Ok(Some(generation)) => generation,
+        Ok(None) => return Err(ServiceError::ArtifactMissing { path: manifest }),
+        Err(SegStoreError::Manifest(OndiskError::MetaMismatch { expected, found })) => {
+            return Err(ServiceError::ArtifactFingerprint {
+                path: manifest,
                 expected,
                 found,
-            }
+            })
         }
-        ShardedError::Manifest(source) => ServiceError::ArtifactLoad {
-            path: manifest.clone(),
-            source,
-        },
-        ShardedError::Shard { shard, source } => ServiceError::ArtifactShard {
-            path: dir.join(sharded::segment_file(&stem, shard)),
-            shard,
-            source,
-        },
-    })?;
-    let shard_load_seconds = loaded.shard_load_seconds.clone();
-    let engine = ShardedEngine::from_loaded(loaded, lm);
+        Err(SegStoreError::Manifest(source)) => return Err(load_failed(source)),
+        Err(SegStoreError::Io(message)) => return Err(load_failed(OndiskError::Io(message))),
+        Err(SegStoreError::Segment { seq, source }) => {
+            // The store names a failing segment by sequence number;
+            // serving errors name the shard, i.e. its manifest slot.
+            let path = store.join(segstore::segment_file(seq));
+            let slot = segstore::read_manifest(&store, fingerprint)
+                .ok()
+                .flatten()
+                .and_then(|m| m.segments.iter().position(|s| s.seq == seq));
+            return Err(match slot {
+                Some(shard) => ServiceError::ArtifactShard {
+                    path,
+                    shard,
+                    source,
+                },
+                None => ServiceError::ArtifactLoad { path, source },
+            });
+        }
+    };
+    if generation.manifest.segments.len() != shards {
+        return Err(load_failed(OndiskError::Malformed {
+            context: "shard count",
+        }));
+    }
+    let shard_load_seconds = std::mem::take(&mut generation.segment_load_seconds);
+    let engine = ShardedEngine::from_shards(generation.into_engines(lm), lm);
     if let Some(docs) = corpus_docs {
         if engine.num_docs() != docs {
             return Err(ServiceError::ArtifactStale {
@@ -295,6 +295,32 @@ pub fn load_sharded_engine(
         }
     }
     Ok((engine, shard_load_seconds))
+}
+
+/// Publish freshly built `shards` (with their warmed phrase
+/// dictionaries) as the one live generation of the store at `store`:
+/// every segment staged first, then a single manifest swap. Whatever
+/// the directory held before — nothing, a stale or differently shaped
+/// generation, a manifest that no longer opens — is replaced; its
+/// segment files are removed or left as orphans no manifest lists.
+fn publish_store(
+    store: &Path,
+    fingerprint: u64,
+    shards: &[SearchEngine],
+) -> Result<(), SegStoreError> {
+    let mut store = match SegStore::open(store, fingerprint) {
+        Err(SegStoreError::Manifest(_)) => {
+            std::fs::remove_file(segstore::manifest_path(store)).ok();
+            SegStore::open(store, fingerprint)?
+        }
+        opened => opened?,
+    };
+    let staged = shards
+        .iter()
+        .map(|shard| store.stage_segment(shard.index(), &shard.export_phrase_cache()))
+        .collect::<Result<Vec<_>, _>>()?;
+    store.replace_segments(&staged)?;
+    Ok(())
 }
 
 /// The single world-construction path behind [`Experiment::build`],
@@ -330,7 +356,7 @@ pub(crate) fn build_world(
         let loaded: Result<(AnyEngine, Vec<f64>), ServiceError> = match options.shards {
             None => load_engine_with(config, dir, docs, lm, options.source())
                 .map(|e| (AnyEngine::Mono(e), Vec::new())),
-            Some(n) => load_sharded_engine(config, dir, n, docs, lm, options.source())
+            Some(n) => load_store_engine(config, dir, n, docs, lm, options.source())
                 .map(|(e, secs)| (AnyEngine::Sharded(e), secs)),
         };
         match loaded {
@@ -433,16 +459,10 @@ pub(crate) fn build_world(
                 (path.display().to_string(), written)
             }
             AnyEngine::Sharded(e) => {
-                let stem = sharded_stem(config, shard_count);
-                let written = std::fs::create_dir_all(dir).and_then(|()| {
-                    sharded::save_sharded(
-                        dir,
-                        &stem,
-                        e.shards(),
-                        sharded_fingerprint(config, shard_count),
-                    )
-                });
-                (dir.join(&stem).display().to_string(), written)
+                let store = store_dir(dir, config, shard_count);
+                let written = publish_store(&store, config_fingerprint(config), e.shards())
+                    .map_err(std::io::Error::other);
+                (store.display().to_string(), written)
             }
             // Remote fleets are connected to, never built here;
             // persistence belongs to the shard processes themselves.
@@ -593,44 +613,26 @@ mod tests {
     }
 
     #[test]
-    fn valid_v1_artifact_loads_and_is_never_rebuilt() {
-        let dir = temp_cache("v1-compat");
+    fn version_1_artifact_is_refused_and_rebuilt_over() {
+        let dir = temp_cache("v1-refused");
         let config = ExperimentConfig::tiny();
         let path = artifact_path(&dir, &config);
         std::fs::remove_file(&path).ok();
-        let (built, _) = build_experiment(&config, Some(&dir));
-        // Downgrade the cached artifact to the legacy v1 format (no
-        // BOUNDS section), as a pre-upgrade deployment would have
-        // written it.
-        let engine = built.engine.as_mono().expect("tiny world is monolithic");
-        let v1 = ondisk::encode_index_v1(
-            engine.index(),
-            &engine.export_phrase_cache(),
-            config_fingerprint(&config),
-        );
-        std::fs::write(&path, &v1).expect("plant v1 artifact");
-
-        let (warm, stats) = build_experiment(&config, Some(&dir));
+        build_experiment(&config, Some(&dir));
+        // Exactly one format version is read: a header carrying
+        // version 1 is refused typed, before anything else is trusted.
+        let mut bytes = std::fs::read(&path).expect("artifact exists");
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("plant v1 header");
         assert_eq!(
-            stats.index_source,
-            IndexSource::Loaded,
-            "an otherwise-valid v1 artifact must load (bounds recomputed), never rebuild"
+            ondisk::load_index(&path).map(|_| ()),
+            Err(OndiskError::UnsupportedVersion { found: 1 })
         );
-        assert_eq!(
-            std::fs::read(&path).expect("artifact still there"),
-            v1,
-            "loading must not rewrite the legacy artifact"
-        );
-        // The recomputed-on-load bounds uphold the pruning contract.
-        let loaded = warm.engine.as_mono().expect("mono load");
-        use querygraph_retrieval::engine::SearchMode;
-        use querygraph_retrieval::query_lang::parse;
-        let q = parse("#combine(the a of)").expect("query parses");
-        assert_eq!(
-            loaded.search_with(&q, 10, SearchMode::Pruned),
-            loaded.search(&q, 10),
-            "pruned search over recomputed v1 bounds must match exact"
-        );
+        // The cache answers with a rebuild and a current artifact.
+        let (_, stats) = build_experiment(&config, Some(&dir));
+        assert_eq!(stats.index_source, IndexSource::Built);
+        let rewritten = ondisk::load_index(&path).expect("rewritten artifact loads");
+        assert_eq!(rewritten.meta_fingerprint, config_fingerprint(&config));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -689,30 +691,86 @@ mod tests {
         let dir = temp_cache("sharded-cold-warm");
         let config = ExperimentConfig::tiny();
         let options = WorldOptions::sharded(3);
-        std::fs::remove_file(sharded_manifest_path(&dir, &config, 3)).ok();
+        let store = store_dir(&dir, &config, 3);
+        std::fs::remove_dir_all(&store).ok();
 
         let (cold_exp, cold) = build_experiment_with(&config, Some(&dir), &options);
         assert_eq!(cold.index_source, IndexSource::Built);
         assert_eq!(cold.shard_count, 3);
         assert!(cold_exp.engine.as_sharded().is_some());
-        assert!(
-            sharded_manifest_path(&dir, &config, 3).exists(),
-            "cold run must persist the manifest"
-        );
+        // The cache entry *is* a store: one generation, three segments.
+        let manifest = segstore::read_manifest(&store, config_fingerprint(&config))
+            .expect("manifest reads")
+            .expect("cold run must publish the store");
+        assert_eq!((manifest.generation, manifest.segments.len()), (1, 3));
 
         let (warm_exp, warm) = build_experiment_with(&config, Some(&dir), &options);
         assert_eq!(warm.index_source, IndexSource::Loaded);
         assert_eq!(warm.shard_count, 3);
         assert_eq!(warm.shard_load_seconds.len(), 3);
         assert_eq!(warm_exp.engine.num_docs(), cold_exp.engine.num_docs());
+        // The warmed phrase dictionaries rode along in the segments.
+        assert_eq!(
+            warm_exp.engine.backend().phrase_cache_len(),
+            cold_exp.engine.backend().phrase_cache_len()
+        );
 
-        // A different shard count is a different artifact: cold again.
+        // A different shard count is a different cache entry: cold again.
         let (_, other) = build_experiment_with(&config, Some(&dir), &WorldOptions::sharded(2));
         assert_eq!(
             other.index_source,
             IndexSource::Built,
-            "shard count keys the fingerprint"
+            "shard count keys the store directory"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unloadable_store_is_a_miss_that_rebuilds_to_a_loadable_generation() {
+        let dir = temp_cache("sharded-miss");
+        let config = ExperimentConfig::tiny();
+        let options = WorldOptions::sharded(3);
+        let fp = config_fingerprint(&config);
+        let store = store_dir(&dir, &config, 3);
+        std::fs::remove_dir_all(&store).ok();
+        build_experiment_with(&config, Some(&dir), &options);
+        let rebuilds_then_loads = |what: &str| {
+            let (_, miss) = build_experiment_with(&config, Some(&dir), &options);
+            assert_eq!(miss.index_source, IndexSource::Built, "{what}: must miss");
+            let (exp, hit) = build_experiment_with(&config, Some(&dir), &options);
+            assert_eq!(hit.index_source, IndexSource::Loaded, "{what}: must reload");
+            assert_eq!(exp.engine.shard_count(), 3, "{what}");
+        };
+
+        // A different segment count (someone compacted the cache).
+        let mut opened = SegStore::open(&store, fp).expect("opens");
+        segstore::compact(&mut opened, 2, ArtifactSource::Read).expect("compacts");
+        rebuilds_then_loads("wrong segment count");
+
+        // A generation that lists no segments at all.
+        let mut opened = SegStore::open(&store, fp).expect("opens");
+        opened
+            .replace_segments(&[])
+            .expect("publishes an empty generation");
+        rebuilds_then_loads("empty generation");
+
+        // A stale generation: right shape, wrong world (doc count).
+        let mut other = config.clone();
+        other.corpus.noise_docs += 5;
+        let (wrong_world, _) = build_experiment_with(&other, None, &options);
+        let shards = wrong_world.engine.as_sharded().expect("sharded").shards();
+        publish_store(&store, fp, shards).expect("plants the stale generation");
+        rebuilds_then_loads("stale doc count");
+
+        // A corrupt manifest, then a corrupt segment.
+        std::fs::write(segstore::manifest_path(&store), b"torn").expect("tear manifest");
+        rebuilds_then_loads("corrupt manifest");
+        let live = segstore::read_manifest(&store, fp)
+            .expect("reads")
+            .expect("published");
+        let victim = store.join(segstore::segment_file(live.segments[1].seq));
+        std::fs::write(&victim, b"junk").expect("corrupt segment");
+        rebuilds_then_loads("corrupt segment");
         std::fs::remove_dir_all(&dir).ok();
     }
 

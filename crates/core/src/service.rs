@@ -883,23 +883,17 @@ impl<'w> QueryExpander<'w> {
     /// Map a query-time scatter failure to the serving error space:
     /// a failing shard becomes [`ServiceError::ArtifactShard`] naming
     /// the shard and (for remote backends) its socket endpoint as the
-    /// "path"; a manifest-level failure becomes
-    /// [`ServiceError::ArtifactLoad`].
+    /// "path".
     fn search_failure(engine: &dyn RetrievalBackend, error: ShardedError) -> ServiceError {
-        match error {
-            ShardedError::Shard { shard, source } => ServiceError::ArtifactShard {
-                path: PathBuf::from(
-                    engine
-                        .shard_endpoint(shard)
-                        .unwrap_or_else(|| format!("shard{shard}")),
-                ),
-                shard,
-                source,
-            },
-            ShardedError::Manifest(source) => ServiceError::ArtifactLoad {
-                path: PathBuf::from("shard-manifest"),
-                source,
-            },
+        let ShardedError::Shard { shard, source } = error;
+        ServiceError::ArtifactShard {
+            path: PathBuf::from(
+                engine
+                    .shard_endpoint(shard)
+                    .unwrap_or_else(|| format!("shard{shard}")),
+            ),
+            shard,
+            source,
         }
     }
 
@@ -1055,9 +1049,10 @@ impl ServingWorld {
     }
 
     /// [`ServingWorld::load_with`] with explicit [`WorldOptions`]:
-    /// `shards: Some(n)` loads the `n`-way sharded artifact (manifest +
-    /// segments, segments in parallel, typed per-shard errors); `mmap`
-    /// maps artifact bytes instead of reading them.
+    /// `shards: Some(n)` loads the `n`-segment store
+    /// ([`cache::store_dir`]: manifest + segments, segments in
+    /// parallel, typed per-shard errors); `mmap` maps artifact bytes
+    /// instead of reading them.
     pub fn load_with_options(
         config: &ExperimentConfig,
         cache_dir: &std::path::Path,
@@ -1081,7 +1076,7 @@ impl ServingWorld {
             ),
             Some(n) => {
                 let (engine, secs) =
-                    cache::load_sharded_engine(config, cache_dir, n, None, lm, options.source())?;
+                    cache::load_store_engine(config, cache_dir, n, None, lm, options.source())?;
                 (AnyEngine::Sharded(engine), secs)
             }
         };

@@ -23,8 +23,11 @@
 //!   monolithic engine and by [`sharded::ShardedEngine`] with a strict
 //!   byte-identity contract between layouts.
 //! * [`sharded`] — [`sharded::ShardedEngine`]: N doc-partitioned shards
-//!   behind deterministic scatter-gather, plus the segmented artifact
-//!   (manifest + independently checksummed per-shard `QGIX` segments).
+//!   behind deterministic scatter-gather.
+//! * [`segstore`] — the one sharded on-disk layout: a generational
+//!   manifest over independently checksummed `QGIX` segments, grown by
+//!   streaming ingest, reshaped by compaction, and published once by a
+//!   `--shards N` index cache.
 //! * [`remote`] — shards as separate *processes*: the QGRP binary RPC
 //!   protocol, [`remote::ShardServer`] (one segment on a local socket),
 //!   and [`remote::RemoteEngine`] (scatter-gather over shard processes,

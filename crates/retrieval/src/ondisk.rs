@@ -36,7 +36,7 @@
 //!   ([`crate::engine::SearchEngine::export_phrase_cache`]): per
 //!   phrase its words,
 //!   delta-varint `(doc, tf)` hits, and the collection probability.
-//! * **BOUNDS** (v2) — term count, per-term `(max_tf u32, min_len u32)`
+//! * **BOUNDS** — term count, per-term `(max_tf u32, min_len u32)`
 //!   score-bound statistics ([`crate::index::TermBound`]) feeding the
 //!   WAND-style pruned search. Stored μ-independently as raw counts;
 //!   the loader cross-checks every entry against the validating
@@ -45,13 +45,10 @@
 //!
 //! ## Versioning and integrity
 //!
-//! `FORMAT_VERSION` is bumped on any layout change. The loader refuses
-//! unknown versions outright (no migration — artifacts are caches, the
-//! corpus can always be re-indexed), with one deliberate exception:
-//! version-1 artifacts (pre-BOUNDS) still load, reconstructing the
-//! bounds from the validating postings walk — which computes them
-//! anyway — and logging a single notice. An otherwise-valid v1 artifact
-//! must never force a rebuild. `meta_fingerprint` identifies the
+//! `FORMAT_VERSION` is bumped on any layout change. The loader reads
+//! exactly that version and refuses every other outright (no migration
+//! — artifacts are caches, the corpus can always be re-indexed).
+//! `meta_fingerprint` identifies the
 //! world configuration that produced the index so a cache directory can
 //! hold artifacts for several configurations side by side. Integrity is
 //! checked *before* any content is trusted: the header checksum covers
@@ -79,13 +76,9 @@ use std::path::Path;
 /// File magic: "QGIX" (QueryGraph IndeX).
 pub const MAGIC: [u8; 4] = *b"QGIX";
 
-/// Current format version (v2 appended the BOUNDS section). Bumped on
-/// any layout change; the loader refuses versions it doesn't know.
+/// The one format version written and read (v2 appended the BOUNDS
+/// section). Bumped on any layout change; the loader refuses all others.
 pub const FORMAT_VERSION: u32 = 2;
-
-/// The pre-BOUNDS format. Still loadable: the bounds are reconstructed
-/// from the validating postings walk (see [`load_index_bytes`]).
-pub const LEGACY_FORMAT_VERSION: u32 = 1;
 
 const SEC_TERMS: u32 = 1;
 const SEC_POSTINGS: u32 = 2;
@@ -99,9 +92,6 @@ const SECTION_IDS: [u32; 5] = [
     SEC_PHRASES,
     SEC_BOUNDS,
 ];
-// A v1 artifact is exactly the v2 layout without the trailing BOUNDS
-// section, which is what keeps the legacy path one slice away.
-const LEGACY_SECTION_IDS: [u32; 4] = [SEC_TERMS, SEC_POSTINGS, SEC_DOCSTATS, SEC_PHRASES];
 
 const HEADER_LEN: usize = 4 + 4 + 8 + 4; // magic + version + fingerprint + count
 const TABLE_ENTRY_LEN: usize = 4 + 8 + 8 + 8;
@@ -122,8 +112,7 @@ pub enum OndiskError {
         /// The four bytes found instead.
         found: [u8; 4],
     },
-    /// The format version is neither [`FORMAT_VERSION`] nor
-    /// [`LEGACY_FORMAT_VERSION`].
+    /// The format version is not [`FORMAT_VERSION`].
     UnsupportedVersion {
         /// The version found in the header.
         found: u32,
@@ -172,8 +161,7 @@ impl fmt::Display for OndiskError {
             }
             OndiskError::UnsupportedVersion { found } => write!(
                 f,
-                "unsupported index format version {found} \
-                 (supported: {LEGACY_FORMAT_VERSION}, {FORMAT_VERSION})"
+                "unsupported index format version {found} (supported: {FORMAT_VERSION})"
             ),
             OndiskError::ChecksumMismatch { section } => {
                 write!(f, "checksum mismatch in {section}")
@@ -233,7 +221,6 @@ pub fn encode_index(
     meta_fingerprint: u64,
 ) -> Vec<u8> {
     assemble(
-        FORMAT_VERSION,
         &[
             (SEC_TERMS, encode_terms(index)),
             (SEC_POSTINGS, encode_postings(index)),
@@ -245,33 +232,12 @@ pub fn encode_index(
     )
 }
 
-/// Encode a **legacy v1** artifact (no BOUNDS section). Test-only
-/// surface for pinning the v1 compatibility path — production writers
-/// always emit the current format.
-#[doc(hidden)]
-pub fn encode_index_v1(
-    index: &InvertedIndex,
-    phrases: &[PhraseCacheEntry],
-    meta_fingerprint: u64,
-) -> Vec<u8> {
-    assemble(
-        LEGACY_FORMAT_VERSION,
-        &[
-            (SEC_TERMS, encode_terms(index)),
-            (SEC_POSTINGS, encode_postings(index)),
-            (SEC_DOCSTATS, encode_docstats(index)),
-            (SEC_PHRASES, encode_phrases(phrases)),
-        ],
-        meta_fingerprint,
-    )
-}
-
-fn assemble(version: u32, sections: &[(u32, Vec<u8>)], meta_fingerprint: u64) -> Vec<u8> {
+fn assemble(sections: &[(u32, Vec<u8>)], meta_fingerprint: u64) -> Vec<u8> {
     let table_len = sections.len() * TABLE_ENTRY_LEN;
     let payload_base = HEADER_LEN + table_len + 8; // + header checksum
     let mut head = BytesMut::with_capacity(payload_base);
     head.put_slice(&MAGIC);
-    head.put_u32_le(version);
+    head.put_u32_le(FORMAT_VERSION);
     head.put_u64_le(meta_fingerprint);
     head.put_u32_le(sections.len() as u32);
     let mut offset = payload_base as u64;
@@ -471,14 +437,12 @@ pub fn load_index_bytes(data: Bytes) -> Result<LoadedIndex, OndiskError> {
         return Err(OndiskError::BadMagic { found });
     }
     let version = read_u32_at(&data, 4);
-    let expected_ids: &[u32] = match version {
-        FORMAT_VERSION => &SECTION_IDS,
-        LEGACY_FORMAT_VERSION => &LEGACY_SECTION_IDS,
-        found => return Err(OndiskError::UnsupportedVersion { found }),
-    };
+    if version != FORMAT_VERSION {
+        return Err(OndiskError::UnsupportedVersion { found: version });
+    }
     let meta_fingerprint = read_u64_at(&data, 8);
     let count = read_u32_at(&data, 16) as usize;
-    if count != expected_ids.len() {
+    if count != SECTION_IDS.len() {
         return Err(OndiskError::Malformed {
             context: "section count",
         });
@@ -500,7 +464,7 @@ pub fn load_index_bytes(data: Bytes) -> Result<LoadedIndex, OndiskError> {
     // matching checksums; the file ends where the last section does.
     let mut sections: Vec<Bytes> = Vec::with_capacity(count);
     let mut expected_end = table_end + 8;
-    for (i, &want_id) in expected_ids.iter().enumerate() {
+    for (i, &want_id) in SECTION_IDS.iter().enumerate() {
         let base = HEADER_LEN + i * TABLE_ENTRY_LEN;
         let id = read_u32_at(&data, base);
         let name = section_name(want_id);
@@ -540,31 +504,15 @@ pub fn load_index_bytes(data: Bytes) -> Result<LoadedIndex, OndiskError> {
     let (doc_lengths, total_tokens) = decode_docstats(&sections[2])?;
     let (postings, walked_bounds) = decode_postings(&sections[1], interner.len(), &doc_lengths)?;
     let phrases = decode_phrases(&sections[3], doc_lengths.len() as u32)?;
-    let bounds = match version {
-        FORMAT_VERSION => {
-            // The stored bounds must agree entry-for-entry with what the
-            // validating postings walk just recomputed — a checksum-
-            // consistent forgery (or writer bug) can neither loosen nor
-            // tighten pruning.
-            let stored = decode_bounds(&sections[4], interner.len())?;
-            if stored != walked_bounds {
-                return Err(OndiskError::Malformed {
-                    context: "bounds section inconsistent with postings",
-                });
-            }
-            stored
-        }
-        _ => {
-            // Legacy v1 artifact: no BOUNDS section. The validating walk
-            // already derived the exact bounds, so the artifact stays
-            // valid as-is — one notice, never a rebuild.
-            eprintln!(
-                "notice: index artifact uses legacy format v{LEGACY_FORMAT_VERSION} \
-                 (no bounds section); pruning bounds recomputed at load"
-            );
-            walked_bounds
-        }
-    };
+    // The stored bounds must agree entry-for-entry with what the
+    // validating postings walk just recomputed — a checksum-consistent
+    // forgery (or writer bug) can neither loosen nor tighten pruning.
+    let bounds = decode_bounds(&sections[4], interner.len())?;
+    if bounds != walked_bounds {
+        return Err(OndiskError::Malformed {
+            context: "bounds section inconsistent with postings",
+        });
+    }
     Ok(LoadedIndex {
         index: InvertedIndex::from_parts(interner, postings, bounds, doc_lengths, total_tokens),
         phrases,
@@ -740,7 +688,7 @@ fn decode_postings(
         // giant tf into the trusting query-time decoder. After this,
         // `PostingsIter` can stay lean. The same pass derives the
         // term's exact score-bound statistics as a byproduct — ground
-        // truth for the BOUNDS section (v2) or its reconstruction (v1).
+        // truth for the BOUNDS section.
         let stats = crate::postings::validate_stream(&data, d.doc_count, doc_lengths).ok_or(
             OndiskError::Malformed {
                 context: "postings stream invalid",
@@ -991,41 +939,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_artifact_loads_with_recomputed_bounds() {
-        // A pre-BOUNDS artifact must keep loading — bounds come from
-        // the validating postings walk instead of a stored section —
-        // and must behave identically to a freshly written v2 artifact.
-        let engine = SearchEngine::new(small_index());
-        engine.search(&parse("#1(grand canal)").unwrap(), 5);
-        let phrases = engine.export_phrase_cache();
-        let v1 = encode_index_v1(engine.index(), &phrases, 0xFEED_F00D);
-        let loaded = load_index_bytes(Bytes::from(v1)).expect("legacy v1 loads");
-        assert_eq!(loaded.meta_fingerprint, 0xFEED_F00D);
-        assert_eq!(loaded.phrases, phrases);
-        assert_index_eq(engine.index(), &loaded.index);
-        for t in 0..engine.index().num_terms() {
-            let t = TermId(t as u32);
-            assert_eq!(
-                loaded.index.term_bound(t),
-                engine.index().term_bound(t),
-                "recomputed bound for term {t:?}"
-            );
-        }
-        assert_eq!(loaded.index.min_doc_len(), engine.index().min_doc_len());
-        // Its corruption story is intact too: every single-byte flip of
-        // the legacy artifact still fails typed.
-        let v1 = encode_index_v1(engine.index(), &phrases, 0xFEED_F00D);
-        for i in 0..v1.len() {
-            let mut corrupt = v1.clone();
-            corrupt[i] ^= 0xFF;
-            assert!(
-                load_index_bytes(Bytes::from(corrupt)).is_err(),
-                "v1 flip at byte {i} must fail, not load"
-            );
-        }
-    }
-
-    #[test]
     fn loaded_bounds_match_built_bounds() {
         let idx = small_index();
         let bytes = encode_index(&idx, &[], 0);
@@ -1047,7 +960,6 @@ mod tests {
             let mut bounds = encode_bounds(&idx);
             mutate(&mut bounds);
             assemble(
-                FORMAT_VERSION,
                 &[
                     (SEC_TERMS, encode_terms(&idx)),
                     (SEC_POSTINGS, encode_postings(&idx)),

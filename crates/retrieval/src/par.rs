@@ -12,12 +12,19 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Map `0..n` through `f` across `threads` scoped workers with chunked
-/// work stealing, reassembling results in index order.
+/// Map `0..n` through `f` across `threads` workers with chunked work
+/// stealing, reassembling results in index order.
 ///
 /// Output is **deterministic** for pure `f`: slot `i` always receives
 /// `f(i)`. `threads <= 1` runs inline on the calling thread (no spawn
 /// overhead); workers are capped at `n`.
+///
+/// The calling thread is worker 0 and only `workers - 1` scoped threads
+/// are spawned: a caller asleep on the joins leaves every worker to the
+/// scheduler's fork placement, which on a two-core guest stacks both on
+/// one core (the other idle) about one call in five — twice the wall
+/// clock, in no pattern. A caller that keeps its own core leaves the
+/// spawned worker the idle one.
 pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -28,26 +35,26 @@ where
         return (0..n).map(f).collect();
     }
     let queue = StealQueue::new(n, workers);
+    let drain = |w: usize| {
+        let mut local = Vec::new();
+        while let Some(i) = queue.claim(w) {
+            local.push((i, f(i)));
+        }
+        local
+    };
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let queue = &queue;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    while let Some(i) = queue.claim(w) {
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
+        let drain = &drain;
+        let handles: Vec<_> = (1..workers)
+            .map(|w| scope.spawn(move || drain(w)))
             .collect();
+        let mut claimed = drain(0);
         for handle in handles {
-            for (i, value) in handle.join().expect("parallel_map worker panicked") {
-                debug_assert!(slots[i].is_none(), "index {i} claimed twice");
-                slots[i] = Some(value);
-            }
+            claimed.extend(handle.join().expect("parallel_map worker panicked"));
+        }
+        for (i, value) in claimed {
+            debug_assert!(slots[i].is_none(), "index {i} claimed twice");
+            slots[i] = Some(value);
         }
     });
     slots
@@ -152,5 +159,20 @@ mod tests {
             assert_eq!(parallel_map(31, threads, f), expected, "threads={threads}");
         }
         assert!(parallel_map(0, 4, f).is_empty());
+    }
+
+    #[test]
+    fn caller_is_one_of_the_workers() {
+        let caller = std::thread::current().id();
+        for workers in [2, 3] {
+            let ran_on = parallel_map(12, workers, |_| {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                std::thread::current().id()
+            });
+            let mut spawned: Vec<_> = ran_on.into_iter().filter(|id| *id != caller).collect();
+            spawned.sort_by_key(|id| format!("{id:?}"));
+            spawned.dedup();
+            assert!(spawned.len() < workers, "{workers} workers: {spawned:?}");
+        }
     }
 }

@@ -46,7 +46,7 @@ use crate::remote::proto::{
     decode_error, put_str, put_u32, put_u64, read_frame, write_frame, Op, PayloadReader,
     ProtoError, STATUS_OK,
 };
-use crate::sharded::{segment_fingerprint, ShardedError};
+use crate::sharded::ShardedError;
 use crate::topk::Scored;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -307,27 +307,12 @@ pub struct RemoteEngine {
 impl RemoteEngine {
     /// Connect to shard processes at `addrs` (index = shard id) and
     /// verify each one's Hello: the shard index must match its slot and
-    /// the fingerprint must equal
-    /// [`segment_fingerprint`]`(manifest_fingerprint, i)` — the same
-    /// pinning the artifact loader enforces, applied across the socket.
-    /// Global statistics are aggregated once from the handshakes
-    /// (integer sums in shard order — bit-identical to the manifest's).
-    pub fn connect(
-        addrs: &[String],
-        params: LmParams,
-        manifest_fingerprint: u64,
-    ) -> Result<RemoteEngine, ShardedError> {
-        let expected: Vec<u64> = (0..addrs.len())
-            .map(|i| segment_fingerprint(manifest_fingerprint, i))
-            .collect();
-        Self::connect_with_fingerprints(addrs, params, &expected)
-    }
-
-    /// [`RemoteEngine::connect`] with an explicit per-slot expected
-    /// fingerprint instead of the `QGSM` slot-keyed derivation — the
-    /// segment-store fleet path, whose segments embed seq-keyed
-    /// fingerprints ([`crate::segstore::segment_fp`]) that the
-    /// coordinator knows from the manifest it loaded.
+    /// the fingerprint must equal `expected[i]` — the seq-keyed
+    /// [`crate::segstore::segment_fp`] of the segment the coordinator's
+    /// manifest lists in that slot, the same pinning the store loader
+    /// enforces, applied across the socket. Global statistics are
+    /// aggregated once from the handshakes (integer sums in shard order
+    /// — bit-identical to the manifest's).
     pub fn connect_with_fingerprints(
         addrs: &[String],
         params: LmParams,

@@ -34,7 +34,8 @@ mod tests {
     use crate::index::IndexBuilder;
     use crate::lm::LmParams;
     use crate::query_lang::parse;
-    use crate::sharded::{doc_ranges, segment_fingerprint, ShardedEngine, ShardedError};
+    use crate::segstore::segment_fp;
+    use crate::sharded::{doc_ranges, ShardedEngine, ShardedError};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -90,7 +91,7 @@ mod tests {
                     "127.0.0.1:0",
                     Arc::new(engine),
                     i,
-                    segment_fingerprint(fingerprint, i),
+                    segment_fp(fingerprint, i as u64),
                 )
                 .expect("bind loopback");
                 addrs.push(server.local_addr().expect("bound addr").to_string());
@@ -107,9 +108,21 @@ mod tests {
             }
         }
 
+        /// The per-slot fingerprints a store keyed by `fingerprint`
+        /// would pin this fleet's segments to.
+        fn expected(&self, fingerprint: u64) -> Vec<u64> {
+            (0..self.addrs.len() as u64)
+                .map(|seq| segment_fp(fingerprint, seq))
+                .collect()
+        }
+
         fn engine(&self) -> RemoteEngine {
-            RemoteEngine::connect(&self.addrs, LmParams::default(), self.fingerprint)
-                .expect("connect fleet")
+            RemoteEngine::connect_with_fingerprints(
+                &self.addrs,
+                LmParams::default(),
+                &self.expected(self.fingerprint),
+            )
+            .expect("connect fleet")
         }
     }
 
@@ -211,7 +224,11 @@ mod tests {
     #[test]
     fn wrong_fingerprint_is_typed_per_shard() {
         let fleet = Fleet::boot(&DOCS, 2, 111);
-        match RemoteEngine::connect(&fleet.addrs, LmParams::default(), 999) {
+        match RemoteEngine::connect_with_fingerprints(
+            &fleet.addrs,
+            LmParams::default(),
+            &fleet.expected(999),
+        ) {
             Err(ShardedError::Shard { shard: 0, source }) => {
                 assert!(
                     matches!(source, crate::ondisk::OndiskError::MetaMismatch { .. }),

@@ -1,10 +1,10 @@
 //! LSM-style generational segment store for incrementally grown indexes.
 //!
-//! The PR-5 sharded artifact is segment-shaped but static: shard count
-//! and doc partition are fixed at build time. The paper-scale corpus
-//! (237k ImageCLEF docs) arrives as a *dump* that we want to index in
-//! bounded memory and keep serving while it grows — so this module adds
-//! the missing LSM layer on top of the same `QGIX` segment format:
+//! The one sharded on-disk layout. The paper-scale corpus (237k
+//! ImageCLEF docs) arrives as a *dump* that we want to index in bounded
+//! memory and keep serving while it grows, and a `--shards N` index
+//! cache is the same thing published once — so both are a directory of
+//! `QGIX` segments under a generational manifest:
 //!
 //! * **Segments** — each ingest batch freezes into one independently
 //!   checksummed `QGIX` file (`seg-<seq>.qgidx`, local doc ids), written
@@ -26,9 +26,8 @@
 //!   postings, positions, doc lengths and totals are preserved exactly,
 //!   and per-term bounds are recomputed with the builder's formula, so
 //!   reports from a compacted index are byte-identical to a from-scratch
-//!   rebuild. Compacted output can replace the store's segments
-//!   ([`SegStore::replace_segments`]) or be persisted as a standard
-//!   `QGSM` sharded artifact for the existing `--shards N` boot paths.
+//!   rebuild. Compacted output replaces the store's segments
+//!   ([`SegStore::replace_segments`]).
 //!
 //! Manifest layout (little-endian):
 //!
@@ -39,18 +38,20 @@
 //! checksum u64 — FNV-1a of every preceding byte
 //! ```
 
-use crate::engine::SearchEngine;
+use crate::engine::{PhraseCacheEntry, SearchEngine};
 use crate::index::{InvertedIndex, TermBound};
 use crate::lm::LmParams;
 use crate::ondisk::{
     encode_index, fnv1a, load_index_with, write_atomic, ArtifactSource, LoadedIndex, OndiskError,
 };
+use crate::par::parallel_map;
 use crate::postings::PostingsBuilder;
 use crate::sharded::doc_ranges;
 use querygraph_text::{Interner, TermId};
 use std::fmt;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// Manifest magic: "QGSS" (QueryGraph Segment Store).
 pub const SEGSTORE_MAGIC: [u8; 4] = *b"QGSS";
@@ -241,7 +242,7 @@ pub fn segment_fp(store_fingerprint: u64, seq: u64) -> u64 {
     let mut bytes = [0u8; 17];
     bytes[..8].copy_from_slice(&store_fingerprint.to_le_bytes());
     bytes[8..16].copy_from_slice(&seq.to_le_bytes());
-    bytes[16] = b'S'; // domain-separate from QGSM's segment_fingerprint
+    bytes[16] = b'S'; // domain tag, part of every written segment's identity
     fnv1a(&bytes)
 }
 
@@ -323,12 +324,17 @@ impl SegStore {
         &self.dir
     }
 
-    /// Phase 1: write one batch's index as a new segment file. The
+    /// Phase 1: write one batch's index — and the phrase dictionary
+    /// to embed with it (`&[]` for none) — as a new segment file. The
     /// segment is durable but *not live* until [`SegStore::publish`]
     /// lists it — a crash here leaves only an orphan file.
-    pub fn stage_segment(&mut self, index: &InvertedIndex) -> Result<SegmentMeta, SegStoreError> {
+    pub fn stage_segment(
+        &mut self,
+        index: &InvertedIndex,
+        phrases: &[PhraseCacheEntry],
+    ) -> Result<SegmentMeta, SegStoreError> {
         let seq = self.alloc_seq;
-        let bytes = encode_index(index, &[], segment_fp(self.manifest.fingerprint, seq));
+        let bytes = encode_index(index, phrases, segment_fp(self.manifest.fingerprint, seq));
         write_atomic(&self.dir.join(segment_file(seq)), &bytes)
             .map_err(|e| SegStoreError::Io(format!("segment {seq}: {e}")))?;
         self.alloc_seq += 1;
@@ -353,7 +359,7 @@ impl SegStore {
     /// Convenience: stage one segment and publish it (one generation
     /// bump per batch).
     pub fn commit_segment(&mut self, index: &InvertedIndex) -> Result<SegmentMeta, SegStoreError> {
-        let meta = self.stage_segment(index)?;
+        let meta = self.stage_segment(index, &[])?;
         self.publish(&[meta])?;
         Ok(meta)
     }
@@ -393,6 +399,10 @@ pub struct LoadedGeneration {
     pub manifest: Manifest,
     /// Loaded segments (index + phrase dictionary), manifest order.
     pub segments: Vec<LoadedIndex>,
+    /// Wall-clock seconds each segment took to read + decode, manifest
+    /// order (segments load in parallel, so these can sum past the
+    /// call's own wall clock).
+    pub segment_load_seconds: Vec<f64>,
 }
 
 impl LoadedGeneration {
@@ -412,8 +422,12 @@ impl LoadedGeneration {
 }
 
 /// Load the current generation in `dir`; `Ok(None)` when the store has
-/// never published. Each segment is independently checksummed by the
-/// `QGIX` loader and pinned to its manifest slot via [`segment_fp`].
+/// never published. Segments load in parallel (one worker per core, at
+/// most one per segment); each is independently checksummed by the
+/// `QGIX` loader and pinned to its manifest slot via [`segment_fp`], and
+/// the first failure in manifest order is the one reported. A
+/// generation no engine could serve — no segments, or more documents
+/// than the `u32` doc-id space holds — is a typed manifest error.
 pub fn load_generation(
     dir: &Path,
     expected_fingerprint: u64,
@@ -422,38 +436,64 @@ pub fn load_generation(
     let Some(manifest) = read_manifest(dir, expected_fingerprint)? else {
         return Ok(None);
     };
-    let mut segments = Vec::with_capacity(manifest.segments.len());
-    for meta in &manifest.segments {
-        let loaded =
-            load_index_with(&dir.join(segment_file(meta.seq)), source).map_err(|source| {
-                SegStoreError::Segment {
-                    seq: meta.seq,
-                    source,
-                }
-            })?;
-        let want = segment_fp(manifest.fingerprint, meta.seq);
-        if loaded.meta_fingerprint != want {
-            return Err(SegStoreError::Segment {
-                seq: meta.seq,
-                source: OndiskError::MetaMismatch {
-                    expected: want,
-                    found: loaded.meta_fingerprint,
-                },
-            });
-        }
-        if loaded.index.num_docs() != meta.num_docs as usize
-            || loaded.index.total_tokens() != meta.total_tokens
-        {
-            return Err(SegStoreError::Segment {
-                seq: meta.seq,
-                source: OndiskError::Malformed {
-                    context: "segment stats disagree with manifest",
-                },
-            });
-        }
-        segments.push(loaded);
+    if manifest.segments.is_empty() {
+        return Err(SegStoreError::Manifest(OndiskError::Malformed {
+            context: "generation lists no segments",
+        }));
     }
-    Ok(Some(LoadedGeneration { manifest, segments }))
+    if u32::try_from(manifest.total_docs()).is_err() {
+        return Err(SegStoreError::Manifest(OndiskError::Malformed {
+            context: "generation doc count exceeds the u32 doc-id space",
+        }));
+    }
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(manifest.segments.len());
+    let results = parallel_map(manifest.segments.len(), threads, |slot| {
+        let t = Instant::now();
+        let result = load_segment(dir, manifest.fingerprint, &manifest.segments[slot], source);
+        (result, t.elapsed().as_secs_f64())
+    });
+    let mut segments = Vec::with_capacity(results.len());
+    let mut segment_load_seconds = Vec::with_capacity(results.len());
+    for (meta, (result, seconds)) in manifest.segments.iter().zip(results) {
+        segments.push(result.map_err(|source| SegStoreError::Segment {
+            seq: meta.seq,
+            source,
+        })?);
+        segment_load_seconds.push(seconds);
+    }
+    Ok(Some(LoadedGeneration {
+        manifest,
+        segments,
+        segment_load_seconds,
+    }))
+}
+
+/// Load one listed segment and hold it to its manifest entry.
+fn load_segment(
+    dir: &Path,
+    store_fingerprint: u64,
+    meta: &SegmentMeta,
+    source: ArtifactSource,
+) -> Result<LoadedIndex, OndiskError> {
+    let loaded = load_index_with(&dir.join(segment_file(meta.seq)), source)?;
+    let want = segment_fp(store_fingerprint, meta.seq);
+    if loaded.meta_fingerprint != want {
+        return Err(OndiskError::MetaMismatch {
+            expected: want,
+            found: loaded.meta_fingerprint,
+        });
+    }
+    if loaded.index.num_docs() != meta.num_docs as usize
+        || loaded.index.total_tokens() != meta.total_tokens
+    {
+        return Err(OndiskError::Malformed {
+            context: "segment stats disagree with manifest",
+        });
+    }
+    Ok(loaded)
 }
 
 /// Merge `segments` (contiguous doc-id slices in order) into `shards`
@@ -556,7 +596,7 @@ pub fn compact(
     let merged = reslice(&indexes, shards);
     let mut staged = Vec::with_capacity(merged.len());
     for index in &merged {
-        staged.push(store.stage_segment(index)?);
+        staged.push(store.stage_segment(index, &[])?);
     }
     store.replace_segments(&staged)?;
     Ok(Some(store.manifest().generation_fingerprint()))
@@ -704,7 +744,7 @@ mod tests {
         let old = store.manifest().clone();
 
         // "Crash": stage a new segment but never publish.
-        store.stage_segment(&index_of(&DOCS[4..])).unwrap();
+        store.stage_segment(&index_of(&DOCS[4..]), &[]).unwrap();
         drop(store);
 
         let gen = load_generation(&dir, fp, ArtifactSource::Read)
@@ -732,7 +772,7 @@ mod tests {
         let mut store = SegStore::open(&dir, fp).expect("open");
         ingest(&mut store, &DOCS[..4], 4);
         let old = store.manifest().clone();
-        let meta = store.stage_segment(&index_of(&DOCS[4..])).unwrap();
+        let meta = store.stage_segment(&index_of(&DOCS[4..]), &[]).unwrap();
         // Corrupt the staged (unreferenced) file in every truncation.
         let staged_path = dir.join(segment_file(meta.seq));
         let bytes = std::fs::read(&staged_path).unwrap();
@@ -953,6 +993,140 @@ mod tests {
             let comp = ShardedEngine::from_shards(compacted, LmParams::default());
             proptest::prop_assert_eq!(&comp.search(&q, 10), &expected);
         }
+    }
+
+    // ── load failures: typed, slot-ordered, never a panic ───────────
+
+    /// A store whose live seqs differ from their manifest slots (nine
+    /// one-doc segments compacted to three: seqs 9, 10, 11).
+    fn compacted_store(tag: &str, fp: u64) -> (PathBuf, Manifest) {
+        let dir = temp_dir(tag);
+        let mut store = SegStore::open(&dir, fp).expect("open");
+        ingest(&mut store, &DOCS, 1);
+        compact(&mut store, 3, ArtifactSource::Read).expect("compacts");
+        let manifest = store.manifest().clone();
+        assert_eq!(
+            manifest.segments.iter().map(|s| s.seq).collect::<Vec<_>>(),
+            [9, 10, 11]
+        );
+        (dir, manifest)
+    }
+
+    #[test]
+    fn staged_phrase_dictionaries_arrive_warm() {
+        let dir = temp_dir("staged-phrases");
+        let fp = 0x9A;
+        let engines: Vec<SearchEngine> = DOCS.chunks(3).map(mono).collect();
+        for engine in &engines {
+            engine.warm_phrase(&["grand".to_string(), "canal".to_string()]);
+            engine.warm_phrase(&["venice".to_string()]);
+        }
+        let mut store = SegStore::open(&dir, fp).expect("open");
+        let staged: Vec<SegmentMeta> = engines
+            .iter()
+            .map(|e| store.stage_segment(e.index(), &e.export_phrase_cache()))
+            .collect::<Result<_, _>>()
+            .expect("stages");
+        store.publish(&staged).expect("publishes");
+        let generation = load_generation(&dir, fp, ArtifactSource::Read)
+            .expect("loads")
+            .expect("published");
+        assert_eq!(generation.segment_load_seconds.len(), 3);
+        let loaded = generation.into_engines(LmParams::default());
+        for (built, loaded) in engines.iter().zip(&loaded) {
+            assert_eq!(built.export_phrase_cache(), loaded.export_phrase_cache());
+            assert_eq!(loaded.phrase_cache_len(), 2);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn corrupt_segment_names_its_seq_never_panics() {
+        let (dir, _) = compacted_store("corrupt", 0x99);
+        let victim = dir.join(segment_file(10));
+        let bytes = std::fs::read(&victim).expect("segment exists");
+        let load = || load_generation(&dir, 0x99, ArtifactSource::Read).map(|_| ());
+        // Flip a sample of bytes across the whole segment, then
+        // truncate it: every damage is a typed error naming seq 10.
+        let step = (bytes.len() / 200).max(1);
+        for i in (0..bytes.len()).step_by(step) {
+            let mut corrupt = bytes.clone();
+            corrupt[i] ^= 0xFF;
+            std::fs::write(&victim, &corrupt).expect("write corrupt segment");
+            match load() {
+                Err(SegStoreError::Segment { seq: 10, .. }) => {}
+                other => panic!("flip at byte {i}: expected Segment{{10}}, got {other:?}"),
+            }
+        }
+        for len in [0, bytes.len() / 2, bytes.len() - 1] {
+            std::fs::write(&victim, &bytes[..len]).expect("truncate segment");
+            let err = load().expect_err("truncated segment must fail");
+            assert!(
+                matches!(err, SegStoreError::Segment { seq: 10, .. }),
+                "truncation to {len}: {err:?}"
+            );
+            assert!(err.to_string().contains("segment 10"), "{err}");
+        }
+        // Two damaged segments: the lower manifest slot is the one
+        // reported, however the parallel loads interleave.
+        std::fs::write(dir.join(segment_file(11)), b"junk").expect("damage the last segment");
+        for _ in 0..8 {
+            assert!(matches!(
+                load(),
+                Err(SegStoreError::Segment { seq: 10, .. })
+            ));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn swapped_segment_files_are_rejected_by_segment_fp() {
+        let (dir, _) = compacted_store("swap", 0x77);
+        let (a, b) = (dir.join(segment_file(9)), dir.join(segment_file(10)));
+        let tmp = dir.join("swap.tmp");
+        std::fs::rename(&a, &tmp).unwrap();
+        std::fs::rename(&b, &a).unwrap();
+        std::fs::rename(&tmp, &b).unwrap();
+        match load_generation(&dir, 0x77, ArtifactSource::Read) {
+            Err(SegStoreError::Segment {
+                seq: 9,
+                source: OndiskError::MetaMismatch { expected, found },
+            }) => assert_eq!(
+                (expected, found),
+                (segment_fp(0x77, 9), segment_fp(0x77, 10))
+            ),
+            other => panic!("expected seq-9 MetaMismatch, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unservable_generations_are_typed_manifest_errors() {
+        // Both manifests are checksum-valid on-disk bytes: one lists no
+        // segments, one lists more documents than u32 doc ids can name.
+        let (dir, manifest) = compacted_store("unservable", 0x55);
+        let huge = SegmentMeta {
+            seq: 9,
+            num_docs: u32::MAX,
+            total_tokens: 1,
+        };
+        for segments in [Vec::new(), vec![huge, SegmentMeta { seq: 10, ..huge }]] {
+            let crafted = Manifest {
+                segments,
+                ..manifest.clone()
+            };
+            std::fs::write(manifest_path(&dir), crafted.encode()).expect("plant manifest");
+            assert_eq!(
+                read_manifest(&dir, 0x55).expect("decodes"),
+                Some(crafted),
+                "the manifest itself is well-formed"
+            );
+            match load_generation(&dir, 0x55, ArtifactSource::Read) {
+                Err(SegStoreError::Manifest(OndiskError::Malformed { .. })) => {}
+                other => panic!("expected a typed manifest error, got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -16,12 +16,12 @@
 //!   surface as a typed `ServiceError::ArtifactShard` *naming that
 //!   shard*, never a panic, through the strict serving facade.
 
-use querygraph::core::cache::{sharded_manifest_path, WorldOptions};
+use querygraph::core::cache::{store_dir, WorldOptions};
 use querygraph::core::experiment::{Experiment, ExperimentConfig};
 use querygraph::core::service::{ExpansionRequest, ServiceError, ServingWorld};
 use querygraph::retrieval::lm::LmParams;
 use querygraph::retrieval::ondisk::fnv1a;
-use querygraph::retrieval::sharded::segment_file;
+use querygraph::retrieval::segstore::{manifest_path, segment_file};
 use std::path::PathBuf;
 
 /// The pinned pre-fast-path fingerprints (captured at PR 1's HEAD) —
@@ -119,7 +119,7 @@ fn sharded_serving_identical_to_monolithic_cold_and_warm() {
     let dir = temp_dir("serving");
     let config = micro_config(41, 43, 4, 2);
     let options = WorldOptions::sharded(3);
-    std::fs::remove_file(sharded_manifest_path(&dir, &config, 3)).ok();
+    std::fs::remove_file(manifest_path(&store_dir(&dir, &config, 3))).ok();
 
     let mono = ServingWorld::open(&config, None);
     let (cold, _) =
@@ -155,11 +155,11 @@ fn corrupt_segment_surfaces_typed_per_shard_error() {
     let dir = temp_dir("fuzz");
     let config = micro_config(47, 53, 3, 1);
     let options = WorldOptions::sharded(3);
-    std::fs::remove_file(sharded_manifest_path(&dir, &config, 3)).ok();
+    let store = store_dir(&dir, &config, 3);
+    std::fs::remove_file(manifest_path(&store)).ok();
     ServingWorld::open_with_options(&config, Some(&dir), LmParams::default(), &options);
 
-    let stem = querygraph::core::cache::sharded_stem(&config, 3);
-    let victim = dir.join(segment_file(&stem, 2));
+    let victim = store.join(segment_file(2));
     let bytes = std::fs::read(&victim).expect("segment persisted");
     let step = (bytes.len() / 256).max(1);
     for i in (0..bytes.len()).step_by(step) {
@@ -184,7 +184,7 @@ fn corrupt_segment_surfaces_typed_per_shard_error() {
     assert!(err.to_string().contains("shard 2"), "{err}");
 
     // A missing manifest is the cold-cache class, not a shard error.
-    std::fs::remove_file(sharded_manifest_path(&dir, &config, 3)).ok();
+    std::fs::remove_file(manifest_path(&store)).ok();
     assert!(matches!(
         ServingWorld::load_with_options(&config, &dir, LmParams::default(), &options),
         Err(ServiceError::ArtifactMissing { .. })
