@@ -378,20 +378,17 @@ fn boot_world(
     let effective_shard_threads = match &mut world.engine {
         querygraph_retrieval::backend::AnyEngine::Sharded(engine) => {
             engine.set_search_threads(ex.shard_threads);
-            ex.shard_threads.min(engine.shard_count()).max(1)
+            ex.shard_threads.min(engine.shards().len()).max(1)
         }
-        querygraph_retrieval::backend::AnyEngine::Mono(_) => {
+        // `--shards` unset: the monolithic engine. (A shard fleet or a
+        // reloadable slot replaces the engine only after boot, and its
+        // caller recomputes the scatter width.)
+        _ => {
             if ex.shard_threads > 1 {
                 eprintln!("# qgx: --shard-threads applies to --shards workloads only");
             }
             1
         }
-        // Never booted here: a remote fleet replaces the engine only
-        // *after* boot (see `index_cache_fleet`), and its caller
-        // recomputes the effective scatter width; a reloadable engine
-        // is installed only by the segstore serve path, after boot too.
-        querygraph_retrieval::backend::AnyEngine::Remote(_)
-        | querygraph_retrieval::backend::AnyEngine::Reloadable(_) => 1,
     };
     eprintln!(
         "# qgx: {} articles, index {} x{} shard(s) (world {:.3}s, build {:.3}s, load {:.3}s); \

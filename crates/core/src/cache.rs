@@ -30,7 +30,7 @@ use crate::experiment::Experiment;
 use crate::service::ServiceError;
 use querygraph_corpus::imageclef::linking_text;
 use querygraph_corpus::synth::{generate_corpus, SynthCorpus};
-use querygraph_retrieval::backend::AnyEngine;
+use querygraph_retrieval::backend::{AnyEngine, RetrievalBackend};
 use querygraph_retrieval::engine::SearchEngine;
 use querygraph_retrieval::index::IndexBuilder;
 use querygraph_retrieval::lm::LmParams;
@@ -323,6 +323,21 @@ fn publish_store(
     Ok(())
 }
 
+/// Run one cache write and return the seconds it took. Persistence
+/// failures (read-only cache directory, full disk, a file in the way …)
+/// must not fail the run: log one warning and serve from the freshly
+/// built in-memory engine — the cache loses time, never correctness.
+fn persist(label: &Path, write: impl FnOnce() -> std::io::Result<()>) -> f64 {
+    let t = Instant::now();
+    if let Err(e) = write() {
+        eprintln!(
+            "# index cache write {} failed: {e} — serving from the in-memory build",
+            label.display()
+        );
+    }
+    t.elapsed().as_secs_f64()
+}
+
 /// The single world-construction path behind [`Experiment::build`],
 /// [`Experiment::build_with_cache`] and
 /// [`crate::service::ServingWorld::open`]: synthesize the wiki and
@@ -383,7 +398,8 @@ pub(crate) fn build_world(
     }
 
     let t = Instant::now();
-    let engine = match options.shards {
+    let mut index_write_seconds = 0.0;
+    let (engine, index_build_seconds) = match options.shards {
         None => {
             let mut ib = IndexBuilder::new();
             for (_, doc) in corpus.corpus.iter() {
@@ -404,7 +420,20 @@ pub(crate) fn build_world(
                     engine.warm_phrase(&querygraph_text::tokenize(wiki.kb.title(article)));
                 }
             }
-            AnyEngine::Mono(engine)
+            let built = t.elapsed().as_secs_f64();
+            if let Some(dir) = cache_dir {
+                let path = artifact_path(dir, config);
+                index_write_seconds = persist(&path, || {
+                    std::fs::create_dir_all(dir)?;
+                    ondisk::save_index(
+                        &path,
+                        engine.index(),
+                        &engine.export_phrase_cache(),
+                        config_fingerprint(config),
+                    )
+                });
+            }
+            (AnyEngine::Mono(engine), built)
         }
         Some(n) => {
             // Doc-partition the corpus into contiguous shards (global
@@ -433,50 +462,17 @@ pub(crate) fn build_world(
                     engine.warm_phrase(&querygraph_text::tokenize(wiki.kb.title(article)));
                 }
             }
-            AnyEngine::Sharded(engine)
+            let built = t.elapsed().as_secs_f64();
+            if let Some(dir) = cache_dir {
+                let store = store_dir(dir, config, shard_count);
+                index_write_seconds = persist(&store, || {
+                    publish_store(&store, config_fingerprint(config), engine.shards())
+                        .map_err(std::io::Error::other)
+                });
+            }
+            (AnyEngine::Sharded(engine), built)
         }
     };
-    let index_build_seconds = t.elapsed().as_secs_f64();
-
-    let mut index_write_seconds = 0.0;
-    if let Some(dir) = cache_dir {
-        let t = Instant::now();
-        // Persistence failures (read-only cache directory, full disk,
-        // a file in the way …) must not fail the run: log one warning
-        // and serve from the freshly built in-memory engine — the
-        // cache loses time, never correctness.
-        let (label, written) = match &engine {
-            AnyEngine::Mono(e) => {
-                let path = artifact_path(dir, config);
-                let written = std::fs::create_dir_all(dir).and_then(|()| {
-                    ondisk::save_index(
-                        &path,
-                        e.index(),
-                        &e.export_phrase_cache(),
-                        config_fingerprint(config),
-                    )
-                });
-                (path.display().to_string(), written)
-            }
-            AnyEngine::Sharded(e) => {
-                let store = store_dir(dir, config, shard_count);
-                let written = publish_store(&store, config_fingerprint(config), e.shards())
-                    .map_err(std::io::Error::other);
-                (store.display().to_string(), written)
-            }
-            // Remote fleets are connected to, never built here;
-            // persistence belongs to the shard processes themselves.
-            AnyEngine::Remote(_) => ("remote".to_string(), Ok(())),
-            // Reloadable engines wrap a generation that was already
-            // persisted by whoever published it (the segment store);
-            // re-persisting here would race the live manifest.
-            AnyEngine::Reloadable(_) => ("reloadable".to_string(), Ok(())),
-        };
-        if let Err(e) = written {
-            eprintln!("# index cache write {label} failed: {e} — serving from the in-memory build");
-        }
-        index_write_seconds = t.elapsed().as_secs_f64();
-    }
 
     let stats = BuildStats {
         world_seconds,

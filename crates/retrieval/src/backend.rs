@@ -6,9 +6,9 @@
 //! hard-wiring "one engine, one artifact" into every layer.
 //! [`RetrievalBackend`] extracts exactly the surface those consumers
 //! use, so a backend can be the monolithic engine *or* the
-//! doc-partitioned [`ShardedEngine`] —
-//! and, once a shard is a process, a remote scatter-gather client —
-//! without the science noticing.
+//! scatter-gather coordinator over doc-partitioned shards — in this
+//! process ([`ShardedEngine`]) or behind QGRP sockets
+//! ([`RemoteEngine`]) — without the science noticing.
 //!
 //! ## The byte-identity contract
 //!
@@ -78,8 +78,9 @@ pub trait RetrievalBackend: Send + Sync {
     /// Fallible form of [`RetrievalBackend::search_with`] for backends
     /// whose shards can fail at query time (remote shard processes).
     /// The typed error names the failing shard so the serving facade
-    /// can surface it as `ServiceError::ArtifactShard`. In-process
-    /// backends never fail: the default wraps `search_with`.
+    /// can surface it as `ServiceError::ArtifactShard`. A backend with
+    /// nothing that can fail keeps the default, which wraps
+    /// `search_with`.
     fn try_search_with(
         &self,
         query: &QueryNode,

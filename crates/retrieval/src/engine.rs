@@ -2,18 +2,21 @@
 //! to.
 //!
 //! [`SearchEngine`] owns the index, flattens a parsed [`QueryNode`] into
-//! weighted leaves (terms and exact phrases), scores the union of
-//! candidate documents under the Dirichlet LM, and returns deterministic
-//! top-k hits. Phrase postings (and their exact collection frequencies)
-//! are cached behind a `parking_lot::Mutex`: the hill-climbing search of
-//! §2.2 re-evaluates the same title phrases thousands of times per
-//! query, so this cache dominates end-to-end ground-truth time.
+//! weighted leaves (terms and exact phrases), resolves each against its
+//! index, and hands them to the one scoring kernel
+//! ([`crate::sharded`]'s `shard_topk`) to score the union of candidate
+//! documents under the Dirichlet LM into deterministic top-k hits — it
+//! is also what a shard *is*, in process or behind a socket. Phrase
+//! postings (and their exact collection frequencies) are cached behind
+//! a `parking_lot::Mutex`: the hill-climbing search of §2.2
+//! re-evaluates the same title phrases thousands of times per query, so
+//! this cache dominates end-to-end ground-truth time.
 
-use crate::index::{InvertedIndex, TermBound};
-use crate::lm::{log_belief, LmParams};
+use crate::index::InvertedIndex;
+use crate::lm::LmParams;
 use crate::phrase::{match_phrase, resolve_terms, PhraseHit};
 use crate::query_lang::QueryNode;
-use crate::topk::{BoundHeap, TopK};
+use crate::sharded::{shard_topk, ShardLeafView};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -30,8 +33,7 @@ const PHRASE_CACHE_SHARDS: usize = 16;
 /// loop (the expansion pipeline tops out far below this).
 pub(crate) const MAX_PRUNED_LEAVES: usize = 64;
 
-/// How the top-k loop executes — shared by [`SearchEngine::search_with`]
-/// and the sharded engine.
+/// How the top-k loop executes, on every backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchMode {
     /// Score every candidate. The repro default: `Report` bytes and
@@ -104,16 +106,8 @@ pub struct PhraseCacheEntry {
     pub collection_prob: f64,
 }
 
-/// A weighted leaf of the flattened query.
-struct Leaf {
-    weight: f64,
-    tf_by_doc: HashMap<u32, u32>,
-    collection_prob: f64,
-}
-
 /// One unresolved leaf of a flattened query AST: what the query asks
-/// for, before any index lookup. Shared by the monolithic and sharded
-/// engines so both resolve the *same* leaves with the *same* weights.
+/// for, before any index lookup.
 pub(crate) enum LeafSpec<'q> {
     /// A bare term.
     Term(&'q str),
@@ -122,7 +116,7 @@ pub(crate) enum LeafSpec<'q> {
 }
 
 /// The phrase-cache slot for `words` among `slots` locks — shared by
-/// the engine's cache and the sharded engine's global cache.
+/// the engine's cache and the coordinator's global cache.
 pub(crate) fn phrase_cache_slot(words: &[String], slots: usize) -> usize {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     words.hash(&mut h);
@@ -134,8 +128,8 @@ pub(crate) fn phrase_cache_slot(words: &[String], slots: usize) -> usize {
 /// by the sum of child weights, INDRI-style).
 ///
 /// The weight arithmetic here is the *only* place query weights are
-/// computed — [`SearchEngine`] and the sharded engine both flatten
-/// through it, so their per-leaf weights are bit-identical by
+/// computed — the coordinator, every shard and the monolithic engine
+/// flatten through it, so per-leaf weights are bit-identical by
 /// construction.
 pub(crate) fn flatten_specs<'q>(
     node: &'q QueryNode,
@@ -216,23 +210,29 @@ impl SearchEngine {
 
     /// [`SearchEngine::search`] with an explicit execution mode; see
     /// [`SearchMode`] for the equivalence contract between them.
+    ///
+    /// The monolithic engine is the one-shard case of the scoring
+    /// kernel (`sharded::shard_topk`): doc-id base 0, its own
+    /// `cf / tokens` probabilities and its own index's epsilon floor.
     pub fn search_with(&self, query: &QueryNode, k: usize, mode: SearchMode) -> Vec<SearchHit> {
         let mut specs = Vec::new();
         flatten_specs(query, 1.0, &mut specs);
-        let leaves: Vec<Leaf> = specs
+        let tokens = self.index.total_tokens().max(1) as f64;
+        let views: Vec<ShardLeafView> = specs
             .iter()
-            .map(|(weight, spec)| self.resolve_leaf(*weight, spec))
+            .map(|(weight, spec)| {
+                let mut tf = HashMap::new();
+                let cf = self.local_leaf(spec, Some(&mut tf));
+                ShardLeafView {
+                    weight: *weight,
+                    collection_prob: cf as f64 / tokens,
+                    tf,
+                }
+            })
             .collect();
-        if leaves.is_empty() {
-            return Vec::new();
-        }
-        let topk = match mode {
-            SearchMode::Pruned if leaves.len() <= MAX_PRUNED_LEAVES => {
-                self.pruned_topk(&specs, &leaves, k)
-            }
-            _ => self.exact_topk(&leaves, k),
-        };
-        topk.into_sorted()
+        let epsilon = self.index.epsilon_prob();
+        shard_topk(self, 0, &specs, &views, self.params, epsilon, k, mode)
+            .into_sorted()
             .into_iter()
             .map(|s| SearchHit {
                 doc: s.doc,
@@ -241,172 +241,34 @@ impl SearchEngine {
             .collect()
     }
 
-    /// Exhaustive candidate scoring — the float-op sequence every
-    /// golden fingerprint pins.
-    fn exact_topk(&self, leaves: &[Leaf], k: usize) -> TopK {
-        // Candidates: any doc matching at least one leaf.
-        let mut candidates: Vec<u32> = leaves
-            .iter()
-            .flat_map(|l| l.tf_by_doc.keys().copied())
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-
-        let mut topk = TopK::new(k);
-        for doc in candidates {
-            let len = self.index.doc_len(doc);
-            let mut score = 0.0;
-            for leaf in leaves {
-                let tf = leaf.tf_by_doc.get(&doc).copied().unwrap_or(0);
-                score += leaf.weight
-                    * log_belief(self.params, &self.index, tf, len, leaf.collection_prob);
-            }
-            topk.push(doc, score);
-        }
-        topk
-    }
-
-    /// MaxScore/WAND-style top-k: candidates are visited in descending
-    /// score-upper-bound order, so once the heap is full and the next
-    /// bound falls strictly below the floor, every remaining candidate
-    /// is provably outside the top-k and the loop stops.
-    ///
-    /// The bound is conservative *in floating point*, not merely in
-    /// exact arithmetic: each per-leaf bound evaluates the same
-    /// `weight · log_belief` expression the scoring loop runs, at
-    /// inputs (`max_tf`, `min_len`) that dominate the real ones, and
-    /// rounded `+`, `·`, `/`, `ln` are all monotone — so summing the
-    /// per-leaf bounds in the same leaf order yields `ub ≥ score`
-    /// bitwise. A skipped document could therefore never displace the
-    /// heap root, and the surviving heap (hence the result) is
-    /// bit-identical to [`SearchEngine::exact_topk`]'s.
-    fn pruned_topk(&self, specs: &[(f64, LeafSpec<'_>)], leaves: &[Leaf], k: usize) -> TopK {
-        let bounds: Vec<(f64, f64)> = specs
-            .iter()
-            .zip(leaves)
-            .map(|((_, spec), leaf)| self.leaf_bounds(spec, leaf))
-            .collect();
-
-        // Candidate union with a per-doc bitmask of the leaves it
-        // matches (mask width enforced by the caller's leaf-count gate).
-        let mut masks: HashMap<u32, u64> = HashMap::new();
-        for (i, leaf) in leaves.iter().enumerate() {
-            for &doc in leaf.tf_by_doc.keys() {
-                *masks.entry(doc).or_insert(0) |= 1u64 << i;
-            }
-        }
-        let candidates: Vec<(f64, u32)> = masks
-            .iter()
-            .map(|(&doc, &mask)| {
-                let mut ub = 0.0;
-                for (i, &(matched, background)) in bounds.iter().enumerate() {
-                    ub += if mask & (1u64 << i) != 0 {
-                        matched
-                    } else {
-                        background
-                    };
-                }
-                (ub, doc)
-            })
-            .collect();
-        // Lazy descending-bound order: heapify is O(n) and the loop
-        // usually stops after a handful of pops, so the full
-        // O(n log n) sort this replaces never happens.
-        let mut heap = BoundHeap::from_candidates(candidates);
-
-        let mut topk = TopK::new(k);
-        while let Some((ub, doc)) = heap.pop() {
-            if let Some(floor) = topk.floor() {
-                if ub < floor.score {
-                    break; // bounds descend: nothing later can qualify
-                }
-            }
-            let len = self.index.doc_len(doc);
-            let mut score = 0.0;
-            for leaf in leaves {
-                let tf = leaf.tf_by_doc.get(&doc).copied().unwrap_or(0);
-                score += leaf.weight
-                    * log_belief(self.params, &self.index, tf, len, leaf.collection_prob);
-            }
-            topk.push(doc, score);
-        }
-        topk
-    }
-
-    /// Per-leaf score bounds `(matched, background)`: the largest
-    /// possible `weight · log_belief` contribution of this leaf to a
-    /// document that matches it, resp. one that doesn't. Term leaves
-    /// read the per-term [`TermBound`] carried by the index (persisted
-    /// in the artifact's BOUNDS section); phrase leaves derive theirs
-    /// from the already-resolved hits in one pass.
-    fn leaf_bounds(&self, spec: &LeafSpec<'_>, leaf: &Leaf) -> (f64, f64) {
-        let background = leaf.weight
-            * log_belief(
-                self.params,
-                &self.index,
-                0,
-                self.index.min_doc_len(),
-                leaf.collection_prob,
-            );
-        let bound = match spec {
-            LeafSpec::Term(t) => self.index.term_id(t).map(|tid| self.index.term_bound(tid)),
-            LeafSpec::Phrase(_) => {
-                let mut b = TermBound::EMPTY;
-                for (&doc, &tf) in &leaf.tf_by_doc {
-                    b.max_tf = b.max_tf.max(tf);
-                    b.min_len = b.min_len.min(self.index.doc_len(doc));
-                }
-                Some(b.normalized())
-            }
-        };
-        let matched = match bound {
-            Some(b) if b.max_tf > 0 => {
-                leaf.weight
-                    * log_belief(
-                        self.params,
-                        &self.index,
-                        b.max_tf,
-                        b.min_len,
-                        leaf.collection_prob,
-                    )
-            }
-            // No document matches this leaf: the "matched" bound is
-            // never consulted, but keep it equal to the background so a
-            // stray mask bit could only loosen, never unsound-tighten.
-            _ => background,
-        };
-        (matched, background)
-    }
-
-    /// Resolve one flattened leaf spec against this engine's index.
-    fn resolve_leaf(&self, weight: f64, spec: &LeafSpec<'_>) -> Leaf {
+    /// This segment's view of one flattened leaf: returns its local
+    /// collection frequency (an exact integer count — one dictionary or
+    /// phrase-cache lookup) and, when the caller is going to score,
+    /// fills `tf` with its local `doc → tf` pairs. The single leaf
+    /// resolution behind the monolithic search, both scatter phases and
+    /// the shard server's ops.
+    pub(crate) fn local_leaf(
+        &self,
+        spec: &LeafSpec<'_>,
+        tf: Option<&mut HashMap<u32, u32>>,
+    ) -> u64 {
         match spec {
             LeafSpec::Term(t) => {
-                let (tf_by_doc, collection_prob) = self.term_postings(t);
-                Leaf {
-                    weight,
-                    tf_by_doc,
-                    collection_prob,
+                let Some(list) = self.index.postings_for(t) else {
+                    return 0;
+                };
+                if let Some(tf) = tf {
+                    tf.extend(list.iter().map(|p| (p.doc, p.tf())));
                 }
+                list.collection_freq()
             }
             LeafSpec::Phrase(words) => {
                 let info = self.phrase_info(words);
-                Leaf {
-                    weight,
-                    tf_by_doc: info.hits.iter().map(|h| (h.doc, h.tf)).collect(),
-                    collection_prob: info.collection_prob,
+                if let Some(tf) = tf {
+                    tf.extend(info.hits.iter().map(|h| (h.doc, h.tf)));
                 }
+                info.hits.iter().map(|h| h.tf as u64).sum()
             }
-        }
-    }
-
-    fn term_postings(&self, term: &str) -> (HashMap<u32, u32>, f64) {
-        match self.index.postings_for(term) {
-            Some(list) => (
-                list.iter().map(|p| (p.doc, p.tf())).collect(),
-                list.collection_freq() as f64 / self.index.total_tokens().max(1) as f64,
-            ),
-            None => (HashMap::new(), 0.0),
         }
     }
 

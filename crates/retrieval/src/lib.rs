@@ -20,18 +20,20 @@
 //!   re-evaluates the same titles thousands of times, from many threads).
 //! * [`backend`] — [`backend::RetrievalBackend`]: the scoring/retrieval
 //!   surface everything above this crate consumes, implemented by the
-//!   monolithic engine and by [`sharded::ShardedEngine`] with a strict
-//!   byte-identity contract between layouts.
-//! * [`sharded`] — [`sharded::ShardedEngine`]: N doc-partitioned shards
-//!   behind deterministic scatter-gather.
+//!   monolithic engine and by the scatter-gather coordinator with a
+//!   strict byte-identity contract between layouts.
+//! * [`sharded`] — the one top-k scoring kernel, and
+//!   [`sharded::ScatterEngine`]: deterministic scatter-gather over N
+//!   doc-partitioned shards behind [`sharded::ShardHandle`]s —
+//!   [`sharded::ShardedEngine`] when they live in this process.
 //! * [`segstore`] — the one sharded on-disk layout: a generational
 //!   manifest over independently checksummed `QGIX` segments, grown by
 //!   streaming ingest, reshaped by compaction, and published once by a
 //!   `--shards N` index cache.
 //! * [`remote`] — shards as separate *processes*: the QGRP binary RPC
 //!   protocol, [`remote::ShardServer`] (one segment on a local socket),
-//!   and [`remote::RemoteEngine`] (scatter-gather over shard processes,
-//!   byte-identical to the in-process engine).
+//!   and [`remote::RemoteEngine`] (the same coordinator over shard
+//!   processes, byte-identical to the in-process engine).
 //! * [`par`] — the deterministic work-stealing [`par::parallel_map`]
 //!   runner (shared with `core::pipeline`, which re-exports it).
 //! * [`mmap`] — opt-in read-only file mapping behind

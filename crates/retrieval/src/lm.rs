@@ -14,8 +14,6 @@
 //! unseen components fall back to the index's epsilon probability so the
 //! logarithm stays finite.
 
-use crate::index::InvertedIndex;
-
 /// Default Dirichlet prior (INDRI's default).
 pub const DEFAULT_MU: f64 = 2500.0;
 
@@ -35,26 +33,12 @@ impl Default for LmParams {
 /// Log-belief of a component with term frequency `tf` in a document of
 /// length `doc_len`, given the component's collection probability.
 ///
-/// `collection_prob` is clamped below by the index epsilon so that a
-/// phrase that never occurs anywhere still yields a finite score.
-#[inline]
-pub fn log_belief(
-    params: LmParams,
-    index: &InvertedIndex,
-    tf: u32,
-    doc_len: u32,
-    collection_prob: f64,
-) -> f64 {
-    log_belief_with_floor(params, index.epsilon_prob(), tf, doc_len, collection_prob)
-}
-
-/// [`log_belief`] with the smoothing floor passed explicitly instead of
-/// derived from an index — the form backends whose collection
-/// statistics are aggregated across shards use
-/// ([`crate::backend::RetrievalBackend::epsilon_prob`]). Performs the
-/// exact same floating-point operations in the same order as
-/// [`log_belief`], so a sharded engine fed the global floor scores
-/// bit-identically to the monolithic engine.
+/// `collection_prob` is clamped below by `epsilon` — the collection's
+/// smoothing floor ([`crate::backend::RetrievalBackend::epsilon_prob`],
+/// aggregated across shards where there are shards) — so that a phrase
+/// that never occurs anywhere still yields a finite score. Every scorer
+/// in the workspace evaluates this one expression, which is what makes
+/// their scores bit-identical.
 #[inline]
 pub fn log_belief_with_floor(
     params: LmParams,
@@ -72,7 +56,7 @@ pub fn log_belief_with_floor(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::IndexBuilder;
+    use crate::index::{IndexBuilder, InvertedIndex};
 
     fn idx() -> InvertedIndex {
         let mut b = IndexBuilder::new();
@@ -86,8 +70,8 @@ mod tests {
         let index = idx();
         let p = index.collection_prob("a");
         let params = LmParams::default();
-        let s1 = log_belief(params, &index, 1, 10, p);
-        let s4 = log_belief(params, &index, 4, 10, p);
+        let s1 = log_belief_with_floor(params, index.epsilon_prob(), 1, 10, p);
+        let s4 = log_belief_with_floor(params, index.epsilon_prob(), 4, 10, p);
         assert!(s4 > s1);
     }
 
@@ -96,8 +80,8 @@ mod tests {
         let index = idx();
         let p = index.collection_prob("a");
         let params = LmParams::default();
-        let short = log_belief(params, &index, 1, 5, p);
-        let long = log_belief(params, &index, 1, 500, p);
+        let short = log_belief_with_floor(params, index.epsilon_prob(), 1, 5, p);
+        let long = log_belief_with_floor(params, index.epsilon_prob(), 1, 500, p);
         assert!(short > long);
     }
 
@@ -106,7 +90,7 @@ mod tests {
         let index = idx();
         let p = index.collection_prob("a");
         let params = LmParams::default();
-        let s = log_belief(params, &index, 0, 10, p);
+        let s = log_belief_with_floor(params, index.epsilon_prob(), 0, 10, p);
         assert!(s.is_finite());
         assert!(s < 0.0);
     }
@@ -115,7 +99,7 @@ mod tests {
     fn unseen_component_is_finite() {
         let index = idx();
         let params = LmParams::default();
-        let s = log_belief(params, &index, 0, 10, 0.0);
+        let s = log_belief_with_floor(params, index.epsilon_prob(), 0, 10, 0.0);
         assert!(s.is_finite());
     }
 
@@ -123,7 +107,7 @@ mod tests {
     fn mu_zero_degenerates_to_mle() {
         let index = idx();
         let params = LmParams { mu: 0.0 };
-        let s = log_belief(params, &index, 2, 4, 0.25);
+        let s = log_belief_with_floor(params, index.epsilon_prob(), 2, 4, 0.25);
         assert!((s - (2.0f64 / 4.0).ln()).abs() < 1e-12);
     }
 
@@ -132,8 +116,8 @@ mod tests {
         let index = idx();
         let params = LmParams::default();
         // Both probabilities above the epsilon floor (0.5/12 ≈ 0.042).
-        let lo = log_belief(params, &index, 0, 10, 0.05);
-        let hi = log_belief(params, &index, 0, 10, 0.5);
+        let lo = log_belief_with_floor(params, index.epsilon_prob(), 0, 10, 0.05);
+        let hi = log_belief_with_floor(params, index.epsilon_prob(), 0, 10, 0.5);
         assert!(hi > lo);
     }
 
@@ -141,8 +125,8 @@ mod tests {
     fn tiny_probs_clamp_to_epsilon() {
         let index = idx();
         let params = LmParams::default();
-        let a = log_belief(params, &index, 0, 10, 1e-12);
-        let b = log_belief(params, &index, 0, 10, 0.0);
+        let a = log_belief_with_floor(params, index.epsilon_prob(), 0, 10, 1e-12);
+        let b = log_belief_with_floor(params, index.epsilon_prob(), 0, 10, 0.0);
         assert_eq!(a, b, "below-epsilon probabilities are equivalent");
     }
 }

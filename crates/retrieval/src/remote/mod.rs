@@ -6,18 +6,18 @@
 //!   bounded payload, FNV-1a trailer).
 //! * [`server`] — [`ShardServer`]: serve one `QGIX` segment on a local
 //!   socket (`qgx shard` wraps it in a process).
-//! * [`client`] — [`RemoteShard`] (one shard's RPC client) and
-//!   [`RemoteEngine`] (scatter-gather over N shard processes behind the
-//!   [`RetrievalBackend`](crate::backend::RetrievalBackend) surface).
+//! * [`client`] — [`RemoteShard`] (one shard's RPC client, a
+//!   [`ShardHandle`](crate::sharded::ShardHandle)) and [`RemoteEngine`]
+//!   (the scatter-gather coordinator over N of them).
 //!
 //! The headline property, tested here at N ∈ {1, 2, 3, 7} and on
 //! random worlds: a fleet of shard processes answers **byte-
 //! identically** to the in-process [`crate::sharded::ShardedEngine`]
 //! (and hence to the monolithic engine). The mechanism is shared code
-//! plus exact wire statistics — both layouts score through
-//! `crate::sharded::shard_topk`, and every global input crosses the
-//! socket as integer counts or f64 bit patterns, never re-derived
-//! floats. See `DESIGN.md` §13.
+//! plus exact wire statistics — one coordinator drives both layouts,
+//! the server's ops run the methods an in-process shard runs, and
+//! every global input crosses the socket as integer counts or f64 bit
+//! patterns, never re-derived floats. See `DESIGN.md` §13.
 
 pub mod client;
 pub mod proto;
@@ -270,6 +270,110 @@ mod tests {
             .expect("connect");
         shard.shutdown().expect("shutdown acked");
         // The serve loop observes the flag and exits; Drop joins it.
+    }
+
+    /// One raw QGRP exchange on an open connection.
+    fn exchange(stream: &mut std::net::TcpStream, op: proto::Op, payload: &[u8]) -> proto::Frame {
+        proto::write_frame(stream, 1, op as u8, proto::STATUS_OK, payload).expect("send");
+        proto::read_frame(stream).expect("a frame back, not a dead shard")
+    }
+
+    /// A `ScoreTopK` request for the one-leaf query `venice`, with the
+    /// given `k` and claimed probability count (one probability sent).
+    fn score_request(k: u32, claimed_probs: u32) -> Vec<u8> {
+        let mut p = Vec::new();
+        proto::put_str(&mut p, "venice");
+        proto::put_u32(&mut p, k);
+        p.push(0); // exact
+        proto::put_u32(&mut p, 0);
+        proto::put_u64(&mut p, 2500f64.to_bits());
+        proto::put_u64(&mut p, 0.01f64.to_bits());
+        proto::put_u32(&mut p, claimed_probs);
+        proto::put_u64(&mut p, 0.1f64.to_bits());
+        p
+    }
+
+    #[test]
+    fn hostile_frames_are_answered_and_the_connection_survives() {
+        let fleet = Fleet::boot(&DOCS, 1, 77);
+        let mut stream = std::net::TcpStream::connect(&fleet.addrs[0]).expect("connect");
+        let huge = u32::MAX.to_le_bytes();
+        for (what, op, payload, status) in [
+            (
+                "a doc id beyond the segment",
+                proto::Op::DocLen,
+                huge.to_vec(),
+                proto::STATUS_ERROR,
+            ),
+            (
+                "k = u32::MAX (clamped to the segment, then answered)",
+                proto::Op::ScoreTopK,
+                score_request(u32::MAX, 1),
+                proto::STATUS_OK,
+            ),
+            (
+                "a probability count the payload cannot hold",
+                proto::Op::ScoreTopK,
+                score_request(10, u32::MAX),
+                proto::STATUS_ERROR,
+            ),
+            (
+                "a word count the payload cannot hold",
+                proto::Op::ResolvePhrase,
+                huge.to_vec(),
+                proto::STATUS_ERROR,
+            ),
+        ] {
+            let answer = exchange(&mut stream, op, &payload);
+            assert_eq!(answer.status, status, "{what}");
+            let hello = exchange(&mut stream, proto::Op::Hello, &[]);
+            assert_eq!(hello.status, proto::STATUS_OK, "hello after {what}");
+            let mut r = proto::PayloadReader::new(&hello.payload);
+            assert_eq!(r.u64().unwrap(), segment_fp(77, 0), "hello after {what}");
+        }
+    }
+
+    #[test]
+    fn an_oversized_count_from_a_shard_is_a_typed_error() {
+        // A fake shard: an honest Hello, then every answer is a vector
+        // header claiming u32::MAX elements with none behind it.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let fake = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            while let Ok(frame) = proto::read_frame(&mut stream) {
+                let mut out = Vec::new();
+                if frame.op == proto::Op::Hello as u8 {
+                    proto::put_u64(&mut out, 5);
+                    proto::put_u32(&mut out, 0);
+                    proto::put_u32(&mut out, 3);
+                    proto::put_u64(&mut out, 12);
+                } else {
+                    proto::put_u32(&mut out, u32::MAX);
+                }
+                proto::write_frame(
+                    &mut stream,
+                    frame.request_id,
+                    frame.op,
+                    proto::STATUS_OK,
+                    &out,
+                )
+                .expect("answer");
+            }
+        });
+        let remote = RemoteEngine::connect_with_fingerprints(&[addr], LmParams::default(), &[5])
+            .expect("the fake's hello is honest");
+        let q = parse("venice").unwrap();
+        match remote.try_search_with(&q, 5, SearchMode::Exact) {
+            Err(ShardedError::Shard { shard: 0, .. }) => {}
+            other => panic!("expected a shard-0 error, got {other:?}"),
+        }
+        assert!(remote
+            .resolve_phrase(&["venice".to_string()])
+            .hits
+            .is_empty());
+        drop(remote); // closes the stream; the fake's read loop ends
+        fake.join().expect("fake shard thread");
     }
 
     proptest::proptest! {

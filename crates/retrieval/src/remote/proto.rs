@@ -311,6 +311,20 @@ impl<'a> PayloadReader<'a> {
         })
     }
 
+    /// Next u32 element count of a vector whose elements occupy at
+    /// least `min_elem_bytes` each, checked against the bytes left in
+    /// the payload — so a count is safe to allocate for before the
+    /// elements are read, whatever the peer wrote.
+    pub fn count(&mut self, min_elem_bytes: usize) -> Result<usize, ProtoError> {
+        let count = self.u32()? as usize;
+        if count > (self.buf.len() - self.pos) / min_elem_bytes {
+            return Err(ProtoError::Malformed {
+                context: "element count exceeds the payload",
+            });
+        }
+        Ok(count)
+    }
+
     /// The payload must be fully consumed.
     pub fn finish(self) -> Result<(), ProtoError> {
         if self.pos == self.buf.len() {

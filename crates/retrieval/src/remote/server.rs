@@ -2,31 +2,32 @@
 //! process on a local socket.
 //!
 //! [`ShardServer`] owns a [`SearchEngine`] over one segment plus its
-//! identity (shard index + embedded segment fingerprint) and answers
-//! the per-shard half of the [`crate::backend::RetrievalBackend`]
-//! surface. All *global* inputs — μ, the smoothing floor, per-leaf
-//! collection probabilities, the shard's global doc-id base — arrive
-//! bit-exactly on the wire with each [`Op::ScoreTopK`]; scoring runs
-//! through the same `crate::sharded::shard_topk` the in-process
-//! [`crate::sharded::ShardedEngine`] scatter uses, so a fleet of shard
-//! processes is byte-identical to the in-process engine by shared code,
-//! not by parallel implementation.
+//! identity (shard index + embedded segment fingerprint). Each op is
+//! decode → the engine's [`ShardHandle`] method → encode — the same
+//! method an in-process shard is called through, so a fleet of shard
+//! processes is byte-identical to the in-process engine by shared code.
+//! All *global* inputs — μ, the smoothing floor, per-leaf collection
+//! probabilities, the shard's global doc-id base — arrive bit-exactly
+//! on the wire with each [`Op::ScoreTopK`].
 //!
 //! The accept loop mirrors `core::http`'s lifecycle patterns: a
 //! non-blocking listener polled against a shutdown flag, short read
 //! timeouts so connection threads observe shutdown between frames, and
 //! scoped connection threads that drain before `serve` returns. Every
 //! malformed frame or failed op is answered with a typed error frame —
-//! a hostile or desynchronized peer cannot panic a shard.
+//! a hostile or desynchronized peer cannot panic a shard: element
+//! counts are checked against the payload before allocation, `k` is
+//! clamped to the segment, and a doc id the segment does not hold is an
+//! error frame.
 
-use crate::engine::{flatten_specs, LeafSpec, SearchEngine, SearchMode};
+use crate::engine::{SearchEngine, SearchMode};
+use crate::ondisk::OndiskError;
 use crate::query_lang::parse;
 use crate::remote::proto::{
     encode_error, put_u32, put_u64, read_frame, write_frame, Frame, Op, PayloadReader, ProtoError,
     STATUS_ERROR, STATUS_OK,
 };
-use crate::sharded::{shard_topk, ShardLeafView};
-use std::collections::HashMap;
+use crate::sharded::ShardHandle;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -188,25 +189,23 @@ impl ShardServer {
         Ok(out)
     }
 
-    /// Phase 1: this shard's per-leaf collection frequencies, in the
-    /// shared `flatten_specs` order. Integer counts — the coordinator
-    /// sums them across shards exactly.
+    /// Phase 1: this shard's per-leaf collection frequencies. Integer
+    /// counts — the coordinator sums them across shards exactly.
     fn op_leaf_cfs(&self, payload: &[u8]) -> Result<Vec<u8>, (String, String)> {
         let mut r = PayloadReader::new(payload);
         let query = read_query(&mut r)?;
         r.finish().map_err(malformed)?;
-        let mut specs = Vec::new();
-        flatten_specs(&query, 1.0, &mut specs);
+        let cfs = ShardHandle::leaf_cfs(&*self.engine, &&query).map_err(refused("shard_error"))?;
         let mut out = Vec::new();
-        put_u32(&mut out, specs.len() as u32);
-        for (_, spec) in &specs {
-            put_u64(&mut out, self.leaf_cf(spec));
+        put_u32(&mut out, cfs.len() as u32);
+        for cf in cfs {
+            put_u64(&mut out, cf);
         }
         Ok(out)
     }
 
     /// Phase 2: score this shard's candidates with the caller's global
-    /// smoothing inputs, via the shared [`shard_topk`].
+    /// smoothing inputs.
     fn op_score_topk(&self, payload: &[u8]) -> Result<Vec<u8>, (String, String)> {
         let mut r = PayloadReader::new(payload);
         let query = read_query(&mut r)?;
@@ -224,41 +223,16 @@ impl ShardServer {
         let base = r.u32().map_err(malformed)?;
         let mu = f64::from_bits(r.u64().map_err(malformed)?);
         let epsilon = f64::from_bits(r.u64().map_err(malformed)?);
-        let leaf_count = r.u32().map_err(malformed)? as usize;
+        let leaf_count = r.count(8).map_err(malformed)?;
         let mut probs = Vec::with_capacity(leaf_count);
         for _ in 0..leaf_count {
             probs.push(f64::from_bits(r.u64().map_err(malformed)?));
         }
         r.finish().map_err(malformed)?;
 
-        let mut specs = Vec::new();
-        flatten_specs(&query, 1.0, &mut specs);
-        if specs.len() != probs.len() {
-            return Err((
-                "leaf_mismatch".to_string(),
-                format!(
-                    "query flattens to {} leaves but {} probabilities arrived",
-                    specs.len(),
-                    probs.len()
-                ),
-            ));
-        }
-        // Resolve each leaf's local tf map, then score through the one
-        // shared per-shard scorer — identical float ops to in-process.
-        let tf_maps: Vec<HashMap<u32, u32>> =
-            specs.iter().map(|(_, spec)| self.leaf_tf(spec)).collect();
-        let views: Vec<ShardLeafView<'_>> = tf_maps
-            .iter()
-            .zip(specs.iter().zip(&probs))
-            .map(|(tf, ((weight, _), &collection_prob))| ShardLeafView {
-                weight: *weight,
-                collection_prob,
-                tf,
-            })
-            .collect();
-        let params = crate::lm::LmParams { mu };
-        let sorted =
-            shard_topk(&self.engine, base, &specs, &views, params, epsilon, k, mode).into_sorted();
+        let engine = &*self.engine;
+        let sorted = ShardHandle::score_topk(engine, &&query, k, mode, base, mu, epsilon, &probs)
+            .map_err(refused("leaf_mismatch"))?;
         let mut out = Vec::new();
         put_u32(&mut out, sorted.len() as u32);
         for s in sorted {
@@ -270,16 +244,18 @@ impl ShardServer {
 
     fn op_resolve_phrase(&self, payload: &[u8]) -> Result<Vec<u8>, (String, String)> {
         let mut r = PayloadReader::new(payload);
-        let count = r.u32().map_err(malformed)? as usize;
+        // A string is at least its 4-byte length prefix.
+        let count = r.count(4).map_err(malformed)?;
         let mut words = Vec::with_capacity(count);
         for _ in 0..count {
             words.push(r.string().map_err(malformed)?);
         }
         r.finish().map_err(malformed)?;
-        let info = self.engine.phrase_info(&words);
+        let hits =
+            ShardHandle::resolve_phrase(&*self.engine, &words).map_err(refused("shard_error"))?;
         let mut out = Vec::new();
-        put_u32(&mut out, info.hits.len() as u32);
-        for h in &info.hits {
+        put_u32(&mut out, hits.len() as u32);
+        for h in &hits {
             put_u32(&mut out, h.doc);
             put_u32(&mut out, h.tf);
         }
@@ -290,56 +266,18 @@ impl ShardServer {
         let mut r = PayloadReader::new(payload);
         let doc = r.u32().map_err(malformed)?;
         r.finish().map_err(malformed)?;
+        let len = ShardHandle::doc_len(&*self.engine, doc).map_err(refused("bad_doc"))?;
         let mut out = Vec::new();
-        put_u32(&mut out, self.engine.index().doc_len(doc));
+        put_u32(&mut out, len);
         Ok(out)
     }
 
     fn op_stats(&self, payload: &[u8]) -> Result<Vec<u8>, (String, String)> {
         expect_empty(payload)?;
+        let len = ShardHandle::phrase_cache_len(&*self.engine).map_err(refused("shard_error"))?;
         let mut out = Vec::new();
-        put_u64(&mut out, self.engine.phrase_cache_len() as u64);
+        put_u64(&mut out, len as u64);
         Ok(out)
-    }
-
-    /// This shard's collection frequency for one leaf (integer count).
-    fn leaf_cf(&self, spec: &LeafSpec<'_>) -> u64 {
-        match spec {
-            LeafSpec::Term(t) => self
-                .engine
-                .index()
-                .postings_for(t)
-                .map(|l| l.collection_freq())
-                .unwrap_or(0),
-            LeafSpec::Phrase(words) => self
-                .engine
-                .phrase_info(words)
-                .hits
-                .iter()
-                .map(|h| h.tf as u64)
-                .sum(),
-        }
-    }
-
-    /// This shard's local `doc → tf` map for one leaf — the same
-    /// resolution `ShardedEngine::resolve_global_leaf` performs per
-    /// shard.
-    fn leaf_tf(&self, spec: &LeafSpec<'_>) -> HashMap<u32, u32> {
-        match spec {
-            LeafSpec::Term(t) => self
-                .engine
-                .index()
-                .postings_for(t)
-                .map(|l| l.iter().map(|p| (p.doc, p.tf())).collect())
-                .unwrap_or_default(),
-            LeafSpec::Phrase(words) => self
-                .engine
-                .phrase_info(words)
-                .hits
-                .iter()
-                .map(|h| (h.doc, h.tf))
-                .collect(),
-        }
     }
 }
 
@@ -349,6 +287,13 @@ fn expect_empty(payload: &[u8]) -> Result<(), (String, String)> {
 
 fn malformed(e: ProtoError) -> (String, String) {
     ("malformed".to_string(), e.to_string())
+}
+
+/// An error frame for a request that decoded but that the segment
+/// cannot answer (a doc id it does not hold, probabilities that do not
+/// fit the query).
+fn refused(code: &'static str) -> impl Fn(OndiskError) -> (String, String) {
+    move |e| (code.to_string(), e.to_string())
 }
 
 /// Decode and parse the query string all search ops carry. The wire
