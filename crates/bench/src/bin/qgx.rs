@@ -1,15 +1,11 @@
 //! `qgx` — the query-expansion server, now with a socket.
 //!
-//! Eight subcommands over one world-boot path:
+//! Seven subcommands over one world-boot path:
 //!
 //! ```text
 //! qgx serve   --listen <addr>  [world flags] [--workers n] [--queue n]
 //!             [--deadline-ms n] [--keep-alive n] [--shard-procs n]
 //!             [--bench-out path]
-//! qgx bench   [world flags | --connect <addr> --queries f]
-//!             [--rps a,b,c] [--duration-s s] [--conns n] [--zipf s]
-//!             [--seed n] [--warmup-passes n] [--workers n] [--queue n]
-//!             [--deadline-ms n] [--bench-out path]
 //! qgx replay  [world flags] [--queries f | --seed-queries] [--repeat n]
 //!             [--zipf s] [--threads n] [--deadline-ms n] [--json]
 //!             [--shard-procs n] [--bench-out path]
@@ -29,32 +25,15 @@
 //!   world: `POST /expand`, `GET /healthz`, `GET /statz`, per-request
 //!   deadlines starting at accept, a bounded connection queue with
 //!   503 + `Retry-After` shedding, and SIGTERM/SIGINT draining
-//!   in-flight queries before exit. `--bench-out` archives a schema-7
+//!   in-flight queries before exit. `--bench-out` writes a
 //!   `ServeRecord` (listen address, shed/timeout counters, per-code
 //!   failures, per-connection p99) after the drain.
-//! * `bench` is the **open-loop** load harness (ROADMAP item 5): a
-//!   Poisson arrival generator fires requests at each `--rps` ladder
-//!   step for `--duration-s` seconds regardless of how fast the server
-//!   answers, over `--conns` client connections, with a
-//!   Zipf(`--zipf`)-mixed query pool — so queueing delay and tail
-//!   latency are *measured* (from each request's scheduled arrival,
-//!   wrk2-style) instead of hidden the way closed-loop replay hides
-//!   them. By default it boots the tier's world and serves it on an
-//!   ephemeral port with `--workers` workers; `--connect <addr>
-//!   --queries <file>` drives an already-running server instead.
-//!   `--warmup-passes 0` (the default) measures a cold expansion
-//!   cache; ≥ 1 pre-touches the pool. The ladder is a deterministic
-//!   function of `--seed`. `--bench-out` archives a schema-9
-//!   `LoadRecord` (kind `"load"`, committed as `BENCH_load.json` for
-//!   the seed tier) whose headline p50/p99/p99.9 and
-//!   goodput-vs-offered-load come from the constant-memory log-bucketed
-//!   histogram.
-//! * `replay` is the former bare-flag behaviour: serve a stdin, file,
-//!   or seed workload **in process** and report latency percentiles
-//!   and QPS. `--deadline-ms` applies the same typed per-request
-//!   deadline path the server uses; `--json` emits one response JSON
-//!   object per line — byte-identical to the corresponding `/expand`
-//!   response bodies, which is what the `http-smoke` CI job `cmp`s.
+//! * `replay` serves a stdin, file, or seed workload **in process**
+//!   and reports latency percentiles and QPS. `--deadline-ms` applies
+//!   the same typed per-request deadline path the server uses; `--json`
+//!   emits one response JSON object per line — byte-identical to the
+//!   corresponding `/expand` response bodies, which is what the
+//!   `http-smoke` CI job `cmp`s.
 //! * `client` drives a running `qgx serve` over `std::net`: health and
 //!   stats probes, single queries, file/seed workloads (response
 //!   bodies stream to stdout exactly as received), and `--flood n` —
@@ -85,9 +64,10 @@
 //!   watch the manifest, hot-swapping the engine onto each newly
 //!   published generation with zero downtime.
 //!
-//! **Deprecated alias:** invoking `qgx` with bare flags (no
-//! subcommand) warns once on stderr and behaves exactly like
-//! `qgx replay` with the same flags, so existing scripts keep working.
+//! Load against a live server is measured by the repo benchmark
+//! (`bash benchmark/run.sh`, open loop, oracle-checked); `client
+//! --queries/--repeat/--flood` is the operator's tool against a
+//! `--connect` address.
 //!
 //! World flags (shared by `serve` and `replay`): `--tiny | --quick |
 //! --stress [--quick]`, `--index-cache <dir>`, `--shards <n>`,
@@ -96,8 +76,8 @@
 //! `--prune`, `--expansion-cache <n>`.
 
 use querygraph_bench::{
-    flag_f64, flag_operand, flag_usize, load_plan, CliOptions, IngestRecord, IngestSummary,
-    LatencySummary, LoadRecord, LoadStep, LoadSummary, ServeRecord, ServeSummary, ZipfSampler,
+    flag_f64, flag_operand, flag_usize, CliOptions, IngestRecord, IngestSummary, LatencySummary,
+    ServeRecord, ServeSummary, ZipfSampler,
 };
 use querygraph_core::expcache::ExpansionCache;
 use querygraph_core::http::{self, HttpServer, ServerConfig};
@@ -150,23 +130,6 @@ const SERVE_FLAGS: [(&str, bool); 8] = [
     ("--keep-alive", true),
     ("--expansion-cache", true),
     ("--shard-procs", true),
-    ("--bench-out", true),
-];
-
-const BENCH_FLAGS: [(&str, bool); 14] = [
-    ("--connect", true),
-    ("--expansion-cache", true),
-    ("--rps", true),
-    ("--duration-s", true),
-    ("--conns", true),
-    ("--zipf", true),
-    ("--seed", true),
-    ("--warmup-passes", true),
-    ("--queries", true),
-    ("--seed-queries", false),
-    ("--workers", true),
-    ("--queue", true),
-    ("--deadline-ms", true),
     ("--bench-out", true),
 ];
 
@@ -255,36 +218,24 @@ fn reject_unknown_flags(args: &[String], known: &[(&str, bool)], mode: &str) {
     }
 }
 
+const SUBCOMMANDS: &str = "serve | replay | client | shard | dump | ingest | compact";
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     match args.get(1).map(String::as_str) {
         Some("serve") => run_serve(&without_subcommand(&args)),
-        Some("bench") => run_bench(&without_subcommand(&args)),
         Some("replay") => run_replay(&without_subcommand(&args)),
         Some("client") => run_client(&without_subcommand(&args)),
         Some("shard") => run_shard(&without_subcommand(&args)),
         Some("dump") => run_dump(&without_subcommand(&args)),
         Some("ingest") => run_ingest(&without_subcommand(&args)),
         Some("compact") => run_compact(&without_subcommand(&args)),
-        Some(flag) if flag.starts_with("--") => {
-            // The pre-subcommand CLI: bare flags meant what `replay`
-            // means now. One warning, then identical behaviour.
-            eprintln!(
-                "# qgx: bare flags are deprecated; use `qgx replay` (same flags, same output)"
-            );
-            run_replay(&args);
+        Some(other) if !other.starts_with("--") => {
+            eprintln!("error: unknown subcommand {other:?} ({SUBCOMMANDS})");
+            std::process::exit(2);
         }
-        None => {
-            eprintln!(
-                "# qgx: bare flags are deprecated; use `qgx replay` (same flags, same output)"
-            );
-            run_replay(&args);
-        }
-        Some(other) => {
-            eprintln!(
-                "error: unknown subcommand {other:?} \
-                 (serve | bench | replay | client | shard | dump | ingest | compact)"
-            );
+        _ => {
+            eprintln!("error: qgx needs a subcommand ({SUBCOMMANDS})");
             std::process::exit(2);
         }
     }
@@ -1100,307 +1051,6 @@ fn run_serve(args: &[String]) {
     }
 }
 
-// ---------------------------------------------------------------- bench
-
-fn run_bench(args: &[String]) {
-    // `--segstore` boots through a different path `bench` does not
-    // wire; reject it rather than silently serving the wrong world.
-    let known: Vec<(&str, bool)> = WORLD_FLAGS
-        .iter()
-        .filter(|(name, _)| *name != "--segstore")
-        .chain(&BENCH_FLAGS)
-        .copied()
-        .collect();
-    reject_unknown_flags(args, &known, "bench");
-    let cli = CliOptions::from_vec(args);
-    let ex = ExpanderOptions::from_args(args);
-    let connect = flag_operand(args, "--connect");
-    let rps_ladder: Vec<f64> = flag_operand(args, "--rps")
-        .unwrap_or_else(|| "100,200,400".to_string())
-        .split(',')
-        .map(|s| {
-            let v: f64 = s.trim().parse().unwrap_or_else(|_| {
-                eprintln!("error: --rps takes a comma-separated list of rates, got {s:?}");
-                std::process::exit(2);
-            });
-            if !(v > 0.0 && v.is_finite()) {
-                eprintln!("error: --rps rates must be positive, got {v}");
-                std::process::exit(2);
-            }
-            v
-        })
-        .collect();
-    let duration_s = flag_f64(args, "--duration-s").unwrap_or(2.0);
-    if !(duration_s > 0.0 && duration_s.is_finite()) {
-        eprintln!("error: --duration-s must be positive, got {duration_s}");
-        std::process::exit(2);
-    }
-    let conns = flag_usize(args, "--conns").unwrap_or(4).max(1);
-    let zipf = flag_f64(args, "--zipf").unwrap_or(0.0);
-    if !(zipf >= 0.0 && zipf.is_finite()) {
-        eprintln!("error: --zipf exponent must be a finite number ≥ 0, got {zipf}");
-        std::process::exit(2);
-    }
-    let seed = flag_usize(args, "--seed").unwrap_or(0xC0FFEE) as u64;
-    let warmup_passes = flag_usize(args, "--warmup-passes").unwrap_or(0);
-    let workers = flag_usize(args, "--workers").unwrap_or(4).max(1);
-    let queue_depth = flag_usize(args, "--queue").unwrap_or(128).max(1);
-    let deadline_ms = flag_usize(args, "--deadline-ms").unwrap_or(2000).max(1);
-    let deadline = Duration::from_millis(deadline_ms as u64);
-    let queries_file = flag_operand(args, "--queries");
-    if queries_file.is_some() && args.iter().any(|a| a == "--seed-queries") {
-        eprintln!("error: --queries and --seed-queries are mutually exclusive");
-        std::process::exit(2);
-    }
-    let config = cli.config();
-
-    if let Some(addr) = connect {
-        // External server: the pool must come from a file — there is
-        // no booted world to derive seed queries from, and the remote
-        // worker count is unknown (recorded as 0).
-        let pool = match &queries_file {
-            Some(path) => read_query_file(path),
-            None => {
-                eprintln!("error: qgx bench --connect requires --queries <file>");
-                std::process::exit(2);
-            }
-        };
-        if pool.is_empty() {
-            eprintln!("error: empty workload");
-            std::process::exit(2);
-        }
-        eprintln!(
-            "# qgx bench: driving {addr} ({} queries in pool)",
-            pool.len()
-        );
-        let steps = drive_ladder(
-            &addr,
-            &pool,
-            &rps_ladder,
-            duration_s,
-            conns,
-            zipf,
-            seed,
-            warmup_passes,
-            deadline,
-        );
-        let summary = LoadSummary::new(steps, conns, 0, zipf, seed, warmup_passes);
-        write_load_record(&cli, &config, pool.len(), summary, Some(addr));
-        return;
-    }
-
-    let (world, seed_corpus, _) = boot_world(&cli, &ex, queries_file.is_none());
-    let pool: Vec<String> = match &queries_file {
-        Some(path) => read_query_file(path),
-        None => seed_corpus
-            .expect("boot_world returns the corpus when seed queries are wanted")
-            .queries
-            .queries
-            .iter()
-            .map(|q| q.keywords.clone())
-            .collect(),
-    };
-    if pool.is_empty() {
-        eprintln!("error: empty workload");
-        std::process::exit(2);
-    }
-    let cache = expansion_cache(&ex);
-    let expander = world.expander_from(&ex.builder(&cache));
-    let server = HttpServer::bind(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers,
-        queue_depth,
-        deadline,
-        keep_alive_requests: 100,
-        limits: http::HttpLimits::default(),
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("error: cannot bind an ephemeral port: {e}");
-        std::process::exit(1);
-    });
-    let addr = server
-        .local_addr()
-        .expect("bound server has an address")
-        .to_string();
-    eprintln!(
-        "# qgx bench: serving on {addr} ({workers} workers, queue {queue_depth}, \
-         deadline {deadline_ms} ms); pool {} queries, ladder {rps_ladder:?} rps × {duration_s}s, \
-         {conns} conns, zipf {zipf}, seed {seed:#x}, warm-up {warmup_passes}",
-        pool.len(),
-    );
-    let shutdown = server.shutdown_flag();
-    let mut steps = Vec::new();
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.serve(&expander));
-        steps = drive_ladder(
-            &addr,
-            &pool,
-            &rps_ladder,
-            duration_s,
-            conns,
-            zipf,
-            seed,
-            warmup_passes,
-            deadline,
-        );
-        shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
-        let _ = handle.join();
-    });
-    if let Some(cache) = &cache {
-        eprintln!(
-            "# expansion cache: {}/{} hits ({:.1}%)",
-            cache.hits(),
-            cache.lookups(),
-            100.0 * cache.hit_rate()
-        );
-    }
-    let summary = LoadSummary::new(steps, conns, workers, zipf, seed, warmup_passes);
-    write_load_record(&cli, &config, pool.len(), summary, Some(addr));
-}
-
-/// Run the open-loop ladder against a live server at `addr`. Each step
-/// precomputes its deterministic (arrival, query) plan, then `conns`
-/// threads race a shared cursor through it: every request waits for
-/// its scheduled instant, fires, and records latency **from the
-/// scheduled arrival** — time a request spent waiting behind a slow
-/// server counts against the tail (no coordinated omission).
-#[allow(clippy::too_many_arguments)]
-fn drive_ladder(
-    addr: &str,
-    pool: &[String],
-    ladder: &[f64],
-    duration_s: f64,
-    conns: usize,
-    zipf: f64,
-    seed: u64,
-    warmup_passes: usize,
-    deadline: Duration,
-) -> Vec<LoadStep> {
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    // One serialized request body per pool entry, reused by every step.
-    let bodies: Vec<String> = pool
-        .iter()
-        .map(|text| {
-            serde_json::to_string(&ExpansionRequest::new(text.clone())).expect("request serializes")
-        })
-        .collect();
-    // The client waits out the server's worst case (deadline + write
-    // grace) rather than racing it.
-    let client_timeout = deadline.max(Duration::from_secs(1)) * 2;
-    for pass in 1..=warmup_passes {
-        for body in &bodies {
-            let _ = http::post_json(addr, "/expand", body, client_timeout);
-        }
-        eprintln!("# qgx bench: warm-up pass {pass}/{warmup_passes} done");
-    }
-    let mut steps = Vec::new();
-    for (si, &rps) in ladder.iter().enumerate() {
-        // Per-step sub-seed: steps draw independent schedules while
-        // the whole ladder stays a pure function of --seed.
-        let plan = load_plan(
-            rps,
-            duration_s,
-            pool.len(),
-            zipf,
-            seed.wrapping_add(si as u64),
-        );
-        let cursor = AtomicUsize::new(0);
-        let hist = querygraph_core::LatencyHistogram::default();
-        let completed = AtomicU64::new(0);
-        let failures = AtomicU64::new(0);
-        let shed = AtomicU64::new(0);
-        let timeouts = AtomicU64::new(0);
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..conns {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(arrival_us, qidx)) = plan.get(i) else {
-                        break;
-                    };
-                    let scheduled = Duration::from_micros(arrival_us);
-                    let now = start.elapsed();
-                    if scheduled > now {
-                        std::thread::sleep(scheduled - now);
-                    }
-                    let outcome = http::post_json(addr, "/expand", &bodies[qidx], client_timeout);
-                    let lat_us = start.elapsed().saturating_sub(scheduled).as_secs_f64() * 1e6;
-                    hist.record(lat_us);
-                    match outcome {
-                        Ok(r) if r.status == 200 => {
-                            completed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(r) => {
-                            // failures counts every non-200; shed and
-                            // timeouts are its typed subsets.
-                            failures.fetch_add(1, Ordering::Relaxed);
-                            if r.status == 503 {
-                                shed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if r.status == 408 {
-                                timeouts.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Err(_) => {
-                            failures.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        let wall = start.elapsed().as_secs_f64();
-        let snap = hist.snapshot();
-        let step = LoadStep {
-            offered_rps: rps,
-            duration_seconds: duration_s,
-            sent: plan.len() as u64,
-            completed: completed.load(Ordering::Relaxed),
-            failures: failures.load(Ordering::Relaxed),
-            shed: shed.load(Ordering::Relaxed),
-            timeouts: timeouts.load(Ordering::Relaxed),
-            goodput_qps: completed.load(Ordering::Relaxed) as f64 / wall.max(1e-9),
-            p50_us: snap.percentile_us(50.0),
-            p99_us: snap.percentile_us(99.0),
-            p999_us: snap.percentile_us(99.9),
-            max_us: snap.max_us(),
-            mean_us: snap.mean_us(),
-        };
-        eprintln!(
-            "# qgx bench: offered {:.0} rps → goodput {:.0} q/s; p50 {:.0}µs p99 {:.0}µs \
-             p99.9 {:.0}µs ({} sent, {} failures, {} shed, {} timeouts)",
-            step.offered_rps,
-            step.goodput_qps,
-            step.p50_us,
-            step.p99_us,
-            step.p999_us,
-            step.sent,
-            step.failures,
-            step.shed,
-            step.timeouts,
-        );
-        steps.push(step);
-    }
-    steps
-}
-
-/// Archive the ladder record (written only with `--bench-out`, like
-/// every other subcommand's record).
-fn write_load_record(
-    cli: &CliOptions,
-    config: &querygraph_core::ExperimentConfig,
-    pool_queries: usize,
-    summary: LoadSummary,
-    addr: Option<String>,
-) {
-    if let Some(path) = &cli.bench_out {
-        let mut record = LoadRecord::new(config, pool_queries, summary);
-        record.listen_addr = addr;
-        let json = serde_json::to_string_pretty(&record).expect("load record serializes");
-        std::fs::write(path, json).expect("write load record");
-        eprintln!("# wrote {path}");
-    }
-}
-
 // --------------------------------------------------------------- replay
 
 fn run_replay(args: &[String]) {
@@ -1639,7 +1289,7 @@ fn read_query_file(path: &str) -> Vec<String> {
 }
 
 /// Served/failed counters plus the per-code failure breakdown the
-/// schema-7 record archives.
+/// `ServeRecord` carries.
 #[derive(Default)]
 struct Tally {
     served: usize,

@@ -7,24 +7,25 @@
 //! ```
 //!
 //! Prints paper-vs-measured for Tables 2–4, Figs. 5, 6, 7a, 7b, 9 and
-//! the §3 scalar statistics. Every run also archives the pipeline's
-//! machine-readable timing record — `BENCH_seed.json` for the seed
-//! tiers, `BENCH_stress.json` for `--stress` (override the path with
-//! `--bench-out <path>`) — so successive PRs accumulate a perf
-//! trajectory. With `--index-cache <dir>` the inverted index is
-//! persisted there on the first run and loaded (instead of rebuilt) on
-//! subsequent runs; the record's `index_build_seconds` /
-//! `index_load_seconds` track the speedup. With `--json <path>` the
-//! full machine-readable [`querygraph_core::Report`] is written too.
+//! the §3 scalar statistics. With `--bench-out <path>` the run's
+//! machine-readable timing record ([`BenchRecord`]) is written there —
+//! the repo benchmark's `repro_batch` workload reads it. With
+//! `--index-cache <dir>` the inverted index is persisted there on the
+//! first run and loaded (instead of rebuilt) on subsequent runs; the
+//! record's `index_build_seconds` / `index_load_seconds` track the
+//! speedup. With `--json <path>` the full machine-readable
+//! [`querygraph_core::Report`] is written too.
 //! With `--shards <n>` the world runs on the doc-partitioned sharded
 //! backend (and segmented artifact layout) — the `Report` is
 //! byte-identical to the monolithic run at any shard count; `--mmap`
 //! maps artifacts instead of reading them.
 
-use querygraph_bench::{BenchRecord, CliOptions};
+use querygraph_bench::{flag_operand, BenchRecord, CliOptions};
 
 fn main() {
-    let options = CliOptions::from_args();
+    let args: Vec<String> = std::env::args().collect();
+    let options = CliOptions::from_vec(&args);
+    let report_out = flag_operand(&args, "--json");
     let config = options.config();
     let (report, summary, build) = querygraph_bench::report_and_summary_with(
         &config,
@@ -33,18 +34,16 @@ fn main() {
     );
     print!("{}", report.render_all());
 
-    let bench_path = options.bench_path();
-    let record = BenchRecord::new(&config, &build, summary);
-    let json = serde_json::to_string_pretty(&record).expect("bench record serializes");
-    std::fs::write(bench_path, json).expect("write bench record");
-    eprintln!("# wrote {bench_path}");
+    if let Some(path) = &options.bench_out {
+        let record = BenchRecord::new(&config, &build, summary);
+        let json = serde_json::to_string_pretty(&record).expect("bench record serializes");
+        std::fs::write(path, json).expect("write bench record");
+        eprintln!("# wrote {path}");
+    }
 
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
-        if let Some(path) = args.get(pos + 1) {
-            let json = serde_json::to_string_pretty(&report).expect("report serializes");
-            std::fs::write(path, json).expect("write report JSON");
-            eprintln!("# wrote {path}");
-        }
+    if let Some(path) = &report_out {
+        let json = serde_json::to_string_pretty(&report).expect("report serializes");
+        std::fs::write(path, json).expect("write report JSON");
+        eprintln!("# wrote {path}");
     }
 }

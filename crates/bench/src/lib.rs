@@ -12,8 +12,6 @@
 //! `--index-cache <dir>` persists the inverted index across runs
 //! (`core::cache`).
 
-pub mod bench_diff;
-
 use querygraph_core::cache::{BuildStats, WorldOptions};
 use querygraph_core::experiment::{ExperimentConfig, Report};
 use querygraph_core::pipeline::RunSummary;
@@ -21,10 +19,10 @@ use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// The perf-trajectory record `repro_all` archives to `BENCH_seed.json`
-/// (or `BENCH_stress.json` for the stress tier): enough configuration
-/// to identify the workload, the build-side breakdown, and the
-/// pipeline's per-stage timing summary.
+/// The timing record `repro_all --bench-out <path>` writes: enough
+/// configuration to identify the workload, the build-side breakdown,
+/// and the pipeline's per-stage timing summary. The repo benchmark's
+/// `repro_batch` trace (`benchmark/src/trace.rs`) reads it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchRecord {
     /// Record-format version, bumped when fields change meaning.
@@ -39,8 +37,7 @@ pub struct BenchRecord {
     pub wiki_seed: u64,
     /// Synthetic-corpus seed.
     pub corpus_seed: u64,
-    /// Total seconds to synthesize and index/load the world (kept for
-    /// diffability against schema ≤ 2 records).
+    /// Total seconds to synthesize and index/load the world.
     pub build_seconds: f64,
     /// Seconds to synthesize the wiki + corpus.
     pub world_seconds: f64,
@@ -65,31 +62,7 @@ impl BenchRecord {
     /// Assemble a record from a finished run.
     pub fn new(config: &ExperimentConfig, build: &BuildStats, run: RunSummary) -> BenchRecord {
         BenchRecord {
-            // 9: open-loop load harness (a new "load" record kind
-            //    carries the offered-RPS ladder with goodput and
-            //    histogram-mode tail percentiles; serve records grew
-            //    latency_mode saying whether exact samples or the
-            //    log-bucketed histogram produced their numbers).
-            // 8: streaming ingest (a new "ingest" record kind carries
-            //    docs/sec, segment counts, compaction wall and swap
-            //    pause; run/serve records are unchanged in shape).
-            // 7: shard processes (serve records grew shard_procs — the
-            //    count of supervised `qgx shard` children behind the
-            //    engine, 0 = in-process).
-            // 6: networked serving (serve records grew listen_addr,
-            //    shed/timeout counters, per-code failures, and the
-            //    per-connection latency distribution). Additive —
-            //    repro_bench_diff reads records of any schema
-            //    tolerantly.
-            // 5: serving-side expansion cache (serve records grew
-            //    cache_hits/cache_lookups/cache_hit_rate and the
-            //    search_mode discriminator).
-            // 4: shard-aware retrieval (shard_count, per-shard load
-            //    seconds; serve records additionally grew
-            //    qps_per_thread).
-            // 3: build breakdown (world/index build/write/load seconds,
-            //    index_source) for the on-disk index cache.
-            // 2: RunSummary gained ground-truth evaluation counters.
+            // One counter shared by every record kind this crate emits.
             schema: 9,
             num_queries: config.corpus.num_queries,
             num_topics: config.wiki.num_topics,
@@ -241,12 +214,10 @@ pub struct ServeSummary {
     pub conn_latency: Option<LatencySummary>,
 }
 
-/// The bench record the `qgx` server archives (committed as
-/// `BENCH_serve.json` for the seed tier) — schema-compatible with
-/// [`BenchRecord`]: the shared identification and build-side fields
-/// keep their names and meaning, `repro_bench_diff` diffs the `serve`
-/// section tolerantly (records without one simply have no serve rows),
-/// and `--history` renders both kinds side by side.
+/// The record `qgx serve`/`qgx replay --bench-out <path>` write. The
+/// identification and build-side fields keep the names and meaning
+/// they have in [`BenchRecord`]; CI's smoke jobs and
+/// `crates/bench/tests` assert on the `serve` section.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeRecord {
     /// Record-format version (shared counter with [`BenchRecord`]).
@@ -303,14 +274,6 @@ impl ServeRecord {
         serve: ServeSummary,
     ) -> ServeRecord {
         ServeRecord {
-            // Shares the BenchRecord schema counter (9: latency_mode +
-            // the "load" record kind; 8: streaming ingest record kind;
-            // 7: shard processes — serve records grew shard_procs; 6:
-            // networked serving — listen_addr,
-            // shed/timeouts/error_codes, conn_latency; 5:
-            // expansion-cache counters + search_mode; 4: shard fields +
-            // per-thread QPS; 3 introduced the build breakdown these
-            // fields mirror).
             schema: 9,
             kind: "serve".to_string(),
             num_queries: workload_queries,
@@ -361,10 +324,9 @@ pub struct IngestSummary {
     pub generation: u64,
 }
 
-/// The bench record `qgx ingest`/`qgx compact` archive (committed as
-/// `BENCH_ingest.json`) — shares the [`BenchRecord`] schema counter and
-/// identification fields; `repro_bench_diff` reads the `ingest` section
-/// tolerantly (records without one simply have no ingest rows).
+/// The record `qgx ingest`/`qgx compact --bench-out <path>` write —
+/// shares the [`BenchRecord`] schema counter and identification
+/// fields; CI's `ingest-smoke` job asserts on the `ingest` section.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IngestRecord {
     /// Record-format version (shared counter with [`BenchRecord`]).
@@ -390,8 +352,6 @@ impl IngestRecord {
     /// Assemble a record from a finished ingest/compact run.
     pub fn new(config: &ExperimentConfig, ingest: IngestSummary) -> IngestRecord {
         IngestRecord {
-            // 8 introduced this record kind (see BenchRecord::new's
-            // schema history); 9 changed nothing about its shape.
             schema: 9,
             kind: "ingest".to_string(),
             num_queries: config.corpus.num_queries,
@@ -401,210 +361,6 @@ impl IngestRecord {
             corpus_seed: config.corpus.seed,
             ingest,
         }
-    }
-}
-
-/// One offered-load step of `qgx bench`'s open-loop ladder: the
-/// arrival generator fired `sent` requests at `offered_rps` regardless
-/// of how fast the server answered (open loop — queueing delay counts
-/// against latency, which is the whole point), and these are the
-/// outcomes. Latency numbers come from the log-bucketed histogram
-/// (`latency_mode` on the summary), measured from each request's
-/// **scheduled** arrival, so coordinated omission cannot flatter the
-/// tail.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LoadStep {
-    /// Arrival rate the generator offered (requests/second).
-    pub offered_rps: f64,
-    /// Seconds the step was scheduled to run.
-    pub duration_seconds: f64,
-    /// Requests the generator sent.
-    pub sent: u64,
-    /// Requests answered 200.
-    pub completed: u64,
-    /// Requests answered with any non-200 (typed errors included).
-    pub failures: u64,
-    /// Requests shed at the edge (503 `overloaded`).
-    pub shed: u64,
-    /// Requests refused on deadline (408 `timeout`).
-    pub timeouts: u64,
-    /// Successful answers per second of actual step wall time — the
-    /// goodput the ladder plots against `offered_rps`.
-    pub goodput_qps: f64,
-    /// Median latency from scheduled arrival, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile latency, microseconds.
-    pub p99_us: f64,
-    /// 99.9th-percentile latency, microseconds.
-    pub p999_us: f64,
-    /// Worst observed latency, microseconds (exact).
-    pub max_us: f64,
-    /// Mean latency, microseconds (exact).
-    pub mean_us: f64,
-}
-
-/// The measurement half of a [`LoadRecord`]: the whole ladder plus
-/// top-level copies of the **last** step's headline numbers, so
-/// schema-tolerant diffing (`repro_bench_diff`) and the CI SLO gate
-/// can address them with fixed paths.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LoadSummary {
-    /// The ladder, in the order the steps ran.
-    pub steps: Vec<LoadStep>,
-    /// Client connections driving the open loop.
-    pub conns: usize,
-    /// HTTP workers serving it.
-    pub workers: usize,
-    /// Zipf exponent of the query mix (0 = uniform).
-    pub zipf: f64,
-    /// Generator seed — same seed, same arrival schedule and query
-    /// sequence.
-    pub seed: u64,
-    /// Warm-up passes over the query pool before the ladder (0 = cold
-    /// cache).
-    pub warmup_passes: usize,
-    /// Always `"histogram"` for the open-loop harness (see
-    /// [`ServeSummary::latency_mode`]).
-    pub latency_mode: String,
-    /// Last step's offered rate (the headline operating point).
-    pub offered_rps: f64,
-    /// Last step's goodput.
-    pub goodput_qps: f64,
-    /// Last step's median latency, microseconds.
-    pub p50_us: f64,
-    /// Last step's 99th-percentile latency, microseconds.
-    pub p99_us: f64,
-    /// Last step's 99.9th-percentile latency, microseconds.
-    pub p999_us: f64,
-}
-
-impl LoadSummary {
-    /// Assemble a summary from a finished ladder, lifting the last
-    /// step's headline numbers to the top level.
-    pub fn new(
-        steps: Vec<LoadStep>,
-        conns: usize,
-        workers: usize,
-        zipf: f64,
-        seed: u64,
-        warmup_passes: usize,
-    ) -> LoadSummary {
-        let last = steps.last().cloned().unwrap_or(LoadStep {
-            offered_rps: 0.0,
-            duration_seconds: 0.0,
-            sent: 0,
-            completed: 0,
-            failures: 0,
-            shed: 0,
-            timeouts: 0,
-            goodput_qps: 0.0,
-            p50_us: 0.0,
-            p99_us: 0.0,
-            p999_us: 0.0,
-            max_us: 0.0,
-            mean_us: 0.0,
-        });
-        LoadSummary {
-            steps,
-            conns,
-            workers,
-            zipf,
-            seed,
-            warmup_passes,
-            latency_mode: "histogram".to_string(),
-            offered_rps: last.offered_rps,
-            goodput_qps: last.goodput_qps,
-            p50_us: last.p50_us,
-            p99_us: last.p99_us,
-            p999_us: last.p999_us,
-        }
-    }
-}
-
-/// The bench record `qgx bench` archives (committed as
-/// `BENCH_load.json` for the seed tier) — shares the [`BenchRecord`]
-/// schema counter and identification fields; `repro_bench_diff` reads
-/// the `load` section tolerantly (records without one simply have no
-/// load rows).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LoadRecord {
-    /// Record-format version (shared counter with [`BenchRecord`]).
-    pub schema: u32,
-    /// Record kind discriminator: always `"load"`.
-    pub kind: String,
-    /// Queries in the pool the Zipf/uniform mix draws from.
-    pub num_queries: usize,
-    /// Topics in the synthetic Wikipedia.
-    pub num_topics: usize,
-    /// Articles per topic (the stress dial).
-    pub articles_per_topic: usize,
-    /// Synthetic-Wikipedia seed.
-    pub wiki_seed: u64,
-    /// Synthetic-corpus seed.
-    pub corpus_seed: u64,
-    /// The socket address the ladder drove.
-    pub listen_addr: Option<String>,
-    /// The load measurements.
-    pub load: LoadSummary,
-}
-
-impl LoadRecord {
-    /// Assemble a record from a finished ladder. `pool_queries` is the
-    /// size of the query pool the mix sampled.
-    pub fn new(config: &ExperimentConfig, pool_queries: usize, load: LoadSummary) -> LoadRecord {
-        LoadRecord {
-            // 9 introduced this record kind (see BenchRecord::new's
-            // schema history).
-            schema: 9,
-            kind: "load".to_string(),
-            num_queries: pool_queries,
-            num_topics: config.wiki.num_topics,
-            articles_per_topic: config.wiki.articles_per_topic,
-            wiki_seed: config.wiki.seed,
-            corpus_seed: config.corpus.seed,
-            listen_addr: None,
-            load,
-        }
-    }
-}
-
-/// The deterministic plan of one open-loop ladder step: for each
-/// request, its scheduled arrival offset (µs from the step start) and
-/// the query-pool index it sends. Arrivals are a Poisson process at
-/// `rps` (exponential inter-arrival gaps via inverse-CDF over the
-/// seeded generator); query indices are Zipf(`zipf`)-distributed over
-/// `0..pool` (`zipf = 0` = uniform). Same `(rps, duration, pool, zipf,
-/// seed)` → byte-identical plan, which is what makes a `qgx bench`
-/// ladder replayable.
-pub fn load_plan(
-    rps: f64,
-    duration_seconds: f64,
-    pool: usize,
-    zipf: f64,
-    seed: u64,
-) -> Vec<(u64, usize)> {
-    use rand::{Rng, SeedableRng};
-    assert!(rps > 0.0 && rps.is_finite(), "offered RPS must be positive");
-    assert!(
-        duration_seconds > 0.0 && duration_seconds.is_finite(),
-        "step duration must be positive"
-    );
-    // Distinct streams for gaps and queries so changing the pool or
-    // exponent never perturbs the arrival schedule.
-    let mut gaps = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut mix = ZipfSampler::new(pool, zipf, seed ^ 0x9E37_79B9_7F4A_7C15);
-    let horizon_us = duration_seconds * 1e6;
-    let mean_gap_us = 1e6 / rps;
-    let mut t_us = 0.0f64;
-    let mut plan = Vec::with_capacity((rps * duration_seconds) as usize + 1);
-    loop {
-        // Exponential gap: -ln(1-u) * mean, u uniform in [0,1).
-        let u: f64 = gaps.gen_range(0.0..1.0);
-        t_us += -(1.0 - u).ln() * mean_gap_us;
-        if t_us >= horizon_us {
-            return plan;
-        }
-        plan.push((t_us as u64, mix.sample()));
     }
 }
 
@@ -742,24 +498,6 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// The default bench-record path for this tier. Only the full
-    /// `Paper` and `Stress` tiers write the **committed** trajectory
-    /// anchors (`BENCH_seed.json` / `BENCH_stress.json`); the sampled
-    /// tiers get their own (gitignored) files so a casual `--tiny` or
-    /// `--stress --quick` run can never clobber an anchor with an
-    /// incomparable workload.
-    pub fn default_bench_path(self) -> &'static str {
-        match self {
-            Tier::Tiny => "BENCH_tiny.json",
-            Tier::Quick => "BENCH_quick.json",
-            Tier::Paper => "BENCH_seed.json",
-            Tier::Stress => "BENCH_stress.json",
-            Tier::StressQuick => "BENCH_stress_quick.json",
-            Tier::Track => "BENCH_track.json",
-            Tier::TrackQuick => "BENCH_track_quick.json",
-        }
-    }
-
     /// The configuration this tier runs.
     pub fn config(self) -> ExperimentConfig {
         match self {
@@ -781,8 +519,8 @@ pub struct CliOptions {
     pub tier: Tier,
     /// `--index-cache <dir>`: persist/load the inverted index there.
     pub index_cache: Option<PathBuf>,
-    /// `--bench-out <path>`: where to archive the bench record
-    /// (defaults to the tier's [`Tier::default_bench_path`]).
+    /// `--bench-out <path>`: write the run's timing record there
+    /// (no record is written without it).
     pub bench_out: Option<String>,
     /// `--shards <n>`: doc-partitioned sharded backend + segmented
     /// artifact layout (`None`: monolithic).
@@ -825,7 +563,7 @@ pub fn flag_f64(args: &[String], flag: &str) -> Option<f64> {
     })
 }
 
-/// Seeded Zipf-distributed index sampler — `qgx --zipf <s>`'s
+/// Seeded Zipf-distributed index sampler — `qgx replay --zipf <s>`'s
 /// head-heavy workload generator. Index `i` (0-based rank) is drawn
 /// with probability ∝ 1/(i+1)^s via inverse-CDF over the cumulative
 /// weights, so `s = 0` is uniform and larger `s` concentrates mass on
@@ -918,13 +656,6 @@ impl CliOptions {
     pub fn config(&self) -> ExperimentConfig {
         self.tier.config()
     }
-
-    /// The bench-record path: `--bench-out` or the tier default.
-    pub fn bench_path(&self) -> &str {
-        self.bench_out
-            .as_deref()
-            .unwrap_or_else(|| self.tier.default_bench_path())
-    }
 }
 
 /// Parse the common CLI of the repro binaries: `--quick` switches to
@@ -970,17 +701,6 @@ mod tests {
         assert_eq!(opts(&["--stress", "--quick"]).tier, Tier::StressQuick);
         assert_eq!(opts(&["--track"]).tier, Tier::Track);
         assert_eq!(opts(&["--track", "--quick"]).tier, Tier::TrackQuick);
-        assert_eq!(Tier::Stress.default_bench_path(), "BENCH_stress.json");
-        assert_eq!(Tier::Paper.default_bench_path(), "BENCH_seed.json");
-        assert_eq!(Tier::Track.default_bench_path(), "BENCH_track.json");
-        // Sampled tiers must never default onto the committed anchors.
-        for tier in [Tier::Tiny, Tier::Quick, Tier::StressQuick, Tier::TrackQuick] {
-            assert!(
-                !["BENCH_seed.json", "BENCH_stress.json", "BENCH_track.json"]
-                    .contains(&tier.default_bench_path()),
-                "{tier:?} would clobber a committed trajectory anchor"
-            );
-        }
     }
 
     #[test]
@@ -1027,10 +747,9 @@ mod tests {
     }
 
     #[test]
-    fn cli_bench_out_overrides_tier_default() {
-        assert_eq!(opts(&["--tiny"]).bench_path(), "BENCH_tiny.json");
+    fn cli_bench_out_is_unset_by_default() {
+        assert_eq!(opts(&["--tiny"]).bench_out, None);
         let o = opts(&["--tiny", "--bench-out", "custom.json"]);
-        assert_eq!(o.bench_path(), "custom.json");
         assert_eq!(o.bench_out.as_deref(), Some("custom.json"));
     }
 
@@ -1170,103 +889,6 @@ mod tests {
         let json = serde_json::to_string(&plain).expect("record serializes");
         let back: ServeRecord = serde_json::from_str(&json).expect("record parses");
         assert_eq!(back, plain);
-    }
-
-    #[test]
-    fn load_plan_is_deterministic_for_a_seed() {
-        // The `qgx bench --seed` contract: same seed, same arrival
-        // schedule AND same query sequence.
-        let a = load_plan(500.0, 2.0, 12, 1.1, 0xFEED);
-        let b = load_plan(500.0, 2.0, 12, 1.1, 0xFEED);
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-        // A different seed reshuffles both components.
-        let c = load_plan(500.0, 2.0, 12, 1.1, 0xFEED + 1);
-        assert_ne!(a, c);
-        // Changing only the query mix leaves the arrival schedule
-        // untouched (separate generator streams).
-        let d = load_plan(500.0, 2.0, 12, 0.0, 0xFEED);
-        assert_eq!(
-            a.iter().map(|&(t, _)| t).collect::<Vec<_>>(),
-            d.iter().map(|&(t, _)| t).collect::<Vec<_>>(),
-        );
-    }
-
-    #[test]
-    fn load_plan_matches_offered_rate_and_pool() {
-        let rps = 1000.0;
-        let secs = 4.0;
-        let plan = load_plan(rps, secs, 5, 0.0, 42);
-        // Poisson count over 4s at 1000/s: mean 4000, sd ~63. A ±20%
-        // band is ~12 sigma — effectively deterministic given the
-        // fixed seed, but robust to generator evolution.
-        let n = plan.len() as f64;
-        assert!(
-            (rps * secs * 0.8..rps * secs * 1.2).contains(&n),
-            "arrival count {n} is far from the offered rate"
-        );
-        let mut last = 0;
-        for &(t, q) in &plan {
-            assert!(t < (secs * 1e6) as u64, "arrival past the horizon");
-            assert!(t >= last, "arrivals must be sorted");
-            assert!(q < 5, "query index out of pool");
-            last = t;
-        }
-    }
-
-    #[test]
-    fn load_record_round_trips_and_lifts_last_step() {
-        let step = |rps: f64, p99: f64| LoadStep {
-            offered_rps: rps,
-            duration_seconds: 2.0,
-            sent: 100,
-            completed: 98,
-            failures: 2,
-            shed: 1,
-            timeouts: 1,
-            goodput_qps: rps * 0.98,
-            p50_us: 800.0,
-            p99_us: p99,
-            p999_us: p99 * 2.0,
-            max_us: p99 * 3.0,
-            mean_us: 900.0,
-        };
-        let summary = LoadSummary::new(
-            vec![step(100.0, 4000.0), step(200.0, 9000.0)],
-            4,
-            8,
-            1.1,
-            0xBEEF,
-            1,
-        );
-        // The headline numbers are the last (highest-load) step's.
-        assert_eq!(summary.offered_rps, 200.0);
-        assert_eq!(summary.p99_us, 9000.0);
-        assert_eq!(summary.latency_mode, "histogram");
-        let record = LoadRecord::new(&tiny_config(), 12, summary);
-        assert_eq!(record.schema, 9);
-        assert_eq!(record.kind, "load");
-        assert_eq!(record.num_queries, 12);
-        let json = serde_json::to_string(&record).expect("record serializes");
-        for field in [
-            "\"load\"",
-            "offered_rps",
-            "goodput_qps",
-            "p999_us",
-            "\"steps\"",
-            "warmup_passes",
-            "latency_mode",
-            "\"zipf\"",
-            "\"seed\"",
-        ] {
-            assert!(json.contains(field), "record missing {field}");
-        }
-        let back: LoadRecord = serde_json::from_str(&json).expect("record parses");
-        assert_eq!(back, record);
-        // An empty ladder still summarizes (all-zero headline).
-        let empty = LoadSummary::new(Vec::new(), 1, 1, 0.0, 0, 0);
-        assert_eq!(empty.p99_us, 0.0);
-        assert_eq!(empty.goodput_qps, 0.0);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Regression tests for the `qgx` subcommand CLI surface.
 //!
-//! The PR that introduced `qgx serve | replay | client` kept the old
-//! bare-flag spelling as a deprecated alias — these tests pin that
-//! contract: one warning on stderr, byte-identical stdout, and typo'd
-//! flags still rejected per subcommand.
+//! Every invocation names a subcommand: bare flags and retired
+//! subcommands are refused with the list of live ones, and typo'd
+//! flags are rejected per subcommand.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -35,28 +34,20 @@ fn run(args: &[&str], stdin: &str) -> (std::process::ExitStatus, String, String)
 }
 
 #[test]
-fn bare_flags_warn_once_and_match_replay_byte_for_byte() {
-    let stdin = "xyzzy nothing links\n";
-    let (old_status, old_out, old_err) = run(&["--tiny", "--json"], stdin);
-    let (new_status, new_out, new_err) = run(&["replay", "--tiny", "--json"], stdin);
-    assert!(old_status.success(), "legacy spelling must keep working");
-    assert!(new_status.success());
-    // Same served output, byte for byte — scripts that parse stdout
-    // never notice the deprecation.
-    assert_eq!(old_out, new_out);
-    // Exactly one deprecation warning, on stderr only, and only for
-    // the legacy spelling.
-    assert_eq!(
-        old_err.matches("deprecated").count(),
-        1,
-        "stderr: {old_err}"
-    );
-    assert_eq!(
-        new_err.matches("deprecated").count(),
-        0,
-        "stderr: {new_err}"
-    );
-    assert!(!old_out.contains("deprecated"), "stdout must stay clean");
+fn bare_flags_and_retired_bench_are_rejected_with_the_subcommand_list() {
+    for args in [
+        &["--tiny", "--json"][..],
+        &[][..],
+        &["bench", "--tiny", "--rps", "50"][..],
+    ] {
+        let (status, stdout, stderr) = run(args, "");
+        assert_eq!(status.code(), Some(2), "qgx {args:?} must be refused");
+        assert!(stdout.is_empty(), "nothing is served: {stdout}");
+        assert!(
+            stderr.contains("(serve | replay | client | shard | dump | ingest | compact)"),
+            "stderr: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -73,10 +64,6 @@ fn flags_are_rejected_per_subcommand() {
     let (status, _, stderr) = run(&["serve", "--json"], "");
     assert_eq!(status.code(), Some(2));
     assert!(stderr.contains("unknown flag --json"), "stderr: {stderr}");
-    // And the legacy alias still rejects genuine typos.
-    let (status, _, stderr) = run(&["--jsno"], "");
-    assert_eq!(status.code(), Some(2));
-    assert!(stderr.contains("unknown flag --jsno"), "stderr: {stderr}");
 }
 
 #[test]

@@ -21,9 +21,10 @@
 //! mismatch — falls back to building and rewriting: a cache can lose
 //! time, never correctness.
 //!
-//! [`BuildStats`] records build-vs-load wall-clock seconds; the bench
-//! harness archives them (schema 3) so `repro_bench_diff` and the CI
-//! gate track the speedup.
+//! [`BuildStats`] records build-vs-load wall-clock seconds; the
+//! `--bench-out` records of `repro_all` and `qgx serve`/`replay` carry
+//! them, and the repo benchmark reports them as
+//! `core.cache.world_synth_s` / `core.cache.index_build_s`.
 
 use crate::config::ExperimentConfig;
 use crate::experiment::Experiment;

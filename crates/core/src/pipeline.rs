@@ -27,8 +27,8 @@
 //!   a sequential run no matter how the steal schedule interleaves
 //!   (the experiment tests assert this via `serde_json`).
 //! * [`RunSummary`] — the machine-readable timing record (wall clock +
-//!   per-stage CPU seconds) that `repro_all` serializes to
-//!   `BENCH_seed.json`, giving future PRs a perf trajectory. Timings
+//!   per-stage CPU seconds) that `repro_all --bench-out` serializes
+//!   and the repo benchmark's `repro_batch` workload reads. Timings
 //!   live here, *outside* [`Report`](crate::Report), exactly so that
 //!   reports stay byte-stable across runs and thread counts.
 
@@ -81,7 +81,7 @@ impl Stage {
         Stage::Correlation,
     ];
 
-    /// Snake-case stage name, as written to `BENCH_seed.json`.
+    /// Snake-case stage name, as written to `run.stage_seconds`.
     pub fn name(self) -> &'static str {
         match self {
             Stage::Link => "link",
@@ -190,7 +190,7 @@ impl<'a> PipelineCtx<'a> {
 
 /// Machine-readable summary of one pipeline run: configuration scale,
 /// wall clock, and per-stage CPU seconds summed over queries. This is
-/// the record `repro_all` writes to `BENCH_seed.json`.
+/// the `run` section of the record `repro_all --bench-out` writes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunSummary {
     /// `"sequential"` or `"work_stealing"`.
