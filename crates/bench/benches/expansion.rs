@@ -11,6 +11,11 @@
 //! searches a radius-2 neighbourhood, so its cost must follow the
 //! neighbourhood, not the graph — a term in |V| shows as a gap between
 //! the two that the neighbourhood sizes do not account for.
+//! `expansion/cycle_expander_paper` is the strategy over 32 requests of
+//! the `hot_paper` workload's shape (one iteration is all 32): the
+//! cache-miss path that workload's p95 and throughput ride.
+
+mod common;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use querygraph_core::expansion::{
@@ -49,6 +54,16 @@ fn bench_expanders(c: &mut Criterion) {
             b.iter(|| black_box(cycles.expand(&wiki.kb, black_box(&query))).len());
         });
     }
+    let (paper, requests) = common::paper_requests();
+    group.bench_function("cycle_expander_paper", |b| {
+        b.iter(|| {
+            let mut features = 0;
+            for request in &requests {
+                features += black_box(cycles.expand(&paper.kb, black_box(request))).len();
+            }
+            features
+        });
+    });
     let small_query = query(&small);
     group.bench_function("direct_link_expander", |b| {
         b.iter(|| black_box(links.expand(&small.kb, black_box(&small_query))).len());

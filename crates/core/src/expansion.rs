@@ -171,86 +171,110 @@ impl Expander for CycleExpander {
     }
 
     fn expand(&self, kb: &KnowledgeBase, query_articles: &[ArticleId]) -> Vec<ArticleId> {
-        let cfg = &self.config;
-        let g = kb.graph();
-        let query_nodes: Vec<u32> = query_articles
-            .iter()
-            .map(|&a| kb.article_node(kb.resolve_redirect(a)))
-            .collect();
-        if query_nodes.is_empty() {
-            return Vec::new();
-        }
+        cycle_features(kb, &self.config, query_articles)
+    }
+}
 
-        // Bounded neighbourhood (BFS ball, truncated deterministically
-        // by node id after the radius cut).
-        let mut neighborhood = ball(g, &query_nodes, cfg.neighborhood_radius);
-        neighborhood.truncate(cfg.max_neighborhood);
-        // The kept ball ascends; behind it sit only re-added query nodes.
-        let kept = neighborhood.len();
-        for &qn in &query_nodes {
-            let (in_ball, readded) = neighborhood.split_at(kept);
-            if in_ball.binary_search(&qn).is_err() && !readded.contains(&qn) {
-                neighborhood.push(qn);
-            }
-        }
-        let sub = induce(g, &neighborhood);
-        let local_query: Vec<u32> = query_nodes
-            .iter()
-            .filter_map(|&qn| sub.local_of(qn))
-            .collect();
+/// [`CycleExpander`]'s features under a borrowed `cfg` — what a caller
+/// that owns a config (the serving facade, once per request) runs
+/// without cloning it into an expander.
+pub fn cycle_features(
+    kb: &KnowledgeBase,
+    cfg: &CycleExpanderConfig,
+    query_articles: &[ArticleId],
+) -> Vec<ArticleId> {
+    let g = kb.graph();
+    let query_nodes: Vec<u32> = query_articles
+        .iter()
+        .map(|&a| kb.article_node(kb.resolve_redirect(a)))
+        .collect();
+    if query_nodes.is_empty() {
+        return Vec::new();
+    }
 
-        let mut scores: HashMap<ArticleId, f64> = HashMap::new();
-        let finder = CycleFinder::new(&sub.graph)
-            .max_len(cfg.max_len)
-            .require_any_of(&local_query)
-            .limit(cfg.max_cycles);
-        finder.for_each(|nodes| {
-            let len = nodes.len();
-            if !cfg.lengths.contains(&len) {
+    // Bounded neighbourhood (BFS ball, truncated deterministically
+    // by node id after the radius cut).
+    let mut neighborhood = ball(g, &query_nodes, cfg.neighborhood_radius);
+    neighborhood.truncate(cfg.max_neighborhood);
+    // The kept ball ascends; behind it sit only re-added query nodes.
+    let kept = neighborhood.len();
+    for &qn in &query_nodes {
+        let (in_ball, readded) = neighborhood.split_at(kept);
+        if in_ball.binary_search(&qn).is_err() && !readded.contains(&qn) {
+            neighborhood.push(qn);
+        }
+    }
+    let sub = induce(g, &neighborhood);
+    let local_query: Vec<u32> = query_nodes
+        .iter()
+        .filter_map(|&qn| sub.local_of(qn))
+        .collect();
+
+    // What is asked of each cycle node, looked up once per local node
+    // instead of once per cycle it lies on: is it a category, and which
+    // article (if any) does its score count for.
+    let is_category: Vec<bool> = sub
+        .to_parent
+        .iter()
+        .map(|&p| kb.node_is_category(p))
+        .collect();
+    let scored_article: Vec<Option<ArticleId>> = sub
+        .to_parent
+        .iter()
+        .map(|&p| kb.node_article(p).filter(|&a| !kb.is_redirect(a)))
+        .collect();
+    // Scores by local node, categories included (theirs are dropped at
+    // the end). Node → article is one-to-one, so each article's sum
+    // sees the additions a per-article map would, in the same order.
+    let mut scores = vec![0.0f64; sub.to_parent.len()];
+    let finder = CycleFinder::new(&sub.graph)
+        .max_len(cfg.max_len)
+        .require_any_of(&local_query)
+        .limit(cfg.max_cycles);
+    finder.for_each(|nodes| {
+        let len = nodes.len();
+        if !cfg.lengths.contains(&len) {
+            return;
+        }
+        if len >= 3 {
+            let categories = nodes.iter().filter(|&&l| is_category[l as usize]).count();
+            let ratio = categories as f64 / len as f64;
+            if ratio < cfg.category_ratio_band.0 || ratio > cfg.category_ratio_band.1 {
                 return;
             }
-            let categories = nodes
-                .iter()
-                .filter(|&&l| kb.node_is_category(sub.parent_of(l)))
-                .count();
-            if len >= 3 {
-                let ratio = categories as f64 / len as f64;
-                if ratio < cfg.category_ratio_band.0 || ratio > cfg.category_ratio_band.1 {
-                    return;
-                }
+            // E(C) ≥ |C| on every cycle, so a density is never below a
+            // floor of zero: only a positive floor needs the edge count.
+            if cfg.min_density > 0.0 {
                 let e = induced_cycle_edges(&sub.graph, nodes);
                 let m = max_edges(len - categories, categories);
-                if m > len {
-                    let density = (e - len) as f64 / (m - len) as f64;
-                    if density < cfg.min_density {
-                        return;
-                    }
+                if m > len && ((e - len) as f64 / (m - len) as f64) < cfg.min_density {
+                    return;
                 }
             }
-            // Short cycles weigh more: weight 1/len.
-            let w = 1.0 / len as f64;
-            for &l in nodes {
-                if let Some(a) = kb.node_article(sub.parent_of(l)) {
-                    if !kb.is_redirect(a) {
-                        *scores.entry(a).or_insert(0.0) += w;
-                    }
-                }
-            }
-        });
+        }
+        // Short cycles weigh more: weight 1/len.
+        let w = 1.0 / len as f64;
+        for &l in nodes {
+            scores[l as usize] += w;
+        }
+    });
 
-        let counts: HashMap<ArticleId, usize> = scores
-            .iter()
-            .map(|(&a, &s)| (a, (s * 1_000_000.0) as usize))
-            .collect();
-        rank_features(counts, query_articles, cfg.max_features)
-    }
+    // Every addition is positive, so a zero is a node on no kept cycle.
+    let scored = scored_article
+        .iter()
+        .zip(&scores)
+        .filter_map(|(&article, &s)| match article {
+            Some(a) if s != 0.0 => Some((a, (s * 1_000_000.0) as usize)),
+            _ => None,
+        });
+    rank_features(scored, query_articles, cfg.max_features)
 }
 
 /// Rank candidate features by score (descending), dropping the query
 /// articles themselves; ties break by ascending article id for
 /// determinism.
 fn rank_features(
-    scores: HashMap<ArticleId, usize>,
+    scores: impl IntoIterator<Item = (ArticleId, usize)>,
     query_articles: &[ArticleId],
     max_features: usize,
 ) -> Vec<ArticleId> {

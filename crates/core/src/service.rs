@@ -47,7 +47,7 @@
 use crate::cache::{self, WorldOptions};
 use crate::config::ExperimentConfig;
 use crate::expansion::{
-    expanded_titles, CycleExpander, CycleExpanderConfig, DirectLinkExpander, Expander,
+    cycle_features, expanded_titles, CycleExpanderConfig, DirectLinkExpander, Expander,
     RedirectExpander,
 };
 use crate::expcache::{CacheKey, ExpansionCache};
@@ -529,10 +529,7 @@ impl ExpansionStrategy {
                 max_features: *max_features,
             }
             .expand(kb, query_articles),
-            ExpansionStrategy::Cycles(config) => CycleExpander {
-                config: config.clone(),
-            }
-            .expand(kb, query_articles),
+            ExpansionStrategy::Cycles(config) => cycle_features(kb, config, query_articles),
         }
     }
 }

@@ -1,14 +1,16 @@
 //! Breadth-first traversals over the undirected cycle view.
 //!
-//! The one user is `CycleExpander` (`querygraph-core`), which bounds its
-//! cycle search to the nodes within a small radius of the query articles
-//! — the local search the paper's §4 real-time challenge ("6 minutes per
-//! query graph") makes mandatory on a multi-million-article graph.
+//! `CycleExpander` (`querygraph-core`) bounds its cycle search to the
+//! nodes within a small radius of the query articles — the local search
+//! the paper's §4 real-time challenge ("6 minutes per query graph")
+//! makes mandatory on a multi-million-article graph — and the search
+//! itself ([`crate::cycles`]) steers by distance to the query nodes.
 //!
 //! Costs, for a graph of |V| nodes and |E| undirected-view edges:
 //!
-//! * [`bfs_distances`] — O(|V| + |E|): the plain full-graph routine, and
-//!   the oracle [`ball`] is property-tested against.
+//! * [`bfs_distances`] — O(|V| + |E|): the plain full-graph routine.
+//!   `CycleFinder` runs it once per search, on the graph it searches;
+//!   it is also the oracle [`ball`] is property-tested against.
 //! * [`ball`] — O(nodes and edges within `radius` + |V|/64): it never
 //!   leaves the ball, and the only |V|-sized state is a one-bit-per-node
 //!   visited set.
