@@ -21,12 +21,26 @@
 //!             [--bench-out path]
 //! ```
 //!
-//! * `serve` binds the `core::http` HTTP/1.1 front-end over the loaded
-//!   world: `POST /expand`, `GET /healthz`, `GET /statz`, per-request
+//! This file is flag parsing, HTTP / replay / client wiring and
+//! records; how a world boots and how a segment store is served live in
+//! `querygraph_bench::serving`.
+//!
+//! * The world-boot path: `serve` and `replay` check their flag
+//!   combinations, then make one `serving::boot` call. An in-memory or
+//!   monolithic-cache world serves its fixed engine. A store-backed
+//!   world — `--segstore <dir>`, or an `--index-cache <dir> --shards n`
+//!   boot whose cache entry is a published segment store — serves
+//!   through the store's generation slot, in process or, with
+//!   `--shard-procs n`, from n supervised `qgx shard` children (a fleet
+//!   boot loads nothing in process); under `serve` it follows the store,
+//!   hot-swapping onto every newly published generation with zero
+//!   downtime.
+//! * `serve` binds the `core::http` HTTP/1.1 front-end over that world:
+//!   `POST /expand`, `GET /healthz`, `GET /statz`, per-request
 //!   deadlines starting at accept, a bounded connection queue with
 //!   503 + `Retry-After` shedding, and SIGTERM/SIGINT draining
-//!   in-flight queries before exit. `--bench-out` writes a
-//!   `ServeRecord` (listen address, shed/timeout counters, per-code
+//!   in-flight queries (and any fleet) before exit. `--bench-out` writes
+//!   a `ServeRecord` (listen address, shed/timeout counters, per-code
 //!   failures, per-connection p99) after the drain.
 //! * `replay` serves a stdin, file, or seed workload **in process**
 //!   and reports latency percentiles and QPS. `--deadline-ms` applies
@@ -39,19 +53,12 @@
 //!   bodies stream to stdout exactly as received), and `--flood n` —
 //!   n concurrent one-shot connections for forced-overload tests
 //!   (every response must still be clean, typed HTTP).
-//!
-//! * `shard` serves **one** segment-store segment (`--segstore <dir>
-//!   --seq <s>`) as a standalone process over the QGRP binary RPC
-//!   protocol (DESIGN.md §13): it loads the segment, verifies the
-//!   embedded seq-keyed fingerprint, announces its bound address on
-//!   stdout (`QGRP listening <addr>`), and drains on stdin EOF,
-//!   SIGTERM/SIGINT, or a `Shutdown` frame. `serve --shard-procs N` and
-//!   `replay --shard-procs N` supervise N of these children — over a
-//!   `--segstore` directory or over the store an `--index-cache
-//!   --shards N` boot keeps in its cache — and scatter-gather across
-//!   them through `retrieval::remote::RemoteEngine`, byte-identical to
-//!   the in-process engine over the same segments.
-//!
+//! * `shard` is one fleet child: it serves **one** segment-store
+//!   segment over the QGRP binary RPC protocol (DESIGN.md §13),
+//!   verifying the embedded seq-keyed fingerprint, announcing its bound
+//!   address on stdout (`QGRP listening <addr>`), and draining on stdin
+//!   EOF, SIGTERM/SIGINT, or a `Shutdown` frame. The fleet answers
+//!   byte-identically to the in-process engine over the same segments.
 //! * `dump` / `ingest` / `compact` are the streaming build path
 //!   (DESIGN.md §14): `dump` writes a tier's corpus as an XML dump
 //!   (optionally a `--skip/--docs` slice, so a dump can arrive in
@@ -59,10 +66,7 @@
 //!   `corpus::ingest::DumpStream` in bounded memory, freezing every
 //!   `--batch-docs` documents into one `QGIX` segment of a `QGSS`
 //!   segment store; `compact` merges the live segments into `--shards`
-//!   balanced ones. `serve --segstore <dir>` and `replay --segstore`
-//!   serve the store's current generation and (serve only)
-//!   watch the manifest, hot-swapping the engine onto each newly
-//!   published generation with zero downtime.
+//!   balanced ones. A serving store picks either up live.
 //!
 //! Load against a live server is measured by the repo benchmark
 //! (`bash benchmark/run.sh`, open loop, oracle-checked); `client
@@ -70,11 +74,12 @@
 //! `--connect` address.
 //!
 //! World flags (shared by `serve` and `replay`): `--tiny | --quick |
-//! --stress [--quick]`, `--index-cache <dir>`, `--shards <n>`,
-//! `--shard-threads <n>`, `--mmap`, `--strategy
+//! --stress [--quick] | --track`, `--index-cache <dir>`, `--shards <n>`,
+//! `--segstore <dir>`, `--shard-threads <n>`, `--mmap`, `--strategy
 //! cycles|links|redirects|none`, `--max-features <n>`, `--top-k <k>`,
 //! `--prune`, `--expansion-cache <n>`.
 
+use querygraph_bench::serving::{self, log_line};
 use querygraph_bench::{
     flag_f64, flag_operand, flag_usize, CliOptions, IngestRecord, IngestSummary, LatencySummary,
     ServeRecord, ServeSummary, ZipfSampler,
@@ -83,11 +88,12 @@ use querygraph_core::expcache::ExpansionCache;
 use querygraph_core::http::{self, HttpServer, ServerConfig};
 use querygraph_core::service::{
     Deadline, ExpansionRequest, ExpansionResponse, ExpansionStrategy, QueryExpander,
-    QueryExpanderBuilder, ServiceError, ServingWorld,
+    QueryExpanderBuilder, ServiceError,
 };
 use querygraph_retrieval::engine::SearchMode;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -304,60 +310,73 @@ impl ExpanderOptions {
     }
 }
 
-/// Boot the world once (synthesize or load), wire shard scatter, and
-/// report provenance on stderr. Returns the effective per-query shard
-/// scatter width alongside.
-fn boot_world(
+/// Boot the world the flags select through `serving::boot` and log the
+/// one boot line. Flag combinations are refused (exit 2) before any boot
+/// work, so a usage error costs nothing even at `--stress`.
+fn boot(
+    args: &[String],
     cli: &CliOptions,
     ex: &ExpanderOptions,
-    want_seed_corpus: bool,
-) -> (
-    ServingWorld,
-    Option<querygraph_corpus::synth::SynthCorpus>,
-    usize,
-) {
-    let config = cli.config();
-    let (mut world, seed_corpus) = {
-        let (world, corpus) = ServingWorld::open_with_options(
-            &config,
-            cli.index_cache.as_deref(),
-            querygraph_retrieval::lm::LmParams::default(),
-            &cli.world_options(),
-        );
-        (world, want_seed_corpus.then_some(corpus))
+    want_corpus: bool,
+) -> serving::World {
+    let segstore = flag_operand(args, "--segstore").map(PathBuf::from);
+    let shard_procs = flag_usize(args, "--shard-procs").filter(|&n| n > 0);
+    let refuse = |message: String| -> ! {
+        eprintln!("error: {message}");
+        std::process::exit(2);
     };
-    let effective_shard_threads = match &mut world.engine {
-        querygraph_retrieval::backend::AnyEngine::Sharded(engine) => {
-            engine.set_search_threads(ex.shard_threads);
-            ex.shard_threads.min(engine.shards().len()).max(1)
+    if segstore.is_some() && (cli.index_cache.is_some() || cli.shards.is_some()) {
+        refuse("--segstore is its own index source; drop --index-cache/--shards".into());
+    }
+    if let (Some(n), None) = (shard_procs, &segstore) {
+        if cli.index_cache.is_none() {
+            refuse(
+                "--shard-procs requires --index-cache (children load QGIX segments from it)".into(),
+            );
         }
-        // `--shards` unset: the monolithic engine. (A shard fleet or a
-        // reloadable slot replaces the engine only after boot, and its
-        // caller recomputes the scatter width.)
-        _ => {
-            if ex.shard_threads > 1 {
-                eprintln!("# qgx: --shard-threads applies to --shards workloads only");
-            }
-            1
+        if cli.shards != Some(n) {
+            refuse(format!(
+                "--shard-procs {n} requires --shards {n} \
+                 (the segmented cache layout the children serve)"
+            ));
         }
-    };
-    eprintln!(
+    }
+    let fleet = shard_procs.map(|n| {
+        let exe = std::env::current_exe().unwrap_or_else(|e| {
+            eprintln!("error: cannot locate the qgx binary: {e}");
+            std::process::exit(1);
+        });
+        (n, exe)
+    });
+    let world = serving::boot(
+        cli,
+        segstore.as_deref(),
+        fleet,
+        ex.shard_threads,
+        want_corpus,
+    )
+    .unwrap_or_else(|(code, message)| {
+        eprintln!("error: {message}");
+        std::process::exit(code);
+    });
+    let stats = &world.stats;
+    log_line(&format!(
         "# qgx: {} articles, index {} x{} shard(s) (world {:.3}s, build {:.3}s, load {:.3}s); \
          strategy {}, top-k {}, search {}, cache {}",
         world.wiki.kb.num_articles(),
-        world.stats.index_source.name(),
-        world.stats.shard_count,
-        world.stats.world_seconds,
-        world.stats.index_build_seconds,
-        world.stats.index_load_seconds,
+        stats.index_source.name(),
+        stats.shard_count,
+        stats.world_seconds,
+        stats.index_build_seconds,
+        stats.index_load_seconds,
         ex.strategy.name(),
         ex.top_k,
         ex.search_mode().name(),
         ex.expansion_cache
             .map(|n| n.to_string())
             .unwrap_or_else(|| "off".to_string()),
-    );
-    (world, seed_corpus, effective_shard_threads)
+    ));
+    world
 }
 
 fn expansion_cache(ex: &ExpanderOptions) -> Option<Arc<ExpansionCache>> {
@@ -366,536 +385,7 @@ fn expansion_cache(ex: &ExpanderOptions) -> Option<Arc<ExpansionCache>> {
         .map(|n| Arc::new(ExpansionCache::new(n)))
 }
 
-// ------------------------------------------------------ shard processes
-
-/// The supervised children behind `--shard-procs N`: one `qgx shard`
-/// process per segment, stdin held open as the drain signal.
-struct ShardFleet {
-    children: Vec<std::process::Child>,
-}
-
-impl ShardFleet {
-    /// Shut the fleet down once `engine` — the remote engine fronting
-    /// it, or the reloadable slot holding that — is done serving: a
-    /// polite QGRP `Shutdown` to every child, then the stdin-EOF drain.
-    fn shutdown(self, engine: &querygraph_retrieval::backend::AnyEngine) {
-        use querygraph_retrieval::backend::AnyEngine;
-        let generation;
-        let engine = match engine {
-            AnyEngine::Reloadable(slot) => {
-                generation = slot.snapshot();
-                &generation.engine
-            }
-            engine => engine,
-        };
-        if let AnyEngine::Remote(remote) = engine {
-            remote.shutdown_all();
-        }
-        self.drain();
-    }
-
-    /// Drain the fleet: close every child's stdin (its shutdown
-    /// signal — works even if the QGRP socket is wedged), give them a
-    /// shared grace window to exit, then kill stragglers. Always
-    /// reaps, so no zombies outlive the supervisor.
-    fn drain(mut self) {
-        for child in &mut self.children {
-            drop(child.stdin.take());
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        for (shard, child) in self.children.iter_mut().enumerate() {
-            loop {
-                match child.try_wait() {
-                    Ok(Some(status)) => {
-                        log_line(&format!("# qgx: shard {shard} exited ({status})"));
-                        break;
-                    }
-                    Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    Ok(None) | Err(_) => {
-                        eprintln!("# qgx: shard {shard} did not drain in time; killing");
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Log one line to stderr in a single `write` syscall. Supervisor and
-/// shard children share the stderr fd; `eprintln!` issues one write
-/// per format fragment, so concurrent boot announcements can
-/// byte-interleave unless each line goes out whole.
-fn log_line(line: &str) {
-    let mut buf = String::with_capacity(line.len() + 1);
-    buf.push_str(line);
-    buf.push('\n');
-    let _ = std::io::stderr().write_all(buf.as_bytes());
-}
-
-/// Boot-failure cleanup: kill and reap every child spawned so far.
-fn kill_children(children: &mut [std::process::Child]) {
-    for child in children.iter_mut() {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
-}
-
-// ------------------------------------------------- segment-store serving
-
-/// What `serve`/`replay --segstore <dir>` keep next to the world: the
-/// store's identity plus a handle on the hot-swappable engine slot.
-struct SegstoreBoot {
-    dir: std::path::PathBuf,
-    /// The store (= world-configuration) fingerprint.
-    fingerprint: u64,
-    /// The manifest observed at boot.
-    manifest: querygraph_retrieval::segstore::Manifest,
-    /// A second handle on the slot `world.engine` reads through; the
-    /// watcher thread (and `--shard-procs` boot) swap through this one.
-    reloadable: querygraph_retrieval::backend::ReloadableEngine,
-}
-
-fn segstore_source(cli: &CliOptions) -> querygraph_retrieval::ondisk::ArtifactSource {
-    if cli.mmap {
-        querygraph_retrieval::ondisk::ArtifactSource::Mmap
-    } else {
-        querygraph_retrieval::ondisk::ArtifactSource::Read
-    }
-}
-
-/// Boot a [`ServingWorld`] from a `QGSS` segment store: synthesize the
-/// wiki only (expansion needs the knowledge graph; the corpus text
-/// already lives in the segments), load the current generation, and
-/// install it behind a `ReloadableEngine` whose cache epoch is the
-/// generation fingerprint — so hot swaps invalidate the expansion
-/// cache exactly when the document set changes.
-fn boot_segstore_world(
-    cli: &CliOptions,
-    ex: &ExpanderOptions,
-    dir: &std::path::Path,
-) -> (ServingWorld, SegstoreBoot) {
-    use querygraph_retrieval::backend::{AnyEngine, ReloadableEngine};
-    use querygraph_retrieval::segstore;
-
-    let config = cli.config();
-    if cli.index_cache.is_some() || cli.shards.is_some() {
-        eprintln!("error: --segstore is its own index source; drop --index-cache/--shards");
-        std::process::exit(2);
-    }
-    let fingerprint = querygraph_core::cache::config_fingerprint(&config);
-    let t_world = Instant::now();
-    let wiki = querygraph_wiki::synth::generate(&config.wiki);
-    let world_seconds = t_world.elapsed().as_secs_f64();
-
-    let t_load = Instant::now();
-    let generation = match segstore::load_generation(dir, fingerprint, segstore_source(cli)) {
-        Ok(Some(generation)) => generation,
-        Ok(None) => {
-            eprintln!(
-                "error: segment store {} has never published — run `qgx ingest` first",
-                dir.display()
-            );
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("error: segment store {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    };
-    let manifest = generation.manifest.clone();
-    let shard_load_seconds = generation.segment_load_seconds.clone();
-    let lm = querygraph_retrieval::lm::LmParams::default();
-    let mut engine =
-        querygraph_retrieval::sharded::ShardedEngine::from_shards(generation.into_engines(lm), lm);
-    engine.set_search_threads(ex.shard_threads);
-    let index_load_seconds = t_load.elapsed().as_secs_f64();
-
-    let epoch = manifest.generation_fingerprint();
-    let reloadable = ReloadableEngine::new(AnyEngine::Sharded(engine), epoch);
-    let stats = querygraph_core::cache::BuildStats {
-        world_seconds,
-        index_build_seconds: 0.0,
-        index_write_seconds: 0.0,
-        index_load_seconds,
-        index_source: querygraph_core::cache::IndexSource::Loaded,
-        shard_count: manifest.segments.len(),
-        shard_load_seconds,
-    };
-    let world = ServingWorld {
-        wiki,
-        engine: AnyEngine::Reloadable(reloadable.clone()),
-        config,
-        stats,
-    };
-    eprintln!(
-        "# qgx: {} articles, segstore generation {} ({} docs, {} segment(s)) \
-         (world {world_seconds:.3}s, load {index_load_seconds:.3}s); \
-         strategy {}, top-k {}, search {}, cache {}",
-        world.wiki.kb.num_articles(),
-        manifest.generation,
-        manifest.total_docs(),
-        manifest.segments.len(),
-        ex.strategy.name(),
-        ex.top_k,
-        ex.search_mode().name(),
-        ex.expansion_cache
-            .map(|n| n.to_string())
-            .unwrap_or_else(|| "off".to_string()),
-    );
-    (
-        world,
-        SegstoreBoot {
-            dir: dir.to_path_buf(),
-            fingerprint,
-            manifest,
-            reloadable,
-        },
-    )
-}
-
-/// Spawn one `qgx shard --segstore --seq` child per live segment of
-/// `manifest`, wait for each one's stdout announce line, and connect a
-/// `RemoteEngine` across them with seq-keyed fingerprint pinning.
-/// Returns an error (after killing any children already spawned)
-/// instead of exiting: the live-reload watcher must keep serving the
-/// old generation when a new fleet fails to come up.
-fn spawn_segstore_fleet(
-    dir: &std::path::Path,
-    store_fp: u64,
-    manifest: &querygraph_retrieval::segstore::Manifest,
-    shard_threads: usize,
-    mmap: bool,
-) -> Result<(ShardFleet, querygraph_retrieval::remote::RemoteEngine), String> {
-    use std::process::{Command, Stdio};
-    if manifest.segments.is_empty() {
-        return Err(format!(
-            "generation {} lists no segments",
-            manifest.generation
-        ));
-    }
-    let exe = std::env::current_exe().map_err(|e| format!("cannot locate the qgx binary: {e}"))?;
-    let mut children: Vec<std::process::Child> = Vec::with_capacity(manifest.segments.len());
-    let mut addrs: Vec<String> = Vec::with_capacity(manifest.segments.len());
-    for (slot, seg) in manifest.segments.iter().enumerate() {
-        let mut command = Command::new(&exe);
-        command
-            .arg("shard")
-            .arg("--segstore")
-            .arg(dir)
-            .arg("--seq")
-            .arg(seg.seq.to_string())
-            .arg("--shard")
-            .arg(slot.to_string())
-            .arg("--fingerprint")
-            .arg(format!("{store_fp:016x}"))
-            .arg("--listen")
-            .arg("127.0.0.1:0")
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped());
-        if mmap {
-            command.arg("--mmap");
-        }
-        let mut child = match command.spawn() {
-            Ok(child) => child,
-            Err(e) => {
-                kill_children(&mut children);
-                return Err(format!("cannot spawn segment {}: {e}", seg.seq));
-            }
-        };
-        // The child's first stdout line is its QGRP announce; EOF
-        // before that means it died (its stderr is inherited, so the
-        // reason is already on ours).
-        let stdout = child.stdout.take().expect("piped child stdout");
-        let mut line = String::new();
-        let read = std::io::BufReader::new(stdout).read_line(&mut line);
-        let addr = match read {
-            Ok(len) if len > 0 => querygraph_retrieval::remote::server::parse_announce(line.trim()),
-            _ => None,
-        };
-        let Some(addr) = addr else {
-            children.push(child);
-            kill_children(&mut children);
-            return Err(format!(
-                "segment {} did not announce a QGRP address (got {:?})",
-                seg.seq,
-                line.trim()
-            ));
-        };
-        log_line(&format!(
-            "# qgx: shard {slot} pid {} listening on {addr} (segment {})",
-            child.id(),
-            seg.seq
-        ));
-        addrs.push(addr);
-        children.push(child);
-    }
-    let expected: Vec<u64> = manifest
-        .segments
-        .iter()
-        .map(|s| querygraph_retrieval::segstore::segment_fp(store_fp, s.seq))
-        .collect();
-    match querygraph_retrieval::remote::RemoteEngine::connect_with_fingerprints(
-        &addrs,
-        querygraph_retrieval::lm::LmParams::default(),
-        &expected,
-    ) {
-        Ok(remote) => Ok((
-            ShardFleet { children },
-            remote.with_search_threads(shard_threads),
-        )),
-        Err(e) => {
-            kill_children(&mut children);
-            Err(format!("cannot connect to the segment fleet: {e}"))
-        }
-    }
-}
-
-/// Boot-time `--shard-procs n`: one child per live segment of
-/// `manifest`. Exits rather than serving without the fleet the operator
-/// asked for — on a width that disagrees with the live generation, or
-/// on any child failing to come up.
-fn spawn_fleet_or_exit(
-    dir: &std::path::Path,
-    store_fp: u64,
-    manifest: &querygraph_retrieval::segstore::Manifest,
-    n: usize,
-    ex: &ExpanderOptions,
-    mmap: bool,
-) -> (ShardFleet, querygraph_retrieval::remote::RemoteEngine) {
-    if n != manifest.segments.len() {
-        eprintln!(
-            "error: --shard-procs {n} but the live generation has {} segment(s) — \
-             `qgx compact --shards {n}` reshapes it",
-            manifest.segments.len()
-        );
-        std::process::exit(2);
-    }
-    spawn_segstore_fleet(dir, store_fp, manifest, ex.shard_threads, mmap).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    })
-}
-
-/// `--shard-procs` over a `--segstore` boot: the fleet swaps into the
-/// reloadable slot. The epoch is unchanged — same generation,
-/// byte-identical answers — so warmed expansion-cache entries stay
-/// valid.
-fn segstore_fleet(boot: &SegstoreBoot, n: usize, ex: &ExpanderOptions, mmap: bool) -> ShardFleet {
-    let (fleet, remote) =
-        spawn_fleet_or_exit(&boot.dir, boot.fingerprint, &boot.manifest, n, ex, mmap);
-    boot.reloadable.swap(
-        querygraph_retrieval::backend::AnyEngine::Remote(remote),
-        boot.reloadable.epoch(),
-    );
-    fleet
-}
-
-/// `--shard-procs n` over an `--index-cache --shards n` boot: the cache
-/// entry the in-process boot just loaded (or built and published) is a
-/// segment store, so the children serve its segments and the remote
-/// engine replaces `world.engine`. Must run before the expander
-/// borrows the world.
-fn index_cache_fleet(
-    cli: &CliOptions,
-    ex: &ExpanderOptions,
-    n: usize,
-    world: &mut ServingWorld,
-) -> ShardFleet {
-    let Some(cache_dir) = &cli.index_cache else {
-        eprintln!(
-            "error: --shard-procs requires --index-cache (children load QGIX segments from it)"
-        );
-        std::process::exit(2);
-    };
-    if cli.shards != Some(n) {
-        eprintln!(
-            "error: --shard-procs {n} requires --shards {n} \
-             (the segmented cache layout the children serve)"
-        );
-        std::process::exit(2);
-    }
-    let config = cli.config();
-    let dir = querygraph_core::cache::store_dir(cache_dir, &config, n);
-    let fingerprint = querygraph_core::cache::config_fingerprint(&config);
-    let manifest = match querygraph_retrieval::segstore::read_manifest(&dir, fingerprint) {
-        Ok(Some(manifest)) => manifest,
-        Ok(None) => {
-            eprintln!(
-                "error: index cache {} holds no published store for the children to load",
-                dir.display()
-            );
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("error: index cache {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    };
-    let (fleet, remote) = spawn_fleet_or_exit(&dir, fingerprint, &manifest, n, ex, cli.mmap);
-    world.engine = querygraph_retrieval::backend::AnyEngine::Remote(remote);
-    fleet
-}
-
-/// Retire a replaced generation: wait for its in-flight queries to
-/// finish (after the swap, only they hold extra `Arc`s on it), then
-/// shut down and drain its shard fleet, if any.
-fn retire_generation(
-    old: Arc<querygraph_retrieval::backend::EngineGeneration>,
-    old_fleet: Option<ShardFleet>,
-) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while Arc::strong_count(&old) > 1 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    if let Some(fleet) = old_fleet {
-        fleet.shutdown(&old.engine);
-    }
-}
-
-/// The live-reload watcher behind `qgx serve --segstore`: poll the
-/// manifest and, when a new generation appears, build its engine **off
-/// the serving path** (load segments / spawn a fleet first), then swap
-/// it into the reloadable slot — the only serving-visible pause is the
-/// swap itself, one mutex-guarded pointer replace. The replaced
-/// generation is retired only after its in-flight queries finish, so
-/// no request is dropped across the swap. Owns the fleet (when in
-/// `--shard-procs` mode) for its whole lifetime; on shutdown it drains
-/// whichever fleet is current.
-fn spawn_segstore_watcher(
-    boot: SegstoreBoot,
-    initial_fleet: Option<ShardFleet>,
-    shard_threads: usize,
-    mmap: bool,
-    shutdown: Arc<std::sync::atomic::AtomicBool>,
-) -> std::thread::JoinHandle<()> {
-    use querygraph_retrieval::backend::AnyEngine;
-    use querygraph_retrieval::segstore;
-    use std::sync::atomic::Ordering;
-
-    std::thread::spawn(move || {
-        let lm = querygraph_retrieval::lm::LmParams::default();
-        let source = if mmap {
-            querygraph_retrieval::ondisk::ArtifactSource::Mmap
-        } else {
-            querygraph_retrieval::ondisk::ArtifactSource::Read
-        };
-        let fleet_mode = initial_fleet.is_some();
-        let mut fleet = initial_fleet;
-        let mut current = boot.reloadable.epoch();
-        while !shutdown.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(300));
-            let manifest = match segstore::read_manifest(&boot.dir, boot.fingerprint) {
-                Ok(Some(manifest)) => manifest,
-                Ok(None) => continue,
-                Err(e) => {
-                    eprintln!("# qgx: segstore watch: {e}");
-                    continue;
-                }
-            };
-            let epoch = manifest.generation_fingerprint();
-            if epoch == current {
-                continue;
-            }
-            let t_load = Instant::now();
-            let (engine, new_fleet) = if fleet_mode {
-                match spawn_segstore_fleet(
-                    &boot.dir,
-                    boot.fingerprint,
-                    &manifest,
-                    shard_threads,
-                    mmap,
-                ) {
-                    Ok((new_fleet, remote)) => (AnyEngine::Remote(remote), Some(new_fleet)),
-                    Err(e) => {
-                        eprintln!(
-                            "# qgx: generation {} fleet failed ({e}); \
-                             still serving the previous one",
-                            manifest.generation
-                        );
-                        continue;
-                    }
-                }
-            } else {
-                match segstore::load_generation(&boot.dir, boot.fingerprint, source) {
-                    Ok(Some(generation))
-                        if generation.manifest.generation_fingerprint() == epoch =>
-                    {
-                        let mut engine = querygraph_retrieval::sharded::ShardedEngine::from_shards(
-                            generation.into_engines(lm),
-                            lm,
-                        );
-                        engine.set_search_threads(shard_threads);
-                        (AnyEngine::Sharded(engine), None)
-                    }
-                    // Raced another publish (or an unpublish we cannot
-                    // serve); the next tick observes the settled state.
-                    Ok(_) => continue,
-                    Err(e) => {
-                        eprintln!(
-                            "# qgx: generation {} load failed ({e}); \
-                             still serving the previous one",
-                            manifest.generation
-                        );
-                        continue;
-                    }
-                }
-            };
-            let load_seconds = t_load.elapsed().as_secs_f64();
-            let t_swap = Instant::now();
-            let old = boot.reloadable.swap(engine, epoch);
-            let pause_us = t_swap.elapsed().as_secs_f64() * 1e6;
-            current = epoch;
-            eprintln!(
-                "# qgx: serving generation {} ({} docs, {} segment(s)) — \
-                 prepared off-path in {load_seconds:.3}s, swap pause {pause_us:.0}µs",
-                manifest.generation,
-                manifest.total_docs(),
-                manifest.segments.len()
-            );
-            let old_fleet = std::mem::replace(&mut fleet, new_fleet);
-            retire_generation(old, old_fleet);
-        }
-        if let Some(fleet) = fleet {
-            fleet.shutdown(&boot.reloadable.snapshot().engine);
-        }
-    })
-}
-
 // ---------------------------------------------------------------- serve
-
-/// SIGTERM/SIGINT notification: the handler only flips an atomic; a
-/// watcher thread relays it to the server's shutdown flag.
-#[cfg(unix)]
-mod sig {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static REQUESTED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn handle(_signum: i32) {
-        REQUESTED.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    /// Install the flag-setting handler for SIGINT (2) and SIGTERM (15).
-    pub fn install() {
-        unsafe {
-            signal(2, handle);
-            signal(15, handle);
-        }
-    }
-
-    /// Whether a shutdown signal has arrived.
-    pub fn requested() -> bool {
-        REQUESTED.load(Ordering::SeqCst)
-    }
-}
 
 fn run_serve(args: &[String]) {
     let known: Vec<(&str, bool)> = WORLD_FLAGS.iter().chain(&SERVE_FLAGS).copied().collect();
@@ -908,25 +398,12 @@ fn run_serve(args: &[String]) {
     let deadline_ms = flag_usize(args, "--deadline-ms").unwrap_or(2000).max(1);
     let keep_alive = flag_usize(args, "--keep-alive").unwrap_or(100).max(1);
 
-    let segstore_dir = flag_operand(args, "--segstore").map(std::path::PathBuf::from);
-    let shard_procs_flag = flag_usize(args, "--shard-procs").filter(|&n| n > 0);
-    let (world, segstore, mut fleet, effective_shard_threads) = match &segstore_dir {
-        Some(dir) => {
-            let (world, boot) = boot_segstore_world(&cli, &ex, dir);
-            let fleet = shard_procs_flag.map(|n| segstore_fleet(&boot, n, &ex, cli.mmap));
-            let width = ex.shard_threads.min(boot.manifest.segments.len()).max(1);
-            (world, Some(boot), fleet, width)
-        }
-        None => {
-            let (mut world, _, in_process_width) = boot_world(&cli, &ex, false);
-            let fleet = shard_procs_flag.map(|n| index_cache_fleet(&cli, &ex, n, &mut world));
-            let width = shard_procs_flag.map_or(in_process_width, |n| ex.shard_threads.min(n));
-            (world, None, fleet, width)
-        }
-    };
-    let shard_procs = fleet.as_ref().map(|f| f.children.len()).unwrap_or(0);
+    let world = boot(args, &cli, &ex, false);
+    let shard_procs = world.live.as_ref().map_or(0, serving::Live::shard_procs);
     let cache = expansion_cache(&ex);
-    let expander = world.expander_from(&ex.builder(&cache));
+    let expander = ex
+        .builder(&cache)
+        .build(&world.wiki.kb, world.engine.as_ref());
 
     let server = HttpServer::bind(ServerConfig {
         addr: listen.clone(),
@@ -941,35 +418,16 @@ fn run_serve(args: &[String]) {
         std::process::exit(1);
     });
     let addr = server.local_addr().map(|a| a.to_string()).unwrap_or(listen);
-    eprintln!(
+    log_line(&format!(
         "# qgx: listening on {addr} ({workers} workers, queue {queue_depth}, \
          deadline {deadline_ms} ms, keep-alive {keep_alive})"
-    );
+    ));
 
     let shutdown = server.shutdown_flag();
-    #[cfg(unix)]
-    {
-        sig::install();
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || loop {
-            if sig::requested() {
-                shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        });
-    }
-    // In segstore mode the watcher owns the fleet (it may replace it on
-    // a live reload), so the post-serve teardown below sees `None`.
-    let watcher = segstore.map(|boot| {
-        spawn_segstore_watcher(
-            boot,
-            fleet.take(),
-            ex.shard_threads,
-            cli.mmap,
-            Arc::clone(&shutdown),
-        )
-    });
+    serving::relay_shutdown_signals(Arc::clone(&shutdown));
+    // A store-backed world follows its store; the watcher owns the
+    // fleet (a live reload may replace it) and drains it on shutdown.
+    let watcher = world.live.map(|live| live.watch(Arc::clone(&shutdown)));
 
     let stats = server.stats();
     let t_serve = Instant::now();
@@ -982,9 +440,6 @@ fn run_serve(args: &[String]) {
     drop(expander);
     if let Some(watcher) = watcher {
         let _ = watcher.join();
-    }
-    if let Some(fleet) = fleet {
-        fleet.shutdown(&world.engine);
     }
 
     let served = stats.queries_served() as usize;
@@ -1027,7 +482,7 @@ fn run_serve(args: &[String]) {
                 repeat: 1,
                 top_k: ex.top_k,
                 threads: workers,
-                shard_threads: effective_shard_threads,
+                shard_threads: world.shard_threads,
                 shard_procs,
                 total_seconds,
                 qps,
@@ -1079,29 +534,12 @@ fn run_replay(args: &[String]) {
     }
 
     let config = cli.config();
-    let segstore_dir = flag_operand(args, "--segstore").map(std::path::PathBuf::from);
-    let shard_procs_flag = flag_usize(args, "--shard-procs").filter(|&n| n > 0);
-    let (world, seed_corpus, fleet, effective_shard_threads) = match &segstore_dir {
-        Some(dir) => {
-            let (world, boot) = boot_segstore_world(&cli, &ex, dir);
-            let fleet = shard_procs_flag.map(|n| segstore_fleet(&boot, n, &ex, cli.mmap));
-            // The tier's query set is derived from the same seeds the
-            // ingested corpus came from; docs live in the segments.
-            let seed_corpus = seed_queries
-                .then(|| querygraph_corpus::synth::generate_corpus(&world.wiki, &config.corpus));
-            let width = ex.shard_threads.min(boot.manifest.segments.len()).max(1);
-            (world, seed_corpus, fleet, width)
-        }
-        None => {
-            let (mut world, seed_corpus, in_process_width) = boot_world(&cli, &ex, seed_queries);
-            let fleet = shard_procs_flag.map(|n| index_cache_fleet(&cli, &ex, n, &mut world));
-            let width = shard_procs_flag.map_or(in_process_width, |n| ex.shard_threads.min(n));
-            (world, seed_corpus, fleet, width)
-        }
-    };
-    let shard_procs = fleet.as_ref().map(|f| f.children.len()).unwrap_or(0);
+    let world = boot(args, &cli, &ex, seed_queries);
+    let shard_procs = world.live.as_ref().map_or(0, serving::Live::shard_procs);
     let cache = expansion_cache(&ex);
-    let expander = world.expander_from(&ex.builder(&cache));
+    let expander = ex
+        .builder(&cache)
+        .build(&world.wiki.kb, world.engine.as_ref());
     // With --deadline-ms every request runs the same typed deadline
     // path the HTTP server uses (admission + post-compute checks).
     let expand = |request: &ExpansionRequest| -> Result<ExpansionResponse, ServiceError> {
@@ -1128,7 +566,7 @@ fn run_replay(args: &[String]) {
     if fixed_workload {
         // Fixed workload: file or the tier's generated query set,
         // optionally repeated and optionally batched across threads.
-        let workload: Vec<String> = if let Some(corpus) = &seed_corpus {
+        let workload: Vec<String> = if let Some(corpus) = &world.corpus {
             corpus
                 .queries
                 .queries
@@ -1207,8 +645,8 @@ fn run_replay(args: &[String]) {
     }
 
     let total_seconds = t_serve.elapsed().as_secs_f64();
-    if let Some(fleet) = fleet {
-        fleet.shutdown(&world.engine);
+    if let Some(live) = world.live {
+        live.shutdown();
     }
     let answered = tally.served + tally.failures;
     let latency = LatencySummary::of(&latencies_us);
@@ -1250,7 +688,7 @@ fn run_replay(args: &[String]) {
                 repeat: effective_repeat,
                 top_k: ex.top_k,
                 threads: effective_threads,
-                shard_threads: effective_shard_threads,
+                shard_threads: world.shard_threads,
                 shard_procs,
                 total_seconds,
                 qps,
@@ -1518,16 +956,10 @@ fn require_flag(args: &[String], name: &str) -> String {
     })
 }
 
-/// One shard process: load one segment-store segment, verify its
-/// embedded seq-keyed fingerprint against the supervisor's store
-/// fingerprint, announce the bound QGRP address on stdout, and serve
-/// until stdin EOF (the supervisor's drain signal), SIGTERM/SIGINT, or
-/// a `Shutdown` frame.
+/// `qgx shard`: parse a fleet child's identity and run
+/// [`serving::run_shard`] — one segment served over QGRP until the
+/// supervisor's drain signal.
 fn run_shard(args: &[String]) {
-    use querygraph_retrieval::ondisk::{load_index_with, ArtifactSource};
-    use querygraph_retrieval::remote::{server, ShardServer};
-    use querygraph_retrieval::segstore::{segment_file, segment_fp};
-
     reject_unknown_flags(args, &SHARD_FLAGS, "shard");
     let dir = require_flag(args, "--segstore");
     let seq = require_flag(args, "--seq");
@@ -1547,90 +979,18 @@ fn run_shard(args: &[String]) {
             std::process::exit(2);
         });
     let listen = flag_operand(args, "--listen").unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let source = if args.iter().any(|a| a == "--mmap") {
-        ArtifactSource::Mmap
-    } else {
-        ArtifactSource::Read
-    };
-
-    let path = std::path::Path::new(&dir).join(segment_file(seq));
-    let want = segment_fp(fingerprint, seq);
-    let loaded = load_index_with(&path, source).unwrap_or_else(|e| {
-        eprintln!("error: shard {shard}: cannot load {}: {e}", path.display());
-        std::process::exit(1);
-    });
-    // The same pinning the store loader enforces: the segment must carry
-    // the expected derived fingerprint, so a mis-deployed or stale segment
-    // dies here, before it can answer.
-    if loaded.meta_fingerprint != want {
-        eprintln!(
-            "error: shard {shard}: segment fingerprint mismatch \
-             (expected {want:016x}, found {:016x})",
-            loaded.meta_fingerprint
-        );
+    let source = CliOptions::from_vec(args).world_options().source();
+    if let Err(e) = serving::run_shard(
+        std::path::Path::new(&dir),
+        seq,
+        shard,
+        fingerprint,
+        &listen,
+        source,
+    ) {
+        eprintln!("error: {e}");
         std::process::exit(1);
     }
-    let num_docs = loaded.index.num_docs();
-    let engine = querygraph_retrieval::engine::SearchEngine::with_params(
-        loaded.index,
-        querygraph_retrieval::lm::LmParams::default(),
-    );
-    engine.seed_phrase_cache(loaded.phrases);
-
-    let qgrp = ShardServer::bind(&listen, Arc::new(engine), shard, want).unwrap_or_else(|e| {
-        eprintln!("error: shard {shard}: cannot bind {listen}: {e}");
-        std::process::exit(1);
-    });
-    let addr = qgrp.local_addr().unwrap_or_else(|e| {
-        eprintln!("error: shard {shard}: no local address: {e}");
-        std::process::exit(1);
-    });
-    // The announce is the child's only stdout line — the supervisor
-    // blocks on it; everything human-facing goes to stderr.
-    server::announce(&addr);
-    let _ = std::io::stdout().flush();
-    log_line(&format!(
-        "# qgx: shard {shard} serving {} ({num_docs} docs) on {addr}",
-        path.display()
-    ));
-
-    // stdin EOF is the supervisor's drain signal: it outlives a wedged
-    // socket and fires even if the parent dies without cleanup (the
-    // pipe closes with it), so orphaned children exit on their own.
-    let shutdown = qgrp.shutdown_flag();
-    {
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || {
-            let stdin = std::io::stdin();
-            let mut line = String::new();
-            loop {
-                line.clear();
-                match stdin.lock().read_line(&mut line) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => continue,
-                }
-            }
-            shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
-        });
-    }
-    #[cfg(unix)]
-    {
-        sig::install();
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || loop {
-            if sig::requested() {
-                shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        });
-    }
-
-    if let Err(e) = qgrp.serve() {
-        eprintln!("error: shard {shard}: serve loop failed: {e}");
-        std::process::exit(1);
-    }
-    log_line(&format!("# qgx: shard {shard} drained"));
 }
 
 // ------------------------------------------- dump / ingest / compact
@@ -1682,64 +1042,6 @@ fn open_segstore(cli: &CliOptions, dir: &str) -> querygraph_retrieval::segstore:
             eprintln!("error: segment store {dir}: {e}");
             std::process::exit(1);
         })
-}
-
-/// Compact the store into `shards` segments, measuring what a live
-/// server would feel: the compaction wall clock (all off the serving
-/// path) and the engine-swap pause (the only serving-visible moment —
-/// the new generation is fully loaded before the swap, exactly as the
-/// serve watcher does it). Returns
-/// `(compaction_seconds, swap_pause_us)`.
-fn compact_and_measure(
-    store: &mut querygraph_retrieval::segstore::SegStore,
-    shards: usize,
-    source: querygraph_retrieval::ondisk::ArtifactSource,
-) -> (f64, f64) {
-    use querygraph_retrieval::backend::{AnyEngine, ReloadableEngine};
-    use querygraph_retrieval::segstore;
-    use querygraph_retrieval::sharded::ShardedEngine;
-
-    let lm = querygraph_retrieval::lm::LmParams::default();
-    let fingerprint = store.manifest().fingerprint;
-    // Stand in for the live server: hold the pre-compaction generation
-    // in a reloadable slot so the swap we time is the real operation.
-    let serving = segstore::load_generation(store.dir(), fingerprint, source)
-        .ok()
-        .flatten()
-        .map(|generation| {
-            let epoch = generation.manifest.generation_fingerprint();
-            ReloadableEngine::new(
-                AnyEngine::Sharded(ShardedEngine::from_shards(generation.into_engines(lm), lm)),
-                epoch,
-            )
-        });
-
-    let t = Instant::now();
-    match segstore::compact(store, shards.max(1), source) {
-        Ok(Some(_)) => {}
-        Ok(None) => {
-            eprintln!("error: the store has never published — nothing to compact");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("error: compaction failed: {e}");
-            std::process::exit(1);
-        }
-    }
-    let compaction_seconds = t.elapsed().as_secs_f64();
-
-    let mut swap_pause_us = 0.0;
-    if let Some(serving) = serving {
-        if let Ok(Some(generation)) = segstore::load_generation(store.dir(), fingerprint, source) {
-            let epoch = generation.manifest.generation_fingerprint();
-            let engine = ShardedEngine::from_shards(generation.into_engines(lm), lm);
-            let t = Instant::now();
-            let old = serving.swap(AnyEngine::Sharded(engine), epoch);
-            swap_pause_us = t.elapsed().as_secs_f64() * 1e6;
-            drop(old);
-        }
-    }
-    (compaction_seconds, swap_pause_us)
 }
 
 /// `qgx ingest`: stream a dump through `DumpStream` in bounded
@@ -1815,7 +1117,12 @@ fn run_ingest(args: &[String]) {
 
     let (mut compaction_seconds, mut swap_pause_us) = (0.0, 0.0);
     if let Some(shards) = compact_to {
-        let (wall, pause) = compact_and_measure(&mut store, shards, segstore_source(&cli));
+        let source = cli.world_options().source();
+        let (wall, pause) = serving::compact_and_measure(&mut store, shards, source)
+            .unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            });
         compaction_seconds = wall;
         swap_pause_us = pause;
         eprintln!(
@@ -1859,8 +1166,12 @@ fn run_compact(args: &[String]) {
     let config = cli.config();
     let mut store = open_segstore(&cli, &dir);
     let segments_before = store.manifest().segments.len();
+    let source = cli.world_options().source();
     let (compaction_seconds, swap_pause_us) =
-        compact_and_measure(&mut store, shards, segstore_source(&cli));
+        serving::compact_and_measure(&mut store, shards, source).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
     eprintln!(
         "# qgx: compacted {segments_before} → {} segment(s) ({} docs) in \
          {compaction_seconds:.3}s (swap pause {swap_pause_us:.0}µs); generation {}",

@@ -10,7 +10,9 @@
 //! generated from. Common CLI (parsed by [`CliOptions::from_args`]):
 //! `--tiny` / `--quick` / `--stress` select the workload tier and
 //! `--index-cache <dir>` persists the inverted index across runs
-//! (`core::cache`).
+//! (`core::cache`). [`serving`] is how `qgx` serves a segment store.
+
+pub mod serving;
 
 use querygraph_core::cache::{BuildStats, WorldOptions};
 use querygraph_core::experiment::{ExperimentConfig, Report};

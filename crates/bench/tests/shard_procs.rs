@@ -166,13 +166,35 @@ fn shard_subcommand_requires_its_identity_flags() {
     assert_eq!(status.code(), Some(2));
     assert!(stderr.contains("requires --segstore"), "stderr: {stderr}");
     // And --shard-procs without the segmented layout is refused, not
-    // silently served in process.
+    // silently served in process — before any boot work: no world was
+    // synthesized (no `# qgx: … articles` line).
     let (status, _, stderr) = run(&["replay", "--tiny", "--shard-procs", "2", "--seed-queries"]);
     assert_eq!(status.code(), Some(2));
     assert!(
         stderr.contains("--shard-procs requires --index-cache"),
         "stderr: {stderr}"
     );
+    assert!(!stderr.contains(" articles"), "booted first: {stderr}");
+    let dir = scratch("width-flags");
+    let cache = dir.to_str().expect("utf-8 temp path");
+    let (status, _, stderr) = run(&[
+        "replay",
+        "--tiny",
+        "--index-cache",
+        cache,
+        "--shards",
+        "3",
+        "--shard-procs",
+        "2",
+        "--seed-queries",
+    ]);
+    assert_eq!(status.code(), Some(2));
+    assert!(
+        stderr.contains("--shard-procs 2 requires --shards 2"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains(" articles"), "booted first: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[cfg(unix)]

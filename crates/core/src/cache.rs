@@ -36,7 +36,7 @@ use querygraph_retrieval::engine::SearchEngine;
 use querygraph_retrieval::index::IndexBuilder;
 use querygraph_retrieval::lm::LmParams;
 use querygraph_retrieval::ondisk::{self, ArtifactSource, OndiskError};
-use querygraph_retrieval::segstore::{self, SegStore, SegStoreError};
+use querygraph_retrieval::segstore::{self, Manifest, SegStore, SegStoreError};
 use querygraph_retrieval::sharded::{self, ShardedEngine};
 use querygraph_wiki::synth::{generate, SynthWiki};
 use serde::{Deserialize, Serialize};
@@ -166,26 +166,17 @@ pub fn store_dir(dir: &Path, config: &ExperimentConfig, shards: usize) -> PathBu
 }
 
 /// Strictly load the engine for `config` from the fingerprint-keyed
-/// artifact in `dir`: seeded phrase dictionary included, every failure
-/// a typed [`ServiceError`] (never a panic, never a silently wrong
-/// index). This is the loading half of both construction paths — the
-/// serving facade ([`crate::service::ServingWorld::load`]) surfaces the
-/// error; [`build_experiment`] treats it as a cache miss and rebuilds.
+/// artifact in `dir`, reading its bytes per `source`
+/// ([`ArtifactSource::Mmap`] maps the file instead of reading it):
+/// seeded phrase dictionary included, every failure a typed
+/// [`ServiceError`] (never a panic, never a silently wrong index). This
+/// is the loading half of both construction paths — the serving facade
+/// ([`crate::service::ServingWorld::load`]) surfaces the error;
+/// [`build_experiment`] treats it as a cache miss and rebuilds.
 ///
 /// With `corpus_docs` set, the loaded index must cover exactly that
 /// many documents — the cross-check that catches generator/tokenizer
 /// *code* drift the configuration fingerprint cannot see.
-pub fn load_engine(
-    config: &ExperimentConfig,
-    dir: &Path,
-    corpus_docs: Option<usize>,
-    lm: LmParams,
-) -> Result<SearchEngine, ServiceError> {
-    load_engine_with(config, dir, corpus_docs, lm, ArtifactSource::Read)
-}
-
-/// [`load_engine`] with an explicit artifact byte source
-/// ([`ArtifactSource::Mmap`] maps the file instead of reading it).
 pub fn load_engine_with(
     config: &ExperimentConfig,
     dir: &Path,
@@ -232,8 +223,8 @@ pub fn load_engine_with(
 /// failures — names the shard (its manifest slot,
 /// [`ServiceError::ArtifactShard`]).
 ///
-/// Returns the engine plus per-shard load seconds (for the bench
-/// records).
+/// Returns the engine, the manifest of the generation it loaded, and
+/// per-shard load seconds (for the bench records).
 pub fn load_store_engine(
     config: &ExperimentConfig,
     dir: &Path,
@@ -241,7 +232,7 @@ pub fn load_store_engine(
     corpus_docs: Option<usize>,
     lm: LmParams,
     source: ArtifactSource,
-) -> Result<(ShardedEngine, Vec<f64>), ServiceError> {
+) -> Result<(ShardedEngine, Manifest, Vec<f64>), ServiceError> {
     let store = store_dir(dir, config, shards);
     let manifest = segstore::manifest_path(&store);
     let fingerprint = config_fingerprint(config);
@@ -285,7 +276,8 @@ pub fn load_store_engine(
         }));
     }
     let shard_load_seconds = std::mem::take(&mut generation.segment_load_seconds);
-    let engine = ShardedEngine::from_shards(generation.into_engines(lm), lm);
+    let loaded = generation.manifest.clone();
+    let engine = generation.into_engine(lm);
     if let Some(docs) = corpus_docs {
         if engine.num_docs() != docs {
             return Err(ServiceError::ArtifactStale {
@@ -295,7 +287,7 @@ pub fn load_store_engine(
             });
         }
     }
-    Ok((engine, shard_load_seconds))
+    Ok((engine, loaded, shard_load_seconds))
 }
 
 /// Publish freshly built `shards` (with their warmed phrase
@@ -304,11 +296,12 @@ pub fn load_store_engine(
 /// the directory held before — nothing, a stale or differently shaped
 /// generation, a manifest that no longer opens — is replaced; its
 /// segment files are removed or left as orphans no manifest lists.
+/// Returns the published manifest.
 fn publish_store(
     store: &Path,
     fingerprint: u64,
     shards: &[SearchEngine],
-) -> Result<(), SegStoreError> {
+) -> Result<Manifest, SegStoreError> {
     let mut store = match SegStore::open(store, fingerprint) {
         Err(SegStoreError::Manifest(_)) => {
             std::fs::remove_file(segstore::manifest_path(store)).ok();
@@ -320,8 +313,7 @@ fn publish_store(
         .iter()
         .map(|shard| store.stage_segment(shard.index(), &shard.export_phrase_cache()))
         .collect::<Result<Vec<_>, _>>()?;
-    store.replace_segments(&staged)?;
-    Ok(())
+    Ok(store.replace_segments(&staged)?.clone())
 }
 
 /// Run one cache write and return the seconds it took. Persistence
@@ -345,13 +337,21 @@ fn persist(label: &Path, write: impl FnOnce() -> std::io::Result<()>) -> f64 {
 /// corpus, then load the backend from the cache or build (and persist)
 /// it — monolithic or sharded per [`WorldOptions`]. Cache-backed and
 /// in-memory construction share every line except the load attempt, so
-/// they cannot drift.
+/// they cannot drift. With a cache directory and `shards` set, also
+/// returns the manifest of the store generation the engine was loaded
+/// from or published as (`None` when the publish failed).
 pub(crate) fn build_world(
     config: &ExperimentConfig,
     cache_dir: Option<&Path>,
     lm: LmParams,
     options: &WorldOptions,
-) -> (SynthWiki, SynthCorpus, AnyEngine, BuildStats) {
+) -> (
+    SynthWiki,
+    SynthCorpus,
+    AnyEngine,
+    BuildStats,
+    Option<Manifest>,
+) {
     let t0 = Instant::now();
     let wiki = generate(&config.wiki);
     let corpus = generate_corpus(&wiki, &config.corpus);
@@ -369,14 +369,14 @@ pub(crate) fn build_world(
         // likelihood, and anything subtler is caught by the
         // golden-fingerprint tests the moment results would change.
         let docs = Some(corpus.corpus.len());
-        let loaded: Result<(AnyEngine, Vec<f64>), ServiceError> = match options.shards {
+        let loaded = match options.shards {
             None => load_engine_with(config, dir, docs, lm, options.source())
-                .map(|e| (AnyEngine::Mono(e), Vec::new())),
+                .map(|e| (AnyEngine::Mono(e), None, Vec::new())),
             Some(n) => load_store_engine(config, dir, n, docs, lm, options.source())
-                .map(|(e, secs)| (AnyEngine::Sharded(e), secs)),
+                .map(|(e, manifest, secs)| (AnyEngine::Sharded(e), Some(manifest), secs)),
         };
         match loaded {
-            Ok((engine, shard_load_seconds)) => {
+            Ok((engine, manifest, shard_load_seconds)) => {
                 let stats = BuildStats {
                     world_seconds,
                     index_build_seconds: 0.0,
@@ -386,7 +386,7 @@ pub(crate) fn build_world(
                     shard_count,
                     shard_load_seconds,
                 };
-                return (wiki, corpus, engine, stats);
+                return (wiki, corpus, engine, stats, manifest);
             }
             // A missing artifact is the normal cold-cache case and
             // stays silent; every *other* failure (unreadable file,
@@ -400,6 +400,7 @@ pub(crate) fn build_world(
 
     let t = Instant::now();
     let mut index_write_seconds = 0.0;
+    let mut published = None;
     let (engine, index_build_seconds) = match options.shards {
         None => {
             let mut ib = IndexBuilder::new();
@@ -467,8 +468,11 @@ pub(crate) fn build_world(
             if let Some(dir) = cache_dir {
                 let store = store_dir(dir, config, shard_count);
                 index_write_seconds = persist(&store, || {
-                    publish_store(&store, config_fingerprint(config), engine.shards())
-                        .map_err(std::io::Error::other)
+                    published = Some(
+                        publish_store(&store, config_fingerprint(config), engine.shards())
+                            .map_err(std::io::Error::other)?,
+                    );
+                    Ok(())
                 });
             }
             (AnyEngine::Sharded(engine), built)
@@ -484,7 +488,7 @@ pub(crate) fn build_world(
         shard_count,
         shard_load_seconds: Vec::new(),
     };
-    (wiki, corpus, engine, stats)
+    (wiki, corpus, engine, stats, published)
 }
 
 /// [`Experiment::build`] with an optional index cache directory.
@@ -511,7 +515,7 @@ pub fn build_experiment_with(
     cache_dir: Option<&Path>,
     options: &WorldOptions,
 ) -> (Experiment, BuildStats) {
-    let (wiki, corpus, engine, stats) =
+    let (wiki, corpus, engine, stats, _) =
         build_world(config, cache_dir, LmParams::default(), options);
     let experiment = Experiment {
         wiki,

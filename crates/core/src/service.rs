@@ -15,8 +15,8 @@
 //!   [`ExpansionResponse`]s. Every failure on the serving path is a
 //!   typed [`ServiceError`], never a panic.
 //! * [`QueryExpanderBuilder`] — the knobs: expansion strategy
-//!   ([`ExpansionStrategy`]), language-model smoothing, linker synonym
-//!   pass, feature caps, default retrieval depth.
+//!   ([`ExpansionStrategy`]), linker synonym pass, feature caps, default
+//!   retrieval depth, search mode, response cache.
 //! * [`QueryExpander::expand_batch`] — many requests over the same
 //!   deterministic work-stealing runner the reproduction pipeline uses
 //!   ([`crate::pipeline::parallel_map`]); output order always matches
@@ -54,10 +54,11 @@ use crate::expcache::{CacheKey, ExpansionCache};
 use crate::pipeline::parallel_map;
 use querygraph_link::EntityLinker;
 use querygraph_retrieval::backend::{AnyEngine, RetrievalBackend};
-use querygraph_retrieval::engine::SearchMode;
+use querygraph_retrieval::engine::{SearchHit, SearchMode};
 use querygraph_retrieval::lm::LmParams;
 use querygraph_retrieval::ondisk::OndiskError;
 use querygraph_retrieval::query_lang::QueryNode;
+use querygraph_retrieval::segstore::Manifest;
 use querygraph_retrieval::sharded::ShardedError;
 use querygraph_wiki::synth::{generate, SynthWiki};
 use querygraph_wiki::{ArticleId, KnowledgeBase};
@@ -581,16 +582,6 @@ pub struct ExpansionTerm {
     pub title: String,
 }
 
-/// One retrieved document (mirrors
-/// [`querygraph_retrieval::SearchHit`], serializable).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RetrievedDoc {
-    /// Document id.
-    pub doc: u32,
-    /// Query-likelihood score (log domain, higher is better).
-    pub score: f64,
-}
-
 /// The served expansion for one request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExpansionResponse {
@@ -604,7 +595,7 @@ pub struct ExpansionResponse {
     /// exact `#1` phrases — what the paper feeds the engine).
     pub expanded_query: String,
     /// Retrieval results (empty unless the request asked for them).
-    pub hits: Vec<RetrievedDoc>,
+    pub hits: Vec<SearchHit>,
 }
 
 impl ExpansionResponse {
@@ -615,15 +606,13 @@ impl ExpansionResponse {
 }
 
 /// Knobs for a [`QueryExpander`]: expansion strategy, linker behaviour,
-/// feature caps, retrieval defaults, and — on the loading constructors —
-/// language-model smoothing.
+/// feature caps, retrieval defaults.
 #[derive(Debug, Clone)]
 pub struct QueryExpanderBuilder {
     strategy: ExpansionStrategy,
     use_synonyms: bool,
     max_features: Option<usize>,
     default_top_k: Option<usize>,
-    lm: LmParams,
     search_mode: SearchMode,
     cache: Option<Arc<ExpansionCache>>,
 }
@@ -635,7 +624,6 @@ impl Default for QueryExpanderBuilder {
             use_synonyms: true,
             max_features: None,
             default_top_k: None,
-            lm: LmParams::default(),
             search_mode: SearchMode::Exact,
             cache: None,
         }
@@ -667,13 +655,6 @@ impl QueryExpanderBuilder {
     /// can override; default: no retrieval).
     pub fn retrieve_top(mut self, k: usize) -> Self {
         self.default_top_k = Some(k);
-        self
-    }
-
-    /// Dirichlet smoothing for engines built by [`Self::load_world`] /
-    /// [`Self::open_world`] (borrowed engines keep their own params).
-    pub fn lm(mut self, params: LmParams) -> Self {
-        self.lm = params;
         self
     }
 
@@ -712,26 +693,6 @@ impl QueryExpanderBuilder {
     /// retrieval request fails with [`ServiceError::NoEngine`].
     pub fn build_offline<'w>(&self, kb: &'w KnowledgeBase) -> QueryExpander<'w> {
         self.assemble(kb, None)
-    }
-
-    /// Strictly load a [`ServingWorld`] from a cached artifact with
-    /// this builder's LM params (see [`ServingWorld::load`]).
-    pub fn load_world(
-        &self,
-        config: &ExperimentConfig,
-        cache_dir: &std::path::Path,
-    ) -> Result<ServingWorld, ServiceError> {
-        ServingWorld::load_with(config, cache_dir, self.lm)
-    }
-
-    /// Load-or-build a [`ServingWorld`] with this builder's LM params
-    /// (see [`ServingWorld::open`]).
-    pub fn open_world(
-        &self,
-        config: &ExperimentConfig,
-        cache_dir: Option<&std::path::Path>,
-    ) -> ServingWorld {
-        ServingWorld::open_with(config, cache_dir, self.lm)
     }
 
     fn assemble<'w>(
@@ -933,12 +894,6 @@ impl<'w> QueryExpander<'w> {
                 engine
                     .try_search_with(&query_node, k, self.search_mode)
                     .map_err(|e| Self::search_failure(engine, e))?
-                    .into_iter()
-                    .map(|h| RetrievedDoc {
-                        doc: h.doc,
-                        score: h.score,
-                    })
-                    .collect()
             }
         };
 
@@ -1020,6 +975,11 @@ pub struct ServingWorld {
     pub config: ExperimentConfig,
     /// Build-vs-load wall-clock breakdown.
     pub stats: crate::cache::BuildStats,
+    /// The segment-store generation `engine` was loaded from or
+    /// published as — set for a `shards: Some(n)` world whose index
+    /// cache is a store, `None` for monolithic and in-memory worlds. A
+    /// server follows that store from this generation on.
+    pub store: Option<Manifest>,
 }
 
 impl ServingWorld {
@@ -1033,19 +993,16 @@ impl ServingWorld {
         config: &ExperimentConfig,
         cache_dir: &std::path::Path,
     ) -> Result<ServingWorld, ServiceError> {
-        Self::load_with(config, cache_dir, LmParams::default())
+        Self::load_with_options(
+            config,
+            cache_dir,
+            LmParams::default(),
+            &WorldOptions::default(),
+        )
     }
 
-    /// [`ServingWorld::load`] with explicit Dirichlet smoothing.
-    pub fn load_with(
-        config: &ExperimentConfig,
-        cache_dir: &std::path::Path,
-        lm: LmParams,
-    ) -> Result<ServingWorld, ServiceError> {
-        Self::load_with_options(config, cache_dir, lm, &WorldOptions::default())
-    }
-
-    /// [`ServingWorld::load_with`] with explicit [`WorldOptions`]:
+    /// [`ServingWorld::load`] with explicit Dirichlet smoothing and
+    /// [`WorldOptions`]:
     /// `shards: Some(n)` loads the `n`-segment store
     /// ([`cache::store_dir`]: manifest + segments, segments in
     /// parallel, typed per-shard errors); `mmap` maps artifact bytes
@@ -1060,7 +1017,7 @@ impl ServingWorld {
         let wiki = generate(&config.wiki);
         let world_seconds = t0.elapsed().as_secs_f64();
         let t = Instant::now();
-        let (engine, shard_load_seconds) = match options.shards {
+        let (engine, store, shard_load_seconds) = match options.shards {
             None => (
                 AnyEngine::Mono(cache::load_engine_with(
                     config,
@@ -1069,12 +1026,13 @@ impl ServingWorld {
                     lm,
                     options.source(),
                 )?),
+                None,
                 Vec::new(),
             ),
             Some(n) => {
-                let (engine, secs) =
+                let (engine, manifest, secs) =
                     cache::load_store_engine(config, cache_dir, n, None, lm, options.source())?;
-                (AnyEngine::Sharded(engine), secs)
+                (AnyEngine::Sharded(engine), Some(manifest), secs)
             }
         };
         let stats = crate::cache::BuildStats {
@@ -1091,6 +1049,7 @@ impl ServingWorld {
             engine,
             config: config.clone(),
             stats,
+            store,
         })
     }
 
@@ -1099,36 +1058,21 @@ impl ServingWorld {
     /// it for the next run. Never fails: a cache can lose time, not
     /// correctness.
     pub fn open(config: &ExperimentConfig, cache_dir: Option<&std::path::Path>) -> ServingWorld {
-        Self::open_with(config, cache_dir, LmParams::default())
+        Self::open_with_options(
+            config,
+            cache_dir,
+            LmParams::default(),
+            &WorldOptions::default(),
+        )
+        .0
     }
 
-    /// [`ServingWorld::open`] with explicit Dirichlet smoothing.
-    pub fn open_with(
-        config: &ExperimentConfig,
-        cache_dir: Option<&std::path::Path>,
-        lm: LmParams,
-    ) -> ServingWorld {
-        Self::open_with_corpus(config, cache_dir, lm).0
-    }
-
-    /// [`ServingWorld::open_with`], also returning the synthetic corpus
-    /// the open path regenerates anyway (for the staleness cross-check
-    /// and cache-miss indexing). Callers that need the query set or the
-    /// documents — `qgx --seed-queries` serves the generated queries —
-    /// reuse it instead of paying a second generation pass; a plain
-    /// long-lived server uses [`ServingWorld::open`] and lets the
-    /// corpus drop.
-    pub fn open_with_corpus(
-        config: &ExperimentConfig,
-        cache_dir: Option<&std::path::Path>,
-        lm: LmParams,
-    ) -> (ServingWorld, querygraph_corpus::synth::SynthCorpus) {
-        Self::open_with_options(config, cache_dir, lm, &WorldOptions::default())
-    }
-
-    /// [`ServingWorld::open_with_corpus`] with explicit
+    /// [`ServingWorld::open`] with explicit Dirichlet smoothing and
     /// [`WorldOptions`] — the `--shards N` / `--mmap` knobs of the
-    /// `qgx` server. Expansion (and retrieval) results are
+    /// `qgx` server — also returning the synthetic corpus the open path
+    /// regenerates anyway (for the staleness cross-check and cache-miss
+    /// indexing), so a caller that serves the generated queries need
+    /// not generate it twice. Expansion (and retrieval) results are
     /// byte-identical at any shard count.
     pub fn open_with_options(
         config: &ExperimentConfig,
@@ -1136,12 +1080,14 @@ impl ServingWorld {
         lm: LmParams,
         options: &WorldOptions,
     ) -> (ServingWorld, querygraph_corpus::synth::SynthCorpus) {
-        let (wiki, corpus, engine, stats) = cache::build_world(config, cache_dir, lm, options);
+        let (wiki, corpus, engine, stats, store) =
+            cache::build_world(config, cache_dir, lm, options);
         let world = ServingWorld {
             wiki,
             engine,
             config: config.clone(),
             stats,
+            store,
         };
         (world, corpus)
     }
@@ -1697,12 +1643,11 @@ mod tests {
         let world_b = ServingWorld::open(&config_b, None);
 
         let reloadable = ReloadableEngine::new(world_a.engine, 1);
-        let engine = AnyEngine::Reloadable(reloadable.clone());
         let cache = Arc::new(ExpansionCache::new(64));
         let cached = QueryExpander::builder()
             .retrieve_top(10)
             .expansion_cache(cache.clone())
-            .build(&world_a.wiki.kb, &engine);
+            .build(&world_a.wiki.kb, &reloadable);
 
         let title = world_a
             .wiki
@@ -1710,7 +1655,7 @@ mod tests {
             .title(world_a.wiki.kb.main_articles().next().unwrap());
         let request = ExpansionRequest::new(title);
 
-        assert_eq!(engine.cache_epoch(), 1);
+        assert_eq!(reloadable.cache_epoch(), 1);
         let before = cached.expand(&request).expect("generation 1 serves");
         assert_eq!(cached.expand(&request).unwrap(), before);
         assert_eq!(cache.hits(), 1, "same generation repeats hit");
@@ -1719,11 +1664,11 @@ mod tests {
         // queries; the very next expansion must be computed against it,
         // never served from the generation-1 cache entry.
         reloadable.swap(world_b.engine, 2);
-        assert_eq!(engine.cache_epoch(), 2);
+        assert_eq!(reloadable.cache_epoch(), 2);
         let after = cached.expand(&request).expect("generation 2 serves");
         let expected = QueryExpander::builder()
             .retrieve_top(10)
-            .build(&world_b.wiki.kb, &AnyEngine::Reloadable(reloadable.clone()))
+            .build(&world_b.wiki.kb, &reloadable)
             .expand(&request)
             .expect("uncached generation 2");
         assert_eq!(after, expected, "post-swap answers come from the new index");

@@ -157,11 +157,12 @@ impl RetrievalBackend for SearchEngine {
     }
 }
 
-/// An owned backend of either physical layout — what world builders
+/// An owned backend of any physical layout — what world builders
 /// return and [`Experiment`](../../querygraph_core) / `ServingWorld`
 /// hold. Dispatch to the trait with [`AnyEngine::backend`], or coerce a
 /// `&AnyEngine` to `&dyn RetrievalBackend` directly (it implements the
-/// trait by delegation).
+/// trait by delegation). Live reload is not a layout: a
+/// [`ReloadableEngine`] wraps one `AnyEngine` per generation.
 pub enum AnyEngine {
     /// The monolithic engine over one index.
     Mono(SearchEngine),
@@ -170,9 +171,6 @@ pub enum AnyEngine {
     /// N shard *processes* behind QGRP scatter-gather
     /// ([`crate::remote`]).
     Remote(RemoteEngine),
-    /// A hot-swappable engine serving a segstore generation; swapped
-    /// onto new generations between queries with zero downtime.
-    Reloadable(ReloadableEngine),
 }
 
 impl AnyEngine {
@@ -182,7 +180,6 @@ impl AnyEngine {
             AnyEngine::Mono(e) => e,
             AnyEngine::Sharded(e) => e,
             AnyEngine::Remote(e) => e,
-            AnyEngine::Reloadable(e) => e,
         }
     }
 
@@ -198,14 +195,6 @@ impl AnyEngine {
     pub fn as_sharded(&self) -> Option<&ShardedEngine> {
         match self {
             AnyEngine::Sharded(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// The reloadable wrapper, when this is one.
-    pub fn as_reloadable(&self) -> Option<&ReloadableEngine> {
-        match self {
-            AnyEngine::Reloadable(e) => Some(e),
             _ => None,
         }
     }
@@ -313,10 +302,13 @@ pub struct EngineGeneration {
 /// Every trait call snapshots the current generation (one short lock to
 /// clone an `Arc`) and runs entirely against that snapshot, so a
 /// concurrent [`ReloadableEngine::swap`] never breaks an in-flight
-/// query: requests that started on the old generation finish on it
-/// (their `Arc` keeps it alive), requests that start after the swap see
-/// the new one. That makes the swap zero-downtime by construction — no
-/// request is dropped, blocked, or served a half-replaced engine.
+/// call: a search that started on the old generation finishes on it
+/// (its `Arc` keeps it alive), calls that start after the swap see the
+/// new one. That makes the swap zero-downtime by construction — no call
+/// is dropped, blocked, or served a half-replaced engine. The snapshot
+/// is per *call*, not per request: a caller that reads
+/// [`RetrievalBackend::cache_epoch`] and then searches takes two
+/// snapshots, which a swap can fall between.
 ///
 /// `Clone` shares the slot, so a background reload thread can hold one
 /// handle and swap while the serving loop reads through another.
@@ -487,13 +479,13 @@ mod tests {
             "gondola lift",
         ]));
         let r = ReloadableEngine::new(a, 1);
-        let any = AnyEngine::Reloadable(r.clone());
-        assert_eq!(any.num_docs(), 2);
-        assert_eq!(any.cache_epoch(), 1);
+        let reader = r.clone();
+        assert_eq!(reader.num_docs(), 2);
+        assert_eq!(reader.cache_epoch(), 1);
         let old = r.swap(b, 2);
         assert_eq!(old.epoch, 1, "swap returns the replaced generation");
-        assert_eq!(any.num_docs(), 3);
-        assert_eq!(any.cache_epoch(), 2);
+        assert_eq!(reader.num_docs(), 3, "clones share the slot");
+        assert_eq!(reader.cache_epoch(), 2);
         // The replaced generation is still fully usable by holders.
         assert_eq!(old.engine.num_docs(), 2);
     }

@@ -69,8 +69,9 @@ impl SearchMode {
     }
 }
 
-/// One retrieval result.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One retrieval result — the one `{doc, score}` type, from the top-k
+/// heap through the QGRP wire to a served `/expand` response.
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SearchHit {
     /// Document id.
     pub doc: u32,
@@ -231,14 +232,7 @@ impl SearchEngine {
             })
             .collect();
         let epsilon = self.index.epsilon_prob();
-        shard_topk(self, 0, &specs, &views, self.params, epsilon, k, mode)
-            .into_sorted()
-            .into_iter()
-            .map(|s| SearchHit {
-                doc: s.doc,
-                score: s.score,
-            })
-            .collect()
+        shard_topk(self, 0, &specs, &views, self.params, epsilon, k, mode).into_sorted()
     }
 
     /// This segment's view of one flattened leaf: returns its local

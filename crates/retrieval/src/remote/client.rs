@@ -34,7 +34,7 @@
 //! Element counts in a response are checked against the bytes that
 //! arrived before anything is allocated for them.
 
-use crate::engine::SearchMode;
+use crate::engine::{SearchHit, SearchMode};
 use crate::lm::LmParams;
 use crate::ondisk::OndiskError;
 use crate::phrase::PhraseHit;
@@ -44,7 +44,6 @@ use crate::remote::proto::{
     ProtoError, STATUS_OK,
 };
 use crate::sharded::{ScatterEngine, ShardHandle, ShardedError};
-use crate::topk::Scored;
 use parking_lot::Mutex;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -209,7 +208,7 @@ impl RemoteShard {
         mu: f64,
         epsilon: f64,
         probs: &[f64],
-    ) -> Result<Vec<Scored>, ProtoError> {
+    ) -> Result<Vec<SearchHit>, ProtoError> {
         let mut payload = Vec::new();
         put_str(&mut payload, query);
         put_u32(&mut payload, k as u32);
@@ -231,7 +230,7 @@ impl RemoteShard {
         for _ in 0..count {
             let doc = r.u32()?;
             let score = f64::from_bits(r.u64()?);
-            hits.push(Scored { doc, score });
+            hits.push(SearchHit { doc, score });
         }
         r.finish()?;
         Ok(hits)
@@ -304,7 +303,7 @@ impl ShardHandle for RemoteShard {
         mu: f64,
         epsilon: f64,
         probs: &[f64],
-    ) -> Result<Vec<Scored>, OndiskError> {
+    ) -> Result<Vec<SearchHit>, OndiskError> {
         RemoteShard::score_topk(self, query, k, mode, base, mu, epsilon, probs)
             .map_err(|e| self.wire_error(e))
     }

@@ -46,7 +46,7 @@ use crate::ondisk::{
 };
 use crate::par::parallel_map;
 use crate::postings::PostingsBuilder;
-use crate::sharded::doc_ranges;
+use crate::sharded::{doc_ranges, ShardedEngine};
 use querygraph_text::{Interner, TermId};
 use std::fmt;
 use std::ops::Range;
@@ -147,6 +147,23 @@ impl Manifest {
             bytes.extend_from_slice(&s.seq.to_le_bytes());
         }
         fnv1a(&bytes)
+    }
+
+    /// Refuse a generation no engine could serve — no segments, or more
+    /// documents than the `u32` doc-id space holds — as a typed manifest
+    /// error (in process or across a fleet alike).
+    pub fn check_servable(&self) -> Result<(), SegStoreError> {
+        if self.segments.is_empty() {
+            return Err(SegStoreError::Manifest(OndiskError::Malformed {
+                context: "generation lists no segments",
+            }));
+        }
+        if u32::try_from(self.total_docs()).is_err() {
+            return Err(SegStoreError::Manifest(OndiskError::Malformed {
+                context: "generation doc count exceeds the u32 doc-id space",
+            }));
+        }
+        Ok(())
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -406,9 +423,17 @@ pub struct LoadedGeneration {
 }
 
 impl LoadedGeneration {
+    /// The generation as one engine: its segments, in manifest order,
+    /// as the shards of a [`ShardedEngine`] — byte-identical to a
+    /// monolithic build over the same documents. The one place a loaded
+    /// generation becomes an engine.
+    pub fn into_engine(self, params: LmParams) -> ShardedEngine {
+        ShardedEngine::from_shards(self.into_engines(params), params)
+    }
+
     /// Wrap every segment in a [`SearchEngine`] (manifest order) — the
     /// shard vector for
-    /// [`ShardedEngine::from_shards`](crate::sharded::ShardedEngine::from_shards).
+    /// [`ShardedEngine::from_shards`].
     pub fn into_engines(self, params: LmParams) -> Vec<SearchEngine> {
         self.segments
             .into_iter()
@@ -426,8 +451,8 @@ impl LoadedGeneration {
 /// most one per segment); each is independently checksummed by the
 /// `QGIX` loader and pinned to its manifest slot via [`segment_fp`], and
 /// the first failure in manifest order is the one reported. A
-/// generation no engine could serve — no segments, or more documents
-/// than the `u32` doc-id space holds — is a typed manifest error.
+/// generation no engine could serve is a typed manifest error
+/// ([`Manifest::check_servable`]).
 pub fn load_generation(
     dir: &Path,
     expected_fingerprint: u64,
@@ -436,16 +461,7 @@ pub fn load_generation(
     let Some(manifest) = read_manifest(dir, expected_fingerprint)? else {
         return Ok(None);
     };
-    if manifest.segments.is_empty() {
-        return Err(SegStoreError::Manifest(OndiskError::Malformed {
-            context: "generation lists no segments",
-        }));
-    }
-    if u32::try_from(manifest.total_docs()).is_err() {
-        return Err(SegStoreError::Manifest(OndiskError::Malformed {
-            context: "generation doc count exceeds the u32 doc-id space",
-        }));
-    }
+    manifest.check_servable()?;
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -608,7 +624,6 @@ mod tests {
     use crate::backend::RetrievalBackend;
     use crate::index::IndexBuilder;
     use crate::query_lang::parse;
-    use crate::sharded::ShardedEngine;
 
     const DOCS: [&str; 9] = [
         "a gondola on the grand canal of venice",
@@ -659,10 +674,10 @@ mod tests {
     }
 
     fn engine_of(dir: &Path, fp: u64) -> ShardedEngine {
-        let gen = load_generation(dir, fp, ArtifactSource::Read)
+        load_generation(dir, fp, ArtifactSource::Read)
             .expect("load")
-            .expect("published");
-        ShardedEngine::from_shards(gen.into_engines(LmParams::default()), LmParams::default())
+            .expect("published")
+            .into_engine(LmParams::default())
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::ondisk::OndiskError;
 use crate::par::parallel_map;
 use crate::phrase::PhraseHit;
 use crate::query_lang::QueryNode;
-use crate::topk::{BoundHeap, Scored, TopK};
+use crate::topk::{BoundHeap, TopK};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -196,7 +196,7 @@ fn shard_pruned_topk(
             *masks.entry(doc).or_insert(0) |= 1u64 << i;
         }
     }
-    let candidates: Vec<(f64, u32)> = masks
+    let candidates: Vec<SearchHit> = masks
         .iter()
         .map(|(&doc, &mask)| {
             let mut ub = 0.0;
@@ -207,7 +207,7 @@ fn shard_pruned_topk(
                     background
                 };
             }
-            (ub, doc)
+            SearchHit { doc, score: ub }
         })
         .collect();
     // Lazy descending-bound order: heapify is O(n) and the loop
@@ -215,7 +215,7 @@ fn shard_pruned_topk(
     // never happens.
     let mut heap = BoundHeap::from_candidates(candidates);
     let mut topk = TopK::new(k);
-    while let Some((ub, doc)) = heap.pop() {
+    while let Some(SearchHit { doc, score: ub }) = heap.pop() {
         if let Some(floor) = topk.floor() {
             if ub < floor.score {
                 break; // bounds descend: nothing later can qualify
@@ -316,7 +316,7 @@ pub trait ShardHandle: Send + Sync {
         mu: f64,
         epsilon: f64,
         probs: &[f64],
-    ) -> Result<Vec<Scored>, OndiskError>;
+    ) -> Result<Vec<SearchHit>, OndiskError>;
 
     /// One exact phrase's hits on this shard, ascending local doc id.
     fn resolve_phrase(&self, words: &[String]) -> Result<Vec<PhraseHit>, OndiskError>;
@@ -360,7 +360,7 @@ impl ShardHandle for SearchEngine {
         mu: f64,
         epsilon: f64,
         probs: &[f64],
-    ) -> Result<Vec<Scored>, OndiskError> {
+    ) -> Result<Vec<SearchHit>, OndiskError> {
         let mut specs = Vec::new();
         flatten_specs(query, 1.0, &mut specs);
         if specs.len() != probs.len() {
@@ -667,19 +667,13 @@ impl<S: ShardHandle> crate::backend::RetrievalBackend for ScatterEngine<S> {
         // Gather: merge under the same total order and keep k. Every
         // global top-k document survives its own shard's heap, so this
         // is exactly the monolithic result.
-        let mut merged: Vec<Scored> = Vec::new();
+        let mut merged: Vec<SearchHit> = Vec::new();
         for (si, hits) in per_shard.into_iter().enumerate() {
             merged.extend(hits.map_err(shard_error(si))?);
         }
         merged.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc)));
         merged.truncate(k);
-        Ok(merged
-            .into_iter()
-            .map(|s| SearchHit {
-                doc: s.doc,
-                score: s.score,
-            })
-            .collect())
+        Ok(merged)
     }
 
     fn shard_endpoint(&self, shard: usize) -> Option<String> {
@@ -899,7 +893,7 @@ mod tests {
             mu: f64,
             epsilon: f64,
             probs: &[f64],
-        ) -> Result<Vec<Scored>, OndiskError> {
+        ) -> Result<Vec<SearchHit>, OndiskError> {
             self.tick()?
                 .score_topk(query, k, mode, base, mu, epsilon, probs)
         }

@@ -6,21 +6,13 @@
 //! totally via `f64::total_cmp` (scores are finite by construction —
 //! the LM layer never emits NaN).
 
+use crate::engine::SearchHit;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// One scored document.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Scored {
-    /// Document id.
-    pub doc: u32,
-    /// Retrieval score (higher is better).
-    pub score: f64,
-}
-
 /// Heap entry ordered so the heap root is the *worst* kept result.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapEntry(Scored);
+struct HeapEntry(SearchHit);
 
 impl Eq for HeapEntry {}
 
@@ -62,7 +54,7 @@ impl TopK {
         if self.k == 0 {
             return;
         }
-        let entry = HeapEntry(Scored { doc, score });
+        let entry = HeapEntry(SearchHit { doc, score });
         if self.heap.len() < self.k {
             self.heap.push(entry);
         } else if let Some(worst) = self.heap.peek() {
@@ -82,7 +74,7 @@ impl TopK {
     /// the total order (descending score, ties by ascending doc id).
     /// This is the threshold the WAND-style pruned search loops test
     /// against.
-    pub fn floor(&self) -> Option<Scored> {
+    pub fn floor(&self) -> Option<SearchHit> {
         if self.k > 0 && self.heap.len() == self.k {
             self.heap.peek().map(|e| e.0)
         } else {
@@ -92,21 +84,19 @@ impl TopK {
 
     /// Finish: results sorted by descending score, ties by ascending doc
     /// id.
-    pub fn into_sorted(self) -> Vec<Scored> {
-        let mut v: Vec<Scored> = self.heap.into_iter().map(|e| e.0).collect();
+    pub fn into_sorted(self) -> Vec<SearchHit> {
+        let mut v: Vec<SearchHit> = self.heap.into_iter().map(|e| e.0).collect();
         v.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc)));
         v
     }
 }
 
-/// Candidate entry for [`BoundHeap`]: ordered so the heap root is the
-/// candidate the pruned loop must visit next (highest upper bound,
-/// ties by ascending doc id).
+/// Candidate entry for [`BoundHeap`]: a hit whose `score` is the
+/// candidate's score *upper bound*, ordered so the heap root is the
+/// candidate the pruned loop must visit next (highest bound, ties by
+/// ascending doc id).
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct BoundEntry {
-    ub: f64,
-    doc: u32,
-}
+struct BoundEntry(SearchHit);
 
 impl Eq for BoundEntry {}
 
@@ -114,8 +104,8 @@ impl Ord for BoundEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Max-heap by upper bound; ties: lower doc id = greater entry,
         // so it pops first.
-        match self.ub.total_cmp(&other.ub) {
-            Ordering::Equal => other.doc.cmp(&self.doc),
+        match self.0.score.total_cmp(&other.0.score) {
+            Ordering::Equal => other.0.doc.cmp(&self.0.doc),
             o => o,
         }
     }
@@ -129,7 +119,7 @@ impl PartialOrd for BoundEntry {
 
 /// Lazy descending-bound candidate stream for the pruned search loops.
 ///
-/// Pops `(upper_bound, doc)` pairs in exactly the order a full
+/// Pops candidates (`score` = upper bound) in exactly the order a full
 /// `sort_unstable_by` (bound descending, doc ascending) would visit
 /// them, but builds in O(n) and pays O(log n) only per pop — so a
 /// WAND-style loop that stops after `m` candidates costs O(n + m log n)
@@ -142,20 +132,15 @@ pub(crate) struct BoundHeap {
 
 impl BoundHeap {
     /// Heapify a candidate list in O(n).
-    pub(crate) fn from_candidates(candidates: Vec<(f64, u32)>) -> Self {
+    pub(crate) fn from_candidates(candidates: Vec<SearchHit>) -> Self {
         BoundHeap {
-            heap: BinaryHeap::from(
-                candidates
-                    .into_iter()
-                    .map(|(ub, doc)| BoundEntry { ub, doc })
-                    .collect::<Vec<_>>(),
-            ),
+            heap: BinaryHeap::from(candidates.into_iter().map(BoundEntry).collect::<Vec<_>>()),
         }
     }
 
     /// Next candidate in (bound descending, doc ascending) order.
-    pub(crate) fn pop(&mut self) -> Option<(f64, u32)> {
-        self.heap.pop().map(|e| (e.ub, e.doc))
+    pub(crate) fn pop(&mut self) -> Option<SearchHit> {
+        self.heap.pop().map(|e| e.0)
     }
 }
 
@@ -251,9 +236,15 @@ mod tests {
     fn bound_heap_pops_in_sorted_order() {
         // Ties included: pop order must match the sort it replaced
         // (bound descending, doc ascending) element for element.
-        let cands: Vec<(f64, u32)> = (0..64u32).map(|i| (((i * 13) % 7) as f64, i)).collect();
+        let cands: Vec<SearchHit> = (0..64u32)
+            .map(|doc| SearchHit {
+                doc,
+                score: ((doc * 13) % 7) as f64,
+            })
+            .collect();
         let mut reference = cands.clone();
-        reference.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        reference
+            .sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc)));
         let mut heap = BoundHeap::from_candidates(cands);
         let mut popped = Vec::new();
         while let Some(p) = heap.pop() {

@@ -225,12 +225,6 @@ impl<'a, B: RetrievalBackend + ?Sized> ScoreWorkspace<'a, B> {
             topk.push(doc, score);
         }
         topk.into_sorted()
-            .into_iter()
-            .map(|s| SearchHit {
-                doc: s.doc,
-                score: s.score,
-            })
-            .collect()
     }
 
     /// Number of distinct phrase resolutions performed so far.

@@ -8,11 +8,11 @@
 //! and the full §2–§3 pipeline — including the warm phrase dictionary a
 //! loaded engine starts with.
 
-use querygraph::core::cache::{artifact_path, load_engine, IndexSource};
+use querygraph::core::cache::{artifact_path, load_engine_with, IndexSource};
 use querygraph::core::experiment::{Experiment, ExperimentConfig};
 use querygraph::core::service::{ServiceError, ServingWorld};
 use querygraph::retrieval::lm::LmParams;
-use querygraph::retrieval::ondisk::fnv1a;
+use querygraph::retrieval::ondisk::{fnv1a, ArtifactSource};
 use std::path::{Path, PathBuf};
 
 fn temp_cache(tag: &str) -> PathBuf {
@@ -98,7 +98,7 @@ fn tiny_config_write_load_stable_across_loads() {
 
 // ── typed errors through the serving facade ─────────────────────────
 //
-// `ServingWorld::load` / `cache::load_engine` is the strict serving
+// `ServingWorld::load` / `cache::load_engine_with` is the strict serving
 // path: unlike `build_experiment` it cannot fall back to rebuilding,
 // so every load failure must surface as a typed `ServiceError` — and
 // never a panic. The batteries below drive the same corruption space
@@ -129,7 +129,13 @@ fn facade_rejects_every_flipped_byte_with_typed_error() {
         let mut corrupt = bytes.clone();
         corrupt[i] ^= 0xFF;
         std::fs::write(&path, &corrupt).expect("write corrupt artifact");
-        match load_engine(&config, &dir, None, LmParams::default()) {
+        match load_engine_with(
+            &config,
+            &dir,
+            None,
+            LmParams::default(),
+            ArtifactSource::Read,
+        ) {
             Err(ServiceError::ArtifactLoad { .. } | ServiceError::ArtifactFingerprint { .. }) => {}
             Err(other) => panic!("byte {i}: unexpected error class {other:?}"),
             Ok(_) => panic!("byte {i}: corrupted artifact loaded successfully"),
@@ -149,9 +155,15 @@ fn facade_rejects_every_truncation_with_typed_error() {
     let step = (bytes.len() / 512).max(1);
     for len in (0..bytes.len()).step_by(step) {
         std::fs::write(&path, &bytes[..len]).expect("write truncated artifact");
-        let err = load_engine(&config, &dir, None, LmParams::default())
-            .err()
-            .unwrap_or_else(|| panic!("truncation to {len} bytes loaded successfully"));
+        let err = load_engine_with(
+            &config,
+            &dir,
+            None,
+            LmParams::default(),
+            ArtifactSource::Read,
+        )
+        .err()
+        .unwrap_or_else(|| panic!("truncation to {len} bytes loaded successfully"));
         assert!(
             matches!(err, ServiceError::ArtifactLoad { .. }),
             "truncation to {len}: unexpected error class {err:?}"
@@ -181,7 +193,13 @@ fn facade_load_failure_classes_are_distinguished() {
     planted_artifact(&dir, &other);
     std::fs::rename(artifact_path(&dir, &other), artifact_path(&dir, &config))
         .expect("rename artifact");
-    match load_engine(&config, &dir, None, LmParams::default()) {
+    match load_engine_with(
+        &config,
+        &dir,
+        None,
+        LmParams::default(),
+        ArtifactSource::Read,
+    ) {
         Err(ServiceError::ArtifactFingerprint {
             expected, found, ..
         }) => {
@@ -196,7 +214,13 @@ fn facade_load_failure_classes_are_distinguished() {
     std::fs::write(artifact_path(&dir, &config), &bytes).expect("restore artifact");
     let world = ServingWorld::load(&config, &dir).expect("valid artifact loads");
     let docs = world.engine.num_docs();
-    match load_engine(&config, &dir, Some(docs + 1), LmParams::default()) {
+    match load_engine_with(
+        &config,
+        &dir,
+        Some(docs + 1),
+        LmParams::default(),
+        ArtifactSource::Read,
+    ) {
         Err(ServiceError::ArtifactStale {
             indexed_docs,
             corpus_docs,
@@ -208,9 +232,15 @@ fn facade_load_failure_classes_are_distinguished() {
         other => panic!("expected ArtifactStale, got {:?}", other.map(|_| ())),
     }
     // Errors render human-readably (the qgx server prints them).
-    let err = load_engine(&config, &dir, Some(docs + 1), LmParams::default())
-        .err()
-        .expect("stale artifact must not load");
+    let err = load_engine_with(
+        &config,
+        &dir,
+        Some(docs + 1),
+        LmParams::default(),
+        ArtifactSource::Read,
+    )
+    .err()
+    .expect("stale artifact must not load");
     assert!(err.to_string().contains("stale"));
     std::fs::remove_dir_all(&dir).ok();
 }
