@@ -26,11 +26,11 @@
 //! `querygraph_bench::serving`.
 //!
 //! * The world-boot path: `serve` and `replay` check their flag
-//!   combinations, then make one `serving::boot` call. An in-memory or
-//!   monolithic-cache world serves its fixed engine. A store-backed
-//!   world — `--segstore <dir>`, or an `--index-cache <dir> --shards n`
-//!   boot whose cache entry is a published segment store — serves
-//!   through the store's generation slot, in process or, with
+//!   combinations, then make one `serving::boot` call. An in-memory
+//!   world serves its fixed engine. A store-backed world —
+//!   `--segstore <dir>`, or an `--index-cache <dir>` boot, whose cache
+//!   entry is a published segment store `--shards` (default 1) wide —
+//!   serves through the store's generation slot, in process or, with
 //!   `--shard-procs n`, from n supervised `qgx shard` children (a fleet
 //!   boot loads nothing in process); under `serve` it follows the store,
 //!   hot-swapping onto every newly published generation with zero
@@ -334,10 +334,10 @@ fn boot(
                 "--shard-procs requires --index-cache (children load QGIX segments from it)".into(),
             );
         }
-        if cli.shards != Some(n) {
+        if cli.world_options().shard_count() != n {
             refuse(format!(
                 "--shard-procs {n} requires --shards {n} \
-                 (the segmented cache layout the children serve)"
+                 (the width of the cache store the children serve; --shards defaults to 1)"
             ));
         }
     }

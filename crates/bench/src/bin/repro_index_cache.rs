@@ -6,8 +6,9 @@
 //! ```
 //!
 //! Runs the selected configuration **twice** against one cache
-//! directory: the first (cold) run builds the inverted index and writes
-//! the artifact, the second (warm) run loads it. The two serialized
+//! directory: the first (cold) run builds the inverted index and
+//! publishes it as a one-segment store, the second (warm) run loads
+//! it. The two serialized
 //! `Report`s must be byte-identical — the cache may only buy time,
 //! never change a result — and the load must beat the build by the
 //! factor the ROADMAP promises (≥ 5×). Exits non-zero when either
@@ -25,9 +26,8 @@ fn main() {
         std::env::temp_dir().join(format!("querygraph-index-cache-{}", std::process::id()))
     });
     std::fs::create_dir_all(&cache_dir).expect("create cache dir");
-    // Start cold even if the directory already holds an artifact.
-    let artifact = querygraph_core::cache::artifact_path(&cache_dir, &config);
-    std::fs::remove_file(&artifact).ok();
+    // Start cold even if the directory already holds this world's store.
+    std::fs::remove_dir_all(querygraph_core::cache::store_dir(&cache_dir, &config, 1)).ok();
 
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())

@@ -524,8 +524,8 @@ pub struct CliOptions {
     /// `--bench-out <path>`: write the run's timing record there
     /// (no record is written without it).
     pub bench_out: Option<String>,
-    /// `--shards <n>`: doc-partitioned sharded backend + segmented
-    /// artifact layout (`None`: monolithic).
+    /// `--shards <n>`: doc-partitioned shards, and the width of the
+    /// index cache's segment store (`None`: not given; one shard).
     pub shards: Option<usize>,
     /// `--mmap`: memory-map index artifacts instead of reading them.
     pub mmap: bool,
@@ -649,7 +649,7 @@ impl CliOptions {
     /// The [`WorldOptions`] these flags select.
     pub fn world_options(&self) -> WorldOptions {
         WorldOptions {
-            shards: self.shards,
+            shards: self.shards.unwrap_or(1),
             mmap: self.mmap,
         }
     }
@@ -733,12 +733,13 @@ mod tests {
         let defaults = opts(&[]);
         assert_eq!(defaults.shards, None);
         assert!(!defaults.mmap);
+        assert_eq!(defaults.world_options(), WorldOptions::default());
         assert_eq!(defaults.world_options().shard_count(), 1);
         let o = opts(&["--shards", "4", "--mmap"]);
         assert_eq!(o.shards, Some(4));
         assert!(o.mmap);
         let wo = o.world_options();
-        assert_eq!(wo.shards, Some(4));
+        assert_eq!(wo.shards, 4);
         assert_eq!(wo.shard_count(), 4);
         assert_eq!(
             wo.source(),

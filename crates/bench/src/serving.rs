@@ -1,9 +1,10 @@
 //! Serving a segment store: one path from a manifest to a live engine.
 //!
 //! `qgx serve|replay` boot a *store-backed* world — `--segstore <dir>`,
-//! or an `--index-cache <dir> --shards n` boot whose cache entry is a
-//! published store — into one generation slot ([`ReloadableEngine`]),
-//! and every generation reaches that slot the same way:
+//! or an `--index-cache <dir>` boot, whose cache entry is a published
+//! store at any `--shards` width — into one generation slot
+//! ([`ReloadableEngine`]), and every generation reaches that slot the
+//! same way:
 //!
 //! * **prepare** — load it in process (through
 //!   `LoadedGeneration::into_engine`, the one loader) *or* spawn its
@@ -17,8 +18,8 @@
 //!   logs, then retires the replaced generation once its last in-flight
 //!   snapshot drops (draining its fleet, if any).
 //!
-//! In-memory and monolithic-cache worlds have no store: they serve their
-//! fixed engine directly, with no slot on the request path.
+//! In-memory worlds have no store: they serve their fixed engine
+//! directly, with no slot on the request path.
 //!
 //! The module also owns a fleet child's side ([`run_shard`]) and the
 //! SIGTERM/SIGINT relay both processes install. Every line it writes
@@ -266,12 +267,12 @@ impl Store {
             .ok_or("the store has never published")?;
         let segment_load_seconds = std::mem::take(&mut generation.segment_load_seconds);
         let manifest = generation.manifest.clone();
+        let mut engine = generation.into_engine(LmParams::default());
+        if let AnyEngine::Sharded(sharded) = &mut engine {
+            sharded.set_search_threads(self.shard_threads);
+        }
         Ok(Prepared {
-            engine: AnyEngine::Sharded(
-                generation
-                    .into_engine(LmParams::default())
-                    .with_search_threads(self.shard_threads),
-            ),
+            engine,
             fleet: None,
             manifest,
             segment_load_seconds,
@@ -651,7 +652,7 @@ pub fn compact_and_measure(
             .flatten()
             .map(|generation| {
                 let epoch = generation.manifest.generation_fingerprint();
-                (AnyEngine::Sharded(generation.into_engine(lm)), epoch)
+                (generation.into_engine(lm), epoch)
             })
     };
     // Stand in for the live server: hold the pre-compaction generation

@@ -330,99 +330,114 @@ impl Drop for Reaped {
     }
 }
 
-/// An `--index-cache <d> --shards n` server follows its cache entry's
-/// store like any `--segstore` server: a `qgx compact` of that store is
+/// An `--index-cache <d>` server follows its cache entry's store like
+/// any `--segstore` server, at the default width 1 (`index-<fp>-s1`) as
+/// at `--shards n`: a `qgx compact` of that store to another width is
 /// picked up live, and the answers stay byte-identical across it.
 #[cfg(unix)]
 #[test]
 fn index_cache_server_follows_its_store_through_a_compaction() {
-    let dir = scratch("cache-follows");
-    let cache = dir.to_str().expect("utf-8 path");
-    let serve = Command::new(QGX)
-        .args([
+    for (shards, width, compact_to) in [(Some("2"), 2, "1"), (None, 1, "2")] {
+        let dir = scratch(&format!("cache-follows-s{width}"));
+        let cache = dir.to_str().expect("utf-8 path");
+        let mut args = vec![
             "serve",
             "--tiny",
             "--index-cache",
             cache,
-            "--shards",
-            "2",
             "--listen",
             "127.0.0.1:0",
             "--top-k",
             "5",
             "--deadline-ms",
             "10000",
-        ])
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn qgx serve");
-    let mut serve = Reaped(serve);
-    // Lines arrive over a channel so a server that never logs what we
-    // wait for fails the test instead of hanging it.
-    let (lines, stderr) = std::sync::mpsc::channel();
-    let reader = BufReader::new(serve.0.stderr.take().expect("piped stderr"));
-    let forwarder = std::thread::spawn(move || {
-        for line in reader.lines().map_while(Result::ok) {
-            let _ = lines.send(line);
+        ];
+        if let Some(n) = shards {
+            args.extend(["--shards", n]);
         }
-    });
-    let wait_for = |needle: &str| -> String {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-        while let Some(left) = deadline.checked_duration_since(std::time::Instant::now()) {
-            match stderr.recv_timeout(left) {
-                Ok(line) if line.contains(needle) => return line,
-                Ok(_) => {}
-                Err(_) => break,
+        let serve = Command::new(QGX)
+            .args(&args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn qgx serve");
+        let mut serve = Reaped(serve);
+        // Lines arrive over a channel so a server that never logs what
+        // we wait for fails the test instead of hanging it.
+        let (lines, stderr) = std::sync::mpsc::channel();
+        let reader = BufReader::new(serve.0.stderr.take().expect("piped stderr"));
+        let forwarder = std::thread::spawn(move || {
+            for line in reader.lines().map_while(Result::ok) {
+                let _ = lines.send(line);
             }
-        }
-        panic!("serve never logged {needle:?}");
-    };
-    let http_addr = wait_for("# qgx: listening on ")
-        .trim_start_matches("# qgx: listening on ")
-        .split_whitespace()
-        .next()
-        .expect("address")
-        .to_string();
-    let workload = [
-        "client",
-        "--connect",
-        &http_addr,
-        "--seed-queries",
-        "--tiny",
-        "--top-k",
-        "5",
-        "--timeout-ms",
-        "15000",
-    ];
-    let (before, _) = run_ok(&workload);
-    assert!(before.contains("\"hits\""), "no retrieval served: {before}");
+        });
+        let wait_for = |needle: &str| -> String {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+            while let Some(left) = deadline.checked_duration_since(std::time::Instant::now()) {
+                match stderr.recv_timeout(left) {
+                    Ok(line) if line.contains(needle) => return line,
+                    Ok(_) => {}
+                    Err(_) => break,
+                }
+            }
+            panic!("serve (store width {width}) never logged {needle:?}");
+        };
+        let http_addr = wait_for("# qgx: listening on ")
+            .trim_start_matches("# qgx: listening on ")
+            .split_whitespace()
+            .next()
+            .expect("address")
+            .to_string();
+        let workload = [
+            "client",
+            "--connect",
+            &http_addr,
+            "--seed-queries",
+            "--tiny",
+            "--top-k",
+            "5",
+            "--timeout-ms",
+            "15000",
+        ];
+        let (before, _) = run_ok(&workload);
+        assert!(before.contains("\"hits\""), "no retrieval served: {before}");
 
-    let store = querygraph_core::cache::store_dir(
-        &dir,
-        &querygraph_core::experiment::ExperimentConfig::tiny(),
-        2,
-    );
-    let store = store.to_str().expect("utf-8 path");
-    run_ok(&["compact", "--tiny", "--segstore", store, "--shards", "1"]);
-    let swapped = wait_for("serving generation");
-    assert!(swapped.contains("1 segment(s)"), "{swapped}");
-    let (after, _) = run_ok(&workload);
-    assert_eq!(
-        after, before,
-        "the compacted generation must answer identically"
-    );
+        let store = querygraph_core::cache::store_dir(
+            &dir,
+            &querygraph_core::experiment::ExperimentConfig::tiny(),
+            width,
+        );
+        let store = store.to_str().expect("utf-8 path");
+        run_ok(&[
+            "compact",
+            "--tiny",
+            "--segstore",
+            store,
+            "--shards",
+            compact_to,
+        ]);
+        let swapped = wait_for("serving generation");
+        assert!(
+            swapped.contains(&format!("{compact_to} segment(s)")),
+            "{swapped}"
+        );
+        let (after, _) = run_ok(&workload);
+        assert_eq!(
+            after, before,
+            "the compacted generation must answer identically (store width {width})"
+        );
 
-    let term = Command::new("kill")
-        .args(["-TERM", &serve.0.id().to_string()])
-        .status()
-        .expect("kill runs");
-    assert!(term.success());
-    let status = serve.0.wait().expect("serve exits");
-    forwarder.join().expect("stderr forwarder");
-    assert!(status.success(), "serve must exit 0 after SIGTERM");
-    let _ = std::fs::remove_dir_all(&dir);
+        let term = Command::new("kill")
+            .args(["-TERM", &serve.0.id().to_string()])
+            .status()
+            .expect("kill runs");
+        assert!(term.success());
+        let status = serve.0.wait().expect("serve exits");
+        forwarder.join().expect("stderr forwarder");
+        assert!(status.success(), "serve must exit 0 after SIGTERM");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[cfg(unix)]

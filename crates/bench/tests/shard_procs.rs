@@ -58,43 +58,54 @@ fn build_sharded_cache(cache: &str, shards: &str) -> (String, String) {
 
 #[test]
 fn shard_procs_replay_is_byte_identical_to_in_process() {
-    let dir = scratch("identity");
-    let cache = dir.to_str().expect("utf-8 temp path");
-    // Run 1 builds the cache's segment store and serves in process.
-    let (in_process, _) = build_sharded_cache(cache, "3");
-    // Run 2 serves the same workload across 3 supervised shard
-    // processes loading those segments.
-    let (status, remote, stderr) = run(&[
-        "replay",
-        "--tiny",
-        "--shards",
-        "3",
-        "--index-cache",
-        cache,
-        "--shard-procs",
-        "3",
-        "--seed-queries",
-        "--json",
-        "--top-k",
-        "5",
-    ]);
-    assert!(status.success(), "shard-procs replay failed: {stderr}");
-    assert_eq!(
-        in_process, remote,
-        "shard processes must answer byte-identically to in-process sharding"
-    );
-    // The supervisor reported every child's boot and drain.
-    for shard in 0..3 {
+    // The cache's store is `--shards` wide, 1 by default: a one-child
+    // fleet needs no `--shards` at all.
+    for (shards, procs) in [(Some("3"), 3), (None, 1)] {
+        let dir = scratch(&format!("identity-{procs}"));
+        let cache = dir.to_str().expect("utf-8 temp path");
+        let mut workload = vec![
+            "replay",
+            "--tiny",
+            "--index-cache",
+            cache,
+            "--seed-queries",
+            "--json",
+            "--top-k",
+            "5",
+        ];
+        if let Some(n) = shards {
+            workload.extend(["--shards", n]);
+        }
+        // Run 1 builds the cache's segment store and serves in process.
+        let (status, in_process, stderr) = run(&workload);
+        assert!(status.success(), "cache-building replay failed: {stderr}");
+        // Run 2 serves the same workload across `procs` supervised
+        // shard processes loading those segments.
+        let procs_flag = procs.to_string();
+        let mut via_fleet = workload.clone();
+        via_fleet.extend(["--shard-procs", &procs_flag]);
+        let (status, remote, stderr) = run(&via_fleet);
         assert!(
-            stderr.contains(&format!("shard {shard} pid")),
-            "missing boot line for shard {shard}: {stderr}"
+            status.success(),
+            "shard-procs {procs} replay failed: {stderr}"
         );
-        assert!(
-            stderr.contains(&format!("shard {shard} exited")),
-            "missing drain line for shard {shard}: {stderr}"
+        assert_eq!(
+            in_process, remote,
+            "{procs} shard process(es) must answer byte-identically to in-process serving"
         );
+        // The supervisor reported every child's boot and drain.
+        for shard in 0..procs {
+            assert!(
+                stderr.contains(&format!("shard {shard} pid")),
+                "missing boot line for shard {shard}: {stderr}"
+            );
+            assert!(
+                stderr.contains(&format!("shard {shard} exited")),
+                "missing drain line for shard {shard}: {stderr}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The segment store a `--shards <shards>` tiny-tier cache build keeps

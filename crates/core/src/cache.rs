@@ -5,21 +5,19 @@
 //! (they are cheap and fully determined by the configuration); the
 //! expensive part — tokenizing and indexing every document, plus
 //! evaluating the phrase dictionary over every article title — is
-//! persisted via [`querygraph_retrieval::ondisk`] and reloaded
-//! zero-copy on subsequent runs.
+//! persisted and reloaded zero-copy on subsequent runs.
 //!
-//! Artifacts are keyed by a configuration fingerprint
-//! ([`config_fingerprint`]): the FNV-1a of the serialized wiki + corpus
-//! configurations, which determine the index bytes exactly. The
-//! fingerprint appears both in the artifact file name (so one cache
-//! directory serves many configurations) and inside the artifact header
-//! (so a renamed or stale file is rejected, not trusted). A monolithic
-//! cache entry is one `QGIX` file; a `--shards N` entry is a segment
-//! store ([`querygraph_retrieval::segstore`]) published once — see
-//! [`store_dir`]. Any load
-//! failure — missing file, corrupt section, version bump, fingerprint
-//! mismatch — falls back to building and rewriting: a cache can lose
-//! time, never correctness.
+//! A cache entry is a segment store ([`querygraph_retrieval::segstore`])
+//! published once: one generation of `--shards` `QGIX` segments (one by
+//! default) — see [`store_dir`]. Entries are keyed by a configuration
+//! fingerprint ([`config_fingerprint`]): the FNV-1a of the serialized
+//! wiki + corpus configurations, which determine the index bytes
+//! exactly. The fingerprint appears both in the directory name (so one
+//! cache directory serves many configurations) and inside the manifest
+//! and every segment (so a renamed or stale entry is rejected, not
+//! trusted). Any load failure — missing store, corrupt section, version
+//! bump, fingerprint mismatch — falls back to building and
+//! republishing: a cache can lose time, never correctness.
 //!
 //! [`BuildStats`] records build-vs-load wall-clock seconds; the
 //! `--bench-out` records of `repro_all` and `qgx serve`/`replay` carry
@@ -31,38 +29,44 @@ use crate::experiment::Experiment;
 use crate::service::ServiceError;
 use querygraph_corpus::imageclef::linking_text;
 use querygraph_corpus::synth::{generate_corpus, SynthCorpus};
-use querygraph_retrieval::backend::{AnyEngine, RetrievalBackend};
+use querygraph_retrieval::backend::AnyEngine;
 use querygraph_retrieval::engine::SearchEngine;
 use querygraph_retrieval::index::IndexBuilder;
 use querygraph_retrieval::lm::LmParams;
 use querygraph_retrieval::ondisk::{self, ArtifactSource, OndiskError};
 use querygraph_retrieval::segstore::{self, Manifest, SegStore, SegStoreError};
-use querygraph_retrieval::sharded::{self, ShardedEngine};
+use querygraph_retrieval::sharded;
 use querygraph_wiki::synth::{generate, SynthWiki};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// How to build (or load) the retrieval backend of a world: physical
-/// layout and artifact byte source. The default is today's behaviour —
-/// one monolithic engine, artifact read into memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// layout and artifact byte source. The default is one shard, read
+/// into memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorldOptions {
-    /// `Some(n)`: a [`ShardedEngine`] over `n` doc-partitioned shards
-    /// (a one-generation segment store on disk; results byte-identical
-    /// to the monolithic engine at any `n`, including 1). `None`: the
-    /// monolithic engine and single-artifact layout.
-    pub shards: Option<usize>,
+    /// Doc-partitioned shards (and, cached, store segments). One is the
+    /// plain engine; more serve through a
+    /// [`ShardedEngine`](querygraph_retrieval::sharded::ShardedEngine),
+    /// byte-identical at any count.
+    pub shards: usize,
     /// Memory-map artifacts instead of reading them (opt-in; falls
     /// back to reading on any error).
     pub mmap: bool,
+}
+
+impl Default for WorldOptions {
+    fn default() -> WorldOptions {
+        WorldOptions::sharded(1)
+    }
 }
 
 impl WorldOptions {
     /// Options for an `n`-shard layout.
     pub fn sharded(n: usize) -> WorldOptions {
         WorldOptions {
-            shards: Some(n.max(1)),
+            shards: n.max(1),
             mmap: false,
         }
     }
@@ -76,9 +80,9 @@ impl WorldOptions {
         }
     }
 
-    /// Physical shard count (1 for the monolithic layout).
+    /// Physical shard count (at least 1).
     pub fn shard_count(&self) -> usize {
-        self.shards.unwrap_or(1).max(1)
+        self.shards.max(1)
     }
 }
 
@@ -147,15 +151,10 @@ pub fn config_fingerprint(config: &ExperimentConfig) -> u64 {
     ondisk::fnv1a(format!("{wiki}\n{corpus}").as_bytes())
 }
 
-/// The artifact path for `config` inside `dir`.
-pub fn artifact_path(dir: &Path, config: &ExperimentConfig) -> PathBuf {
-    dir.join(format!("index-{:016x}.qgidx", config_fingerprint(config)))
-}
-
 /// The `shards`-way cache entry for `config` inside `dir`: a segment
 /// store keyed by the plain [`config_fingerprint`], holding one
 /// generation of `shards` [`sharded::doc_ranges`] segments. The shard
-/// count is in the name only — a 4-shard and an 8-shard cache of one
+/// count is in the name only — a 1-shard and a 4-shard cache of one
 /// world are different directories — so `qgx serve|replay --segstore`
 /// and `qgx compact` work on the directory as on any other store.
 pub fn store_dir(dir: &Path, config: &ExperimentConfig, shards: usize) -> PathBuf {
@@ -165,63 +164,22 @@ pub fn store_dir(dir: &Path, config: &ExperimentConfig, shards: usize) -> PathBu
     ))
 }
 
-/// Strictly load the engine for `config` from the fingerprint-keyed
-/// artifact in `dir`, reading its bytes per `source`
-/// ([`ArtifactSource::Mmap`] maps the file instead of reading it):
-/// seeded phrase dictionary included, every failure a typed
-/// [`ServiceError`] (never a panic, never a silently wrong index). This
-/// is the loading half of both construction paths — the serving facade
+/// Strictly load the `shards`-way engine for `config` from its
+/// [`store_dir`] in `dir`, reading segment bytes per `source`
+/// ([`ArtifactSource::Mmap`] maps them instead of reading): the
+/// store's current generation must list exactly `shards` segments;
+/// every segment is independently validated and its phrase dictionary
+/// seeded, segments load in parallel, and every failure is a typed
+/// [`ServiceError`] (never a panic, never a silently wrong index) that —
+/// for segment failures — names the shard (its manifest slot,
+/// [`ServiceError::ArtifactShard`]). The one loader behind both
+/// construction paths: the serving facade
 /// ([`crate::service::ServingWorld::load`]) surfaces the error;
 /// [`build_experiment`] treats it as a cache miss and rebuilds.
 ///
 /// With `corpus_docs` set, the loaded index must cover exactly that
 /// many documents — the cross-check that catches generator/tokenizer
 /// *code* drift the configuration fingerprint cannot see.
-pub fn load_engine_with(
-    config: &ExperimentConfig,
-    dir: &Path,
-    corpus_docs: Option<usize>,
-    lm: LmParams,
-    source: ArtifactSource,
-) -> Result<SearchEngine, ServiceError> {
-    let path = artifact_path(dir, config);
-    if !path.exists() {
-        return Err(ServiceError::ArtifactMissing { path });
-    }
-    let loaded =
-        ondisk::load_index_with(&path, source).map_err(|source| ServiceError::ArtifactLoad {
-            path: path.clone(),
-            source,
-        })?;
-    let fingerprint = config_fingerprint(config);
-    if loaded.meta_fingerprint != fingerprint {
-        return Err(ServiceError::ArtifactFingerprint {
-            path,
-            expected: fingerprint,
-            found: loaded.meta_fingerprint,
-        });
-    }
-    if let Some(docs) = corpus_docs {
-        if loaded.index.num_docs() != docs {
-            return Err(ServiceError::ArtifactStale {
-                path,
-                indexed_docs: loaded.index.num_docs(),
-                corpus_docs: docs,
-            });
-        }
-    }
-    let engine = SearchEngine::with_params(loaded.index, lm);
-    engine.seed_phrase_cache(loaded.phrases);
-    Ok(engine)
-}
-
-/// Strictly load the `shards`-way engine for `config` from its
-/// [`store_dir`] in `dir`: the store's current generation must list
-/// exactly `shards` segments; every segment is independently validated
-/// and its phrase dictionary seeded, segments load in parallel, and
-/// every failure is a typed [`ServiceError`] that — for segment
-/// failures — names the shard (its manifest slot,
-/// [`ServiceError::ArtifactShard`]).
 ///
 /// Returns the engine, the manifest of the generation it loaded, and
 /// per-shard load seconds (for the bench records).
@@ -232,7 +190,7 @@ pub fn load_store_engine(
     corpus_docs: Option<usize>,
     lm: LmParams,
     source: ArtifactSource,
-) -> Result<(ShardedEngine, Manifest, Vec<f64>), ServiceError> {
+) -> Result<(AnyEngine, Manifest, Vec<f64>), ServiceError> {
     let store = store_dir(dir, config, shards);
     let manifest = segstore::manifest_path(&store);
     let fingerprint = config_fingerprint(config);
@@ -316,28 +274,14 @@ fn publish_store(
     Ok(store.replace_segments(&staged)?.clone())
 }
 
-/// Run one cache write and return the seconds it took. Persistence
-/// failures (read-only cache directory, full disk, a file in the way …)
-/// must not fail the run: log one warning and serve from the freshly
-/// built in-memory engine — the cache loses time, never correctness.
-fn persist(label: &Path, write: impl FnOnce() -> std::io::Result<()>) -> f64 {
-    let t = Instant::now();
-    if let Err(e) = write() {
-        eprintln!(
-            "# index cache write {} failed: {e} — serving from the in-memory build",
-            label.display()
-        );
-    }
-    t.elapsed().as_secs_f64()
-}
-
 /// The single world-construction path behind [`Experiment::build`],
 /// [`Experiment::build_with_cache`] and
 /// [`crate::service::ServingWorld::open`]: synthesize the wiki and
-/// corpus, then load the backend from the cache or build (and persist)
-/// it — monolithic or sharded per [`WorldOptions`]. Cache-backed and
-/// in-memory construction share every line except the load attempt, so
-/// they cannot drift. With a cache directory and `shards` set, also
+/// corpus, then load the backend from the cache or build it —
+/// [`WorldOptions::shards`] doc-partitioned shards, the plain engine at
+/// one — and publish it as the cache's store. Cache-backed and
+/// in-memory construction share every line except the load attempt and
+/// the publish, so they cannot drift. With a cache directory, also
 /// returns the manifest of the store generation the engine was loaded
 /// from or published as (`None` when the publish failed).
 pub(crate) fn build_world(
@@ -369,13 +313,7 @@ pub(crate) fn build_world(
         // likelihood, and anything subtler is caught by the
         // golden-fingerprint tests the moment results would change.
         let docs = Some(corpus.corpus.len());
-        let loaded = match options.shards {
-            None => load_engine_with(config, dir, docs, lm, options.source())
-                .map(|e| (AnyEngine::Mono(e), None, Vec::new())),
-            Some(n) => load_store_engine(config, dir, n, docs, lm, options.source())
-                .map(|(e, manifest, secs)| (AnyEngine::Sharded(e), Some(manifest), secs)),
-        };
-        match loaded {
+        match load_store_engine(config, dir, shard_count, docs, lm, options.source()) {
             Ok((engine, manifest, shard_load_seconds)) => {
                 let stats = BuildStats {
                     world_seconds,
@@ -386,98 +324,70 @@ pub(crate) fn build_world(
                     shard_count,
                     shard_load_seconds,
                 };
-                return (wiki, corpus, engine, stats, manifest);
+                return (wiki, corpus, engine, stats, Some(manifest));
             }
-            // A missing artifact is the normal cold-cache case and
-            // stays silent; every *other* failure (unreadable file,
+            // A missing store is the normal cold-cache case and stays
+            // silent; every *other* failure (unreadable file,
             // corruption, old version, foreign fingerprint, stale doc
-            // count) is reported — a cache that never hits should not
-            // be invisible.
+            // count, another width) is reported — a cache that never
+            // hits should not be invisible.
             Err(ServiceError::ArtifactMissing { .. }) => {}
             Err(e) => eprintln!("# index cache: {e} — rebuilding"),
         }
     }
 
+    // Doc-partition the corpus into contiguous shards (global doc id =
+    // shard base + local id, so iteration order here *is* the global
+    // order).
     let t = Instant::now();
+    let mut builders: Vec<IndexBuilder> = (0..shard_count).map(|_| IndexBuilder::new()).collect();
+    let ranges = sharded::doc_ranges(corpus.corpus.len(), shard_count);
+    let mut shard_of_doc = 0usize;
+    for (i, (_, doc)) in corpus.corpus.iter().enumerate() {
+        while i >= ranges[shard_of_doc].end {
+            shard_of_doc += 1;
+        }
+        builders[shard_of_doc].add_document(&linking_text(doc));
+    }
+    let shards: Vec<SearchEngine> = builders
+        .into_iter()
+        .map(|b| SearchEngine::with_params(b.build(), lm))
+        .collect();
+    if cache_dir.is_some() {
+        // Warm every shard's phrase dictionary with every main-article
+        // title — the phrases the §2.2 hill climb evaluates — so each
+        // segment ships a complete local dictionary and loaded runs
+        // skip all phrase matching. The dictionary is a section of the
+        // segment, so warming counts as index *build* time; uncached
+        // builds skip it and let the hill climb resolve phrases lazily
+        // (either way the Report is byte-identical — the dictionary is
+        // pure memoization).
+        for article in wiki.kb.main_articles() {
+            let title = querygraph_text::tokenize(wiki.kb.title(article));
+            for shard in &shards {
+                shard.warm_phrase(&title);
+            }
+        }
+    }
+    let index_build_seconds = t.elapsed().as_secs_f64();
+
     let mut index_write_seconds = 0.0;
     let mut published = None;
-    let (engine, index_build_seconds) = match options.shards {
-        None => {
-            let mut ib = IndexBuilder::new();
-            for (_, doc) in corpus.corpus.iter() {
-                ib.add_document(&linking_text(doc));
-            }
-            let engine = SearchEngine::with_params(ib.build(), lm);
-            if cache_dir.is_some() {
-                // Warm the phrase dictionary with every main-article
-                // title — the phrases the §2.2 hill climb evaluates —
-                // so the artifact ships a complete dictionary and
-                // loaded runs skip all phrase matching. The dictionary
-                // is a section of the artifact, so warming counts as
-                // index *build* time; uncached builds skip it and let
-                // the hill climb resolve phrases lazily, exactly as
-                // before (either way the Report is byte-identical —
-                // the dictionary is pure memoization).
-                for article in wiki.kb.main_articles() {
-                    engine.warm_phrase(&querygraph_text::tokenize(wiki.kb.title(article)));
-                }
-            }
-            let built = t.elapsed().as_secs_f64();
-            if let Some(dir) = cache_dir {
-                let path = artifact_path(dir, config);
-                index_write_seconds = persist(&path, || {
-                    std::fs::create_dir_all(dir)?;
-                    ondisk::save_index(
-                        &path,
-                        engine.index(),
-                        &engine.export_phrase_cache(),
-                        config_fingerprint(config),
-                    )
-                });
-            }
-            (AnyEngine::Mono(engine), built)
+    if let Some(dir) = cache_dir {
+        // Persistence failures (read-only cache directory, full disk, a
+        // file in the way …) must not fail the run: log one warning and
+        // serve from the freshly built in-memory engine.
+        let t = Instant::now();
+        let store = store_dir(dir, config, shard_count);
+        match publish_store(&store, config_fingerprint(config), &shards) {
+            Ok(manifest) => published = Some(manifest),
+            Err(e) => eprintln!(
+                "# index cache write {} failed: {e} — serving from the in-memory build",
+                store.display()
+            ),
         }
-        Some(n) => {
-            // Doc-partition the corpus into contiguous shards (global
-            // doc id = shard base + local id, so iteration order here
-            // *is* the global order).
-            let n = n.max(1);
-            let num_docs = corpus.corpus.len();
-            let mut builders: Vec<IndexBuilder> = (0..n).map(|_| IndexBuilder::new()).collect();
-            let ranges = sharded::doc_ranges(num_docs, n);
-            let mut shard_of_doc = 0usize;
-            for (i, (_, doc)) in corpus.corpus.iter().enumerate() {
-                while i >= ranges[shard_of_doc].end {
-                    shard_of_doc += 1;
-                }
-                builders[shard_of_doc].add_document(&linking_text(doc));
-            }
-            let shards: Vec<SearchEngine> = builders
-                .into_iter()
-                .map(|b| SearchEngine::with_params(b.build(), lm))
-                .collect();
-            let engine = ShardedEngine::from_shards(shards, lm);
-            if cache_dir.is_some() {
-                // Same warming as the monolithic path, on every shard:
-                // each segment ships its own complete local dictionary.
-                for article in wiki.kb.main_articles() {
-                    engine.warm_phrase(&querygraph_text::tokenize(wiki.kb.title(article)));
-                }
-            }
-            let built = t.elapsed().as_secs_f64();
-            if let Some(dir) = cache_dir {
-                let store = store_dir(dir, config, shard_count);
-                index_write_seconds = persist(&store, || {
-                    published = Some(
-                        publish_store(&store, config_fingerprint(config), engine.shards())
-                            .map_err(std::io::Error::other)?,
-                    );
-                    Ok(())
-                });
-            }
-            (AnyEngine::Sharded(engine), built)
-        }
-    };
+        index_write_seconds = t.elapsed().as_secs_f64();
+    }
 
     let stats = BuildStats {
         world_seconds,
@@ -488,15 +398,16 @@ pub(crate) fn build_world(
         shard_count,
         shard_load_seconds: Vec::new(),
     };
+    let engine = AnyEngine::from_shards(shards, lm);
     (wiki, corpus, engine, stats, published)
 }
 
 /// [`Experiment::build`] with an optional index cache directory.
 ///
-/// With `cache_dir` set, a valid artifact for this configuration is
+/// With `cache_dir` set, a valid cache entry for this configuration is
 /// loaded instead of re-indexing; otherwise the index is built, the
 /// phrase dictionary is warmed over every main-article title, and the
-/// artifact is written for the next run. Loaded and built experiments
+/// entry is published for the next run. Loaded and built experiments
 /// produce byte-identical `Report`s (pinned by the golden-fingerprint
 /// tests).
 pub fn build_experiment(
@@ -537,6 +448,16 @@ mod tests {
         dir
     }
 
+    /// The default (one-segment) cache entry's only live segment file.
+    fn live_segment(dir: &Path, config: &ExperimentConfig) -> PathBuf {
+        let store = store_dir(dir, config, 1);
+        let manifest = segstore::read_manifest(&store, config_fingerprint(config))
+            .expect("manifest reads")
+            .expect("store published");
+        assert_eq!(manifest.segments.len(), 1);
+        store.join(segstore::segment_file(manifest.segments[0].seq))
+    }
+
     #[test]
     fn fingerprint_tracks_world_configs_only() {
         let a = ExperimentConfig::tiny();
@@ -555,18 +476,29 @@ mod tests {
     fn cold_build_writes_then_warm_run_loads() {
         let dir = temp_cache("cold-warm");
         let config = ExperimentConfig::tiny();
-        let path = artifact_path(&dir, &config);
-        std::fs::remove_file(&path).ok();
+        let store = store_dir(&dir, &config, 1);
+        std::fs::remove_dir_all(&store).ok();
 
         let (_, cold) = build_experiment(&config, Some(&dir));
         assert_eq!(cold.index_source, IndexSource::Built);
         assert!(cold.index_build_seconds > 0.0);
-        assert!(path.exists(), "cold run must persist the artifact");
+        // The default cache entry is the one-segment store, nothing else.
+        live_segment(&dir, &config);
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("cache dir lists")
+            .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+            .collect();
+        assert_eq!(
+            names,
+            [store.file_name().unwrap().to_str().unwrap()],
+            "no top-level artifact beside the store"
+        );
 
         let (_, warm) = build_experiment(&config, Some(&dir));
         assert_eq!(warm.index_source, IndexSource::Loaded);
         assert_eq!(warm.index_build_seconds, 0.0);
         assert!(warm.index_load_seconds > 0.0);
+        assert_eq!(warm.shard_load_seconds.len(), 1);
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -575,20 +507,18 @@ mod tests {
     fn loaded_engine_matches_built_engine() {
         let dir = temp_cache("identical");
         let config = ExperimentConfig::tiny();
-        std::fs::remove_file(artifact_path(&dir, &config)).ok();
+        std::fs::remove_dir_all(store_dir(&dir, &config, 1)).ok();
         let (built, _) = build_experiment(&config, Some(&dir));
         let (loaded, stats) = build_experiment(&config, Some(&dir));
         assert_eq!(stats.index_source, IndexSource::Loaded);
-        let a = built.engine.as_mono().expect("mono build").index();
-        let b = loaded.engine.as_mono().expect("mono load").index();
-        assert_eq!(a.num_docs(), b.num_docs());
-        assert_eq!(a.num_terms(), b.num_terms());
-        assert_eq!(a.total_tokens(), b.total_tokens());
+        // One segment serves as the plain engine, built or loaded.
+        let a = built.engine.as_mono().expect("mono build");
+        let b = loaded.engine.as_mono().expect("mono load");
+        assert_eq!(a.index().num_docs(), b.index().num_docs());
+        assert_eq!(a.index().num_terms(), b.index().num_terms());
+        assert_eq!(a.index().total_tokens(), b.index().total_tokens());
         // The persisted phrase dictionary arrives warm and identical.
-        assert_eq!(
-            built.engine.as_mono().unwrap().export_phrase_cache(),
-            loaded.engine.as_mono().unwrap().export_phrase_cache()
-        );
+        assert_eq!(a.export_phrase_cache(), b.export_phrase_cache());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -596,18 +526,18 @@ mod tests {
     fn corrupt_artifact_falls_back_to_rebuild() {
         let dir = temp_cache("corrupt");
         let config = ExperimentConfig::tiny();
-        let path = artifact_path(&dir, &config);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(store_dir(&dir, &config, 1)).ok();
         build_experiment(&config, Some(&dir));
-        // Corrupt one payload byte: the next run must detect it, rebuild,
-        // and rewrite a valid artifact.
-        let mut bytes = std::fs::read(&path).expect("artifact exists");
+        // Corrupt one payload byte of the segment: the next run must
+        // detect it, rebuild, and republish a valid store.
+        let path = live_segment(&dir, &config);
+        let mut bytes = std::fs::read(&path).expect("segment exists");
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(&path, bytes).expect("rewrite corrupt");
         let (_, stats) = build_experiment(&config, Some(&dir));
         assert_eq!(stats.index_source, IndexSource::Built);
-        // …and the rewritten artifact loads again.
+        // …and the republished store loads again.
         let (_, again) = build_experiment(&config, Some(&dir));
         assert_eq!(again.index_source, IndexSource::Loaded);
         std::fs::remove_dir_all(&dir).ok();
@@ -617,30 +547,29 @@ mod tests {
     fn version_1_artifact_is_refused_and_rebuilt_over() {
         let dir = temp_cache("v1-refused");
         let config = ExperimentConfig::tiny();
-        let path = artifact_path(&dir, &config);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(store_dir(&dir, &config, 1)).ok();
         build_experiment(&config, Some(&dir));
-        // Exactly one format version is read: a header carrying
+        // Exactly one format version is read: a segment header carrying
         // version 1 is refused typed, before anything else is trusted.
-        let mut bytes = std::fs::read(&path).expect("artifact exists");
+        let path = live_segment(&dir, &config);
+        let mut bytes = std::fs::read(&path).expect("segment exists");
         bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
         std::fs::write(&path, &bytes).expect("plant v1 header");
         assert_eq!(
             ondisk::load_index(&path).map(|_| ()),
             Err(OndiskError::UnsupportedVersion { found: 1 })
         );
-        // The cache answers with a rebuild and a current artifact.
+        // The cache answers with a rebuild and a current segment.
         let (_, stats) = build_experiment(&config, Some(&dir));
         assert_eq!(stats.index_source, IndexSource::Built);
-        let rewritten = ondisk::load_index(&path).expect("rewritten artifact loads");
-        assert_eq!(rewritten.meta_fingerprint, config_fingerprint(&config));
+        ondisk::load_index(&live_segment(&dir, &config)).expect("rewritten segment loads");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn stale_artifact_with_matching_fingerprint_rebuilds() {
         // The fingerprint can't see generator-code changes; simulate
-        // one by saving an index of the wrong world under the right
+        // one by publishing an index of the wrong world under the right
         // fingerprint and path. The doc-count cross-check must refuse
         // it.
         let dir = temp_cache("stale");
@@ -648,21 +577,20 @@ mod tests {
         let mut other = config.clone();
         other.corpus.noise_docs += 5; // different doc count
         let (wrong_world, _) = build_experiment(&other, None);
-        ondisk::save_index(
-            &artifact_path(&dir, &config),
-            wrong_world.engine.as_mono().expect("mono").index(),
-            &[],
+        publish_store(
+            &store_dir(&dir, &config, 1),
             config_fingerprint(&config),
+            std::slice::from_ref(wrong_world.engine.as_mono().expect("mono")),
         )
-        .expect("plant stale artifact");
+        .expect("plant stale store");
         let (experiment, stats) = build_experiment(&config, Some(&dir));
         assert_eq!(
             stats.index_source,
             IndexSource::Built,
-            "stale artifact must be rejected by the doc-count guard"
+            "stale store must be rejected by the doc-count guard"
         );
         assert_eq!(experiment.engine.num_docs(), experiment.corpus.corpus.len());
-        // …and the rewritten artifact loads next time.
+        // …and the republished store loads next time.
         let (_, again) = build_experiment(&config, Some(&dir));
         assert_eq!(again.index_source, IndexSource::Loaded);
         std::fs::remove_dir_all(&dir).ok();
@@ -674,15 +602,16 @@ mod tests {
         let config = ExperimentConfig::tiny();
         let mut other = config.clone();
         other.wiki.seed ^= 0xFF;
-        std::fs::remove_file(artifact_path(&dir, &config)).ok();
+        std::fs::remove_dir_all(store_dir(&dir, &config, 1)).ok();
+        std::fs::remove_dir_all(store_dir(&dir, &other, 1)).ok();
         build_experiment(&config, Some(&dir));
-        // Pose the tiny artifact as the other config's cache entry.
-        std::fs::rename(artifact_path(&dir, &config), artifact_path(&dir, &other)).expect("rename");
+        // Pose the tiny store as the other config's cache entry.
+        std::fs::rename(store_dir(&dir, &config, 1), store_dir(&dir, &other, 1)).expect("rename");
         let (_, stats) = build_experiment(&other, Some(&dir));
         assert_eq!(
             stats.index_source,
             IndexSource::Built,
-            "embedded fingerprint must veto a renamed artifact"
+            "embedded fingerprint must veto a renamed store"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -779,10 +708,9 @@ mod tests {
     fn unwritable_cache_dir_serves_built_engine() {
         // A cache path that cannot be a directory (it's a file): the
         // write fails, the run must log one warning and serve from the
-        // freshly built in-memory engine — monolithic and sharded
-        // alike. (A 0o555 directory doesn't cut it as a fixture: the
-        // test user may be root, for whom read-only modes are
-        // advisory.)
+        // freshly built in-memory engine — one shard and two alike. (A
+        // 0o555 directory doesn't cut it as a fixture: the test user
+        // may be root, for whom read-only modes are advisory.)
         let blocker =
             std::env::temp_dir().join(format!("querygraph-cache-blocker-{}", std::process::id()));
         std::fs::write(&blocker, b"not a directory").expect("blocker file");

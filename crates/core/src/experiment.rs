@@ -109,10 +109,10 @@ impl Experiment {
     }
 
     /// [`Experiment::build`] with an optional on-disk index cache: when
-    /// `cache_dir` holds a valid artifact for this configuration, the
+    /// `cache_dir` holds a valid store for this configuration, the
     /// index (and warm phrase dictionary) is loaded instead of rebuilt;
-    /// otherwise it is built and persisted for the next run. See
-    /// [`crate::cache`] for the artifact/fingerprint story.
+    /// otherwise it is built and published for the next run. See
+    /// [`crate::cache`] for the store/fingerprint story.
     pub fn build_with_cache(
         config: &ExperimentConfig,
         cache_dir: Option<&std::path::Path>,

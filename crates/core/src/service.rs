@@ -22,8 +22,9 @@
 //!   ([`crate::pipeline::parallel_map`]); output order always matches
 //!   input order.
 //! * [`ServingWorld`] — the owned world a long-lived server holds:
-//!   synthesized knowledge base + engine, loaded either strictly from a
-//!   PR-3 on-disk artifact ([`ServingWorld::load`], typed errors) or
+//!   synthesized knowledge base + engine, loaded either strictly from
+//!   its index cache's segment store ([`ServingWorld::load`], typed
+//!   errors) or
 //!   leniently with build-and-persist fallback ([`ServingWorld::open`]).
 //!
 //! The reproduction pipeline itself consumes this facade — its
@@ -963,32 +964,32 @@ impl<'w> QueryExpander<'w> {
 ///
 /// The synthetic knowledge base is always regenerated (cheap, fully
 /// determined by the configuration); the index either loads strictly
-/// from a PR-3 artifact ([`ServingWorld::load`]) or falls back to
+/// from its cache store ([`ServingWorld::load`]) or falls back to
 /// build-and-persist ([`ServingWorld::open`]).
 pub struct ServingWorld {
     /// The knowledge base (and topic inventory) queries link against.
     pub wiki: SynthWiki,
-    /// The retrieval backend over the corpus's linking text —
-    /// monolithic or sharded per the options it was opened with.
+    /// The retrieval backend over the corpus's linking text — the plain
+    /// engine at one shard, sharded per the options it was opened with.
     pub engine: AnyEngine,
     /// The configuration that determines this world.
     pub config: ExperimentConfig,
     /// Build-vs-load wall-clock breakdown.
     pub stats: crate::cache::BuildStats,
-    /// The segment-store generation `engine` was loaded from or
-    /// published as — set for a `shards: Some(n)` world whose index
-    /// cache is a store, `None` for monolithic and in-memory worlds. A
-    /// server follows that store from this generation on.
+    /// The generation of its index cache's segment store `engine` was
+    /// loaded from or published as — `None` for an in-memory world (or
+    /// a failed publish). A server follows that store from this
+    /// generation on.
     pub store: Option<Manifest>,
 }
 
 impl ServingWorld {
     /// Strictly load the world from `cache_dir`: the fingerprint-keyed
-    /// artifact must exist and decode, or a typed [`ServiceError`]
+    /// store must exist and decode, or a typed [`ServiceError`]
     /// explains why. The corpus is *not* regenerated on this path
     /// (serving does not need it), so the doc-count staleness
-    /// cross-check of the lenient path does not apply; the artifact's
-    /// checksums and embedded fingerprint still do.
+    /// cross-check of the lenient path does not apply; the manifest's
+    /// and segments' checksums and embedded fingerprints still do.
     pub fn load(
         config: &ExperimentConfig,
         cache_dir: &std::path::Path,
@@ -1002,10 +1003,10 @@ impl ServingWorld {
     }
 
     /// [`ServingWorld::load`] with explicit Dirichlet smoothing and
-    /// [`WorldOptions`]:
-    /// `shards: Some(n)` loads the `n`-segment store
-    /// ([`cache::store_dir`]: manifest + segments, segments in
-    /// parallel, typed per-shard errors); `mmap` maps artifact bytes
+    /// [`WorldOptions`] through the one strict loader,
+    /// [`cache::load_store_engine`]: `shards` picks the `shards`-segment
+    /// store ([`cache::store_dir`]: manifest + segments, segments in
+    /// parallel, typed per-shard errors); `mmap` maps segment bytes
     /// instead of reading them.
     pub fn load_with_options(
         config: &ExperimentConfig,
@@ -1017,24 +1018,14 @@ impl ServingWorld {
         let wiki = generate(&config.wiki);
         let world_seconds = t0.elapsed().as_secs_f64();
         let t = Instant::now();
-        let (engine, store, shard_load_seconds) = match options.shards {
-            None => (
-                AnyEngine::Mono(cache::load_engine_with(
-                    config,
-                    cache_dir,
-                    None,
-                    lm,
-                    options.source(),
-                )?),
-                None,
-                Vec::new(),
-            ),
-            Some(n) => {
-                let (engine, manifest, secs) =
-                    cache::load_store_engine(config, cache_dir, n, None, lm, options.source())?;
-                (AnyEngine::Sharded(engine), Some(manifest), secs)
-            }
-        };
+        let (engine, store, shard_load_seconds) = cache::load_store_engine(
+            config,
+            cache_dir,
+            options.shard_count(),
+            None,
+            lm,
+            options.source(),
+        )?;
         let stats = crate::cache::BuildStats {
             world_seconds,
             index_build_seconds: 0.0,
@@ -1049,12 +1040,12 @@ impl ServingWorld {
             engine,
             config: config.clone(),
             stats,
-            store,
+            store: Some(store),
         })
     }
 
-    /// Load the world from `cache_dir` when a valid artifact exists;
-    /// otherwise build the index (regenerating the corpus) and persist
+    /// Load the world from `cache_dir` when its store is valid;
+    /// otherwise build the index (regenerating the corpus) and publish
     /// it for the next run. Never fails: a cache can lose time, not
     /// correctness.
     pub fn open(config: &ExperimentConfig, cache_dir: Option<&std::path::Path>) -> ServingWorld {
@@ -1273,10 +1264,11 @@ mod tests {
             std::env::temp_dir().join(format!("querygraph-svc-missing-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("dir");
         let config = ExperimentConfig::tiny();
-        std::fs::remove_file(crate::cache::artifact_path(&dir, &config)).ok();
+        let store = crate::cache::store_dir(&dir, &config, 1);
+        std::fs::remove_dir_all(&store).ok();
         match ServingWorld::load(&config, &dir) {
             Err(ServiceError::ArtifactMissing { path }) => {
-                assert_eq!(path, crate::cache::artifact_path(&dir, &config));
+                assert_eq!(path, querygraph_retrieval::segstore::manifest_path(&store));
             }
             other => panic!("expected ArtifactMissing, got {:?}", other.map(|_| ())),
         }
@@ -1289,12 +1281,15 @@ mod tests {
             std::env::temp_dir().join(format!("querygraph-svc-roundtrip-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("dir");
         let config = ExperimentConfig::tiny();
-        std::fs::remove_file(crate::cache::artifact_path(&dir, &config)).ok();
+        std::fs::remove_dir_all(crate::cache::store_dir(&dir, &config, 1)).ok();
 
         let built = ServingWorld::open(&config, Some(&dir));
         assert_eq!(built.stats.index_source, crate::cache::IndexSource::Built);
-        let loaded = ServingWorld::load(&config, &dir).expect("artifact persisted");
+        let loaded = ServingWorld::load(&config, &dir).expect("store persisted");
         assert_eq!(loaded.stats.index_source, crate::cache::IndexSource::Loaded);
+        // Both serve the one generation the open published.
+        assert!(built.store.is_some());
+        assert_eq!(built.store, loaded.store);
 
         let title = built
             .wiki

@@ -29,7 +29,6 @@
 //! enforce this contract across the whole pipeline.
 
 use crate::engine::{PhraseInfo, SearchEngine, SearchHit, SearchMode};
-use crate::index::InvertedIndex;
 use crate::lm::LmParams;
 use crate::query_lang::QueryNode;
 use crate::remote::RemoteEngine;
@@ -53,7 +52,8 @@ pub trait RetrievalBackend: Send + Sync {
     /// Number of documents in the global collection.
     fn num_docs(&self) -> usize;
 
-    /// Length (token count) of document `doc` (global doc id).
+    /// Length (token count) of document `doc` (global doc id); 0 past
+    /// the collection, in every layout.
     fn doc_len(&self, doc: u32) -> u32;
 
     /// Resolve (and memoize) one exact phrase: hits in global doc-id
@@ -133,7 +133,11 @@ impl RetrievalBackend for SearchEngine {
     }
 
     fn doc_len(&self, doc: u32) -> u32 {
-        self.index().doc_len(doc)
+        self.index()
+            .doc_lengths()
+            .get(doc as usize)
+            .copied()
+            .unwrap_or(0)
     }
 
     fn resolve_phrase(&self, words: &[String]) -> Arc<PhraseInfo> {
@@ -174,6 +178,20 @@ pub enum AnyEngine {
 }
 
 impl AnyEngine {
+    /// The engine over `shards`, contiguous doc-id slices in global
+    /// order: the plain engine for one shard (its own `LmParams`), a
+    /// [`ShardedEngine`] scoring with `params` otherwise. The one place
+    /// built or loaded shards become an engine.
+    ///
+    /// # Panics
+    /// If `shards` is empty or the doc ids overflow `u32`.
+    pub fn from_shards(mut shards: Vec<SearchEngine>, params: LmParams) -> AnyEngine {
+        match shards.len() {
+            1 => AnyEngine::Mono(shards.pop().expect("one shard")),
+            _ => AnyEngine::Sharded(ShardedEngine::from_shards(shards, params)),
+        }
+    }
+
     /// This engine as a trait object.
     pub fn backend(&self) -> &(dyn RetrievalBackend + 'static) {
         match self {
@@ -197,12 +215,6 @@ impl AnyEngine {
             AnyEngine::Sharded(e) => Some(e),
             _ => None,
         }
-    }
-
-    /// The monolithic engine's index (None when sharded); kept for the
-    /// single-artifact cache paths and tests.
-    pub fn index(&self) -> Option<&InvertedIndex> {
-        self.as_mono().map(SearchEngine::index)
     }
 
     /// Execute a query (convenience delegation, so callers holding the
@@ -445,13 +457,26 @@ mod tests {
 
     #[test]
     fn any_engine_delegates_to_mono() {
-        let any = AnyEngine::Mono(engine());
+        // One shard is the plain engine …
+        let params = LmParams::default();
+        let any = AnyEngine::from_shards(vec![engine()], params);
         assert!(any.as_mono().is_some());
         assert!(any.as_sharded().is_none());
         assert_eq!(any.shard_count(), 1);
         assert_eq!(any.num_docs(), 2);
         let q = parse("#1(grand canal)").unwrap();
         assert_eq!(any.search(&q, 5), any.backend().search(&q, 5));
+        // … two are scatter-gather over the same documents, answering
+        // alike.
+        let two = AnyEngine::from_shards(
+            vec![
+                engine_over(&["a gondola on the grand canal of venice"]),
+                engine_over(&["the grand hotel beside a small canal"]),
+            ],
+            params,
+        );
+        assert_eq!(two.as_sharded().map(|s| s.shard_count()), Some(2));
+        assert_eq!(two.search(&q, 5), any.search(&q, 5));
     }
 
     #[test]

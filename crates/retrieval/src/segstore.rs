@@ -2,9 +2,9 @@
 //!
 //! The one sharded on-disk layout. The paper-scale corpus (237k
 //! ImageCLEF docs) arrives as a *dump* that we want to index in bounded
-//! memory and keep serving while it grows, and a `--shards N` index
-//! cache is the same thing published once — so both are a directory of
-//! `QGIX` segments under a generational manifest:
+//! memory and keep serving while it grows, and an index cache is the
+//! same thing published once — so both are a directory of `QGIX`
+//! segments under a generational manifest:
 //!
 //! * **Segments** — each ingest batch freezes into one independently
 //!   checksummed `QGIX` file (`seg-<seq>.qgidx`, local doc ids), written
@@ -16,9 +16,8 @@
 //!   leaves orphan segment files that no manifest references — the old
 //!   generation still loads cleanly.
 //! * **Serving** — a generation's segments are contiguous doc-id
-//!   slices, which is exactly what
-//!   [`ShardedEngine::from_shards`](crate::sharded::ShardedEngine)
-//!   accepts: the generation serves directly as a K-shard engine,
+//!   slices, which is exactly what [`AnyEngine::from_shards`] accepts:
+//!   one segment serves as the plain engine, K as a K-shard engine,
 //!   byte-identical to a monolithic build over the same docs (global
 //!   stats aggregated once; see `sharded`'s identity argument).
 //! * **Compaction** — [`reslice`] merges a generation's postings into N
@@ -38,6 +37,7 @@
 //! checksum u64 — FNV-1a of every preceding byte
 //! ```
 
+use crate::backend::AnyEngine;
 use crate::engine::{PhraseCacheEntry, SearchEngine};
 use crate::index::{InvertedIndex, TermBound};
 use crate::lm::LmParams;
@@ -46,7 +46,7 @@ use crate::ondisk::{
 };
 use crate::par::parallel_map;
 use crate::postings::PostingsBuilder;
-use crate::sharded::{doc_ranges, ShardedEngine};
+use crate::sharded::doc_ranges;
 use querygraph_text::{Interner, TermId};
 use std::fmt;
 use std::ops::Range;
@@ -423,17 +423,17 @@ pub struct LoadedGeneration {
 }
 
 impl LoadedGeneration {
-    /// The generation as one engine: its segments, in manifest order,
-    /// as the shards of a [`ShardedEngine`] — byte-identical to a
-    /// monolithic build over the same documents. The one place a loaded
-    /// generation becomes an engine.
-    pub fn into_engine(self, params: LmParams) -> ShardedEngine {
-        ShardedEngine::from_shards(self.into_engines(params), params)
+    /// The generation as one engine ([`AnyEngine::from_shards`]): a
+    /// one-segment generation serves as the plain engine, a wider one
+    /// as the shards of a [`ShardedEngine`](crate::sharded::ShardedEngine)
+    /// — byte-identical either way
+    /// to a monolithic build over the same documents.
+    pub fn into_engine(self, params: LmParams) -> AnyEngine {
+        AnyEngine::from_shards(self.into_engines(params), params)
     }
 
     /// Wrap every segment in a [`SearchEngine`] (manifest order) — the
-    /// shard vector for
-    /// [`ShardedEngine::from_shards`].
+    /// shard vector for [`AnyEngine::from_shards`].
     pub fn into_engines(self, params: LmParams) -> Vec<SearchEngine> {
         self.segments
             .into_iter()
@@ -624,6 +624,7 @@ mod tests {
     use crate::backend::RetrievalBackend;
     use crate::index::IndexBuilder;
     use crate::query_lang::parse;
+    use crate::sharded::ShardedEngine;
 
     const DOCS: [&str; 9] = [
         "a gondola on the grand canal of venice",
@@ -673,7 +674,7 @@ mod tests {
         }
     }
 
-    fn engine_of(dir: &Path, fp: u64) -> ShardedEngine {
+    fn engine_of(dir: &Path, fp: u64) -> AnyEngine {
         load_generation(dir, fp, ArtifactSource::Read)
             .expect("load")
             .expect("published")

@@ -526,15 +526,6 @@ impl ScatterEngine<SearchEngine> {
             .collect();
         ScatterEngine::assemble(parts, params).expect("doc ids fit u32")
     }
-
-    /// Evaluate (and cache) one phrase on every shard — the warming
-    /// loop the cache builder runs per article title. Empty phrases are
-    /// skipped.
-    pub fn warm_phrase(&self, words: &[String]) {
-        for shard in &self.shards {
-            shard.warm_phrase(words);
-        }
-    }
 }
 
 impl<S: ShardHandle> crate::backend::RetrievalBackend for ScatterEngine<S> {

@@ -14,7 +14,8 @@
 //!   costs ~0.2 s to boot and drain), each in `Exact` and `Pruned`,
 //!   return the oracle's documents in the oracle's order with scores
 //!   within 1e-12 of it, and bit-equal to one another;
-//! * `doc_len`, `resolve_phrase` and `epsilon_prob` agree the same way.
+//! * `doc_len`, `resolve_phrase` and `epsilon_prob` agree the same way
+//!   (`doc_len` is 0 past the collection in every layout).
 
 use querygraph::retrieval::backend::RetrievalBackend;
 use querygraph::retrieval::engine::{SearchEngine, SearchHit, SearchMode};
@@ -296,6 +297,10 @@ proptest::proptest! {
             proptest::prop_assert_eq!(backend.total_tokens(), oracle.total_tokens());
             for (d, doc) in oracle.docs.iter().enumerate() {
                 proptest::prop_assert_eq!(backend.doc_len(d as u32), doc.len() as u32, "{}", name);
+            }
+            // Past the collection every layout answers 0, never panics.
+            for past in [oracle.docs.len() as u32, u32::MAX] {
+                proptest::prop_assert_eq!(backend.doc_len(past), 0, "{}: doc {}", name, past);
             }
             for leaf in &leaves {
                 let words: Vec<String> = leaf.words.iter().map(|w| w.to_string()).collect();

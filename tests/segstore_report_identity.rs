@@ -8,12 +8,10 @@
 
 use querygraph::core::experiment::{Experiment, ExperimentConfig};
 use querygraph::corpus::imageclef::linking_text;
-use querygraph::retrieval::backend::AnyEngine;
 use querygraph::retrieval::index::IndexBuilder;
 use querygraph::retrieval::lm::LmParams;
 use querygraph::retrieval::ondisk::ArtifactSource;
 use querygraph::retrieval::segstore::{self, SegStore};
-use querygraph::retrieval::sharded::ShardedEngine;
 use std::path::PathBuf;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -71,11 +69,10 @@ fn incremental_ingest_then_compaction_reproduces_the_one_shot_report() {
             one_shot.corpus.corpus.len()
         );
 
-        let lm = LmParams::default();
         let incremental = Experiment {
             wiki: one_shot.wiki.clone(),
             corpus: one_shot.corpus.clone(),
-            engine: AnyEngine::Sharded(ShardedEngine::from_shards(generation.into_engines(lm), lm)),
+            engine: generation.into_engine(LmParams::default()),
             config: config.clone(),
         };
         let report =
