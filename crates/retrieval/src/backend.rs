@@ -515,6 +515,42 @@ mod tests {
         assert_eq!(old.engine.num_docs(), 2);
     }
 
+    #[test]
+    fn a_swapped_in_scatter_engine_sums_its_own_collection_frequencies() {
+        let docs_a = ["gondola on the canal", "a quiet canal", "venice"];
+        let docs_b = [
+            "gondola on the canal",
+            "a quiet canal",
+            "venice",
+            "gondola gondola gondola",
+            "the gondola lift",
+        ];
+        let two = |docs: &[&str]| {
+            let half = docs.len() / 2;
+            let shards = vec![engine_over(&docs[..half]), engine_over(&docs[half..])];
+            AnyEngine::Sharded(ShardedEngine::from_shards(shards, LmParams::default()))
+        };
+        let q = parse("#combine(gondola canal)").unwrap();
+        let (mono_a, mono_b) = (engine_over(&docs_a), engine_over(&docs_b));
+        let r = ReloadableEngine::new(two(&docs_a), 1);
+        // Generation 1 sums and remembers every leaf of `q` …
+        assert_eq!(r.search(&q, 10), mono_a.search(&q, 10));
+        assert_eq!(r.search(&q, 10), mono_a.search(&q, 10));
+        // … and generation 2, where `gondola` is five times as common,
+        // must not score with them.
+        r.swap(two(&docs_b), 2);
+        let want = mono_b.search(&q, 10);
+        let shared: Vec<SearchHit> = want.iter().filter(|h| h.doc < 3).cloned().collect();
+        assert_eq!(shared.len(), 2);
+        assert_ne!(
+            shared,
+            mono_a.search(&q, 10),
+            "the shared documents score differently"
+        );
+        assert_eq!(r.search(&q, 10), want);
+        assert_eq!(r.search(&q, 10), want);
+    }
+
     /// The zero-downtime conformance drill: queries race a tight swap
     /// loop; every response must exactly equal one of the two valid
     /// generations' answers — never an error, a panic, or a blend.

@@ -6,13 +6,17 @@
 //!
 //! A shard cannot score alone: Dirichlet smoothing reads the **global**
 //! collection probability (global cf / global tokens) and the global
-//! epsilon floor. So the coordinator's search is two rounds, each one
-//! frame per shard here:
+//! epsilon floor. So the coordinator's search is up to two rounds, each
+//! one frame per shard here:
 //!
 //! 1. [`RemoteShard::leaf_cfs`] — every shard flattens the query (sent
 //!    as its `Display` string, serialized once per search) and returns
 //!    its local per-leaf collection frequencies; the coordinator sums
-//!    them — integers, so the global counts are *exact*.
+//!    them — integers, so the global counts are *exact*. This round is
+//!    sent only for a query with a leaf the coordinator has not summed
+//!    before against this fleet: it remembers every completed sum (one
+//!    key and one `u64` per distinct leaf, for the fleet's lifetime), so
+//!    a warm search is one round trip per shard.
 //! 2. [`RemoteShard::score_topk`] — every shard scores its local
 //!    candidates with the global inputs shipped as f64 *bits* (μ, ε,
 //!    per-leaf probabilities) and its global doc-id base, returning its

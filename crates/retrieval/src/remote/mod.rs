@@ -154,7 +154,8 @@ mod tests {
             let sharded = ShardedEngine::from_shards(shard_engines(&DOCS, n), LmParams::default());
             for q in QUERIES {
                 let q = parse(q).unwrap();
-                for k in [0, 1, 3, 20] {
+                // A `k` past u32 must not wrap on its way to the shards.
+                for k in [0, 1, 3, 20, 1 << 32, (1 << 32) + 1, usize::MAX] {
                     let r = remote.try_search_with(&q, k, SearchMode::Exact).unwrap();
                     assert_eq!(
                         r,

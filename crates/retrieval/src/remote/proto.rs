@@ -62,7 +62,10 @@ pub enum Op {
     /// trusting the shard.
     Hello = 1,
     /// Phase 1 of a search: flatten the query locally and return this
-    /// shard's per-leaf collection frequencies (flatten order).
+    /// shard's per-leaf collection frequencies (flatten order). The
+    /// coordinator sends it only for a query with a leaf unseen in this
+    /// generation; it remembers the summed counts, one key and one
+    /// `u64` per distinct leaf, until the generation is replaced.
     LeafCfs = 2,
     /// Phase 2 of a search: score locally with the caller's global
     /// smoothing inputs (μ, ε, per-leaf probabilities as f64 bits) and

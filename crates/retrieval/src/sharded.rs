@@ -31,6 +31,18 @@
 //!   the union under the same order and truncating to k yields exactly
 //!   the monolithic result.
 //!
+//! A search is two phases: sum every shard's per-leaf collection
+//! frequencies, then scatter the scoring. Phase 1 runs only for a query
+//! with a leaf unseen in this engine. Each completed phase 1 records its
+//! exact sums in the engine's memo (leaf → global cf); a query whose
+//! every leaf is there goes straight to phase 2, one call per shard. The
+//! sums are integers, so a remembered cf is bit for bit what phase 1
+//! would return. The shards are immutable and a live swap replaces the
+//! whole engine, so a new generation starts with an empty memo and
+//! nothing is ever invalidated. The memo keeps one key and one `u64` per
+//! distinct leaf for the engine's lifetime — less than the hit lists
+//! each shard's phrase cache already keeps for the same phrases.
+//!
 //! Per-shard scatter runs on [`crate::par::parallel_map`] (inline at
 //! one thread), the same deterministic runner as the rest of the
 //! workspace.
@@ -431,6 +443,38 @@ pub struct ScatterEngine<S> {
     /// an empty, *uncached* one so a recovered shard is consulted
     /// again.
     phrase_cache: Vec<Mutex<HashMap<Vec<String>, Arc<PhraseInfo>>>>,
+    /// Exact global cf of every leaf a completed phase 1 has summed.
+    /// The shards are immutable and a live swap replaces the whole
+    /// engine, so an entry never goes stale.
+    cf_memo: Mutex<CfMemo>,
+}
+
+/// Global collection frequency by leaf: terms by their text, phrases by
+/// their word list. Lookups borrow, so a hit allocates nothing.
+#[derive(Default)]
+struct CfMemo {
+    terms: HashMap<String, u64>,
+    phrases: HashMap<Vec<String>, u64>,
+}
+
+impl CfMemo {
+    fn get(&self, spec: &LeafSpec<'_>) -> Option<u64> {
+        match spec {
+            LeafSpec::Term(term) => self.terms.get(*term),
+            LeafSpec::Phrase(words) => self.phrases.get(*words),
+        }
+        .copied()
+    }
+
+    fn record(&mut self, spec: &LeafSpec<'_>, cf: u64) {
+        if self.get(spec).is_some() {
+            return;
+        }
+        match spec {
+            LeafSpec::Term(term) => self.terms.insert(term.to_string(), cf),
+            LeafSpec::Phrase(words) => self.phrases.insert(words.to_vec(), cf),
+        };
+    }
 }
 
 /// [`ScatterEngine`] over shards held in this process.
@@ -444,7 +488,9 @@ fn shard_error(shard: usize) -> impl Fn(OndiskError) -> ShardedError {
 impl<S: ShardHandle> ScatterEngine<S> {
     /// Assemble from `(handle, num_docs, total_tokens)` triples in
     /// shard order (= ascending global doc ranges); integer sums in
-    /// that order, so the global statistics are exact.
+    /// that order, so the global statistics are exact. The global doc
+    /// count must fit `u32`, which is what makes every global doc id
+    /// and every clamped `k` one.
     pub(crate) fn assemble(
         parts: Vec<(S, usize, u64)>,
         params: LmParams,
@@ -452,16 +498,19 @@ impl<S: ShardHandle> ScatterEngine<S> {
         assert!(!parts.is_empty(), "scatter engine needs >= 1 shard");
         let mut shards = Vec::with_capacity(parts.len());
         let mut doc_bases = Vec::with_capacity(parts.len());
-        let mut next = 0u64;
+        let mut next = 0u32;
         let mut total_tokens = 0u64;
         for (i, (shard, num_docs, tokens)) in parts.into_iter().enumerate() {
-            doc_bases.push(u32::try_from(next).map_err(|_| ShardedError::Shard {
-                shard: i,
-                source: OndiskError::Malformed {
-                    context: "doc ids overflow u32",
-                },
-            })?);
-            next += num_docs as u64;
+            doc_bases.push(next);
+            next = u32::try_from(num_docs)
+                .ok()
+                .and_then(|n| next.checked_add(n))
+                .ok_or(ShardedError::Shard {
+                    shard: i,
+                    source: OndiskError::Malformed {
+                        context: "doc ids overflow u32",
+                    },
+                })?;
             total_tokens += tokens;
             shards.push(shard);
         }
@@ -475,6 +524,7 @@ impl<S: ShardHandle> ScatterEngine<S> {
             phrase_cache: (0..PHRASE_CACHE_LOCKS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
+            cf_memo: Mutex::default(),
         })
     }
 
@@ -482,12 +532,15 @@ impl<S: ShardHandle> ScatterEngine<S> {
     /// the runner; 1 = inline). Scatter parallelism never changes
     /// results — only who computes them, or who waits on which socket.
     ///
-    /// Tradeoff: the runner spawns scoped workers *per search call*
-    /// (no persistent pool yet), costing tens of microseconds per
-    /// query — worthwhile for large shard counts / deep candidate
-    /// sets, a tax for sub-millisecond queries. Batch workloads
-    /// usually prefer parallelizing across queries
-    /// (`expand_batch` / `qgx --threads`) and leaving this at 1.
+    /// Tradeoff: the runner spawns scoped workers *per search call*.
+    /// Measured on a 2-vCPU VM: `parallel_map` over 2 items at width 2
+    /// costs ~16 µs per call, against ~0.01 µs inline. End to end, the
+    /// two-process `fleet_links` benchmark at width 2 was worse than at
+    /// width 1 on every one of 3 pairs: 7.7k vs 8.8k queries/s, 0.23 vs
+    /// 0.16 ms of CPU per query, p50 no better. So leave this at 1
+    /// unless the shards are many or their candidate sets deep; batch
+    /// workloads parallelize across queries instead (`expand_batch` /
+    /// `qgx --threads`).
     pub fn with_search_threads(mut self, threads: usize) -> ScatterEngine<S> {
         self.set_search_threads(threads);
         self
@@ -507,6 +560,27 @@ impl<S: ShardHandle> ScatterEngine<S> {
     /// The shard owning global doc `doc`.
     fn shard_of(&self, doc: u32) -> usize {
         self.doc_bases.partition_point(|&base| base <= doc) - 1
+    }
+
+    /// Phase 1 proper: every shard's `leaf_cfs`, summed in shard order
+    /// into the exact global count of each of the query's `leaves`.
+    fn sum_leaf_cfs(&self, query: &S::Query<'_>, leaves: usize) -> Result<Vec<u64>, ShardedError> {
+        let mut cfs = vec![0u64; leaves];
+        for (si, shard) in self.shards.iter().enumerate() {
+            let local = shard.leaf_cfs(query).map_err(shard_error(si))?;
+            if local.len() != leaves {
+                return Err(ShardedError::Shard {
+                    shard: si,
+                    source: OndiskError::Malformed {
+                        context: "shard flattened a different leaf count",
+                    },
+                });
+            }
+            for (total, local_cf) in cfs.iter_mut().zip(local) {
+                *total += local_cf;
+            }
+        }
+        Ok(cfs)
     }
 }
 
@@ -599,6 +673,8 @@ impl<S: ShardHandle> crate::backend::RetrievalBackend for ScatterEngine<S> {
 
     /// The two-phase search. Any failing shard aborts the query with a
     /// typed error naming its slot (the lowest one when several fail).
+    /// Phase 1 runs only when the query has a leaf this engine has not
+    /// summed before; otherwise a search is one call per shard.
     ///
     /// In [`SearchMode::Pruned`] each shard prunes against its own
     /// local heap floor using shard-local bounds (its segment's BOUNDS
@@ -612,6 +688,9 @@ impl<S: ShardHandle> crate::backend::RetrievalBackend for ScatterEngine<S> {
         k: usize,
         mode: SearchMode,
     ) -> Result<Vec<SearchHit>, ShardedError> {
+        // No search returns more hits than there are documents, and the
+        // clamped `k` fits the wire's u32 (`assemble` checks the count).
+        let k = k.min(self.num_docs);
         let mut specs = Vec::new();
         flatten_specs(query, 1.0, &mut specs);
         if specs.is_empty() {
@@ -619,23 +698,24 @@ impl<S: ShardHandle> crate::backend::RetrievalBackend for ScatterEngine<S> {
         }
         let query = S::prepare(query);
 
-        // Phase 1: exact global per-leaf collection frequencies, summed
-        // in shard order.
-        let mut cfs = vec![0u64; specs.len()];
-        for (si, shard) in self.shards.iter().enumerate() {
-            let local = shard.leaf_cfs(&query).map_err(shard_error(si))?;
-            if local.len() != cfs.len() {
-                return Err(ShardedError::Shard {
-                    shard: si,
-                    source: OndiskError::Malformed {
-                        context: "shard flattened a different leaf count",
-                    },
-                });
+        // Phase 1: exact global per-leaf collection frequencies — from
+        // the memo when every leaf is in it, else summed over every
+        // shard in shard order and then remembered.
+        let known: Option<Vec<u64>> = {
+            let memo = self.cf_memo.lock();
+            specs.iter().map(|(_, spec)| memo.get(spec)).collect()
+        };
+        let cfs = match known {
+            Some(cfs) => cfs,
+            None => {
+                let cfs = self.sum_leaf_cfs(&query, specs.len())?;
+                let mut memo = self.cf_memo.lock();
+                for ((_, spec), &cf) in specs.iter().zip(&cfs) {
+                    memo.record(spec, cf);
+                }
+                cfs
             }
-            for (total, local_cf) in cfs.iter_mut().zip(local) {
-                *total += local_cf;
-            }
-        }
+        };
         let tokens = self.total_tokens.max(1) as f64;
         let probs: Vec<f64> = cfs.iter().map(|&cf| cf as f64 / tokens).collect();
         let epsilon = self.epsilon_prob();
@@ -923,24 +1003,51 @@ mod tests {
         ScatterEngine::assemble(parts, LmParams::default()).unwrap()
     }
 
+    /// Handle calls each shard of `engine` has received so far.
+    fn calls(engine: &ScatterEngine<Flaky>) -> Vec<usize> {
+        engine
+            .shards
+            .iter()
+            .map(|s| s.calls.load(std::sync::atomic::Ordering::SeqCst))
+            .collect()
+    }
+
     #[test]
     fn a_failing_shard_is_named_in_either_phase() {
         const NEVER: usize = usize::MAX;
         let q = parse("#combine(#1(grand canal) venice)").unwrap();
         let healthy = sharded(&DOCS, 3).search(&q, 5);
-        // A search makes two calls per shard: 0 = phase 1, 1 = phase 2.
-        for (fail_on, want) in [
-            ([NEVER, 0, NEVER], 1),
-            ([NEVER, 1, NEVER], 1),
-            ([NEVER, NEVER, 1], 2),
-            ([NEVER, 0, 0], 1), // two fail: the lower slot is reported
-            ([NEVER, 1, 1], 1),
-            ([NEVER, 1, 0], 2), // phase 1 runs first, whatever the slot
+        // A cold search makes two calls per shard: 0 = phase 1, 1 =
+        // phase 2. A warm one (the same query searched once before)
+        // makes one, phase 2: call 2.
+        for (warm, fail_on, want) in [
+            (false, [NEVER, 0, NEVER], 1),
+            (false, [NEVER, 1, NEVER], 1),
+            (false, [NEVER, NEVER, 1], 2),
+            (false, [NEVER, 0, 0], 1), // two fail: the lower slot is reported
+            (false, [NEVER, 1, 1], 1),
+            (false, [NEVER, 1, 0], 2), // phase 1 runs first, whatever the slot
+            (true, [2, NEVER, NEVER], 0),
+            (true, [NEVER, 2, NEVER], 1),
+            (true, [NEVER, NEVER, 2], 2),
+            (true, [NEVER, 2, 2], 1),
         ] {
             let engine = flaky(fail_on);
+            if warm {
+                assert_eq!(
+                    engine.try_search_with(&q, 5, SearchMode::Exact),
+                    Ok(healthy.clone())
+                );
+            }
             match engine.try_search_with(&q, 5, SearchMode::Exact) {
-                Err(ShardedError::Shard { shard, .. }) => assert_eq!(shard, want, "{fail_on:?}"),
-                Ok(hits) => panic!("{fail_on:?}: expected an error, got {hits:?}"),
+                Err(ShardedError::Shard { shard, .. }) => {
+                    assert_eq!(shard, want, "{fail_on:?}, warm {warm}")
+                }
+                Ok(hits) => panic!("{fail_on:?}, warm {warm}: expected an error, got {hits:?}"),
+            }
+            if warm {
+                // The failure came in phase 2, which asks every shard.
+                assert_eq!(calls(&engine), [3, 3, 3], "{fail_on:?}");
             }
         }
         // The infallible facade degrades to no hits, and a shard that
@@ -949,6 +1056,56 @@ mod tests {
         let engine = flaky([NEVER, 1, NEVER]);
         assert!(engine.search_with(&q, 5, SearchMode::Pruned).is_empty());
         assert_eq!(engine.search_with(&q, 5, SearchMode::Pruned), healthy);
+    }
+
+    #[test]
+    fn a_repeated_search_makes_one_call_per_shard() {
+        const NEVER: usize = usize::MAX;
+        let engine = flaky([NEVER; 3]);
+        let q = parse("#combine(#1(grand canal) venice)").unwrap();
+        let want = mono(&DOCS).search(&q, 5);
+        assert_eq!(engine.search(&q, 5), want);
+        assert_eq!(calls(&engine), [2, 2, 2], "a cold search runs both phases");
+        assert_eq!(engine.search(&q, 5), want);
+        assert_eq!(calls(&engine), [3, 3, 3], "a warm search is phase 2 only");
+        // Another query over the same leaves is warm too, whatever its
+        // shape and weights; one new leaf brings phase 1 back.
+        let reweighted = parse("#weight(0.2 venice 0.8 #1(grand canal))").unwrap();
+        assert_eq!(
+            engine.search_with(&reweighted, 3, SearchMode::Pruned),
+            mono(&DOCS).search_with(&reweighted, 3, SearchMode::Pruned)
+        );
+        assert_eq!(calls(&engine), [4, 4, 4]);
+        let widened = parse("#combine(#1(grand canal) venice gondola)").unwrap();
+        assert_eq!(engine.search(&widened, 5), mono(&DOCS).search(&widened, 5));
+        assert_eq!(calls(&engine), [6, 6, 6]);
+    }
+
+    #[test]
+    fn a_failed_phase_one_records_nothing() {
+        const NEVER: usize = usize::MAX;
+        let q = parse("#combine(#1(grand canal) venice)").unwrap();
+        let want = mono(&DOCS).search(&q, 5);
+        for slot in 0..3 {
+            let mut fail_on = [NEVER; 3];
+            fail_on[slot] = 0;
+            let engine = flaky(fail_on);
+            assert!(engine.try_search_with(&q, 5, SearchMode::Exact).is_err());
+            let memo = engine.cf_memo.lock();
+            assert!(
+                memo.terms.is_empty() && memo.phrases.is_empty(),
+                "slot {slot}"
+            );
+            drop(memo);
+            // So the next search runs phase 1 again, on every shard.
+            let before = calls(&engine);
+            assert_eq!(engine.search(&q, 5), want, "slot {slot}");
+            let after = calls(&engine);
+            assert!(
+                before.iter().zip(&after).all(|(b, a)| a - b == 2),
+                "slot {slot}"
+            );
+        }
     }
 
     #[test]
@@ -973,6 +1130,18 @@ mod tests {
         assert_eq!(RetrievalBackend::doc_len(&engine, 0), 0);
         assert_eq!(RetrievalBackend::doc_len(&engine, 0), 8);
         assert_eq!(RetrievalBackend::phrase_cache_len(&engine), 0);
+    }
+
+    #[test]
+    fn a_doc_count_past_u32_is_refused() {
+        let parts = |last: usize| vec![(mono(&[]), u32::MAX as usize - 1, 0), (mono(&[]), last, 0)];
+        let fits = ScatterEngine::assemble(parts(1), LmParams::default()).unwrap();
+        assert_eq!(fits.num_docs, u32::MAX as usize);
+        match ScatterEngine::assemble(parts(2), LmParams::default()) {
+            Err(ShardedError::Shard { shard: 1, .. }) => {}
+            Err(other) => panic!("expected a shard-1 refusal, got {other:?}"),
+            Ok(_) => panic!("a global doc count past u32 must be refused"),
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   over loopback `ShardServer`s (one of those N per case — a fleet
 //!   costs ~0.2 s to boot and drain), each in `Exact` and `Pruned`,
 //!   return the oracle's documents in the oracle's order with scores
-//!   within 1e-12 of it, and bit-equal to one another;
+//!   within 1e-12 of it, and bit-equal to one another — each query
+//!   searched twice, so a scatter engine answers once with its
+//!   collection-frequency memo cold and once warm, bit-equal;
 //! * `doc_len`, `resolve_phrase` and `epsilon_prob` agree the same way
 //!   (`doc_len` is 0 past the collection in every layout).
 
@@ -267,9 +269,21 @@ proptest::proptest! {
         let reference = mono.search_with(&ast, k, SearchMode::Exact);
         for (name, backend) in &configs {
             for mode in [SearchMode::Exact, SearchMode::Pruned] {
-                let hits = backend
-                    .try_search_with(&ast, k, mode)
-                    .unwrap_or_else(|e| panic!("{name} {mode:?}: {e}"));
+                let search = || {
+                    backend
+                        .try_search_with(&ast, k, mode)
+                        .unwrap_or_else(|e| panic!("{name} {mode:?}: {e}"))
+                };
+                // The first search of a scatter engine sums the leaves'
+                // collection frequencies; every later one remembers them.
+                let hits = search();
+                proptest::prop_assert_eq!(
+                    bits(&search()),
+                    bits(&hits),
+                    "{} {:?}: a repeated search answered differently",
+                    name,
+                    mode
+                );
                 let docs: Vec<u32> = hits.iter().map(|h| h.doc).collect();
                 let want: Vec<u32> = expected.iter().map(|&(doc, _)| doc).collect();
                 proptest::prop_assert_eq!(docs, want, "{} {:?}: documents, {}", name, mode, ast);
