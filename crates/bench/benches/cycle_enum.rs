@@ -69,7 +69,7 @@ fn bench_anchored(c: &mut Criterion) {
     });
 }
 
-/// The search as `CycleExpander` runs it: on the induced, truncated
+/// The search as `cycle_features` runs it: on the induced, truncated
 /// radius-2 neighbourhood of each query, through the query's nodes.
 /// One iteration is 32 requests; the neighbourhoods are built outside
 /// the timed loop.

@@ -18,9 +18,7 @@
 mod common;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use querygraph_core::expansion::{
-    CycleExpander, CycleExpanderConfig, DirectLinkExpander, Expander,
-};
+use querygraph_core::expansion::{cycle_features, link_features, CycleExpanderConfig};
 use querygraph_graph::traversal::ball;
 use querygraph_wiki::synth::{generate, SynthWiki, SynthWikiConfig};
 use querygraph_wiki::ArticleId;
@@ -41,8 +39,7 @@ fn query(wiki: &SynthWiki) -> [ArticleId; 2] {
 fn bench_expanders(c: &mut Criterion) {
     let small = small_world();
     let stress = generate(&SynthWikiConfig::stress());
-    let cycles = CycleExpander::default();
-    let links = DirectLinkExpander { max_features: 10 };
+    let config = CycleExpanderConfig::default();
 
     let mut group = c.benchmark_group("expansion");
     for (name, wiki) in [
@@ -51,7 +48,7 @@ fn bench_expanders(c: &mut Criterion) {
     ] {
         let query = query(wiki);
         group.bench_function(name, |b| {
-            b.iter(|| black_box(cycles.expand(&wiki.kb, black_box(&query))).len());
+            b.iter(|| black_box(cycle_features(&wiki.kb, &config, black_box(&query))).len());
         });
     }
     let (paper, requests) = common::paper_requests();
@@ -59,18 +56,18 @@ fn bench_expanders(c: &mut Criterion) {
         b.iter(|| {
             let mut features = 0;
             for request in &requests {
-                features += black_box(cycles.expand(&paper.kb, black_box(request))).len();
+                features += black_box(cycle_features(&paper.kb, &config, black_box(request))).len();
             }
             features
         });
     });
     let small_query = query(&small);
     group.bench_function("direct_link_expander", |b| {
-        b.iter(|| black_box(links.expand(&small.kb, black_box(&small_query))).len());
+        b.iter(|| black_box(link_features(&small.kb, black_box(&small_query), 10)).len());
     });
     group.finish();
 
-    let radius = CycleExpanderConfig::default().neighborhood_radius;
+    let radius = config.neighborhood_radius;
     let mut group = c.benchmark_group("traversal");
     for (name, wiki) in [("ball_small", &small), ("ball_stress", &stress)] {
         let nodes = query(wiki).map(|a| wiki.kb.article_node(a));

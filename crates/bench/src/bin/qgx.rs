@@ -76,7 +76,7 @@
 //! World flags (shared by `serve` and `replay`): `--tiny | --quick |
 //! --stress [--quick] | --track`, `--index-cache <dir>`, `--shards <n>`,
 //! `--segstore <dir>`, `--shard-threads <n>`, `--mmap`, `--strategy
-//! cycles|links|redirects|none`, `--max-features <n>`, `--top-k <k>`,
+//! cycles|links|none`, `--max-features <n>`, `--top-k <k>`,
 //! `--prune`, `--expansion-cache <n>`.
 
 use querygraph_bench::serving::{self, log_line};
@@ -269,7 +269,7 @@ impl ExpanderOptions {
         let strategy = match flag_operand(args, "--strategy") {
             None => ExpansionStrategy::default(),
             Some(name) => ExpansionStrategy::parse(&name).unwrap_or_else(|| {
-                eprintln!("error: unknown --strategy {name:?} (cycles|links|redirects|none)");
+                eprintln!("error: unknown --strategy {name:?} (cycles|links|none)");
                 std::process::exit(2);
             }),
         };

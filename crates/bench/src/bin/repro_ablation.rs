@@ -1,12 +1,11 @@
-//! Ablation: compare query-expansion engines end to end — the paper's
-//! conclusions operationalized (DESIGN.md §5).
+//! Ablation: compare query-expansion strategies end to end — the paper's
+//! conclusions operationalized (DESIGN.md §5). Every row is served by
+//! the `QueryExpander` facade, the pipeline `qgx` serves.
 //!
-//! Engines:
+//! Strategies:
 //! * `none` — the unexpanded keyword query;
 //! * `direct-links` — link-neighbourhood features (the related-work
 //!   strategy of [1, 2, 3] in the paper);
-//! * `redirects` — redirect-title features (the paper's §4 future-work
-//!   idea);
 //! * `cycles` — the paper's prescription: dense cycles with a ≈30 %
 //!   category ratio;
 //! * `cycles-nofilter` — cycles without the category-ratio band, which
@@ -14,53 +13,45 @@
 //!
 //! `cargo run --release -p querygraph-bench --bin repro_ablation [-- --quick]`
 
-use querygraph_core::expansion::{
-    expanded_titles, CycleExpander, CycleExpanderConfig, DirectLinkExpander, Expander,
-    NoopExpander, RedirectExpander,
-};
+use querygraph_core::expansion::CycleExpanderConfig;
 use querygraph_core::experiment::Experiment;
-use querygraph_link::EntityLinker;
+use querygraph_core::service::{ExpansionStrategy, QueryExpander};
 use querygraph_retrieval::metrics::precisions;
-use querygraph_retrieval::query_lang::QueryNode;
 
 fn main() {
     let config = querygraph_bench::config_from_args();
     eprintln!(
-        "# expander ablation over {} queries",
+        "# strategy ablation over {} queries",
         config.corpus.num_queries
     );
     let exp = Experiment::build(&config);
-    let linker = EntityLinker::new(&exp.wiki.kb);
-
-    let expanders: Vec<Box<dyn Expander>> = vec![
-        Box::new(NoopExpander),
-        Box::new(DirectLinkExpander { max_features: 8 }),
-        Box::new(RedirectExpander { max_features: 8 }),
-        Box::new(CycleExpander::default()),
-        Box::new(CycleExpander {
-            config: CycleExpanderConfig {
-                category_ratio_band: (0.0, 1.0),
-                ..CycleExpanderConfig::default()
-            },
-        }),
-    ];
-    let labels = [
-        "none",
-        "direct-links",
-        "redirects",
-        "cycles",
-        "cycles-nofilter",
+    let nofilter = CycleExpanderConfig {
+        category_ratio_band: (0.0, 1.0),
+        ..CycleExpanderConfig::default()
+    };
+    let strategies = [
+        ("none", ExpansionStrategy::None),
+        (
+            "direct-links",
+            ExpansionStrategy::DirectLinks { max_features: 8 },
+        ),
+        ("cycles", ExpansionStrategy::default()),
+        ("cycles-nofilter", ExpansionStrategy::Cycles(nofilter)),
     ];
 
-    println!("Expander ablation — mean precision (top-1 top-5 top-10 top-15)");
-    for (expander, label) in expanders.iter().zip(labels) {
+    println!("Strategy ablation — mean precision (top-1 top-5 top-10 top-15)");
+    for (label, strategy) in strategies {
+        let expander = QueryExpander::builder()
+            .strategy(strategy)
+            .retrieve_top(15)
+            .build(&exp.wiki.kb, &exp.engine);
         let mut sums = [0.0f64; 4];
         for query in exp.corpus.queries.iter() {
-            let lqk = linker.link_articles(&query.keywords);
-            let features = expander.expand(&exp.wiki.kb, &lqk);
-            let titles = expanded_titles(&exp.wiki.kb, &lqk, &features);
-            let node = QueryNode::phrases_of_titles(&titles);
-            let hits = exp.engine.search(&node, 15);
+            // An unlinkable query has nothing to search for.
+            let hits = expander
+                .expand_text(&query.keywords)
+                .map(|response| response.hits)
+                .unwrap_or_default();
             let relevant: Vec<u32> = query.relevant.iter().map(|d| d.0).collect();
             let p = precisions(&hits, &relevant);
             for i in 0..4 {

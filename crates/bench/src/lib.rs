@@ -156,7 +156,7 @@ impl LatencySummary {
 /// The serving half of a [`ServeRecord`]: what the `qgx` loop measured.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeSummary {
-    /// Expansion strategy served (`cycles`, `direct-links`, …).
+    /// Expansion strategy served (`cycles`, `direct-links` or `none`).
     pub strategy: String,
     /// Queries answered successfully.
     pub queries_served: usize,

@@ -59,11 +59,22 @@ fn unknown_subcommand_is_rejected() {
 
 #[test]
 fn flags_are_rejected_per_subcommand() {
-    // `--json` belongs to replay; serve must refuse it instead of
-    // silently ignoring it.
-    let (status, _, stderr) = run(&["serve", "--json"], "");
-    assert_eq!(status.code(), Some(2));
-    assert!(stderr.contains("unknown flag --json"), "stderr: {stderr}");
+    for (args, refusal) in [
+        // `--json` belongs to replay; serve must refuse it instead of
+        // silently ignoring it.
+        (&["serve", "--json"][..], "unknown flag --json"),
+        // The inert redirect strategy is gone; the refusal lists the
+        // live ones before any world is built.
+        (
+            &["replay", "--stress", "--strategy", "redirects"][..],
+            "unknown --strategy \"redirects\" (cycles|links|none)",
+        ),
+    ] {
+        let (status, stdout, stderr) = run(args, "");
+        assert_eq!(status.code(), Some(2), "qgx {args:?} must be refused");
+        assert!(stdout.is_empty(), "nothing is served: {stdout}");
+        assert!(stderr.contains(refusal), "stderr: {stderr}");
+    }
 }
 
 #[test]

@@ -1,118 +1,28 @@
-//! Query-expansion engines: the paper's findings turned into a usable
-//! system, plus baselines.
+//! Query-expansion strategies: the paper's findings turned into a usable
+//! system, plus its baseline. Each strategy is one function, and
+//! [`crate::service::ExpansionStrategy`] is the one place that selects
+//! between them.
 //!
 //! The paper is an analysis, but its conclusion prescribes a technique:
 //! *"dense cycles, in which the ratio of categories stands around the
 //! 30 %, are specially useful to identify new expansion features. Among
 //! \[them\], small cycles help to describe better the user needs … while
 //! larger cycles introduce expansion features that widen the search
-//! space"*. [`CycleExpander`] implements exactly that prescription;
-//! [`DirectLinkExpander`] is the link-neighbourhood baseline of the
-//! related work ([1, 2, 3] in the paper); [`RedirectExpander`] is the
-//! §4 future-work idea of using redirect titles as features.
+//! space"*. [`cycle_features`] implements exactly that prescription;
+//! [`link_features`] is the link-neighbourhood baseline of the related
+//! work ([1, 2, 3] in the paper).
 
 use querygraph_graph::cycles::{induced_cycle_edges, CycleFinder};
 use querygraph_graph::subgraph::induce;
 use querygraph_graph::traversal::ball;
+use querygraph_graph::EdgeType;
 use querygraph_wiki::{ArticleId, KnowledgeBase};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::cycle_analysis::max_edges;
 
-/// A query-expansion engine: maps the query's articles to expansion
-/// feature articles (whose titles are then added to the query).
-pub trait Expander {
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Produce expansion features for the given query articles.
-    fn expand(&self, kb: &KnowledgeBase, query_articles: &[ArticleId]) -> Vec<ArticleId>;
-}
-
-/// No expansion — the unexpanded-query baseline.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopExpander;
-
-impl Expander for NoopExpander {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-
-    fn expand(&self, _kb: &KnowledgeBase, _query_articles: &[ArticleId]) -> Vec<ArticleId> {
-        Vec::new()
-    }
-}
-
-/// Expansion from the individual wiki-links of the query articles — the
-/// strategy of the related work the paper contrasts itself against
-/// ("information extraction strategies by using the individual links of
-/// each Wikipedia article, without going deeper into further
-/// relationships").
-#[derive(Debug, Clone, Copy)]
-pub struct DirectLinkExpander {
-    /// Maximum number of features returned.
-    pub max_features: usize,
-}
-
-impl Expander for DirectLinkExpander {
-    fn name(&self) -> &'static str {
-        "direct-links"
-    }
-
-    fn expand(&self, kb: &KnowledgeBase, query_articles: &[ArticleId]) -> Vec<ArticleId> {
-        let g = kb.graph();
-        let mut counts: HashMap<ArticleId, usize> = HashMap::new();
-        for &qa in query_articles {
-            let node = kb.article_node(kb.resolve_redirect(qa));
-            for (v, t) in g.out_edges(node) {
-                if t == querygraph_graph::EdgeType::Link {
-                    if let Some(a) = kb.node_article(v) {
-                        *counts.entry(a).or_insert(0) += 1;
-                    }
-                }
-            }
-            for (v, t) in g.in_edges(node) {
-                if t == querygraph_graph::EdgeType::Link {
-                    if let Some(a) = kb.node_article(v) {
-                        *counts.entry(a).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-        rank_features(counts, query_articles, self.max_features)
-    }
-}
-
-/// §4 future work: redirect titles of the query articles as features
-/// ("they represent less common ways to refer a concept").
-#[derive(Debug, Clone, Copy)]
-pub struct RedirectExpander {
-    /// Maximum number of features returned.
-    pub max_features: usize,
-}
-
-impl Expander for RedirectExpander {
-    fn name(&self) -> &'static str {
-        "redirects"
-    }
-
-    fn expand(&self, kb: &KnowledgeBase, query_articles: &[ArticleId]) -> Vec<ArticleId> {
-        let mut out = Vec::new();
-        for &qa in query_articles {
-            let main = kb.resolve_redirect(qa);
-            for &r in kb.redirects_of(main) {
-                if !out.contains(&r) {
-                    out.push(r);
-                }
-            }
-        }
-        out.truncate(self.max_features);
-        out
-    }
-}
-
-/// Configuration of the cycle-based expander.
+/// Configuration of the cycle strategy ([`cycle_features`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CycleExpanderConfig {
     /// Maximum cycle length (the paper stops at 5).
@@ -154,30 +64,37 @@ impl Default for CycleExpanderConfig {
     }
 }
 
-/// The paper's prescription as an expander: enumerate cycles through
-/// the query articles in their graph neighbourhood, keep dense cycles
-/// whose category ratio sits in the configured band, and rank candidate
+/// Expansion from the individual wiki-links of the query articles — the
+/// strategy of the related work the paper contrasts itself against
+/// ("information extraction strategies by using the individual links of
+/// each Wikipedia article, without going deeper into further
+/// relationships"). Articles rank by how many query-article links, in
+/// either direction, reach them.
+pub fn link_features(
+    kb: &KnowledgeBase,
+    query_articles: &[ArticleId],
+    max_features: usize,
+) -> Vec<ArticleId> {
+    let g = kb.graph();
+    let mut counts: HashMap<ArticleId, usize> = HashMap::new();
+    for &qa in query_articles {
+        let node = kb.article_node(kb.resolve_redirect(qa));
+        for (v, t) in g.out_edges(node).chain(g.in_edges(node)) {
+            if t == EdgeType::Link {
+                if let Some(a) = kb.node_article(v) {
+                    *counts.entry(a).or_insert(0) += 1;
+                }
+            }
+        }
+    }
+    rank_features(counts, query_articles, max_features)
+}
+
+/// The paper's prescription: enumerate cycles through the query
+/// articles in their graph neighbourhood, keep dense cycles whose
+/// category ratio sits in the configured band, and rank candidate
 /// articles by how many qualifying cycles they appear in (short cycles
 /// weighted higher — they "describe better the user needs").
-#[derive(Debug, Clone, Default)]
-pub struct CycleExpander {
-    /// Tuning; `Default` follows the paper's findings.
-    pub config: CycleExpanderConfig,
-}
-
-impl Expander for CycleExpander {
-    fn name(&self) -> &'static str {
-        "cycles"
-    }
-
-    fn expand(&self, kb: &KnowledgeBase, query_articles: &[ArticleId]) -> Vec<ArticleId> {
-        cycle_features(kb, &self.config, query_articles)
-    }
-}
-
-/// [`CycleExpander`]'s features under a borrowed `cfg` — what a caller
-/// that owns a config (the serving facade, once per request) runs
-/// without cloning it into an expander.
 pub fn cycle_features(
     kb: &KnowledgeBase,
     cfg: &CycleExpanderConfig,
@@ -302,6 +219,40 @@ pub fn expanded_titles<'kb>(
         .collect()
 }
 
+/// A shim for the repo benchmark's trace replay (`benchmark/src/trace.rs`),
+/// the one caller that still names the served strategies as types. Each
+/// impl forwards to its function; select a strategy through
+/// [`crate::service::ExpansionStrategy`] instead. Delete the shim with
+/// that caller's port.
+pub trait Expander {
+    /// Produce expansion features for the given query articles.
+    fn expand(&self, kb: &KnowledgeBase, query_articles: &[ArticleId]) -> Vec<ArticleId>;
+}
+
+/// [`link_features`] behind the [`Expander`] shim.
+pub struct DirectLinkExpander {
+    /// Maximum number of features returned.
+    pub max_features: usize,
+}
+
+impl Expander for DirectLinkExpander {
+    fn expand(&self, kb: &KnowledgeBase, query_articles: &[ArticleId]) -> Vec<ArticleId> {
+        link_features(kb, query_articles, self.max_features)
+    }
+}
+
+/// [`cycle_features`] behind the [`Expander`] shim.
+pub struct CycleExpander {
+    /// The strategy's tuning.
+    pub config: CycleExpanderConfig,
+}
+
+impl Expander for CycleExpander {
+    fn expand(&self, kb: &KnowledgeBase, query_articles: &[ArticleId]) -> Vec<ArticleId> {
+        cycle_features(kb, &self.config, query_articles)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,17 +266,10 @@ mod tests {
     }
 
     #[test]
-    fn noop_returns_nothing() {
-        let kb = venice_mini_wiki();
-        let q = venice_query(&kb);
-        assert!(NoopExpander.expand(&kb, &q).is_empty());
-    }
-
-    #[test]
     fn direct_links_find_neighbours() {
         let kb = venice_mini_wiki();
         let q = venice_query(&kb);
-        let feats = DirectLinkExpander { max_features: 10 }.expand(&kb, &q);
+        let feats = link_features(&kb, &q, 10);
         assert!(!feats.is_empty());
         let titles: Vec<&str> = feats.iter().map(|&a| kb.title(a)).collect();
         assert!(titles.contains(&"Cannaregio"), "{titles:?}");
@@ -335,25 +279,10 @@ mod tests {
     }
 
     #[test]
-    fn redirect_expander_returns_aliases() {
-        let kb = venice_mini_wiki();
-        let q = venice_query(&kb);
-        let feats = RedirectExpander { max_features: 10 }.expand(&kb, &q);
-        let titles: Vec<&str> = feats.iter().map(|&a| kb.title(a)).collect();
-        // Venice has one alias; Gondola has none (Gondoliere aliases
-        // Gondolier, a different article).
-        assert_eq!(titles, vec!["La Serenissima"]);
-        let gondolier = vec![kb.article_by_title("Gondolier").unwrap()];
-        let feats2 = RedirectExpander { max_features: 10 }.expand(&kb, &gondolier);
-        let titles2: Vec<&str> = feats2.iter().map(|&a| kb.title(a)).collect();
-        assert_eq!(titles2, vec!["Gondoliere"]);
-    }
-
-    #[test]
     fn cycle_expander_prefers_cycle_members() {
         let kb = venice_mini_wiki();
         let q = venice_query(&kb);
-        let feats = CycleExpander::default().expand(&kb, &q);
+        let feats = cycle_features(&kb, &CycleExpanderConfig::default(), &q);
         assert!(!feats.is_empty());
         let titles: Vec<&str> = feats.iter().map(|&a| kb.title(a)).collect();
         // The strongest features are the densely cycled neighbours of
@@ -373,14 +302,12 @@ mod tests {
         // The trap triangle has category ratio 0 — a band starting
         // above 0 must reject it, so quarantine/anthrax are not
         // suggested from the trap cycle.
-        let expander = CycleExpander {
-            config: CycleExpanderConfig {
-                category_ratio_band: (0.2, 0.55),
-                lengths: vec![3, 4, 5],
-                ..CycleExpanderConfig::default()
-            },
+        let config = CycleExpanderConfig {
+            category_ratio_band: (0.2, 0.55),
+            lengths: vec![3, 4, 5],
+            ..CycleExpanderConfig::default()
         };
-        let feats = expander.expand(&kb, &sheep);
+        let feats = cycle_features(&kb, &config, &sheep);
         let titles: Vec<&str> = feats.iter().map(|&a| kb.title(a)).collect();
         assert!(
             !titles.contains(&"Anthrax"),
@@ -392,13 +319,11 @@ mod tests {
     fn cycle_expander_accepts_trap_without_band() {
         let kb = venice_mini_wiki();
         let sheep = vec![kb.article_by_title("Sheep").unwrap()];
-        let expander = CycleExpander {
-            config: CycleExpanderConfig {
-                category_ratio_band: (0.0, 1.0),
-                ..CycleExpanderConfig::default()
-            },
+        let config = CycleExpanderConfig {
+            category_ratio_band: (0.0, 1.0),
+            ..CycleExpanderConfig::default()
         };
-        let feats = expander.expand(&kb, &sheep);
+        let feats = cycle_features(&kb, &config, &sheep);
         let titles: Vec<&str> = feats.iter().map(|&a| kb.title(a)).collect();
         assert!(
             titles.contains(&"Anthrax"),
@@ -410,15 +335,14 @@ mod tests {
     fn max_features_is_respected() {
         let kb = venice_mini_wiki();
         let q = venice_query(&kb);
-        let feats = DirectLinkExpander { max_features: 1 }.expand(&kb, &q);
-        assert_eq!(feats.len(), 1);
+        assert_eq!(link_features(&kb, &q, 1).len(), 1);
     }
 
     #[test]
     fn features_never_include_redirect_articles_for_cycles() {
         let kb = venice_mini_wiki();
         let q = venice_query(&kb);
-        let feats = CycleExpander::default().expand(&kb, &q);
+        let feats = cycle_features(&kb, &CycleExpanderConfig::default(), &q);
         for &f in &feats {
             assert!(!kb.is_redirect(f), "cycle features are main articles");
         }
@@ -437,8 +361,10 @@ mod tests {
     fn deterministic_expansion() {
         let kb = venice_mini_wiki();
         let q = venice_query(&kb);
-        let a = CycleExpander::default().expand(&kb, &q);
-        let b = CycleExpander::default().expand(&kb, &q);
-        assert_eq!(a, b);
+        let config = CycleExpanderConfig::default();
+        assert_eq!(
+            cycle_features(&kb, &config, &q),
+            cycle_features(&kb, &config, &q)
+        );
     }
 }

@@ -14,10 +14,9 @@
 //!   edges (the M(C) formula) and retrieval contribution.
 //! * [`contribution`] — the percentual O-difference a cycle's articles
 //!   buy (Figs. 5 and 9).
-//! * [`expansion`] — the findings operationalized: a cycle-based query
-//!   expander (dense cycles, ≈30 % category ratio) with baselines, plus
-//!   the paper's §4 future-work variants (redirect features, article
-//!   cycle-frequency ranking).
+//! * [`expansion`] — the findings operationalized: the cycle strategy
+//!   (dense cycles, ≈30 % category ratio) and the direct-link baseline,
+//!   one function each.
 //! * [`experiment`] — the reproduction pipeline: synthesize Wikipedia +
 //!   corpus, build ground truths, analyze every query graph, aggregate
 //!   every table and figure ([`tables`]).

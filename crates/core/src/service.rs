@@ -47,10 +47,7 @@
 
 use crate::cache::{self, WorldOptions};
 use crate::config::ExperimentConfig;
-use crate::expansion::{
-    cycle_features, expanded_titles, CycleExpanderConfig, DirectLinkExpander, Expander,
-    RedirectExpander,
-};
+use crate::expansion::{cycle_features, expanded_titles, link_features, CycleExpanderConfig};
 use crate::expcache::{CacheKey, ExpansionCache};
 use crate::pipeline::parallel_map;
 use querygraph_link::EntityLinker;
@@ -467,7 +464,9 @@ impl Deadline {
     }
 }
 
-/// Which expansion engine ([`crate::expansion`]) serves the features.
+/// Which expansion strategy serves the features: the one place a
+/// strategy is chosen. Each variant runs one function of
+/// [`crate::expansion`].
 ///
 /// (Not serde-derivable under the offline shim — data-carrying enum
 /// variants are unsupported there; the CLI surface uses
@@ -476,17 +475,14 @@ impl Deadline {
 pub enum ExpansionStrategy {
     /// No expansion: the response carries the linked entities only.
     None,
-    /// Link-neighbourhood baseline of the related work.
+    /// Link-neighbourhood baseline of the related work
+    /// ([`crate::expansion::link_features`]).
     DirectLinks {
         /// Maximum number of features returned.
         max_features: usize,
     },
-    /// §4 future-work variant: redirect titles as features.
-    Redirects {
-        /// Maximum number of features returned.
-        max_features: usize,
-    },
-    /// The paper's prescription: dense cycles with ≈30 % categories.
+    /// The paper's prescription: dense cycles with ≈30 % categories
+    /// ([`crate::expansion::cycle_features`]).
     Cycles(CycleExpanderConfig),
 }
 
@@ -502,35 +498,28 @@ impl ExpansionStrategy {
         match self {
             ExpansionStrategy::None => "none",
             ExpansionStrategy::DirectLinks { .. } => "direct-links",
-            ExpansionStrategy::Redirects { .. } => "redirects",
             ExpansionStrategy::Cycles(_) => "cycles",
         }
     }
 
-    /// Parse a CLI strategy name (`cycles`, `links`, `redirects`,
-    /// `none`). Non-cycle strategies default to 10 features.
+    /// Parse a CLI strategy name (`cycles`, `links`, `none`). The link
+    /// strategy defaults to 10 features.
     pub fn parse(name: &str) -> Option<ExpansionStrategy> {
         match name {
             "none" => Some(ExpansionStrategy::None),
             "links" | "direct-links" => Some(ExpansionStrategy::DirectLinks { max_features: 10 }),
-            "redirects" => Some(ExpansionStrategy::Redirects { max_features: 10 }),
             "cycles" => Some(ExpansionStrategy::Cycles(CycleExpanderConfig::default())),
             _ => None,
         }
     }
 
-    /// Run the selected engine.
+    /// Run the selected strategy's function.
     fn features(&self, kb: &KnowledgeBase, query_articles: &[ArticleId]) -> Vec<ArticleId> {
         match self {
             ExpansionStrategy::None => Vec::new(),
-            ExpansionStrategy::DirectLinks { max_features } => DirectLinkExpander {
-                max_features: *max_features,
+            ExpansionStrategy::DirectLinks { max_features } => {
+                link_features(kb, query_articles, *max_features)
             }
-            .expand(kb, query_articles),
-            ExpansionStrategy::Redirects { max_features } => RedirectExpander {
-                max_features: *max_features,
-            }
-            .expand(kb, query_articles),
             ExpansionStrategy::Cycles(config) => cycle_features(kb, config, query_articles),
         }
     }
@@ -752,7 +741,7 @@ pub struct QueryExpander<'w> {
 }
 
 impl<'w> QueryExpander<'w> {
-    /// Expander with the default knobs (cycle strategy, synonyms on,
+    /// A facade with the default knobs (cycle strategy, synonyms on,
     /// no default retrieval). Use [`QueryExpander::builder`] for more.
     pub fn new(kb: &'w KnowledgeBase, engine: &'w dyn RetrievalBackend) -> QueryExpander<'w> {
         QueryExpanderBuilder::default().build(kb, engine)
@@ -1199,11 +1188,13 @@ mod tests {
         for (name, parsed) in [
             ("cycles", "cycles"),
             ("links", "direct-links"),
-            ("redirects", "redirects"),
             ("none", "none"),
         ] {
             assert_eq!(ExpansionStrategy::parse(name).unwrap().name(), parsed);
         }
+        // No synthetic document uses a redirect title, so no strategy
+        // serves them.
+        assert_eq!(ExpansionStrategy::parse("redirects"), None);
         assert_eq!(ExpansionStrategy::parse("bogus"), None);
     }
 

@@ -1,6 +1,6 @@
 //! Breadth-first traversals over the undirected cycle view.
 //!
-//! `CycleExpander` (`querygraph-core`) bounds its cycle search to the
+//! `cycle_features` (`querygraph-core`) bounds its cycle search to the
 //! nodes within a small radius of the query articles — the local search
 //! the paper's §4 real-time challenge ("6 minutes per query graph")
 //! makes mandatory on a multi-million-article graph — and the search

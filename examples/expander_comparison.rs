@@ -1,61 +1,57 @@
 //! Using the library as a downstream system: compare query-expansion
-//! engines on a synthetic benchmark — the paper's conclusions as a
-//! working expander versus the related-work baselines.
+//! strategies on a synthetic benchmark — the paper's conclusions as a
+//! served strategy versus the related-work baseline — each through the
+//! `QueryExpander` facade a server would run.
 //!
 //! ```text
 //! cargo run --release --example expander_comparison
 //! ```
 
-use querygraph::core::expansion::{
-    expanded_titles, CycleExpander, CycleExpanderConfig, DirectLinkExpander, Expander,
-    NoopExpander, RedirectExpander,
-};
+use querygraph::core::expansion::CycleExpanderConfig;
 use querygraph::core::experiment::{Experiment, ExperimentConfig};
-use querygraph::link::EntityLinker;
+use querygraph::core::service::{ExpansionStrategy, QueryExpander};
 use querygraph::retrieval::metrics::{average_quality, precisions};
-use querygraph::retrieval::query_lang::QueryNode;
 
 fn main() {
     let experiment = Experiment::build(&ExperimentConfig::tiny());
-    let kb = &experiment.wiki.kb;
-    let linker = EntityLinker::new(kb);
-
-    let expanders: Vec<(&str, Box<dyn Expander>)> = vec![
-        ("none", Box::new(NoopExpander)),
+    let no_band = CycleExpanderConfig {
+        category_ratio_band: (0.0, 1.0),
+        ..CycleExpanderConfig::default()
+    };
+    let strategies = [
+        ("none", ExpansionStrategy::None),
         (
             "direct-links",
-            Box::new(DirectLinkExpander { max_features: 8 }),
+            ExpansionStrategy::DirectLinks { max_features: 8 },
         ),
-        ("redirects", Box::new(RedirectExpander { max_features: 8 })),
-        ("cycles (paper)", Box::new(CycleExpander::default())),
+        ("cycles (paper)", ExpansionStrategy::default()),
         (
             "cycles, no category band",
-            Box::new(CycleExpander {
-                config: CycleExpanderConfig {
-                    category_ratio_band: (0.0, 1.0),
-                    ..CycleExpanderConfig::default()
-                },
-            }),
+            ExpansionStrategy::Cycles(no_band),
         ),
     ];
 
     println!(
-        "Expander comparison over {} queries\n",
+        "Strategy comparison over {} queries\n",
         experiment.corpus.queries.len()
     );
     println!(
         "{:<26} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "expander", "O", "P@1", "P@5", "P@10", "P@15"
+        "strategy", "O", "P@1", "P@5", "P@10", "P@15"
     );
-    for (name, expander) in &expanders {
+    for (name, strategy) in strategies {
+        let expander = QueryExpander::builder()
+            .strategy(strategy)
+            .retrieve_top(15)
+            .build(&experiment.wiki.kb, &experiment.engine);
         let mut o_sum = 0.0;
         let mut p_sum = [0.0f64; 4];
         for query in experiment.corpus.queries.iter() {
-            let lqk = linker.link_articles(&query.keywords);
-            let features = expander.expand(kb, &lqk);
-            let titles = expanded_titles(kb, &lqk, &features);
-            let node = QueryNode::phrases_of_titles(&titles);
-            let hits = experiment.engine.search(&node, 15);
+            // An unlinkable query has nothing to search for.
+            let hits = expander
+                .expand_text(&query.keywords)
+                .map(|response| response.hits)
+                .unwrap_or_default();
             let relevant: Vec<u32> = query.relevant.iter().map(|d| d.0).collect();
             o_sum += average_quality(&hits, &relevant);
             let p = precisions(&hits, &relevant);
@@ -76,7 +72,7 @@ fn main() {
     }
 
     println!(
-        "\nThe cycle expander operationalizes the paper's finding: dense cycles\n\
+        "\nThe cycle strategy operationalizes the paper's finding: dense cycles\n\
          with a category ratio around 30% carry the best expansion features;\n\
          dropping the category-ratio band lets Fig. 8-style traps through."
     );

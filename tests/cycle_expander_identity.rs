@@ -1,4 +1,4 @@
-//! What `CycleExpander::expand` serves is pinned here, independently of
+//! What the served strategies return is pinned here, independently of
 //! how the cycle search or its visitor are written.
 //!
 //! The repo benchmark's oracle is built from the same library as the
@@ -6,9 +6,11 @@
 //! construction; the `Report` goldens cover the analysis pipeline, not
 //! the served strategy. This file is what can see a drift:
 //!
-//! * committed FNV-1a fingerprints of the default expander's feature
-//!   lists over a seeded set of benchmark-shaped queries (one title, or
-//!   two of one topic) on the paper-tier and stress-tier worlds;
+//! * committed FNV-1a fingerprints of `cycle_features`' feature lists,
+//!   under the default config, over a seeded set of benchmark-shaped
+//!   queries (one title, or two of one topic) on the paper-tier and
+//!   stress-tier worlds, and of `link_features`' on the paper tier (the
+//!   strategy `fleet_links` serves);
 //! * a test-local reference expander — the straightforward
 //!   formulation: enumerate every simple cycle of the neighbourhood,
 //!   filter at emit time, score in a hash map, always count the induced
@@ -19,7 +21,8 @@
 //! the sequence and the `f64` scores accumulate in it.
 
 use querygraph::core::cycle_analysis::max_edges;
-use querygraph::core::expansion::{CycleExpander, CycleExpanderConfig, Expander};
+use querygraph::core::expansion::{cycle_features, link_features, CycleExpanderConfig};
+use querygraph::core::service::ExpansionStrategy;
 use querygraph::graph::cycles::induced_cycle_edges;
 use querygraph::graph::subgraph::induce;
 use querygraph::graph::traversal::ball;
@@ -29,12 +32,17 @@ use querygraph::wiki::synth::{generate, SynthWiki, SynthWikiConfig};
 use querygraph::wiki::{ArticleId, KnowledgeBase};
 use std::collections::HashMap;
 
-/// Feature lists of `CycleExpander::default()` over `queries(.., 256)`
+/// Feature lists of the default `cycle_features` over `queries(.., 256)`
 /// on `SynthWikiConfig::default_experiment()`, computed at commit
 /// 0435a15 (the tree before the search was pruned).
 const PAPER_FNV: u64 = 0x9d23_58c6_6cd0_00be;
 /// The same over `queries(.., 64)` on `SynthWikiConfig::stress()`.
 const STRESS_FNV: u64 = 0x9cd0_eaa0_fb7f_1282;
+/// Feature lists of the `links` strategy, at the cap
+/// `ExpansionStrategy::parse("links")` gives it, over the paper-tier
+/// `queries(.., 256)`; computed at commit 04ce2db (before the strategy
+/// became a plain function).
+const LINKS_PAPER_FNV: u64 = 0x5ac4_5ea6_a23d_9853;
 
 /// SplitMix64, as the repo benchmark's plan uses.
 struct Rng(u64);
@@ -275,15 +283,12 @@ fn assert_matches_reference(
     config: &CycleExpanderConfig,
     queries: &[Vec<ArticleId>],
 ) -> Seen {
-    let expander = CycleExpander {
-        config: config.clone(),
-    };
     let mut total = Seen::default();
     for query in queries {
         let mut seen = Seen::default();
         let expected = reference_expand(kb, config, query, &mut seen);
         assert_eq!(
-            expander.expand(kb, query),
+            cycle_features(kb, config, query),
             expected,
             "{query:?} under {config:?}"
         );
@@ -358,15 +363,35 @@ fn configs() -> Vec<(CycleExpanderConfig, Reached)> {
 fn paper_tier_served_features_are_pinned() {
     let wiki = generate(&SynthWikiConfig::default_experiment());
     let queries = queries(&wiki, 256);
-    let expander = CycleExpander::default();
+    let config = CycleExpanderConfig::default();
     let served: Vec<Vec<ArticleId>> = queries
         .iter()
-        .map(|q| expander.expand(&wiki.kb, q))
+        .map(|q| cycle_features(&wiki.kb, &config, q))
         .collect();
     assert!(served.iter().filter(|f| !f.is_empty()).count() > 128);
     assert_eq!(
         fingerprint(&served),
         PAPER_FNV,
+        "got {:#x}",
+        fingerprint(&served)
+    );
+}
+
+#[test]
+fn paper_tier_link_features_are_pinned() {
+    let Some(ExpansionStrategy::DirectLinks { max_features }) = ExpansionStrategy::parse("links")
+    else {
+        panic!("`links` names the direct-link strategy");
+    };
+    let wiki = generate(&SynthWikiConfig::default_experiment());
+    let served: Vec<Vec<ArticleId>> = queries(&wiki, 256)
+        .iter()
+        .map(|q| link_features(&wiki.kb, q, max_features))
+        .collect();
+    assert!(served.iter().filter(|f| !f.is_empty()).count() > 128);
+    assert_eq!(
+        fingerprint(&served),
+        LINKS_PAPER_FNV,
         "got {:#x}",
         fingerprint(&served)
     );
@@ -387,10 +412,10 @@ fn paper_tier_matches_the_reference_expander_on_every_branch() {
 fn stress_tier_served_features_are_pinned_and_match_the_reference() {
     let wiki = generate(&SynthWikiConfig::stress());
     let queries = queries(&wiki, 64);
-    let expander = CycleExpander::default();
+    let config = CycleExpanderConfig::default();
     let served: Vec<Vec<ArticleId>> = queries
         .iter()
-        .map(|q| expander.expand(&wiki.kb, q))
+        .map(|q| cycle_features(&wiki.kb, &config, q))
         .collect();
     assert_eq!(
         fingerprint(&served),

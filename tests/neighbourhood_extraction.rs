@@ -1,7 +1,7 @@
 //! The cycle strategy's neighbourhood extraction on the stress-tier
 //! knowledge base, against a reference built from the slow parts.
 //!
-//! `CycleExpander` keeps the `max_neighborhood` lowest node ids of the
+//! `cycle_features` keeps the `max_neighborhood` lowest node ids of the
 //! radius-2 ball and induces the subgraph over them, so the served
 //! bytes depend on `ball` returning exactly the filtered full-graph BFS
 //! in ascending order, and on `induce` freezing exactly the graph a

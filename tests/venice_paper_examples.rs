@@ -2,7 +2,7 @@
 //! the Venice fixture, crossing the wiki, link, graph and core crates.
 
 use querygraph::core::cycle_analysis::enumerate_cycles;
-use querygraph::core::expansion::{CycleExpander, CycleExpanderConfig, Expander};
+use querygraph::core::expansion::{cycle_features, CycleExpanderConfig};
 use querygraph::core::query_graph::assemble;
 use querygraph::link::EntityLinker;
 use querygraph::wiki::fixture::{venice_mini_wiki, VENICE_QUERY};
@@ -79,20 +79,17 @@ fn category_band_blocks_fig8_trap() {
     let sheep = vec![kb.article_by_title("Sheep").unwrap()];
     let anthrax = kb.article_by_title("Anthrax").unwrap();
 
-    let banded = CycleExpander::default();
-    let feats = banded.expand(&kb, &sheep);
+    let feats = cycle_features(&kb, &CycleExpanderConfig::default(), &sheep);
     assert!(
         !feats.contains(&anthrax),
         "the ≈30% category band must reject the category-free trap"
     );
 
-    let unbanded = CycleExpander {
-        config: CycleExpanderConfig {
-            category_ratio_band: (0.0, 1.0),
-            ..CycleExpanderConfig::default()
-        },
+    let unbanded = CycleExpanderConfig {
+        category_ratio_band: (0.0, 1.0),
+        ..CycleExpanderConfig::default()
     };
-    let feats = unbanded.expand(&kb, &sheep);
+    let feats = cycle_features(&kb, &unbanded, &sheep);
     assert!(
         feats.contains(&anthrax),
         "without the band the trap must leak through"
