@@ -5,10 +5,8 @@
 //! ```text
 //! qgx serve   --listen <addr>  [world flags] [--workers n] [--queue n]
 //!             [--deadline-ms n] [--keep-alive n] [--shard-procs n]
-//!             [--bench-out path]
 //! qgx replay  [world flags] [--queries f | --seed-queries] [--repeat n]
-//!             [--zipf s] [--threads n] [--deadline-ms n] [--json]
-//!             [--shard-procs n] [--bench-out path]
+//!             [--deadline-ms n] [--json] [--shard-procs n]
 //! qgx client  --connect <addr> [--healthz | --statz | --flood n |
 //!             --query text | --queries f | --seed-queries [tier flags]]
 //!             [--repeat n] [--top-k k] [--max-features n] [--timeout-ms n]
@@ -16,14 +14,15 @@
 //!             [--listen <addr>] [--mmap]
 //! qgx dump    --out <path> [tier flags] [--skip n] [--docs n]
 //! qgx ingest  --dump <path> --segstore <dir> [tier flags]
-//!             [--batch-docs n] [--compact n] [--bench-out path]
+//!             [--batch-docs n] [--compact n]
 //! qgx compact --segstore <dir> [tier flags] [--shards n]
-//!             [--bench-out path]
 //! ```
 //!
-//! This file is flag parsing, HTTP / replay / client wiring and
-//! records; how a world boots and how a segment store is served live in
-//! `querygraph_bench::serving`.
+//! This file is flag parsing and HTTP / replay / client wiring; how a
+//! world boots and how a segment store is served live in
+//! `querygraph_bench::serving`. `qgx` writes no record files: what it
+//! did goes to stderr as counts, and a live server's account is
+//! `GET /statz`.
 //!
 //! * The world-boot path: `serve` and `replay` check their flag
 //!   combinations, then make one `serving::boot` call. An in-memory
@@ -39,15 +38,15 @@
 //!   `POST /expand`, `GET /healthz`, `GET /statz`, per-request
 //!   deadlines starting at accept, a bounded connection queue with
 //!   503 + `Retry-After` shedding, and SIGTERM/SIGINT draining
-//!   in-flight queries (and any fleet) before exit. `--bench-out` writes
-//!   a `ServeRecord` (listen address, shed/timeout counters, per-code
-//!   failures, per-connection p99) after the drain.
-//! * `replay` serves a stdin, file, or seed workload **in process**
-//!   and reports latency percentiles and QPS. `--deadline-ms` applies
-//!   the same typed per-request deadline path the server uses; `--json`
-//!   emits one response JSON object per line — byte-identical to the
-//!   corresponding `/expand` response bodies, which is what the
-//!   `http-smoke` CI job `cmp`s.
+//!   in-flight queries (and any fleet) before exit. The drain prints the
+//!   final `/statz` counters (`# served …`) and the expansion cache's
+//!   hits (`# expansion cache: …`).
+//! * `replay` is the in-process reference: it serves a stdin, file, or
+//!   seed workload sequentially, in order, and times nothing.
+//!   `--deadline-ms` applies the same typed per-request deadline path
+//!   the server uses; `--json` emits one response JSON object per line —
+//!   byte-identical to the corresponding `/expand` response bodies,
+//!   which is what the `http-smoke` CI job `cmp`s.
 //! * `client` drives a running `qgx serve` over `std::net`: health and
 //!   stats probes, single queries, file/seed workloads (response
 //!   bodies stream to stdout exactly as received), and `--flood n` —
@@ -68,22 +67,19 @@
 //!   segment store; `compact` merges the live segments into `--shards`
 //!   balanced ones. A serving store picks either up live.
 //!
-//! Load against a live server is measured by the repo benchmark
+//! Latency and throughput are measured by the repo benchmark
 //! (`bash benchmark/run.sh`, open loop, oracle-checked); `client
 //! --queries/--repeat/--flood` is the operator's tool against a
 //! `--connect` address.
 //!
 //! World flags (shared by `serve` and `replay`): `--tiny | --quick |
 //! --stress [--quick] | --track`, `--index-cache <dir>`, `--shards <n>`,
-//! `--segstore <dir>`, `--shard-threads <n>`, `--mmap`, `--strategy
-//! cycles|links|none`, `--max-features <n>`, `--top-k <k>`,
-//! `--prune`, `--expansion-cache <n>`.
+//! `--segstore <dir>`, `--mmap`, `--strategy cycles|links|none`,
+//! `--max-features <n>`, `--top-k <k>`, `--prune`, `--expansion-cache
+//! <n>`.
 
 use querygraph_bench::serving::{self, log_line};
-use querygraph_bench::{
-    flag_f64, flag_operand, flag_usize, CliOptions, IngestRecord, IngestSummary, LatencySummary,
-    ServeRecord, ServeSummary, ZipfSampler,
-};
+use querygraph_bench::{flag_operand, flag_usize, CliOptions};
 use querygraph_core::expcache::ExpansionCache;
 use querygraph_core::http::{self, HttpServer, ServerConfig};
 use querygraph_core::service::{
@@ -91,7 +87,6 @@ use querygraph_core::service::{
     QueryExpanderBuilder, ServiceError,
 };
 use querygraph_retrieval::engine::SearchMode;
-use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -99,7 +94,7 @@ use std::time::{Duration, Instant};
 
 /// Flags selecting and tuning the served world, shared by `serve` and
 /// `replay` (each subcommand adds its own on top).
-const WORLD_FLAGS: [(&str, bool); 13] = [
+const WORLD_FLAGS: [(&str, bool); 12] = [
     ("--tiny", false),
     ("--quick", false),
     ("--stress", false),
@@ -107,7 +102,6 @@ const WORLD_FLAGS: [(&str, bool); 13] = [
     ("--index-cache", true),
     ("--segstore", true),
     ("--shards", true),
-    ("--shard-threads", true),
     ("--mmap", false),
     ("--strategy", true),
     ("--max-features", true),
@@ -115,20 +109,17 @@ const WORLD_FLAGS: [(&str, bool); 13] = [
     ("--prune", false),
 ];
 
-const REPLAY_FLAGS: [(&str, bool); 10] = [
+const REPLAY_FLAGS: [(&str, bool); 7] = [
     ("--queries", true),
     ("--seed-queries", false),
     ("--repeat", true),
-    ("--zipf", true),
-    ("--threads", true),
     ("--deadline-ms", true),
     ("--expansion-cache", true),
     ("--json", false),
     ("--shard-procs", true),
-    ("--bench-out", true),
 ];
 
-const SERVE_FLAGS: [(&str, bool); 8] = [
+const SERVE_FLAGS: [(&str, bool); 7] = [
     ("--listen", true),
     ("--workers", true),
     ("--queue", true),
@@ -136,7 +127,6 @@ const SERVE_FLAGS: [(&str, bool); 8] = [
     ("--keep-alive", true),
     ("--expansion-cache", true),
     ("--shard-procs", true),
-    ("--bench-out", true),
 ];
 
 const SHARD_FLAGS: [(&str, bool); 6] = [
@@ -158,7 +148,7 @@ const DUMP_FLAGS: [(&str, bool); 7] = [
     ("--docs", true),
 ];
 
-const INGEST_FLAGS: [(&str, bool); 9] = [
+const INGEST_FLAGS: [(&str, bool); 8] = [
     ("--tiny", false),
     ("--quick", false),
     ("--stress", false),
@@ -167,10 +157,9 @@ const INGEST_FLAGS: [(&str, bool); 9] = [
     ("--segstore", true),
     ("--batch-docs", true),
     ("--compact", true),
-    ("--bench-out", true),
 ];
 
-const COMPACT_FLAGS: [(&str, bool); 8] = [
+const COMPACT_FLAGS: [(&str, bool); 7] = [
     ("--tiny", false),
     ("--quick", false),
     ("--stress", false),
@@ -178,7 +167,6 @@ const COMPACT_FLAGS: [(&str, bool); 8] = [
     ("--segstore", true),
     ("--shards", true),
     ("--mmap", false),
-    ("--bench-out", true),
 ];
 
 const CLIENT_FLAGS: [(&str, bool); 15] = [
@@ -259,7 +247,6 @@ struct ExpanderOptions {
     strategy: ExpansionStrategy,
     max_features: Option<usize>,
     top_k: usize,
-    shard_threads: usize,
     prune: bool,
     expansion_cache: Option<usize>,
 }
@@ -277,7 +264,6 @@ impl ExpanderOptions {
             strategy,
             max_features: flag_usize(args, "--max-features"),
             top_k: flag_usize(args, "--top-k").unwrap_or(0),
-            shard_threads: flag_usize(args, "--shard-threads").unwrap_or(1).max(1),
             prune: args.iter().any(|a| a == "--prune"),
             expansion_cache: flag_usize(args, "--expansion-cache"),
         }
@@ -348,17 +334,12 @@ fn boot(
         });
         (n, exe)
     });
-    let world = serving::boot(
-        cli,
-        segstore.as_deref(),
-        fleet,
-        ex.shard_threads,
-        want_corpus,
-    )
-    .unwrap_or_else(|(code, message)| {
-        eprintln!("error: {message}");
-        std::process::exit(code);
-    });
+    let world = serving::boot(cli, segstore.as_deref(), fleet, want_corpus).unwrap_or_else(
+        |(code, message)| {
+            eprintln!("error: {message}");
+            std::process::exit(code);
+        },
+    );
     let stats = &world.stats;
     log_line(&format!(
         "# qgx: {} articles, index {} x{} shard(s) (world {:.3}s, build {:.3}s, load {:.3}s); \
@@ -399,7 +380,6 @@ fn run_serve(args: &[String]) {
     let keep_alive = flag_usize(args, "--keep-alive").unwrap_or(100).max(1);
 
     let world = boot(args, &cli, &ex, false);
-    let shard_procs = world.live.as_ref().map_or(0, serving::Live::shard_procs);
     let cache = expansion_cache(&ex);
     let expander = ex
         .builder(&cache)
@@ -430,84 +410,50 @@ fn run_serve(args: &[String]) {
     let watcher = world.live.map(|live| live.watch(Arc::clone(&shutdown)));
 
     let stats = server.stats();
-    let t_serve = Instant::now();
     if let Err(e) = server.serve(&expander) {
         eprintln!("error: serve loop failed: {e}");
         std::process::exit(1);
     }
     drop(shutdown);
-    let total_seconds = t_serve.elapsed().as_secs_f64();
     drop(expander);
     if let Some(watcher) = watcher {
         let _ = watcher.join();
     }
 
-    let served = stats.queries_served() as usize;
-    let failures = stats.failures() as usize;
-    let answered = served + failures;
-    // Serving stats live in constant-memory log-bucketed histograms
-    // (a multi-hour serve cannot grow an exact sample Vec unboundedly);
-    // the record says so via latency_mode: "histogram".
-    let latency = LatencySummary::from_histogram(&stats.request_latency());
-    let conn_latency = LatencySummary::from_histogram(&stats.connection_latency());
-    let qps = answered as f64 / total_seconds.max(1e-9);
+    // The drain account is the final `/statz`.
+    let statz = stats.snapshot();
     eprintln!(
-        "# served {answered} queries ({failures} typed errors, {} shed, {} timeouts) \
-         over {} connections in {total_seconds:.3}s — {qps:.0} q/s; {}",
-        stats.shed(),
-        stats.timeouts(),
-        stats.connections(),
-        latency.render()
+        "# served {} queries ({} typed errors, {} shed, {} timeouts) over {} connections; \
+         p50 {:.1}µs  p99 {:.1}µs  connection p99 {:.1}µs",
+        statz.queries_served + statz.failures,
+        statz.failures,
+        statz.shed,
+        statz.timeouts,
+        statz.connections,
+        statz.p50_us,
+        statz.p99_us,
+        statz.conn_p99_us,
     );
-    let (cache_hits, cache_lookups, cache_hit_rate) = cache
-        .as_ref()
-        .map(|c| (c.hits(), c.lookups(), c.hit_rate()))
-        .unwrap_or((0, 0, 0.0));
-    if cache.is_some() {
-        eprintln!(
-            "# expansion cache: {cache_hits}/{cache_lookups} hits ({:.1}%)",
-            100.0 * cache_hit_rate
-        );
-    }
+    report_cache(&cache);
+}
 
-    if let Some(path) = &cli.bench_out {
-        let mut record = ServeRecord::new(
-            &cli.config(),
-            &world.stats,
-            answered,
-            ServeSummary {
-                strategy: ex.strategy.name().to_string(),
-                queries_served: served,
-                failures,
-                repeat: 1,
-                top_k: ex.top_k,
-                threads: workers,
-                shard_threads: world.shard_threads,
-                shard_procs,
-                total_seconds,
-                qps,
-                qps_per_thread: qps / workers.max(1) as f64,
-                search_mode: ex.search_mode().name().to_string(),
-                cache_hits,
-                cache_lookups,
-                cache_hit_rate,
-                shed: stats.shed(),
-                timeouts: stats.timeouts(),
-                error_codes: stats.error_codes(),
-                latency_mode: "histogram".to_string(),
-                latency,
-                conn_latency: Some(conn_latency),
-            },
+/// The `# expansion cache: H/L hits` line, when a cache was attached.
+fn report_cache(cache: &Option<Arc<ExpansionCache>>) {
+    if let Some(cache) = cache {
+        eprintln!(
+            "# expansion cache: {}/{} hits ({:.1}%)",
+            cache.hits(),
+            cache.lookups(),
+            100.0 * cache.hit_rate()
         );
-        record.listen_addr = Some(addr);
-        let json = serde_json::to_string_pretty(&record).expect("serve record serializes");
-        std::fs::write(path, json).expect("write serve record");
-        eprintln!("# wrote {path}");
     }
 }
 
 // --------------------------------------------------------------- replay
 
+/// `qgx replay`: the in-process reference. Serves the workload
+/// sequentially, in order, printing one answer per request, and times
+/// nothing.
 fn run_replay(args: &[String]) {
     let known: Vec<(&str, bool)> = WORLD_FLAGS.iter().chain(&REPLAY_FLAGS).copied().collect();
     reject_unknown_flags(args, &known, "replay");
@@ -522,108 +468,55 @@ fn run_replay(args: &[String]) {
         std::process::exit(2);
     }
     let repeat = flag_usize(args, "--repeat").unwrap_or(1).max(1);
-    let threads = flag_usize(args, "--threads").unwrap_or(1).max(1);
     let json = args.iter().any(|a| a == "--json");
     let deadline_ms = flag_usize(args, "--deadline-ms");
-    let zipf = flag_f64(args, "--zipf");
-    if let Some(s) = zipf {
-        if !(s >= 0.0 && s.is_finite()) {
-            eprintln!("error: --zipf exponent must be a finite number ≥ 0, got {s}");
-            std::process::exit(2);
-        }
-    }
 
-    let config = cli.config();
     let world = boot(args, &cli, &ex, seed_queries);
-    let shard_procs = world.live.as_ref().map_or(0, serving::Live::shard_procs);
     let cache = expansion_cache(&ex);
     let expander = ex
         .builder(&cache)
         .build(&world.wiki.kb, world.engine.as_ref());
+    let mut tally = Tally::default();
     // With --deadline-ms every request runs the same typed deadline
     // path the HTTP server uses (admission + post-compute checks).
-    let expand = |request: &ExpansionRequest| -> Result<ExpansionResponse, ServiceError> {
-        match deadline_ms {
+    let mut answer = |text: &str| {
+        let request = ExpansionRequest::new(text);
+        let response = match deadline_ms {
             Some(ms) => expander
-                .expand_deadlined(request, Deadline::after(Duration::from_millis(ms as u64))),
-            None => expander.expand(request),
-        }
+                .expand_deadlined(&request, Deadline::after(Duration::from_millis(ms as u64))),
+            None => expander.expand(&request),
+        };
+        report(text, &response, json, &mut tally);
     };
 
-    let mut latencies_us: Vec<f64> = Vec::new();
-    let mut tally = Tally::default();
-    // Size of one repetition of the served workload (for the record's
-    // `num_queries`); stdin mode counts as it goes.
-    let workload_queries;
-    let fixed_workload = seed_queries || queries_file.is_some();
-    if !fixed_workload && (threads > 1 || repeat > 1 || zipf.is_some()) {
-        eprintln!(
-            "# qgx: --threads/--repeat/--zipf apply to --queries/--seed-queries workloads only"
-        );
-    }
-    let t_serve = Instant::now();
-
-    if fixed_workload {
-        // Fixed workload: file or the tier's generated query set,
-        // optionally repeated and optionally batched across threads.
-        let workload: Vec<String> = if let Some(corpus) = &world.corpus {
+    // A fixed workload — a file or the tier's generated query set — is
+    // optionally repeated; without one, stdin is served until EOF.
+    let workload: Option<Vec<String>> = match (&queries_file, &world.corpus) {
+        (Some(path), _) => Some(read_query_file(path)),
+        (None, Some(corpus)) => Some(
             corpus
                 .queries
                 .queries
                 .iter()
                 .map(|q| q.keywords.clone())
-                .collect()
-        } else {
-            let path = queries_file.as_deref().expect("checked above");
-            read_query_file(path)
-        };
+                .collect(),
+        ),
+        (None, None) => None,
+    };
+    if let Some(workload) = workload {
         if workload.is_empty() {
             eprintln!("error: empty workload");
             std::process::exit(2);
         }
-        workload_queries = workload.len();
-        let requests: Vec<ExpansionRequest> = workload
-            .iter()
-            .map(|text| ExpansionRequest::new(text.clone()))
-            .collect();
-        // --zipf: one seeded sampler across all repetitions, so the
-        // whole served stream is a deterministic function of the
-        // tier's seeds and the exponent.
-        let mut zipf = zipf.map(|s| {
-            ZipfSampler::new(
-                requests.len(),
-                s,
-                config.wiki.seed ^ config.corpus.seed.rotate_left(17),
-            )
-        });
         for _ in 0..repeat {
-            let sampled: Vec<ExpansionRequest>;
-            let batch: &[ExpansionRequest] = match &mut zipf {
-                Some(sampler) => {
-                    sampled = (0..requests.len())
-                        .map(|_| requests[sampler.sample()].clone())
-                        .collect();
-                    &sampled
-                }
-                None => &requests,
-            };
-            // The same deterministic work-stealing runner `expand_batch`
-            // uses (inline on this thread at --threads 1), timing each
-            // request inside its worker — the archived percentiles are
-            // real per-request service times, while QPS reflects the
-            // parallel wall clock.
-            let timed = querygraph_core::pipeline::parallel_map(batch.len(), threads, |i| {
-                let t = Instant::now();
-                let response = expand(&batch[i]);
-                (t.elapsed().as_secs_f64() * 1e6, response)
-            });
-            for (request, (micros, response)) in batch.iter().zip(timed) {
-                latencies_us.push(micros);
-                report(&request.text, &response, json, &mut tally);
+            for text in &workload {
+                answer(text);
             }
         }
     } else {
-        // The long-lived loop: serve stdin until EOF.
+        if repeat > 1 {
+            eprintln!("# qgx: --repeat applies to --queries/--seed-queries workloads only");
+        }
         let stdin = std::io::stdin();
         for line in stdin.lock().lines() {
             let line = line.unwrap_or_else(|e| {
@@ -634,83 +527,20 @@ fn run_replay(args: &[String]) {
             if text.is_empty() || text.starts_with('#') {
                 continue;
             }
-            let request = ExpansionRequest::new(text);
-            let t = Instant::now();
-            let response = expand(&request);
-            latencies_us.push(t.elapsed().as_secs_f64() * 1e6);
-            report(text, &response, json, &mut tally);
+            answer(text);
             let _ = std::io::stdout().flush();
         }
-        workload_queries = tally.served + tally.failures;
     }
 
-    let total_seconds = t_serve.elapsed().as_secs_f64();
     if let Some(live) = world.live {
         live.shutdown();
     }
-    let answered = tally.served + tally.failures;
-    let latency = LatencySummary::of(&latencies_us);
-    let qps = answered as f64 / total_seconds.max(1e-9);
-    let (cache_hits, cache_lookups, cache_hit_rate) = cache
-        .as_ref()
-        .map(|c| (c.hits(), c.lookups(), c.hit_rate()))
-        .unwrap_or((0, 0, 0.0));
     eprintln!(
-        "# served {answered} queries ({} typed errors) in {total_seconds:.3}s \
-         — {qps:.0} q/s; {}",
-        tally.failures,
-        latency.render()
+        "# served {} queries ({} typed errors)",
+        tally.served + tally.failures,
+        tally.failures
     );
-    if cache.is_some() {
-        eprintln!(
-            "# expansion cache: {cache_hits}/{cache_lookups} hits ({:.1}%)",
-            100.0 * cache_hit_rate
-        );
-    }
-
-    if let Some(path) = &cli.bench_out {
-        // The record attributes measurements to what actually ran:
-        // stdin mode is strictly sequential-once whatever the flags
-        // said, and `parallel_map` caps workers at the workload size.
-        let (effective_threads, effective_repeat) = if fixed_workload {
-            (threads.min(workload_queries.max(1)), repeat)
-        } else {
-            (1, 1)
-        };
-        let record = ServeRecord::new(
-            &config,
-            &world.stats,
-            workload_queries,
-            ServeSummary {
-                strategy: ex.strategy.name().to_string(),
-                queries_served: tally.served,
-                failures: tally.failures,
-                repeat: effective_repeat,
-                top_k: ex.top_k,
-                threads: effective_threads,
-                shard_threads: world.shard_threads,
-                shard_procs,
-                total_seconds,
-                qps,
-                qps_per_thread: qps / effective_threads.max(1) as f64,
-                search_mode: ex.search_mode().name().to_string(),
-                cache_hits,
-                cache_lookups,
-                cache_hit_rate,
-                shed: 0,
-                timeouts: tally.timeouts,
-                error_codes: tally.error_codes,
-                // Replay keeps every raw sample (bounded workload):
-                // exact nearest-rank percentiles.
-                latency_mode: "exact".to_string(),
-                latency,
-                conn_latency: None,
-            },
-        );
-        let json = serde_json::to_string_pretty(&record).expect("serve record serializes");
-        std::fs::write(path, json).expect("write serve record");
-        eprintln!("# wrote {path}");
-    }
+    report_cache(&cache);
 }
 
 /// One `#`-stripped nonempty query per line.
@@ -726,14 +556,11 @@ fn read_query_file(path: &str) -> Vec<String> {
         .collect()
 }
 
-/// Served/failed counters plus the per-code failure breakdown the
-/// `ServeRecord` carries.
+/// Served/failed counters for replay's closing line.
 #[derive(Default)]
 struct Tally {
     served: usize,
     failures: usize,
-    timeouts: u64,
-    error_codes: BTreeMap<String, u64>,
 }
 
 /// Print one served response (or typed error) and bump the counters.
@@ -778,10 +605,6 @@ fn report(
         }
         Err(e) => {
             tally.failures += 1;
-            if matches!(e, ServiceError::Timeout { .. }) {
-                tally.timeouts += 1;
-            }
-            *tally.error_codes.entry(e.code().to_string()).or_insert(0) += 1;
             if json {
                 // The same `{"query":…,"code":…,"error":…}` line the
                 // HTTP error body carries, so error responses stay
@@ -1057,7 +880,6 @@ fn run_ingest(args: &[String]) {
     let batch_docs = flag_usize(args, "--batch-docs").unwrap_or(10_000).max(1);
     let compact_to = flag_usize(args, "--compact");
 
-    let config = cli.config();
     let mut store = open_segstore(&cli, &dir);
     let generation_before = store.manifest().generation;
     let mut stream = querygraph_corpus::ingest::DumpStream::from_path(std::path::Path::new(&dump))
@@ -1115,42 +937,18 @@ fn run_ingest(args: &[String]) {
         store.manifest().generation
     );
 
-    let (mut compaction_seconds, mut swap_pause_us) = (0.0, 0.0);
     if let Some(shards) = compact_to {
         let source = cli.world_options().source();
-        let (wall, pause) = serving::compact_and_measure(&mut store, shards, source)
-            .unwrap_or_else(|e| {
+        let (compaction_seconds, swap_pause_us) =
+            serving::compact_and_measure(&mut store, shards, source).unwrap_or_else(|e| {
                 eprintln!("error: {e}");
                 std::process::exit(1);
             });
-        compaction_seconds = wall;
-        swap_pause_us = pause;
         eprintln!(
             "# qgx: compacted {segments_before_compaction} → {} segment(s) in \
              {compaction_seconds:.3}s (swap pause {swap_pause_us:.0}µs)",
             store.manifest().segments.len()
         );
-    }
-
-    if let Some(path) = &cli.bench_out {
-        let record = IngestRecord::new(
-            &config,
-            IngestSummary {
-                docs_ingested: docs,
-                batches,
-                ingest_seconds,
-                docs_per_second,
-                peak_buffer_bytes,
-                segments_before_compaction,
-                segments_after_compaction: store.manifest().segments.len(),
-                compaction_seconds,
-                swap_pause_us,
-                generation: store.manifest().generation,
-            },
-        );
-        let json = serde_json::to_string_pretty(&record).expect("ingest record serializes");
-        std::fs::write(path, json).expect("write ingest record");
-        eprintln!("# wrote {path}");
     }
 }
 
@@ -1163,7 +961,6 @@ fn run_compact(args: &[String]) {
     let dir = require_flag(args, "--segstore");
     let shards = flag_usize(args, "--shards").unwrap_or(1).max(1);
 
-    let config = cli.config();
     let mut store = open_segstore(&cli, &dir);
     let segments_before = store.manifest().segments.len();
     let source = cli.world_options().source();
@@ -1179,25 +976,4 @@ fn run_compact(args: &[String]) {
         store.manifest().total_docs(),
         store.manifest().generation
     );
-
-    if let Some(path) = &cli.bench_out {
-        let record = IngestRecord::new(
-            &config,
-            IngestSummary {
-                docs_ingested: 0,
-                batches: 0,
-                ingest_seconds: 0.0,
-                docs_per_second: 0.0,
-                peak_buffer_bytes: 0,
-                segments_before_compaction: segments_before,
-                segments_after_compaction: store.manifest().segments.len(),
-                compaction_seconds,
-                swap_pause_us,
-                generation: store.manifest().generation,
-            },
-        );
-        let json = serde_json::to_string_pretty(&record).expect("ingest record serializes");
-        std::fs::write(path, json).expect("write ingest record");
-        eprintln!("# wrote {path}");
-    }
 }

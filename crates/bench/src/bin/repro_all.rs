@@ -36,14 +36,25 @@ fn main() {
 
     if let Some(path) = &options.bench_out {
         let record = BenchRecord::new(&config, &build, summary);
-        let json = serde_json::to_string_pretty(&record).expect("bench record serializes");
-        std::fs::write(path, json).expect("write bench record");
-        eprintln!("# wrote {path}");
+        write(
+            path,
+            serde_json::to_string_pretty(&record).expect("bench record serializes"),
+        );
     }
-
     if let Some(path) = &report_out {
-        let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        std::fs::write(path, json).expect("write report JSON");
-        eprintln!("# wrote {path}");
+        write(
+            path,
+            serde_json::to_string_pretty(&report).expect("report serializes"),
+        );
     }
+}
+
+/// Write an output file, or exit 1 with the reason: an unwritable path
+/// is the caller's mistake, not a crash.
+fn write(path: &str, json: String) {
+    if let Err(e) = std::fs::write(path, json) {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("# wrote {path}");
 }

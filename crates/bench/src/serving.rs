@@ -70,8 +70,6 @@ pub struct World {
     /// The store behind a store-backed world (`None`: `engine` is
     /// fixed).
     pub live: Option<Live>,
-    /// Effective per-query scatter width.
-    pub shard_threads: usize,
 }
 
 /// Boot the world `cli` selects. `segstore` serves that store;
@@ -84,7 +82,6 @@ pub fn boot(
     cli: &CliOptions,
     segstore: Option<&Path>,
     fleet: Option<(usize, PathBuf)>,
-    shard_threads: usize,
     want_corpus: bool,
 ) -> Result<World, (i32, String)> {
     let config = cli.config();
@@ -131,16 +128,11 @@ pub fn boot(
             );
             let ServingWorld {
                 wiki,
-                mut engine,
+                engine,
                 stats,
                 store,
                 ..
             } = world;
-            if let AnyEngine::Sharded(engine) = &mut engine {
-                engine.set_search_threads(shard_threads);
-            } else if shard_threads > 1 {
-                log_line("# qgx: --shard-threads applies to --shards workloads only");
-            }
             let store = store
                 .zip(cli.index_cache.as_deref())
                 .map(|(manifest, dir)| {
@@ -156,8 +148,6 @@ pub fn boot(
             )
         }
     };
-    let width = shard_threads.min(stats.shard_count).max(1);
-
     let Some((dir, manifest)) = store else {
         if fleet.is_some() {
             return Err((
@@ -171,7 +161,6 @@ pub fn boot(
             stats,
             engine: Box::new(engine.expect("a world without a store keeps its engine")),
             live: None,
-            shard_threads: width,
         });
     };
     if let Some((n, _)) = &fleet {
@@ -190,7 +179,6 @@ pub fn boot(
         dir,
         fingerprint,
         source: cli.world_options().source(),
-        shard_threads,
         fleet: fleet.map(|(_, exe)| exe),
     };
     let t = Instant::now();
@@ -221,7 +209,6 @@ pub fn boot(
         stats,
         engine: Box::new(live.slot.clone()),
         live: Some(live),
-        shard_threads: width,
     })
 }
 
@@ -231,7 +218,6 @@ struct Store {
     /// The store (= world-configuration) fingerprint.
     fingerprint: u64,
     source: ArtifactSource,
-    shard_threads: usize,
     /// `Some(qgx)`: serve each generation from a fleet of `qgx shard`
     /// children; `None`: load it in process.
     fleet: Option<PathBuf>,
@@ -256,7 +242,7 @@ impl Store {
             manifest.check_servable().map_err(|e| e.to_string())?;
             let (fleet, remote) = Fleet::spawn(exe, self, manifest)?;
             return Ok(Prepared {
-                engine: AnyEngine::Remote(remote.with_search_threads(self.shard_threads)),
+                engine: AnyEngine::Remote(remote),
                 fleet: Some(fleet),
                 manifest: manifest.clone(),
                 segment_load_seconds: Vec::new(),
@@ -267,12 +253,8 @@ impl Store {
             .ok_or("the store has never published")?;
         let segment_load_seconds = std::mem::take(&mut generation.segment_load_seconds);
         let manifest = generation.manifest.clone();
-        let mut engine = generation.into_engine(LmParams::default());
-        if let AnyEngine::Sharded(sharded) = &mut engine {
-            sharded.set_search_threads(self.shard_threads);
-        }
         Ok(Prepared {
-            engine,
+            engine: generation.into_engine(LmParams::default()),
             fleet: None,
             manifest,
             segment_load_seconds,
@@ -299,11 +281,6 @@ impl Live {
             slot: ReloadableEngine::new(prepared.engine, epoch),
             fleet: prepared.fleet,
         }
-    }
-
-    /// Shard processes behind the current generation (0 in process).
-    pub fn shard_procs(&self) -> usize {
-        self.fleet.as_ref().map_or(0, |f| f.children.len())
     }
 
     /// The live-reload watcher behind `qgx serve`: tick every 300 ms

@@ -69,6 +69,31 @@ fn flags_are_rejected_per_subcommand() {
             &["replay", "--stress", "--strategy", "redirects"][..],
             "unknown --strategy \"redirects\" (cycles|links|none)",
         ),
+        // qgx writes no records, replay times nothing, and the fleet
+        // scatters shard by shard: the flags that steered those are
+        // refused before any boot.
+        (
+            &["replay", "--bench-out", "r.json"][..],
+            "unknown flag --bench-out",
+        ),
+        (
+            &["serve", "--bench-out", "r.json"][..],
+            "unknown flag --bench-out",
+        ),
+        (
+            &["ingest", "--bench-out", "r.json"][..],
+            "unknown flag --bench-out",
+        ),
+        (
+            &["compact", "--bench-out", "r.json"][..],
+            "unknown flag --bench-out",
+        ),
+        (&["replay", "--zipf", "1.2"][..], "unknown flag --zipf"),
+        (&["replay", "--threads", "2"][..], "unknown flag --threads"),
+        (
+            &["serve", "--shard-threads", "2"][..],
+            "unknown flag --shard-threads",
+        ),
     ] {
         let (status, stdout, stderr) = run(args, "");
         assert_eq!(status.code(), Some(2), "qgx {args:?} must be refused");

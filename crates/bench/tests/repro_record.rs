@@ -114,6 +114,24 @@ fn no_record_unless_asked_and_the_record_carries_what_the_benchmark_reads() {
 }
 
 #[test]
+fn an_unwritable_output_path_is_an_error_not_a_panic() {
+    let dir = scratch("unwritable");
+    let path = dir.join("missing").join("out.json");
+    let path = path.to_str().expect("utf-8 temp path");
+    for flag in ["--bench-out", "--json"] {
+        let output = repro_all(&dir, &["--tiny", flag, path]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: cannot write {path}: ")),
+            "{flag}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_trailing_json_flag_is_refused_not_ignored() {
     // Refused while parsing flags, before anything could be written.
     let output = repro_all(&std::env::temp_dir(), &["--tiny", "--json"]);

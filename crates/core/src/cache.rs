@@ -20,8 +20,8 @@
 //! republishing: a cache can lose time, never correctness.
 //!
 //! [`BuildStats`] records build-vs-load wall-clock seconds; the
-//! `--bench-out` records of `repro_all` and `qgx serve`/`replay` carry
-//! them, and the repo benchmark reports them as
+//! `repro_all --bench-out` record carries them, and the repo benchmark
+//! reports them as
 //! `core.cache.world_synth_s` / `core.cache.index_build_s`.
 
 use crate::config::ExperimentConfig;

@@ -17,9 +17,8 @@
 //! tail. Mean and max are tracked exactly (nanosecond integer sum /
 //! `fetch_max`).
 //!
-//! The exact-percentile path (`LatencySummary::of` over raw samples)
-//! remains in use for bounded replay workloads; records say which mode
-//! produced their numbers (`latency_mode`).
+//! `GET /statz` reports its percentiles from these histograms
+//! (`core::http::server::StatzSnapshot`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

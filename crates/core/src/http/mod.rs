@@ -11,8 +11,8 @@
 //!   `cmp`s the two).
 //! * `GET /healthz` — liveness (`ok`).
 //! * `GET /statz` — the live serving counters as a
-//!   [`server::StatzSnapshot`] (the serve-side shape of a
-//!   `ServeRecord`).
+//!   [`server::StatzSnapshot`], the server's one account of what it
+//!   served (`qgx serve` prints the final one as it drains).
 //!
 //! Honest overload semantics, per the serving model the paper's 5M-
 //! article deployment target implies (DESIGN.md §12):

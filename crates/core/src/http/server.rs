@@ -168,8 +168,9 @@ pub struct ServerStats {
     connection_us: LatencyHistogram,
 }
 
-/// What `/statz` serves: the serve-side counters of a `ServeRecord`,
-/// readable while the server runs.
+/// What `/statz` serves: the server's counters and latency
+/// percentiles, readable while it runs (and printed once more when
+/// `qgx serve` drains).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatzSnapshot {
     /// Connections accepted (shed ones included — they were accepted,
@@ -252,15 +253,9 @@ impl ServerStats {
             .collect()
     }
 
-    /// The `/expand` service-time distribution (µs), copied out — what
-    /// a `ServeRecord`'s histogram-mode latency summary is built from.
+    /// The `/expand` service-time distribution (µs), copied out.
     pub fn request_latency(&self) -> HistogramSnapshot {
         self.request_us.snapshot()
-    }
-
-    /// The connection-lifetime distribution (µs), copied out.
-    pub fn connection_latency(&self) -> HistogramSnapshot {
-        self.connection_us.snapshot()
     }
 
     /// A consistent-enough copy of all counters for `/statz`.

@@ -239,7 +239,7 @@ impl ServiceError {
 
     /// The wire-stable machine-readable code for this error — the
     /// discriminator the HTTP error body, the serde form, and the
-    /// `ServeRecord`'s per-code counters all share. Codes never change
+    /// `/statz` per-code counters all share. Codes never change
     /// meaning; new variants append new codes.
     pub fn code(&self) -> &'static str {
         match self {

@@ -43,9 +43,13 @@
 //! distinct leaf for the engine's lifetime — less than the hit lists
 //! each shard's phrase cache already keeps for the same phrases.
 //!
-//! Per-shard scatter runs on [`crate::par::parallel_map`] (inline at
-//! one thread), the same deterministic runner as the rest of the
-//! workspace.
+//! Phase 2 visits the shards in order on the calling thread. Serving
+//! already runs many requests at once, and a per-search fan-out would
+//! spawn workers on every call: on a 2-vCPU VM, fanning 2 shards out
+//! cost ~16 µs per search against ~0.01 µs inline, and the two-process
+//! `fleet_links` benchmark served 7.7k queries/s at width 2 against
+//! 8.8k at width 1, at 0.23 vs 0.16 ms of CPU per query, with p50 no
+//! better.
 
 use crate::engine::{
     flatten_specs, phrase_cache_slot, LeafSpec, PhraseInfo, SearchEngine, SearchHit, SearchMode,
@@ -54,7 +58,6 @@ use crate::engine::{
 use crate::index::{epsilon_for, InvertedIndex, TermBound};
 use crate::lm::{log_belief_with_floor, LmParams};
 use crate::ondisk::OndiskError;
-use crate::par::parallel_map;
 use crate::phrase::PhraseHit;
 use crate::query_lang::QueryNode;
 use crate::topk::{BoundHeap, TopK};
@@ -305,7 +308,7 @@ pub trait ShardHandle: Send + Sync {
     /// The form a search's query takes on its way to this kind of
     /// shard, built once per search: the borrowed AST in process, its
     /// `Display` string on the wire.
-    type Query<'q>: Sync;
+    type Query<'q>;
 
     /// Build the per-search query form.
     fn prepare(query: &QueryNode) -> Self::Query<'_>;
@@ -434,9 +437,6 @@ pub struct ScatterEngine<S> {
     num_docs: usize,
     total_tokens: u64,
     params: LmParams,
-    /// Workers for per-query scatter (1 = inline; serving batches
-    /// usually parallelize across *queries* instead).
-    search_threads: usize,
     /// Globally assembled phrase resolutions (hits re-based to global
     /// doc ids), sharded by phrase-word hash like the engine's cache.
     /// Only complete resolutions are cached — a shard failure returns
@@ -520,35 +520,11 @@ impl<S: ShardHandle> ScatterEngine<S> {
             num_docs: next as usize,
             total_tokens,
             params,
-            search_threads: 1,
             phrase_cache: (0..PHRASE_CACHE_LOCKS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             cf_memo: Mutex::default(),
         })
-    }
-
-    /// Set the per-query scatter width (capped at the shard count by
-    /// the runner; 1 = inline). Scatter parallelism never changes
-    /// results — only who computes them, or who waits on which socket.
-    ///
-    /// Tradeoff: the runner spawns scoped workers *per search call*.
-    /// Measured on a 2-vCPU VM: `parallel_map` over 2 items at width 2
-    /// costs ~16 µs per call, against ~0.01 µs inline. End to end, the
-    /// two-process `fleet_links` benchmark at width 2 was worse than at
-    /// width 1 on every one of 3 pairs: 7.7k vs 8.8k queries/s, 0.23 vs
-    /// 0.16 ms of CPU per query, p50 no better. So leave this at 1
-    /// unless the shards are many or their candidate sets deep; batch
-    /// workloads parallelize across queries instead (`expand_batch` /
-    /// `qgx --threads`).
-    pub fn with_search_threads(mut self, threads: usize) -> ScatterEngine<S> {
-        self.set_search_threads(threads);
-        self
-    }
-
-    /// In-place form of [`ScatterEngine::with_search_threads`].
-    pub fn set_search_threads(&mut self, threads: usize) {
-        self.search_threads = threads.max(1);
     }
 
     /// The shard handles, in shard order (used by warming,
@@ -720,20 +696,17 @@ impl<S: ShardHandle> crate::backend::RetrievalBackend for ScatterEngine<S> {
         let probs: Vec<f64> = cfs.iter().map(|&cf| cf as f64 / tokens).collect();
         let epsilon = self.epsilon_prob();
 
-        // Phase 2: each shard scores its own candidate union into a
-        // local top-k under the (score, global doc id) total order,
-        // through the one scoring kernel ([`shard_topk`]).
-        let per_shard = parallel_map(self.shards.len(), self.search_threads, |si| {
-            self.shards[si].score_topk(
-                &query,
-                k,
-                mode,
-                self.doc_bases[si],
-                self.params.mu,
-                epsilon,
-                &probs,
-            )
-        });
+        // Phase 2, every shard in order: each scores its own candidate
+        // union into a local top-k under the (score, global doc id)
+        // total order, through the one scoring kernel ([`shard_topk`]).
+        let per_shard: Vec<_> = self
+            .shards
+            .iter()
+            .zip(&self.doc_bases)
+            .map(|(shard, &base)| {
+                shard.score_topk(&query, k, mode, base, self.params.mu, epsilon, &probs)
+            })
+            .collect();
 
         // Gather: merge under the same total order and keep k. Every
         // global top-k document survives its own shard's heap, so this
@@ -870,16 +843,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn scatter_threads_never_change_results() {
-        let base = sharded(&DOCS, 3);
-        let threaded = sharded(&DOCS, 3).with_search_threads(4);
-        for q in QUERIES {
-            let q = parse(q).unwrap();
-            assert_eq!(base.search(&q, 10), threaded.search(&q, 10), "{q:?}");
         }
     }
 

@@ -11,14 +11,16 @@
 //! * **Property tests** — randomized micro worlds run through the full
 //!   pipeline at N ∈ {1, 2, 3, 7} shards and must serialize
 //!   byte-identical `Report`s; mmap-loaded worlds must answer
-//!   byte-identically to read-loaded ones.
+//!   byte-identically to read-loaded ones; the seed tier serves
+//!   identically in exact and pruned mode at one and four shards.
 //! * **Corruption fuzz** — flipping bytes in one shard segment must
 //!   surface as a typed `ServiceError::ArtifactShard` *naming that
 //!   shard*, never a panic, through the strict serving facade.
 
 use querygraph::core::cache::{store_dir, WorldOptions};
 use querygraph::core::experiment::{Experiment, ExperimentConfig};
-use querygraph::core::service::{ExpansionRequest, ServiceError, ServingWorld};
+use querygraph::core::service::{ExpansionRequest, QueryExpander, ServiceError, ServingWorld};
+use querygraph::retrieval::engine::SearchMode;
 use querygraph::retrieval::lm::LmParams;
 use querygraph::retrieval::ondisk::fnv1a;
 use querygraph::retrieval::segstore::{manifest_path, segment_file};
@@ -223,4 +225,56 @@ fn mmap_loaded_worlds_serve_identically() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Pruned serving at a real tier: every seed-tier query, cycle-expanded
+/// and retrieved (top 10) through `QueryExpander`, gets the same
+/// response in `Exact` and `Pruned` mode at one and at four shards.
+#[test]
+fn seed_tier_serving_is_identical_exact_and_pruned_at_one_and_four_shards() {
+    let config = ExperimentConfig::default_paper();
+    let mut reference: Option<Vec<Result<String, String>>> = None;
+    for shards in [1, 4] {
+        let (world, corpus) = ServingWorld::open_with_options(
+            &config,
+            None,
+            LmParams::default(),
+            &WorldOptions::sharded(shards),
+        );
+        assert_eq!(world.engine.shard_count(), shards);
+        for mode in [SearchMode::Exact, SearchMode::Pruned] {
+            let builder = QueryExpander::builder().retrieve_top(10).search_mode(mode);
+            let expander = world.expander_from(&builder);
+            let responses: Vec<Result<String, String>> = corpus
+                .queries
+                .queries
+                .iter()
+                .map(|q| {
+                    expander
+                        .expand(&ExpansionRequest::new(q.keywords.clone()))
+                        .map(|r| serde_json::to_string(&r).expect("response serializes"))
+                        .map_err(|e| e.to_string())
+                })
+                .collect();
+            match &reference {
+                None => {
+                    assert!(
+                        responses
+                            .iter()
+                            .any(|r| r.as_ref().is_ok_and(|r| r.contains("\"hits\":[{"))),
+                        "the seed tier must retrieve something"
+                    );
+                    reference = Some(responses);
+                }
+                Some(reference) => {
+                    for (i, (want, got)) in reference.iter().zip(&responses).enumerate() {
+                        assert_eq!(
+                            want, got,
+                            "query {i} diverged at {shards} shard(s), {mode:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
