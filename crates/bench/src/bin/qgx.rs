@@ -25,15 +25,16 @@
 //! `GET /statz`.
 //!
 //! * The world-boot path: `serve` and `replay` check their flag
-//!   combinations, then make one `serving::boot` call. An in-memory
-//!   world serves its fixed engine. A store-backed world —
-//!   `--segstore <dir>`, or an `--index-cache <dir>` boot, whose cache
-//!   entry is a published segment store `--shards` (default 1) wide —
-//!   serves through the store's generation slot, in process or, with
-//!   `--shard-procs n`, from n supervised `qgx shard` children (a fleet
-//!   boot loads nothing in process); under `serve` it follows the store,
-//!   hot-swapping onto every newly published generation with zero
-//!   downtime.
+//!   combinations, then make one `serving::boot` call, and every world
+//!   serves through a generation slot, each request pinning one
+//!   generation. An in-memory world's slot holds its engine and never
+//!   swaps. A store-backed world — `--segstore <dir>`, or an
+//!   `--index-cache <dir>` boot, whose cache entry is a published
+//!   segment store `--shards` (default 1) wide — serves through the
+//!   store's slot, in process or, with `--shard-procs n`, from n
+//!   supervised `qgx shard` children (a fleet boot loads nothing in
+//!   process); under `serve` it follows the store, hot-swapping onto
+//!   every newly published generation with zero downtime.
 //! * `serve` binds the `core::http` HTTP/1.1 front-end over that world:
 //!   `POST /expand`, `GET /healthz`, `GET /statz`, per-request
 //!   deadlines starting at accept, a bounded connection queue with
@@ -381,9 +382,7 @@ fn run_serve(args: &[String]) {
 
     let world = boot(args, &cli, &ex, false);
     let cache = expansion_cache(&ex);
-    let expander = ex
-        .builder(&cache)
-        .build(&world.wiki.kb, world.engine.as_ref());
+    let expander = ex.builder(&cache).build_live(&world.wiki.kb, &world.slot);
 
     let server = HttpServer::bind(ServerConfig {
         addr: listen.clone(),
@@ -473,9 +472,7 @@ fn run_replay(args: &[String]) {
 
     let world = boot(args, &cli, &ex, seed_queries);
     let cache = expansion_cache(&ex);
-    let expander = ex
-        .builder(&cache)
-        .build(&world.wiki.kb, world.engine.as_ref());
+    let expander = ex.builder(&cache).build_live(&world.wiki.kb, &world.slot);
     let mut tally = Tally::default();
     // With --deadline-ms every request runs the same typed deadline
     // path the HTTP server uses (admission + post-compute checks).

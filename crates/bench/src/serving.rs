@@ -18,8 +18,10 @@
 //!   logs, then retires the replaced generation once its last in-flight
 //!   snapshot drops (draining its fleet, if any).
 //!
-//! In-memory worlds have no store: they serve their fixed engine
-//! directly, with no slot on the request path.
+//! An in-memory world has no store: it boots into a slot of its own at
+//! epoch 0, which nothing swaps and no watcher follows. So every world
+//! serves through a slot, and every request pins one generation of it
+//! (`QueryExpanderBuilder::build_live`).
 //!
 //! The module also owns a fleet child's side ([`run_shard`]) and the
 //! SIGTERM/SIGINT relay both processes install. Every line it writes
@@ -35,7 +37,6 @@ use querygraph_retrieval::lm::LmParams;
 use querygraph_retrieval::ondisk::{load_index_with, ArtifactSource};
 use querygraph_retrieval::remote::{server, RemoteEngine, ShardServer};
 use querygraph_retrieval::segstore::{self, segment_file, segment_fp, Manifest, SegStore};
-use querygraph_retrieval::RetrievalBackend;
 use querygraph_wiki::synth::SynthWiki;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -64,11 +65,11 @@ pub struct World {
     pub corpus: Option<SynthCorpus>,
     /// Build / load / prepare wall-clock breakdown.
     pub stats: BuildStats,
-    /// What requests search: the fixed engine, or a handle on the
-    /// store's generation slot.
-    pub engine: Box<dyn RetrievalBackend>,
-    /// The store behind a store-backed world (`None`: `engine` is
-    /// fixed).
+    /// The generation slot requests pin: a handle on the store's slot,
+    /// or an in-memory world's engine at epoch 0.
+    pub slot: ReloadableEngine,
+    /// The store behind a store-backed world (`None`: the slot is never
+    /// swapped).
     pub live: Option<Live>,
 }
 
@@ -148,67 +149,65 @@ pub fn boot(
             )
         }
     };
-    let Some((dir, manifest)) = store else {
-        if fleet.is_some() {
+    let (slot, live) = match (store, engine) {
+        (Some((dir, manifest)), engine) => {
+            if let Some((n, _)) = &fleet {
+                if *n != manifest.segments.len() {
+                    return Err((
+                        2,
+                        format!(
+                            "--shard-procs {n} but the live generation has {} segment(s) — \
+                             `qgx compact --shards {n}` reshapes it",
+                            manifest.segments.len()
+                        ),
+                    ));
+                }
+            }
+            let store = Store {
+                dir,
+                fingerprint,
+                source: cli.world_options().source(),
+                fleet: fleet.map(|(_, exe)| exe),
+            };
+            let t = Instant::now();
+            // An index cache already holds its generation in process; a
+            // fleet never loads what its children serve.
+            let prepared = match engine.filter(|_| store.fleet.is_none()) {
+                Some(engine) => Prepared {
+                    engine,
+                    fleet: None,
+                    manifest,
+                    segment_load_seconds: Vec::new(),
+                },
+                None => {
+                    let prepared = store
+                        .prepare(&manifest)
+                        .map_err(|e| (1, format!("segment store {}: {e}", store.dir.display())))?;
+                    if segstore.is_some() {
+                        stats.index_load_seconds = t.elapsed().as_secs_f64();
+                        stats.shard_load_seconds = prepared.segment_load_seconds.clone();
+                    }
+                    prepared
+                }
+            };
+            let live = Live::install(store, prepared);
+            (live.slot.clone(), Some(live))
+        }
+        // An in-memory world: its engine at epoch 0, never swapped.
+        (None, Some(engine)) if fleet.is_none() => (ReloadableEngine::new(engine, 0), None),
+        (None, _) => {
             return Err((
                 1,
                 "the index cache holds no published store for the children to load".into(),
-            ));
-        }
-        return Ok(World {
-            wiki,
-            corpus,
-            stats,
-            engine: Box::new(engine.expect("a world without a store keeps its engine")),
-            live: None,
-        });
-    };
-    if let Some((n, _)) = &fleet {
-        if *n != manifest.segments.len() {
-            return Err((
-                2,
-                format!(
-                    "--shard-procs {n} but the live generation has {} segment(s) — \
-                     `qgx compact --shards {n}` reshapes it",
-                    manifest.segments.len()
-                ),
-            ));
-        }
-    }
-    let store = Store {
-        dir,
-        fingerprint,
-        source: cli.world_options().source(),
-        fleet: fleet.map(|(_, exe)| exe),
-    };
-    let t = Instant::now();
-    // An index cache already holds its generation in process; a fleet
-    // never loads what its children serve.
-    let prepared = match engine.filter(|_| store.fleet.is_none()) {
-        Some(engine) => Prepared {
-            engine,
-            fleet: None,
-            manifest,
-            segment_load_seconds: Vec::new(),
-        },
-        None => {
-            let prepared = store
-                .prepare(&manifest)
-                .map_err(|e| (1, format!("segment store {}: {e}", store.dir.display())))?;
-            if segstore.is_some() {
-                stats.index_load_seconds = t.elapsed().as_secs_f64();
-                stats.shard_load_seconds = prepared.segment_load_seconds.clone();
-            }
-            prepared
+            ))
         }
     };
-    let live = Live::install(store, prepared);
     Ok(World {
         wiki,
         corpus,
         stats,
-        engine: Box::new(live.slot.clone()),
-        live: Some(live),
+        slot,
+        live,
     })
 }
 

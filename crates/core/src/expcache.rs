@@ -63,14 +63,15 @@ pub struct CacheKey {
     /// Search-mode name, so exact and pruned retrieval never share an
     /// entry (their scores are only pinned to 1e-9 of each other).
     pub mode: &'static str,
-    /// The engine's cache epoch ([`RetrievalBackend::cache_epoch`]):
-    /// 0 for static engines, the manifest generation for reloadable
-    /// ones. A live index swap bumps the epoch, so entries computed
-    /// against the old generation can never answer for the new one —
-    /// they simply stop being reachable and age out via LRU.
+    /// The epoch of the generation the request pinned
+    /// ([`EngineGeneration::epoch`]): 0 for a fixed engine, the
+    /// manifest's generation fingerprint for a slot. A live index swap
+    /// installs a new epoch, so entries computed against the old
+    /// generation can never answer for the new one — they simply stop
+    /// being reachable and age out via LRU.
     ///
-    /// [`RetrievalBackend::cache_epoch`]:
-    ///     querygraph_retrieval::backend::RetrievalBackend::cache_epoch
+    /// [`EngineGeneration::epoch`]:
+    ///     querygraph_retrieval::backend::EngineGeneration::epoch
     pub epoch: u64,
 }
 

@@ -51,7 +51,9 @@ use crate::expansion::{cycle_features, expanded_titles, link_features, CycleExpa
 use crate::expcache::{CacheKey, ExpansionCache};
 use crate::pipeline::parallel_map;
 use querygraph_link::EntityLinker;
-use querygraph_retrieval::backend::{AnyEngine, RetrievalBackend};
+use querygraph_retrieval::backend::{
+    AnyEngine, EngineGeneration, ReloadableEngine, RetrievalBackend,
+};
 use querygraph_retrieval::engine::{SearchHit, SearchMode};
 use querygraph_retrieval::lm::LmParams;
 use querygraph_retrieval::ondisk::OndiskError;
@@ -676,7 +678,18 @@ impl QueryExpanderBuilder {
         kb: &'w KnowledgeBase,
         engine: &'w dyn RetrievalBackend,
     ) -> QueryExpander<'w> {
-        self.assemble(kb, Some(engine))
+        self.assemble(kb, Some(Source::Fixed(engine)))
+    }
+
+    /// [`Self::build`] over a generation slot: each request pins the
+    /// slot's current generation once, so a concurrent
+    /// [`ReloadableEngine::swap`] never splits a request across two.
+    pub fn build_live<'w>(
+        &self,
+        kb: &'w KnowledgeBase,
+        slot: &'w ReloadableEngine,
+    ) -> QueryExpander<'w> {
+        self.assemble(kb, Some(Source::Live(slot)))
     }
 
     /// [`Self::build`] without a search engine: expansion only, any
@@ -685,11 +698,7 @@ impl QueryExpanderBuilder {
         self.assemble(kb, None)
     }
 
-    fn assemble<'w>(
-        &self,
-        kb: &'w KnowledgeBase,
-        engine: Option<&'w dyn RetrievalBackend>,
-    ) -> QueryExpander<'w> {
+    fn assemble<'w>(&self, kb: &'w KnowledgeBase, source: Option<Source<'w>>) -> QueryExpander<'w> {
         let linker = if self.use_synonyms {
             EntityLinker::new(kb)
         } else {
@@ -697,7 +706,7 @@ impl QueryExpanderBuilder {
         };
         QueryExpander {
             kb,
-            engine,
+            source,
             linker,
             strategy: self.strategy.clone(),
             max_features: self.max_features,
@@ -708,13 +717,37 @@ impl QueryExpanderBuilder {
     }
 }
 
+/// Where an expander's engine comes from: a borrowed backend (epoch 0,
+/// never swapped) or a generation slot.
+#[derive(Clone, Copy)]
+enum Source<'w> {
+    Fixed(&'w dyn RetrievalBackend),
+    Live(&'w ReloadableEngine),
+}
+
+/// The engine one request answers from, pinned at its start.
+enum Pinned<'w> {
+    Fixed(&'w dyn RetrievalBackend),
+    Live(Arc<EngineGeneration>),
+}
+
+impl Pinned<'_> {
+    fn engine(&self) -> &dyn RetrievalBackend {
+        match self {
+            Pinned::Fixed(engine) => *engine,
+            Pinned::Live(generation) => generation.engine.backend(),
+        }
+    }
+}
+
 /// The per-query serving facade: entity linking → expansion → INDRI
 /// query → optional retrieval, over a world built once.
 ///
 /// Construction is the expensive step (the linker's title dictionary);
 /// [`QueryExpander::expand`] is allocation-light and lock-free except
-/// for the engine's memoizing phrase cache, so one expander can serve
-/// many threads ([`QueryExpander::expand_batch`] does exactly that).
+/// for the engine's memoizing phrase cache and the one slot snapshot a
+/// request over a slot takes, so one expander can serve many threads
+/// ([`QueryExpander::expand_batch`] does exactly that).
 ///
 /// ```
 /// use querygraph_core::config::ExperimentConfig;
@@ -731,7 +764,7 @@ impl QueryExpanderBuilder {
 /// ```
 pub struct QueryExpander<'w> {
     kb: &'w KnowledgeBase,
-    engine: Option<&'w dyn RetrievalBackend>,
+    source: Option<Source<'w>>,
     linker: EntityLinker<'w>,
     strategy: ExpansionStrategy,
     max_features: Option<usize>,
@@ -755,11 +788,6 @@ impl<'w> QueryExpander<'w> {
     /// The knowledge base this expander serves from.
     pub fn kb(&self) -> &'w KnowledgeBase {
         self.kb
-    }
-
-    /// The retrieval backend, when built with one.
-    pub fn engine(&self) -> Option<&'w dyn RetrievalBackend> {
-        self.engine
     }
 
     /// The entity linker (title dictionary built at construction). The
@@ -797,8 +825,15 @@ impl<'w> QueryExpander<'w> {
     /// (single-flight), and failures are never cached. The cached
     /// response is byte-for-byte what recomputing would return.
     pub fn expand(&self, request: &ExpansionRequest) -> Result<ExpansionResponse, ServiceError> {
+        // One generation per request: the cache key, the search and any
+        // shard error all come from this pin.
+        let pinned = self.source.map(|source| match source {
+            Source::Fixed(engine) => Pinned::Fixed(engine),
+            Source::Live(slot) => Pinned::Live(slot.snapshot()),
+        });
+        let engine = pinned.as_ref().map(Pinned::engine);
         let Some(cache) = &self.cache else {
-            return self.expand_uncached(request);
+            return self.expand_uncached(request, engine);
         };
         let text = request.text.trim();
         if text.is_empty() {
@@ -819,19 +854,22 @@ impl<'w> QueryExpander<'w> {
             // None and Some(0) both mean "no retrieval" — same response.
             top_k: request.top_k.or(self.default_top_k).unwrap_or(0),
             mode: self.search_mode.name(),
-            // A reloadable engine bumps its epoch on every live swap,
-            // so entries from the previous generation can never answer
-            // a post-swap request (offline expanders pin epoch 0 —
-            // there is nothing to go stale without an engine).
-            epoch: self.engine.map(|e| e.cache_epoch()).unwrap_or(0),
+            // A slot's generations have distinct epochs, so an entry
+            // computed on a replaced generation can never answer a
+            // post-swap request (fixed and offline expanders pin epoch
+            // 0 — their engine never changes).
+            epoch: match &pinned {
+                Some(Pinned::Live(generation)) => generation.epoch,
+                _ => 0,
+            },
         };
-        cache.get_or_compute(&key, || self.expand_uncached(request))
+        cache.get_or_compute(&key, || self.expand_uncached(request, engine))
     }
 
     /// Map a query-time scatter failure to the serving error space:
     /// a failing shard becomes [`ServiceError::ArtifactShard`] naming
     /// the shard and (for remote backends) its socket endpoint as the
-    /// "path".
+    /// "path" — asked of the engine that failed, never a newer one.
     fn search_failure(engine: &dyn RetrievalBackend, error: ShardedError) -> ServiceError {
         let ShardedError::Shard { shard, source } = error;
         ServiceError::ArtifactShard {
@@ -848,6 +886,7 @@ impl<'w> QueryExpander<'w> {
     fn expand_uncached(
         &self,
         request: &ExpansionRequest,
+        engine: Option<&dyn RetrievalBackend>,
     ) -> Result<ExpansionResponse, ServiceError> {
         let text = request.text.trim();
         if text.is_empty() {
@@ -877,7 +916,7 @@ impl<'w> QueryExpander<'w> {
         let hits = match request.top_k.or(self.default_top_k) {
             None | Some(0) => Vec::new(),
             Some(k) => {
-                let engine = self.engine.ok_or(ServiceError::NoEngine)?;
+                let engine = engine.ok_or(ServiceError::NoEngine)?;
                 // The fallible form so a remote shard process dying
                 // mid-query surfaces as a typed 500 naming the shard
                 // and its endpoint, not as silently empty results.
@@ -1633,7 +1672,7 @@ mod tests {
         let cached = QueryExpander::builder()
             .retrieve_top(10)
             .expansion_cache(cache.clone())
-            .build(&world_a.wiki.kb, &reloadable);
+            .build_live(&world_a.wiki.kb, &reloadable);
 
         let title = world_a
             .wiki
@@ -1641,7 +1680,7 @@ mod tests {
             .title(world_a.wiki.kb.main_articles().next().unwrap());
         let request = ExpansionRequest::new(title);
 
-        assert_eq!(reloadable.cache_epoch(), 1);
+        assert_eq!(reloadable.epoch(), 1);
         let before = cached.expand(&request).expect("generation 1 serves");
         assert_eq!(cached.expand(&request).unwrap(), before);
         assert_eq!(cache.hits(), 1, "same generation repeats hit");
@@ -1650,11 +1689,11 @@ mod tests {
         // queries; the very next expansion must be computed against it,
         // never served from the generation-1 cache entry.
         reloadable.swap(world_b.engine, 2);
-        assert_eq!(reloadable.cache_epoch(), 2);
+        assert_eq!(reloadable.epoch(), 2);
         let after = cached.expand(&request).expect("generation 2 serves");
         let expected = QueryExpander::builder()
             .retrieve_top(10)
-            .build(&world_b.wiki.kb, &reloadable)
+            .build_live(&world_b.wiki.kb, &reloadable)
             .expand(&request)
             .expect("uncached generation 2");
         assert_eq!(after, expected, "post-swap answers come from the new index");
@@ -1670,6 +1709,128 @@ mod tests {
         // The new generation's entry memoizes normally.
         assert_eq!(cached.expand(&request).unwrap(), after);
         assert_eq!(cache.hits(), 2);
+    }
+
+    /// A loopback fleet: one `ShardServer` thread per document, shut
+    /// down and joined on drop.
+    struct Fleet {
+        addrs: Vec<String>,
+        shutdowns: Vec<Arc<std::sync::atomic::AtomicBool>>,
+        handles: Vec<std::thread::JoinHandle<()>>,
+    }
+
+    const FLEET_FINGERPRINT: u64 = 0x5EED;
+
+    impl Fleet {
+        fn boot(docs: &[&str]) -> Fleet {
+            use querygraph_retrieval::engine::SearchEngine;
+            use querygraph_retrieval::index::IndexBuilder;
+            use querygraph_retrieval::remote::ShardServer;
+            use querygraph_retrieval::segstore::segment_fp;
+            let mut fleet = Fleet {
+                addrs: Vec::new(),
+                shutdowns: Vec::new(),
+                handles: Vec::new(),
+            };
+            for (shard, doc) in docs.iter().enumerate() {
+                let mut b = IndexBuilder::new();
+                b.add_document(doc);
+                let engine = Arc::new(SearchEngine::new(b.build()));
+                let fp = segment_fp(FLEET_FINGERPRINT, shard as u64);
+                let server =
+                    ShardServer::bind("127.0.0.1:0", engine, shard, fp).expect("bind loopback");
+                fleet
+                    .addrs
+                    .push(server.local_addr().expect("bound").to_string());
+                fleet.shutdowns.push(server.shutdown_flag());
+                let serve = move || server.serve().expect("serve");
+                fleet.handles.push(std::thread::spawn(serve));
+            }
+            fleet
+        }
+    }
+
+    impl Drop for Fleet {
+        fn drop(&mut self) {
+            for flag in &self.shutdowns {
+                flag.store(true, std::sync::atomic::Ordering::SeqCst);
+            }
+            for handle in self.handles.drain(..) {
+                handle.join().expect("shard server thread");
+            }
+        }
+    }
+
+    /// A remote engine over the shard processes at `addrs`.
+    fn remote_engine(addrs: &[String]) -> AnyEngine {
+        use querygraph_retrieval::remote::RemoteEngine;
+        use querygraph_retrieval::segstore::segment_fp;
+        let expected: Vec<u64> = (0..addrs.len() as u64)
+            .map(|seq| segment_fp(FLEET_FINGERPRINT, seq))
+            .collect();
+        RemoteEngine::connect_with_fingerprints(addrs, LmParams::default(), &expected)
+            .map(AnyEngine::Remote)
+            .expect("connect fleet")
+    }
+
+    /// A shard failure that straddles a swap names the shard of the
+    /// generation the request pinned. A relay in front of fleet A's
+    /// shard 1 swaps fleet B into the slot the moment the search reaches
+    /// it, then closes every connection, its listener first so the
+    /// client's one redial is refused. The error must name the relay —
+    /// A's shard 1 — not B's.
+    #[test]
+    fn a_failure_straddling_a_swap_names_the_pinned_generations_shard() {
+        use querygraph_retrieval::backend::ReloadableEngine;
+        use querygraph_retrieval::remote::proto::{self, read_frame, write_frame, Op};
+        use std::net::{TcpListener, TcpStream};
+        let docs = [
+            "a gondola on the grand canal of venice",
+            "venice gondola rides",
+        ];
+        let (fleet_a, fleet_b) = (Fleet::boot(&docs), Fleet::boot(&docs));
+        let engine_b = remote_engine(&fleet_b.addrs);
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind relay");
+        let relay_addr = listener.local_addr().expect("relay addr").to_string();
+        let upstream_addr = fleet_a.addrs[1].clone();
+        let (send_slot, slot_rx) = std::sync::mpsc::channel::<ReloadableEngine>();
+        let relay = std::thread::spawn(move || {
+            let (mut client, _) = listener.accept().expect("the engine dials shard 1");
+            let mut upstream = TcpStream::connect(&upstream_addr).expect("dial A's shard 1");
+            while let Ok(frame) = read_frame(&mut client) {
+                if frame.op == Op::LeafCfs as u8 || frame.op == Op::ScoreTopK as u8 {
+                    let slot = slot_rx.recv().expect("the slot");
+                    drop(slot.swap(engine_b, 2));
+                    drop(listener);
+                    return;
+                }
+                let forward = |to: &mut TcpStream, f: &proto::Frame| {
+                    write_frame(to, f.request_id, f.op, f.status, &f.payload).expect("relay")
+                };
+                forward(&mut upstream, &frame);
+                forward(&mut client, &read_frame(&mut upstream).expect("A's answer"));
+            }
+        });
+        let addrs_a = [fleet_a.addrs[0].clone(), relay_addr.clone()];
+        let slot = ReloadableEngine::new(remote_engine(&addrs_a), 1);
+        send_slot.send(slot.clone()).expect("relay alive");
+
+        let kb = venice_mini_wiki();
+        let expander = QueryExpander::builder().build_live(&kb, &slot);
+        let request = ExpansionRequest::new("gondola in venice").with_retrieval(5);
+        match expander.expand(&request) {
+            Err(ServiceError::ArtifactShard { shard: 1, path, .. }) => {
+                assert_eq!(
+                    path,
+                    PathBuf::from(&relay_addr),
+                    "the pinned generation's shard"
+                );
+            }
+            other => panic!("expected a shard-1 failure, got {other:?}"),
+        }
+        relay.join().expect("relay thread");
+        assert_eq!(slot.epoch(), 2, "the swap landed mid-request");
     }
 
     #[test]

@@ -92,8 +92,8 @@ pub trait RetrievalBackend: Send + Sync {
 
     /// Where shard `shard` physically lives, when the backend knows —
     /// a socket address for remote shard processes, `None` for
-    /// in-process backends (the error path then falls back to the
-    /// segment path).
+    /// in-process backends (the serving facade's error path then names
+    /// the shard as `shard{shard}`).
     fn shard_endpoint(&self, shard: usize) -> Option<String> {
         let _ = shard;
         None
@@ -104,15 +104,6 @@ pub trait RetrievalBackend: Send + Sync {
 
     /// Total phrase-cache entries across shards (observability).
     fn phrase_cache_len(&self) -> usize;
-
-    /// A key identifying the collection snapshot this backend currently
-    /// answers from. Static backends never change collections, so the
-    /// default is a constant; [`ReloadableEngine`] returns its live
-    /// generation fingerprint so caches keyed by (query, epoch) can
-    /// never serve answers computed against a replaced generation.
-    fn cache_epoch(&self) -> u64 {
-        0
-    }
 }
 
 impl RetrievalBackend for SearchEngine {
@@ -292,10 +283,6 @@ impl RetrievalBackend for AnyEngine {
     fn phrase_cache_len(&self) -> usize {
         self.backend().phrase_cache_len()
     }
-
-    fn cache_epoch(&self) -> u64 {
-        self.backend().cache_epoch()
-    }
 }
 
 /// One immutable engine generation behind a [`ReloadableEngine`]: the
@@ -303,24 +290,23 @@ impl RetrievalBackend for AnyEngine {
 pub struct EngineGeneration {
     /// The engine answering queries for this generation.
     pub engine: AnyEngine,
-    /// The generation's cache-epoch key (see
-    /// [`RetrievalBackend::cache_epoch`]).
+    /// The generation's key: a cache keyed by (query, epoch) never
+    /// serves an answer computed against a replaced generation.
     pub epoch: u64,
 }
 
-/// A hot-swappable [`RetrievalBackend`]: an `Arc`-shared slot holding
-/// the current [`EngineGeneration`].
+/// A hot-swappable generation slot: an `Arc`-shared slot holding the
+/// current [`EngineGeneration`]. It is not a backend itself; a reader
+/// takes a [`ReloadableEngine::snapshot`] (one short lock to clone an
+/// `Arc`) and works against that generation's engine.
 ///
-/// Every trait call snapshots the current generation (one short lock to
-/// clone an `Arc`) and runs entirely against that snapshot, so a
-/// concurrent [`ReloadableEngine::swap`] never breaks an in-flight
-/// call: a search that started on the old generation finishes on it
-/// (its `Arc` keeps it alive), calls that start after the swap see the
-/// new one. That makes the swap zero-downtime by construction — no call
-/// is dropped, blocked, or served a half-replaced engine. The snapshot
-/// is per *call*, not per request: a caller that reads
-/// [`RetrievalBackend::cache_epoch`] and then searches takes two
-/// snapshots, which a swap can fall between.
+/// The serving facade takes one snapshot per request and uses it for
+/// the cache key, the search and any error, so a concurrent
+/// [`ReloadableEngine::swap`] never breaks an in-flight request: a
+/// request that started on the old generation finishes on it (its `Arc`
+/// keeps it alive), requests that start after the swap see the new
+/// one. That makes the swap zero-downtime by construction — no request
+/// is dropped, blocked, or served a half-replaced engine.
 ///
 /// `Clone` shares the slot, so a background reload thread can hold one
 /// handle and swap while the serving loop reads through another.
@@ -356,68 +342,6 @@ impl ReloadableEngine {
 
     /// The current generation's epoch.
     pub fn epoch(&self) -> u64 {
-        self.snapshot().epoch
-    }
-}
-
-impl RetrievalBackend for ReloadableEngine {
-    fn params(&self) -> LmParams {
-        self.snapshot().engine.backend().params()
-    }
-
-    fn epsilon_prob(&self) -> f64 {
-        self.snapshot().engine.backend().epsilon_prob()
-    }
-
-    fn total_tokens(&self) -> u64 {
-        self.snapshot().engine.backend().total_tokens()
-    }
-
-    fn num_docs(&self) -> usize {
-        self.snapshot().engine.backend().num_docs()
-    }
-
-    fn doc_len(&self, doc: u32) -> u32 {
-        self.snapshot().engine.backend().doc_len(doc)
-    }
-
-    fn resolve_phrase(&self, words: &[String]) -> Arc<PhraseInfo> {
-        self.snapshot().engine.backend().resolve_phrase(words)
-    }
-
-    fn search(&self, query: &QueryNode, k: usize) -> Vec<SearchHit> {
-        self.snapshot().engine.backend().search(query, k)
-    }
-
-    fn search_with(&self, query: &QueryNode, k: usize, mode: SearchMode) -> Vec<SearchHit> {
-        self.snapshot().engine.backend().search_with(query, k, mode)
-    }
-
-    fn try_search_with(
-        &self,
-        query: &QueryNode,
-        k: usize,
-        mode: SearchMode,
-    ) -> Result<Vec<SearchHit>, ShardedError> {
-        self.snapshot()
-            .engine
-            .backend()
-            .try_search_with(query, k, mode)
-    }
-
-    fn shard_endpoint(&self, shard: usize) -> Option<String> {
-        self.snapshot().engine.backend().shard_endpoint(shard)
-    }
-
-    fn shard_count(&self) -> usize {
-        self.snapshot().engine.backend().shard_count()
-    }
-
-    fn phrase_cache_len(&self) -> usize {
-        self.snapshot().engine.backend().phrase_cache_len()
-    }
-
-    fn cache_epoch(&self) -> u64 {
         self.snapshot().epoch
     }
 }
@@ -479,14 +403,6 @@ mod tests {
         assert_eq!(two.search(&q, 5), any.search(&q, 5));
     }
 
-    #[test]
-    fn static_backends_have_constant_epoch() {
-        let e = engine();
-        let b: &dyn RetrievalBackend = &e;
-        assert_eq!(b.cache_epoch(), 0);
-        assert_eq!(AnyEngine::Mono(engine()).cache_epoch(), 0);
-    }
-
     fn engine_over(docs: &[&str]) -> SearchEngine {
         let mut b = IndexBuilder::new();
         for d in docs {
@@ -505,12 +421,16 @@ mod tests {
         ]));
         let r = ReloadableEngine::new(a, 1);
         let reader = r.clone();
-        assert_eq!(reader.num_docs(), 2);
-        assert_eq!(reader.cache_epoch(), 1);
+        assert_eq!(reader.snapshot().engine.num_docs(), 2);
+        assert_eq!(reader.epoch(), 1);
         let old = r.swap(b, 2);
         assert_eq!(old.epoch, 1, "swap returns the replaced generation");
-        assert_eq!(reader.num_docs(), 3, "clones share the slot");
-        assert_eq!(reader.cache_epoch(), 2);
+        assert_eq!(
+            reader.snapshot().engine.num_docs(),
+            3,
+            "clones share the slot"
+        );
+        assert_eq!(reader.epoch(), 2);
         // The replaced generation is still fully usable by holders.
         assert_eq!(old.engine.num_docs(), 2);
     }
@@ -533,9 +453,10 @@ mod tests {
         let q = parse("#combine(gondola canal)").unwrap();
         let (mono_a, mono_b) = (engine_over(&docs_a), engine_over(&docs_b));
         let r = ReloadableEngine::new(two(&docs_a), 1);
+        let search = || r.snapshot().engine.search(&q, 10);
         // Generation 1 sums and remembers every leaf of `q` …
-        assert_eq!(r.search(&q, 10), mono_a.search(&q, 10));
-        assert_eq!(r.search(&q, 10), mono_a.search(&q, 10));
+        assert_eq!(search(), mono_a.search(&q, 10));
+        assert_eq!(search(), mono_a.search(&q, 10));
         // … and generation 2, where `gondola` is five times as common,
         // must not score with them.
         r.swap(two(&docs_b), 2);
@@ -547,8 +468,8 @@ mod tests {
             mono_a.search(&q, 10),
             "the shared documents score differently"
         );
-        assert_eq!(r.search(&q, 10), want);
-        assert_eq!(r.search(&q, 10), want);
+        assert_eq!(search(), want);
+        assert_eq!(search(), want);
     }
 
     /// The zero-downtime conformance drill: queries race a tight swap
@@ -579,14 +500,13 @@ mod tests {
                 scope.spawn(move || {
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                         let snap = r.snapshot();
-                        let hits = r.search(q, 10);
-                        assert!(
-                            hits == *expect_a || hits == *expect_b,
-                            "response must match a whole generation"
-                        );
+                        let hits = snap.engine.search(q, 10);
                         // Epoch and answer must come from the same side.
-                        let epoch = snap.epoch;
-                        assert!(epoch == 1 || epoch == 2);
+                        match snap.epoch {
+                            1 => assert_eq!(hits, *expect_a, "generation 1 answers as A"),
+                            2 => assert_eq!(hits, *expect_b, "generation 2 answers as B"),
+                            epoch => panic!("no generation has epoch {epoch}"),
+                        }
                     }
                 });
             }
