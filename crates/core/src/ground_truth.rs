@@ -106,6 +106,10 @@ impl EvalCounts {
 /// on every call). Qualities are additionally memoized by the sorted
 /// article-id multiset, so the hill climb's revisited neighbors
 /// (ubiquitous across REMOVE→SWAP passes) cost a hash lookup.
+/// A computed neighbor is split for the workspace as
+/// `prefix ++ [middle] ++ suffix` around the edited position, so the
+/// neighbors of one ADD pass, and of one SWAP position, share a cached
+/// prefix of partial scores.
 ///
 /// Interior mutability: the workspace, leaf map, and memo live behind a
 /// `RefCell`, keeping the `&self` call surface the pipeline and the
@@ -139,9 +143,9 @@ struct EvalState<'a> {
     counts: EvalCounts,
     /// Reused buffers — the climb evaluates thousands of candidate sets
     /// per query and must not allocate per candidate.
-    scratch_key: Vec<ArticleId>,
     scratch_sorted: Vec<ArticleId>,
-    scratch_leaves: Vec<LeafId>,
+    scratch_prefix: Vec<LeafId>,
+    scratch_suffix: Vec<LeafId>,
 }
 
 impl<'a> QualityEvaluator<'a> {
@@ -187,42 +191,43 @@ impl<'a> QualityEvaluator<'a> {
                 memo: HashMap::new(),
                 memo_enabled,
                 counts: EvalCounts::default(),
-                scratch_key: Vec::new(),
                 scratch_sorted: Vec::new(),
-                scratch_leaves: Vec::new(),
+                scratch_prefix: Vec::new(),
+                scratch_suffix: Vec::new(),
             }),
         }
     }
 
     /// O(articles, D) of Eq. 1 (memoized; counts one evaluation).
     pub fn quality(&self, articles: &[ArticleId]) -> f64 {
-        self.quality_of(articles, None, None)
+        self.quality_of(articles, None, &[])
     }
 
     /// O(set ∪ {extra}, D): quality with `extra` appended — the climb's
-    /// ADD neighbor, without materializing the candidate `Vec`.
+    /// ADD neighbor. Every ADD neighbor of `set` shares `set` as the
+    /// workspace's cached prefix.
     pub fn with_article(&self, set: &[ArticleId], extra: ArticleId) -> f64 {
-        self.quality_of(set, None, Some(extra))
+        self.quality_of(set, Some(extra), &[])
     }
 
     /// O(set \ set\[index\], D): quality with one position dropped — the
     /// climb's REMOVE neighbor.
     pub fn without_article(&self, set: &[ArticleId], index: usize) -> f64 {
-        self.quality_of(set, Some((index, None)), None)
+        self.quality_of(&set[..index], None, &set[index + 1..])
     }
 
     /// O with `set[index]` replaced by `replacement` — the climb's SWAP
-    /// neighbor.
+    /// neighbor. Every SWAP at one `index` shares `set[..index]` as the
+    /// workspace's cached prefix.
     pub fn with_swap(&self, set: &[ArticleId], index: usize, replacement: ArticleId) -> f64 {
-        self.quality_of(set, Some((index, Some(replacement))), None)
+        self.quality_of(&set[..index], Some(replacement), &set[index + 1..])
     }
 
     /// Per-cutoff precisions of the article set (never memoized — the
     /// ranked list is needed, not just the quality).
     pub fn precisions(&self, articles: &[ArticleId]) -> [f64; 4] {
         let state = &mut *self.state.borrow_mut();
-        Self::fill_scratch(&mut state.scratch_key, articles, None, None);
-        let hits = Self::search_scratch(self.kb, self.search_depth, state);
+        let hits = self.search(state, articles, None, &[]);
         precisions(&hits, &self.relevant)
     }
 
@@ -237,32 +242,36 @@ impl<'a> QualityEvaluator<'a> {
         self.state.borrow().workspace.resolutions()
     }
 
-    /// The quality core: `set`, optionally with one position dropped or
-    /// replaced, optionally with one article appended.
+    /// The quality core: the evaluated article sequence is
+    /// `prefix ++ [middle] ++ suffix` — `set` order, an edit in place,
+    /// an appended article last. Leaf order is float-summation order, so
+    /// this order is part of the byte-identity contract.
     fn quality_of(
         &self,
-        set: &[ArticleId],
-        edit: Option<(usize, Option<ArticleId>)>,
-        append: Option<ArticleId>,
+        prefix: &[ArticleId],
+        middle: Option<ArticleId>,
+        suffix: &[ArticleId],
     ) -> f64 {
         let state = &mut *self.state.borrow_mut();
         state.counts.evaluations += 1;
-        Self::fill_scratch(&mut state.scratch_key, set, edit, append);
 
         if state.memo_enabled {
-            state.scratch_sorted.clear();
-            state.scratch_sorted.extend_from_slice(&state.scratch_key);
-            state.scratch_sorted.sort_unstable();
+            let sorted = &mut state.scratch_sorted;
+            sorted.clear();
+            sorted.extend_from_slice(prefix);
+            sorted.extend(middle);
+            sorted.extend_from_slice(suffix);
+            sorted.sort_unstable();
             // `Vec<ArticleId>: Borrow<[ArticleId]>` lets the lookup run
             // without materializing an owned key.
-            if let Some(&q) = state.memo.get(state.scratch_sorted.as_slice()) {
+            if let Some(&q) = state.memo.get(sorted.as_slice()) {
                 state.counts.cached += 1;
                 return q;
             }
         }
 
         state.counts.computed += 1;
-        let hits = Self::search_scratch(self.kb, self.search_depth, state);
+        let hits = self.search(state, prefix, middle, suffix);
         let q = average_quality(&hits, &self.relevant);
         if state.memo_enabled {
             let key = state.scratch_sorted.clone();
@@ -271,56 +280,33 @@ impl<'a> QualityEvaluator<'a> {
         q
     }
 
-    /// Build the evaluated article sequence into `scratch`, preserving
-    /// the exact order the pre-workspace implementation produced
-    /// (`set` order, edits in place, append at the end) — leaf order is
-    /// float-summation order, so this is part of the byte-identity
-    /// contract.
-    fn fill_scratch(
-        scratch: &mut Vec<ArticleId>,
-        set: &[ArticleId],
-        edit: Option<(usize, Option<ArticleId>)>,
-        append: Option<ArticleId>,
-    ) {
-        scratch.clear();
-        match edit {
-            None => scratch.extend_from_slice(set),
-            Some((index, replacement)) => {
-                scratch.extend_from_slice(&set[..index]);
-                if let Some(r) = replacement {
-                    scratch.push(r);
-                }
-                scratch.extend_from_slice(&set[index + 1..]);
-            }
-        }
-        if let Some(a) = append {
-            scratch.push(a);
-        }
-    }
-
-    /// Resolve `scratch_key` to leaves and run the workspace search.
-    fn search_scratch(
-        kb: &KnowledgeBase,
-        search_depth: usize,
+    /// Resolve the articles to leaves (titles that normalize to nothing
+    /// drop out) and run the split workspace search.
+    fn search(
+        &self,
         state: &mut EvalState<'_>,
+        prefix: &[ArticleId],
+        middle: Option<ArticleId>,
+        suffix: &[ArticleId],
     ) -> Vec<querygraph_retrieval::SearchHit> {
         let EvalState {
             workspace,
             leaf_of,
-            scratch_key,
-            scratch_leaves,
+            scratch_prefix,
+            scratch_suffix,
             ..
         } = state;
-        scratch_leaves.clear();
-        for &a in scratch_key.iter() {
-            let leaf = *leaf_of
+        let mut leaf = |a: ArticleId| {
+            *leaf_of
                 .entry(a)
-                .or_insert_with(|| workspace.add_title(kb.title(a)));
-            if let Some(leaf) = leaf {
-                scratch_leaves.push(leaf);
-            }
-        }
-        workspace.search(scratch_leaves, search_depth)
+                .or_insert_with(|| workspace.add_title(self.kb.title(a)))
+        };
+        scratch_prefix.clear();
+        scratch_prefix.extend(prefix.iter().filter_map(|&a| leaf(a)));
+        let middle = middle.and_then(&mut leaf);
+        scratch_suffix.clear();
+        scratch_suffix.extend(suffix.iter().filter_map(|&a| leaf(a)));
+        workspace.search_split(scratch_prefix, middle, scratch_suffix, self.search_depth)
     }
 }
 

@@ -252,7 +252,11 @@ impl SearchEngine {
                     return 0;
                 };
                 if let Some(tf) = tf {
-                    tf.extend(list.iter().map(|p| (p.doc, p.tf())));
+                    tf.reserve(list.doc_count() as usize);
+                    let mut cursor = list.cursor();
+                    while let Some((doc, term_tf)) = cursor.next_entry() {
+                        tf.insert(doc, term_tf);
+                    }
                 }
                 list.collection_freq()
             }

@@ -41,7 +41,9 @@
 //! * [`workspace`] — [`workspace::ScoreWorkspace`]: the hill climb's
 //!   fast path. Resolves each title phrase once, precomputes per-leaf
 //!   per-document log-beliefs, and scores candidate title sets without
-//!   re-flattening or re-matching — bit-identical to the engine.
+//!   re-flattening or re-matching, resuming from a cached prefix of
+//!   partial sums the climb's neighbours share — bit-identical to the
+//!   engine.
 //! * [`ondisk`] — a versioned on-disk artifact for the whole retrieval
 //!   state (term dictionary, postings buffers, per-doc stats, phrase
 //!   dictionary) with checksummed sections and a zero-copy loader, so

@@ -6,11 +6,14 @@
 //! (§2.2: "based on exact phrase matching"), so this is the hot path of
 //! the whole reproduction.
 //!
-//! The matcher walks the phrase terms' postings lists in lockstep
-//! (they are doc-ordered) and intersects positions with offsets.
+//! The matcher walks the phrase terms' postings cursors in lockstep
+//! (they are doc-ordered) on `(doc, tf)` alone. Positions are decoded
+//! only for a document every term shares, into buffers reused for the
+//! whole phrase, and intersected with offsets; a one-word phrase is its
+//! term's `(doc, tf)` list and never touches positions.
 
 use crate::index::InvertedIndex;
-use crate::postings::DocPosting;
+use crate::postings::PostingsCursor;
 use querygraph_text::TermId;
 
 /// Phrase occurrences in one document.
@@ -27,74 +30,81 @@ pub struct PhraseHit {
 ///
 /// An empty phrase or a phrase with any unknown term matches nothing.
 pub fn match_phrase(index: &InvertedIndex, terms: &[TermId]) -> Vec<PhraseHit> {
-    if terms.is_empty() {
-        return Vec::new();
+    match terms {
+        [] => return Vec::new(),
+        [term] => {
+            let list = index.postings(*term);
+            let mut cursor = list.cursor();
+            let mut hits = Vec::with_capacity(list.doc_count() as usize);
+            while let Some((doc, tf)) = cursor.next_entry() {
+                hits.push(PhraseHit { doc, tf });
+            }
+            return hits;
+        }
+        _ => {}
     }
-    if terms.len() == 1 {
-        return index
-            .postings(terms[0])
-            .iter()
-            .map(|p| PhraseHit {
-                doc: p.doc,
-                tf: p.tf(),
-            })
-            .collect();
-    }
-
-    // Iterators over every term's postings, advanced in lockstep.
-    let mut iters: Vec<_> = terms.iter().map(|&t| index.postings(t).iter()).collect();
-    let mut current: Vec<Option<DocPosting>> = iters.iter_mut().map(|it| it.next()).collect();
+    let mut cursors: Vec<PostingsCursor<'_>> =
+        terms.iter().map(|&t| index.postings(t).cursor()).collect();
     let mut hits = Vec::new();
-
-    'outer: loop {
-        // Find the maximum current doc; every iterator must reach it.
-        let mut target = 0u32;
-        for c in &current {
-            match c {
-                None => break 'outer,
-                Some(p) => target = target.max(p.doc),
-            }
-        }
-        // Advance lagging iterators.
-        let mut aligned = true;
-        for (i, c) in current.iter_mut().enumerate() {
-            while let Some(p) = c {
-                if p.doc >= target {
-                    break;
-                }
-                *c = iters[i].next();
-            }
-            match c {
-                None => break 'outer,
-                Some(p) if p.doc == target => {}
-                Some(_) => aligned = false, // overshot: new round with larger target
-            }
-        }
-        if !aligned {
-            continue;
-        }
-        // All aligned on `target`: count consecutive-position matches.
-        let tf = count_phrase_occurrences(&current);
-        if tf > 0 {
-            hits.push(PhraseHit { doc: target, tf });
-        }
-        // Advance every iterator past `target`.
-        for (i, c) in current.iter_mut().enumerate() {
-            *c = iters[i].next();
+    // Each cursor's current doc, advanced in lockstep.
+    let mut current: Vec<u32> = Vec::with_capacity(cursors.len());
+    for c in &mut cursors {
+        match c.next_entry() {
+            Some((doc, _)) => current.push(doc),
+            None => return hits,
         }
     }
-    hits
+    let mut positions: Vec<Vec<u32>> = vec![Vec::new(); cursors.len()];
+
+    loop {
+        // Every cursor must reach the maximum current doc.
+        let target = current.iter().copied().max().unwrap_or(0);
+        let mut aligned = true;
+        for (c, doc) in cursors.iter_mut().zip(current.iter_mut()) {
+            while *doc < target {
+                match c.next_entry() {
+                    Some((d, _)) => *doc = d,
+                    None => return hits,
+                }
+            }
+            // Overshot: a new round with a larger target.
+            aligned &= *doc == target;
+        }
+        if aligned {
+            // All aligned on `target`: decode positions and count
+            // consecutive-position matches.
+            for (c, buf) in cursors.iter_mut().zip(positions.iter_mut()) {
+                if c.positions_into(buf).is_none() {
+                    return hits;
+                }
+            }
+            let tf = count_phrase_occurrences(&positions);
+            if tf > 0 {
+                hits.push(PhraseHit { doc: target, tf });
+            }
+            // Advance every cursor past `target`.
+            for (c, doc) in cursors.iter_mut().zip(current.iter_mut()) {
+                match c.next_entry() {
+                    Some((d, _)) => *doc = d,
+                    None => return hits,
+                }
+            }
+        }
+    }
 }
 
 /// Count positions `p` such that term `i`'s positions contain `p + i`.
-fn count_phrase_occurrences(current: &[Option<DocPosting>]) -> u32 {
-    let first = current[0].as_ref().expect("aligned");
+/// A position where `p + i` overflows `u32` cannot start an occurrence
+/// (validated segments bound positions only by order, not by document
+/// length).
+fn count_phrase_occurrences(positions: &[Vec<u32>]) -> u32 {
     let mut tf = 0u32;
-    'pos: for &p in &first.positions {
-        for (i, c) in current.iter().enumerate().skip(1) {
-            let positions = &c.as_ref().expect("aligned").positions;
-            let want = p + i as u32;
-            if positions.binary_search(&want).is_err() {
+    'pos: for &p in &positions[0] {
+        for (i, term_positions) in positions.iter().enumerate().skip(1) {
+            let Some(want) = p.checked_add(i as u32) else {
+                continue 'pos;
+            };
+            if term_positions.binary_search(&want).is_err() {
                 continue 'pos;
             }
         }
@@ -113,7 +123,9 @@ pub fn resolve_terms(index: &InvertedIndex, words: &[String]) -> Option<Vec<Term
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::IndexBuilder;
+    use crate::index::{IndexBuilder, TermBound};
+    use crate::postings::PostingsBuilder;
+    use querygraph_text::Interner;
 
     fn idx() -> InvertedIndex {
         let mut b = IndexBuilder::new();
@@ -177,6 +189,28 @@ mod tests {
     fn empty_phrase_matches_nothing() {
         let index = idx();
         assert!(match_phrase(&index, &[]).is_empty());
+    }
+
+    #[test]
+    fn position_at_u32_max_starts_no_occurrence() {
+        // Segment validation bounds positions by order, not by document
+        // length, so a crafted segment can hold a term at u32::MAX; the
+        // adjacency offset must neither panic nor wrap around to 0.
+        let mut interner = Interner::new();
+        let first = interner.intern("alpha");
+        let second = interner.intern("beta");
+        let mut a = PostingsBuilder::new();
+        a.push(0, &[u32::MAX]);
+        let mut b = PostingsBuilder::new();
+        b.push(0, &[0]);
+        let index = InvertedIndex::from_parts(
+            interner,
+            vec![a.build(), b.build()],
+            vec![TermBound::EMPTY; 2],
+            vec![2],
+            2,
+        );
+        assert!(match_phrase(&index, &[first, second]).is_empty());
     }
 
     #[test]

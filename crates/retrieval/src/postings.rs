@@ -13,6 +13,13 @@
 //! Doc ids and positions are strictly increasing, so deltas are small
 //! and LEB128 varints keep the index compact (the real ImageCLEF
 //! collection has 237k documents; compactness is not cosmetic).
+//!
+//! One walker decodes the stream: [`PostingsCursor`] reads each entry's
+//! `(doc, tf)` and decodes its positions only when asked, stepping over
+//! their bytes otherwise. Term leaves and single-word phrases never
+//! touch positions, and phrase matching decodes them only for documents
+//! every phrase term shares. [`PostingsIter`] is the cursor decoding
+//! every entry's positions into a fresh [`DocPosting`].
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -98,9 +105,9 @@ pub(crate) struct StreamStats {
 /// on-disk loader compares the collection frequency against the
 /// directory's recorded value and the bound statistics against the
 /// artifact's bounds section. Cost is one linear pass; crafted counts
-/// can't balloon memory because nothing here allocates (unlike
-/// [`PostingsIter`], which trusts its input and pre-sizes position
-/// vectors).
+/// can't balloon memory because nothing here allocates ([`PostingsIter`]
+/// allocates a position vector per entry and checks neither order nor
+/// doc range).
 pub(crate) fn validate_stream(
     data: &[u8],
     doc_count: u32,
@@ -217,53 +224,131 @@ impl PostingsList {
     /// Iterate decoded document entries in doc-id order.
     pub fn iter(&self) -> PostingsIter<'_> {
         PostingsIter {
+            cursor: self.cursor(),
+        }
+    }
+
+    /// A position-lazy cursor over the entries in doc-id order: each
+    /// entry yields `(doc, tf)`, and its positions are decoded only on
+    /// request.
+    pub fn cursor(&self) -> PostingsCursor<'_> {
+        PostingsCursor {
             data: &self.data,
             pos: 0,
             last_doc: 0,
             first: true,
             remaining: self.doc_count,
+            unread_positions: 0,
         }
     }
 }
 
-/// Decoding iterator over a [`PostingsList`].
-pub struct PostingsIter<'a> {
+/// Position-lazy decoder over a [`PostingsList`] — the one varint
+/// walker behind [`PostingsIter`], phrase matching and term leaves.
+///
+/// [`PostingsCursor::next_entry`] yields `(doc, tf)`; the entry's
+/// position bytes stay unread until [`PostingsCursor::positions_into`]
+/// decodes them, and the next `next_entry` steps over them if nobody
+/// asked. Both return `None` on a truncated or non-canonical varint,
+/// after which the cursor yields nothing further — as they do on a doc
+/// id or position that would overflow `u32`, so garbled bytes end the
+/// walk instead of panicking.
+pub struct PostingsCursor<'a> {
     data: &'a [u8],
     pos: usize,
     last_doc: u32,
     first: bool,
     remaining: u32,
+    /// Positions of the current entry whose bytes are not yet read.
+    unread_positions: u32,
 }
 
-impl Iterator for PostingsIter<'_> {
-    type Item = DocPosting;
-
-    fn next(&mut self) -> Option<DocPosting> {
+impl PostingsCursor<'_> {
+    /// The next entry's `(doc, tf)`, stepping over the previous entry's
+    /// unread positions.
+    #[inline]
+    pub fn next_entry(&mut self) -> Option<(u32, u32)> {
         if self.remaining == 0 {
             return None;
+        }
+        let entry = self.read_entry();
+        if entry.is_none() {
+            self.remaining = 0;
+        }
+        entry
+    }
+
+    #[inline]
+    fn read_entry(&mut self) -> Option<(u32, u32)> {
+        for _ in 0..self.unread_positions {
+            read_varint(self.data, &mut self.pos)?;
         }
         let delta = read_varint(self.data, &mut self.pos)?;
         let doc = if self.first {
             self.first = false;
             delta
         } else {
-            self.last_doc + delta
+            self.last_doc.checked_add(delta)?
         };
         self.last_doc = doc;
         let tf = read_varint(self.data, &mut self.pos)?;
-        let mut positions = Vec::with_capacity(tf as usize);
-        let mut last = 0u32;
-        for i in 0..tf {
-            let pdelta = read_varint(self.data, &mut self.pos)?;
-            last = if i == 0 { pdelta } else { last + pdelta };
-            positions.push(last);
-        }
+        self.unread_positions = tf;
         self.remaining -= 1;
+        Some((doc, tf))
+    }
+
+    /// Decode the current entry's positions (ascending) into `out`,
+    /// replacing its contents. Call at most once per entry, after
+    /// [`PostingsCursor::next_entry`]; a second call yields no
+    /// positions.
+    #[inline]
+    pub fn positions_into(&mut self, out: &mut Vec<u32>) -> Option<()> {
+        out.clear();
+        let decoded = self.read_positions(out);
+        if decoded.is_none() {
+            self.remaining = 0;
+        }
+        decoded
+    }
+
+    #[inline]
+    fn read_positions(&mut self, out: &mut Vec<u32>) -> Option<()> {
+        let tf = std::mem::take(&mut self.unread_positions);
+        if tf == 0 {
+            return Some(());
+        }
+        let mut last = read_varint(self.data, &mut self.pos)?;
+        out.push(last);
+        for _ in 1..tf {
+            last = last.checked_add(read_varint(self.data, &mut self.pos)?)?;
+            out.push(last);
+        }
+        Some(())
+    }
+}
+
+/// Decoding iterator over a [`PostingsList`]: a [`PostingsCursor`] that
+/// decodes every entry's positions.
+pub struct PostingsIter<'a> {
+    cursor: PostingsCursor<'a>,
+}
+
+impl Iterator for PostingsIter<'_> {
+    type Item = DocPosting;
+
+    fn next(&mut self) -> Option<DocPosting> {
+        let (doc, tf) = self.cursor.next_entry()?;
+        // Each position takes at least one byte: capping by the bytes
+        // left keeps a garbled tf from pre-sizing a huge vector.
+        let bytes_left = self.cursor.data.len() - self.cursor.pos;
+        let mut positions = Vec::with_capacity((tf as usize).min(bytes_left));
+        self.cursor.positions_into(&mut positions)?;
         Some(DocPosting { doc, positions })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining as usize, Some(self.remaining as usize))
+        let remaining = self.cursor.remaining as usize;
+        (remaining, Some(remaining))
     }
 }
 
@@ -574,6 +659,75 @@ mod tests {
                 .map(|(d, ps)| (d, ps.into_iter().collect()))
                 .collect();
             proptest::prop_assert_eq!(decoded, expected);
+        }
+
+        /// The cursor decodes exactly what `PostingsIter` does — on
+        /// builder output, and on truncated or garbled copies of it,
+        /// where both stop at the same entry. Stepping over positions
+        /// without decoding them yields the same `(doc, tf)` sequence.
+        #[test]
+        fn cursor_matches_iter(
+            entries in proptest::collection::vec(
+                (0u32..10_000, proptest::collection::btree_set(0u32..5_000, 1..20)),
+                0..40,
+            ),
+            cut in 0usize..600,
+            flip_at in 0usize..600,
+            flip_mask in 1u8..=255,
+        ) {
+            let mut map = std::collections::BTreeMap::new();
+            for (d, ps) in entries {
+                map.entry(d).or_insert(ps);
+            }
+            let mut b = PostingsBuilder::new();
+            for (d, ps) in &map {
+                let positions: Vec<u32> = ps.iter().copied().collect();
+                b.push(*d, &positions);
+            }
+            let list = b.build();
+            let via_cursor = |list: &PostingsList| {
+                let mut out = Vec::new();
+                let mut cursor = list.cursor();
+                while let Some((doc, tf)) = cursor.next_entry() {
+                    let mut positions = Vec::new();
+                    if cursor.positions_into(&mut positions).is_none() {
+                        break;
+                    }
+                    assert_eq!(positions.len(), tf as usize);
+                    out.push((doc, positions));
+                }
+                out
+            };
+            let via_iter = |list: &PostingsList| -> Vec<(u32, Vec<u32>)> {
+                list.iter().map(|p| (p.doc, p.positions)).collect()
+            };
+            proptest::prop_assert_eq!(via_cursor(&list), via_iter(&list));
+
+            let mut skipped = Vec::new();
+            let mut cursor = list.cursor();
+            while let Some(entry) = cursor.next_entry() {
+                skipped.push(entry);
+            }
+            let tfs: Vec<(u32, u32)> = list.iter().map(|p| (p.doc, p.tf())).collect();
+            proptest::prop_assert_eq!(skipped, tfs);
+
+            let data = list.encoded_bytes().to_vec();
+            let truncated = PostingsList::from_encoded(
+                Bytes::from(data[..cut.min(data.len())].to_vec()),
+                list.doc_count(),
+                list.collection_freq(),
+            );
+            proptest::prop_assert_eq!(via_cursor(&truncated), via_iter(&truncated));
+            if !data.is_empty() {
+                let mut garbled = data.clone();
+                garbled[flip_at % data.len()] ^= flip_mask;
+                let garbled = PostingsList::from_encoded(
+                    Bytes::from(garbled),
+                    list.doc_count(),
+                    list.collection_freq(),
+                );
+                proptest::prop_assert_eq!(via_cursor(&garbled), via_iter(&garbled));
+            }
         }
     }
 }

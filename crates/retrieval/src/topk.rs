@@ -281,5 +281,35 @@ mod tests {
                 proptest::prop_assert_eq!(got, want, "k={}", k);
             }
         }
+
+        // The score workspace pushes candidates in no particular order
+        // and relies on this: any permutation of the same pushes —
+        // ties included — yields the identical sorted result.
+        #[test]
+        fn push_order_never_changes_the_result(
+            raw in proptest::collection::vec(-3i32..4, 0..40),
+            keys in proptest::collection::vec(0u32..1000, 40..41),
+            k in 0usize..12,
+        ) {
+            let scores: Vec<(u32, f64)> = raw
+                .iter()
+                .enumerate()
+                .map(|(doc, &s)| (doc as u32 * 7 % 41, s as f64 * 0.5))
+                .collect();
+            let run = |order: &[usize]| {
+                let mut t = TopK::new(k);
+                for &i in order {
+                    t.push(scores[i].0, scores[i].1);
+                }
+                t.into_sorted()
+            };
+            let forward: Vec<usize> = (0..scores.len()).collect();
+            let reversed: Vec<usize> = forward.iter().rev().copied().collect();
+            let mut shuffled = forward.clone();
+            shuffled.sort_by_key(|&i| (keys[i], i));
+            let want = run(&forward);
+            proptest::prop_assert_eq!(run(&reversed), want.clone());
+            proptest::prop_assert_eq!(run(&shuffled), want);
+        }
     }
 }

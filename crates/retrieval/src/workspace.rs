@@ -12,17 +12,30 @@
 //! probability, and a dense vector of per-document log-beliefs over the
 //! workspace's document universe (the union of every added leaf's
 //! matching documents). Evaluating a candidate set then reduces to
-//! summing precomputed per-leaf contributions over the union of the
-//! chosen leaves' documents: no phrase matching, no hashing, no
-//! allocation proportional to the index.
+//! summing precomputed per-leaf contributions over the chosen leaves'
+//! documents: no phrase matching, no hashing, no allocation
+//! proportional to the index.
 //!
-//! The output contract is exact: [`ScoreWorkspace::search`] returns
-//! bit-identical hits to running the engine on
-//! [`QueryNode::phrases_of_titles`] of the same titles, because it
-//! performs the same floating-point operations in the same order —
-//! `score += weight · log_belief(tf, len, p)` per leaf, leaves in title
-//! order, candidates in ascending document order, the same [`TopK`].
-//! The pipeline's byte-identical-`Report` contract rests on this.
+//! A climb's neighbours share most of their leaves, so a search takes
+//! its leaf sequence split as `prefix ++ [middle] ++ suffix`
+//! ([`ScoreWorkspace::search_split`]) and the workspace caches one
+//! prefix: its candidate documents and each candidate's partial sum
+//! over the prefix leaves, keyed by the prefix leaves and the weight
+//! `1/n`. Every ADD neighbour of one climb pass shares the current set
+//! as its prefix; every SWAP at one position shares the leaves before
+//! it. A call then pays only for the middle and suffix leaves, plus a
+//! fresh prefix sum for each document only they match.
+//! [`ScoreWorkspace::search`] is the prefix-only call.
+//!
+//! The output contract is exact: the workspace returns bit-identical
+//! hits to running the engine on [`QueryNode::phrases_of_titles`] of
+//! the same titles. Every document's score is the engine's sequence of
+//! `score += weight · log_belief(tf, len, p)` from `0.0`, leaves in
+//! title order — a cached partial sum is that sequence stopped after
+//! the prefix. Candidates reach the [`TopK`] in no particular order,
+//! which cannot matter: it keeps the best `k` under a total order
+//! (score descending, doc id ascending). The pipeline's
+//! byte-identical-`Report` contract rests on this.
 
 use crate::backend::RetrievalBackend;
 use crate::engine::{SearchEngine, SearchHit};
@@ -53,6 +66,26 @@ struct WsLeaf {
     beliefs: Vec<f64>,
 }
 
+/// The cached prefix of the last [`ScoreWorkspace::search_split`].
+/// Its candidates and sums stay valid while the universe grows: a
+/// leaf's matches are fixed when it is added, and beliefs of existing
+/// slots never change.
+#[derive(Default)]
+struct Prefix {
+    /// The prefix leaves, in order.
+    leaves: Vec<LeafId>,
+    /// Bits of the weight `1/n` the sums were taken with; `0` (no real
+    /// weight: `n ≥ 1`) until a prefix is cached.
+    weight_bits: u64,
+    /// `marks[slot] == tag` ⇔ the slot is a prefix candidate.
+    tag: u64,
+    /// `(doc, slot)` of every document a prefix leaf matches, each once.
+    cand: Vec<(u32, u32)>,
+    /// `Σ weight · belief` over the prefix leaves in order, from `0.0`,
+    /// parallel to `cand`.
+    sums: Vec<f64>,
+}
+
 /// Per-query scoring workspace over a shared
 /// [`RetrievalBackend`] (defaulting to the monolithic
 /// [`SearchEngine`]; the sharded engine plugs in through the same
@@ -72,23 +105,16 @@ pub struct ScoreWorkspace<'a, B: RetrievalBackend + ?Sized = SearchEngine> {
     /// Distinct phrase resolutions performed (observability; the unit
     /// tests assert one per distinct title).
     resolutions: usize,
-    /// Reused per-search buffers (the hill climb searches thousands of
-    /// times per query; nothing here may allocate per call).
-    scratch: Scratch,
-}
-
-/// Reusable buffers for [`ScoreWorkspace::search`].
-#[derive(Default)]
-struct Scratch {
-    /// Candidate `(doc, slot)` pairs of the current search.
-    cand: Vec<(u32, u32)>,
-    /// Score accumulator parallel to `cand`.
-    scores: Vec<f64>,
-    /// Per-slot visit stamp: `stamps[slot] == epoch` ⇔ slot already a
-    /// candidate this search (O(1) dedup without hashing or a
-    /// multiset sort).
-    stamps: Vec<u64>,
-    epoch: u64,
+    prefix: Prefix,
+    /// Per-slot mark: the cached prefix's tag for its candidates, the
+    /// current call's tag for documents only the middle or suffix
+    /// match (O(1) dedup without hashing or sorting).
+    marks: Vec<u64>,
+    /// Last tag handed out; every prefix and every call takes a new one.
+    tag: u64,
+    /// `(doc, slot)` of the current call's documents outside the
+    /// prefix candidates (reused across calls).
+    extra: Vec<(u32, u32)>,
 }
 
 impl<'a, B: RetrievalBackend + ?Sized> ScoreWorkspace<'a, B> {
@@ -101,7 +127,10 @@ impl<'a, B: RetrievalBackend + ?Sized> ScoreWorkspace<'a, B> {
             docs: Vec::new(),
             slot_by_doc: HashMap::new(),
             resolutions: 0,
-            scratch: Scratch::default(),
+            prefix: Prefix::default(),
+            marks: Vec::new(),
+            tag: 0,
+            extra: Vec::new(),
         }
     }
 
@@ -176,55 +205,113 @@ impl<'a, B: RetrievalBackend + ?Sized> ScoreWorkspace<'a, B> {
     /// best `k` documents — bit-identical to
     /// `engine.search(&QueryNode::phrases_of_titles(titles), k)` for the
     /// titles the leaves were created from (duplicate leaves count
-    /// twice, exactly like duplicate phrases in the AST).
+    /// twice, exactly like duplicate phrases in the AST). The
+    /// prefix-only [`ScoreWorkspace::search_split`].
     pub fn search(&mut self, leaf_ids: &[LeafId], k: usize) -> Vec<SearchHit> {
-        if leaf_ids.is_empty() {
+        self.search_split(leaf_ids, None, &[], k)
+    }
+
+    /// [`ScoreWorkspace::search`] of the leaf sequence
+    /// `prefix ++ [middle] ++ suffix`, reusing the cached prefix when
+    /// `prefix` and the sequence length match the last call that cached
+    /// one, and caching `prefix` otherwise.
+    pub fn search_split(
+        &mut self,
+        prefix: &[LeafId],
+        middle: Option<LeafId>,
+        suffix: &[LeafId],
+        k: usize,
+    ) -> Vec<SearchHit> {
+        let n = prefix.len() + usize::from(middle.is_some()) + suffix.len();
+        if n == 0 {
             return Vec::new();
         }
-        for &id in leaf_ids {
+        for &id in prefix.iter().chain(&middle).chain(suffix) {
             self.ensure_beliefs(id);
         }
+        let weight = 1.0 / n as f64;
+        self.marks.resize(self.docs.len(), 0);
+        if self.prefix.weight_bits != weight.to_bits() || self.prefix.leaves != prefix {
+            self.cache_prefix(prefix, weight);
+        }
         let Self {
-            leaves, scratch, ..
+            leaves,
+            prefix: cached,
+            marks,
+            tag,
+            extra,
+            ..
         } = self;
+        let beliefs = |id: &LeafId| leaves[id.0 as usize].beliefs.as_slice();
+        let tail: Vec<&[f64]> = middle.iter().chain(suffix).map(beliefs).collect();
+        let mut topk = TopK::new(k);
 
-        // Candidates: union of the chosen leaves' documents, ascending
-        // by doc id (the engine sorts + dedups the same union). Stamps
-        // dedup in O(1) per match so the sort runs over the union, not
-        // the multiset.
-        scratch.stamps.resize(self.docs.len(), 0);
-        scratch.epoch += 1;
-        scratch.cand.clear();
-        for &id in leaf_ids {
+        // Prefix candidates resume from their cached partial sums.
+        for (&(doc, slot), &sum) in cached.cand.iter().zip(&cached.sums) {
+            let mut score = sum;
+            for b in &tail {
+                score += weight * b[slot as usize];
+            }
+            topk.push(doc, score);
+        }
+
+        // Documents only the middle or suffix match: the whole sum,
+        // prefix leaves first.
+        *tag += 1;
+        extra.clear();
+        for &id in middle.iter().chain(suffix) {
             for &(doc, slot) in &leaves[id.0 as usize].matches {
-                let stamp = &mut scratch.stamps[slot as usize];
-                if *stamp != scratch.epoch {
-                    *stamp = scratch.epoch;
-                    scratch.cand.push((doc, slot));
+                let mark = &mut marks[slot as usize];
+                if *mark != cached.tag && *mark != *tag {
+                    *mark = *tag;
+                    extra.push((doc, slot));
                 }
             }
         }
-        scratch.cand.sort_unstable();
-
-        // Leaf-outer accumulation: each candidate's score still sums in
-        // leaf order (scores[ci] gathers one `weight · belief` term per
-        // leaf pass, in `leaf_ids` order), so the floating-point result
-        // is bit-identical to the engine's doc-outer loop — but each
-        // pass streams one dense belief vector instead of hopping
-        // between leaves per document.
-        let weight = 1.0 / leaf_ids.len() as f64;
-        scratch.scores.clear();
-        scratch.scores.resize(scratch.cand.len(), 0.0);
-        for &id in leaf_ids {
-            let beliefs = &leaves[id.0 as usize].beliefs;
-            accumulate_chunked(&scratch.cand, beliefs, weight, &mut scratch.scores);
-        }
-
-        let mut topk = TopK::new(k);
-        for (&(doc, _), &score) in scratch.cand.iter().zip(scratch.scores.iter()) {
+        let head: Vec<&[f64]> = prefix.iter().map(beliefs).collect();
+        for &(doc, slot) in extra.iter() {
+            let mut score = 0.0;
+            for b in head.iter().chain(&tail) {
+                score += weight * b[slot as usize];
+            }
             topk.push(doc, score);
         }
         topk.into_sorted()
+    }
+
+    /// Cache `prefix` under `weight`: its candidates (each document a
+    /// prefix leaf matches, once) and their partial sums.
+    fn cache_prefix(&mut self, prefix: &[LeafId], weight: f64) {
+        self.tag += 1;
+        let Self {
+            leaves,
+            prefix: cached,
+            marks,
+            tag,
+            ..
+        } = self;
+        cached.leaves.clear();
+        cached.leaves.extend_from_slice(prefix);
+        cached.weight_bits = weight.to_bits();
+        cached.tag = *tag;
+        cached.cand.clear();
+        for &id in prefix {
+            for &(doc, slot) in &leaves[id.0 as usize].matches {
+                let mark = &mut marks[slot as usize];
+                if *mark != *tag {
+                    *mark = *tag;
+                    cached.cand.push((doc, slot));
+                }
+            }
+        }
+        cached.sums.clear();
+        cached.sums.extend(cached.cand.iter().map(|&(_, slot)| {
+            let mut sum = 0.0;
+            for &id in prefix {
+                sum += weight * leaves[id.0 as usize].beliefs[slot as usize];
+            }
+            sum
+        }));
     }
 
     /// Number of distinct phrase resolutions performed so far.
@@ -249,70 +336,10 @@ impl<'a, B: RetrievalBackend + ?Sized> ScoreWorkspace<'a, B> {
     }
 }
 
-/// Lane width of the dense accumulation loop: eight f64 = one cache
-/// line, and a width LLVM turns into packed mul/add on every SIMD ISA
-/// the repro targets.
-const LANES: usize = 8;
-
-/// The dominant inner loop of the hill climb:
-/// `scores[i] += weight · beliefs[slot(cand[i])]` for every candidate.
-///
-/// Split into fixed-width `[f64; LANES]` chunks — gather the lane's
-/// beliefs, then one multiply-add per element — so the compiler can
-/// autovectorize the arithmetic even though the belief access is a
-/// gather. Each element is touched by exactly one multiply and one add,
-/// just like the straight-line loop, and elements are independent, so
-/// the result is **bit-identical** for any chunking; the byte-identity
-/// golden pins hold (the equivalence proptests below run through this
-/// path).
-fn accumulate_chunked(cand: &[(u32, u32)], beliefs: &[f64], weight: f64, scores: &mut [f64]) {
-    debug_assert_eq!(cand.len(), scores.len());
-    let whole = cand.len() - cand.len() % LANES;
-    let (cand_head, cand_tail) = cand.split_at(whole);
-    let (scores_head, scores_tail) = scores.split_at_mut(whole);
-    for (c, s) in cand_head
-        .chunks_exact(LANES)
-        .zip(scores_head.chunks_exact_mut(LANES))
-    {
-        let mut lane = [0.0f64; LANES];
-        for i in 0..LANES {
-            lane[i] = beliefs[c[i].1 as usize];
-        }
-        for i in 0..LANES {
-            s[i] += weight * lane[i];
-        }
-    }
-    for (&(_, slot), score) in cand_tail.iter().zip(scores_tail.iter_mut()) {
-        *score += weight * beliefs[slot as usize];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index::IndexBuilder;
-
-    #[test]
-    fn chunked_accumulation_matches_scalar_loop() {
-        // Lengths straddling every remainder class around the lane
-        // width, including the empty and sub-lane cases.
-        for n in [0, 1, 7, 8, 9, 15, 16, 17, 64, 100] {
-            let beliefs: Vec<f64> = (0..n).map(|i| -((i + 1) as f64).ln()).collect();
-            // Slots deliberately permuted: the gather must not assume
-            // cand order matches slot order.
-            let cand: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, (n as u32 - 1 - i))).collect();
-            let weight = 1.0 / 3.0;
-            let mut chunked = vec![0.125f64; n];
-            accumulate_chunked(&cand, &beliefs, weight, &mut chunked);
-            let mut scalar = vec![0.125f64; n];
-            for (&(_, slot), score) in cand.iter().zip(scalar.iter_mut()) {
-                *score += weight * beliefs[slot as usize];
-            }
-            let chunked_bits: Vec<u64> = chunked.iter().map(|f| f.to_bits()).collect();
-            let scalar_bits: Vec<u64> = scalar.iter().map(|f| f.to_bits()).collect();
-            assert_eq!(chunked_bits, scalar_bits, "n={n}");
-        }
-    }
 
     fn engine() -> SearchEngine {
         let mut b = IndexBuilder::new();
@@ -454,6 +481,74 @@ mod tests {
             let fast = ws.search(&leaves, 15);
             let slow = e.search(&QueryNode::phrases_of_titles(&titles), 15);
             proptest::prop_assert_eq!(fast, slow);
+        }
+
+        /// The split search must equal the engine on the concatenated
+        /// sequence across call sequences that reuse a cached prefix,
+        /// keep the prefix under a new weight, grow the universe under
+        /// it, and use an empty prefix or no middle. Picks may repeat,
+        /// so duplicate leaves occur throughout.
+        #[test]
+        fn split_search_equivalent_to_engine_on_random_worlds(
+            docs in proptest::collection::vec(
+                proptest::collection::vec(0u8..6, 1..12),
+                1..10,
+            ),
+            prefix in proptest::collection::vec(0u8..5, 0..4),
+            middles in proptest::collection::vec(0u8..5, 2..3),
+            suffixes in proptest::collection::vec(
+                proptest::collection::vec(0u8..5, 0..3),
+                2..3,
+            ),
+            late in 5u8..7,
+        ) {
+            // Titles 0..5 are added as the calls first use them; title 5
+            // or 6 only once a prefix is cached. Both can match
+            // documents no earlier title matched, so new universe slots
+            // appear under the cached prefix.
+            const TITLES: [&str; 7] =
+                ["alpha", "beta", "gamma", "delta", "beta gamma", "epsilon", "zeta alpha"];
+            let word = |b: u8| ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"][b as usize];
+            let mut b = IndexBuilder::new();
+            for d in &docs {
+                let text: Vec<&str> = d.iter().map(|&x| word(x)).collect();
+                b.add_document(&text.join(" "));
+            }
+            let e = SearchEngine::new(b.build());
+            let mut ws = ScoreWorkspace::new(&e);
+
+            let mut check = |prefix: &[u8], middle: Option<u8>, suffix: &[u8]| {
+                let mut leaves = |picks: &[u8]| -> Vec<LeafId> {
+                    picks.iter().filter_map(|&p| ws.add_title(TITLES[p as usize])).collect()
+                };
+                let (p, s) = (leaves(prefix), leaves(suffix));
+                let m = middle.and_then(|m| ws.add_title(TITLES[m as usize]));
+                let fast = ws.search_split(&p, m, &s, 15);
+                let titles: Vec<&str> = prefix
+                    .iter()
+                    .chain(&middle)
+                    .chain(suffix)
+                    .map(|&t| TITLES[t as usize])
+                    .collect();
+                let slow = e.search(&QueryNode::phrases_of_titles(&titles), 15);
+                assert_eq!(fast, slow, "{prefix:?} {middle:?} {suffix:?}");
+            };
+            // Cache the prefix, then reuse it with another middle and
+            // another suffix.
+            check(&prefix, Some(middles[0]), &suffixes[0]);
+            check(&prefix, Some(middles[1]), &suffixes[0]);
+            check(&prefix, Some(middles[0]), &suffixes[1]);
+            // Same prefix, one leaf fewer: the weight key changes.
+            check(&prefix, None, &suffixes[0]);
+            // Back to the first length, then a title added since grows
+            // the universe under the cached prefix.
+            check(&prefix, Some(middles[1]), &suffixes[0]);
+            check(&prefix, Some(late), &suffixes[0]);
+            // Prefix-only, empty-prefix and middle-only calls.
+            check(&prefix, None, &[]);
+            check(&[], Some(middles[1]), &suffixes[1]);
+            check(&[], None, &suffixes[0]);
+            check(&[], Some(late), &[]);
         }
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Two layers of protection:
 //!
-//! * **Golden pins** — the serialized `Report` for the tiny and seed
-//!   (paper) configurations is pinned by length + FNV-1a fingerprint,
-//!   captured from the pre-workspace implementation (PR 1). Any change
+//! * **Golden pins** — the serialized `Report` for the tiny, seed
+//!   (paper) and stress configurations is pinned by length + FNV-1a
+//!   fingerprint, tiny and seed captured from the pre-workspace
+//!   implementation. Any change
 //!   to what the pipeline *computes* — as opposed to how fast — moves
 //!   the fingerprint and fails here. If a PR intends to change results,
 //!   it must re-pin these constants and say so.
@@ -28,6 +29,11 @@ const TINY_LEN: usize = 62268;
 const TINY_FNV: u64 = 0xef86_f006_77e1_7e07;
 const PAPER_LEN: usize = 593_029;
 const PAPER_FNV: u64 = 0xc91c_7675_c461_6d91;
+/// Stress-tier pin, captured before the prefix-shared workspace and the
+/// position-lazy phrase matcher landed — the tier where phrase matching
+/// dominates ground truth, so it guards that rewrite's science.
+const STRESS_LEN: usize = 396_726;
+const STRESS_FNV: u64 = 0x6241_abda_d1bb_ef3e;
 
 fn report_json(config: &ExperimentConfig) -> String {
     let experiment = Experiment::build(config);
@@ -55,6 +61,17 @@ fn golden_report_seed_config() {
         fnv1a(json.as_bytes()),
         PAPER_FNV,
         "seed Report bytes diverged from the pre-fast-path pin"
+    );
+}
+
+#[test]
+fn golden_report_stress_config() {
+    let json = report_json(&ExperimentConfig::stress());
+    assert_eq!(json.len(), STRESS_LEN, "stress Report length moved");
+    assert_eq!(
+        fnv1a(json.as_bytes()),
+        STRESS_FNV,
+        "stress Report bytes diverged from the pin"
     );
 }
 
@@ -95,14 +112,15 @@ fn golden_report_via_loaded_index() {
 
 // ── memo ≡ no-memo on random worlds ─────────────────────────────────
 
+/// The articles of [`random_world`], one per vocabulary word.
+const ARTICLES: [&str; 6] = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"];
+
 /// Build a small world from sampled document word streams: one article
-/// per vocabulary word, docs over the same vocabulary, the first
-/// `relevant_count` docs marked relevant.
+/// per vocabulary word, docs over the same vocabulary.
 fn random_world(docs: &[Vec<u8>]) -> (KnowledgeBase, SearchEngine) {
-    const VOCAB: [&str; 6] = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"];
     let mut kb = KbBuilder::new();
     let mut articles = Vec::new();
-    for w in VOCAB {
+    for w in ARTICLES {
         articles.push(kb.add_article(w));
     }
     let c = kb.add_category("everything");
@@ -113,7 +131,7 @@ fn random_world(docs: &[Vec<u8>]) -> (KnowledgeBase, SearchEngine) {
 
     let mut ib = IndexBuilder::new();
     for d in docs {
-        let text: Vec<&str> = d.iter().map(|&x| VOCAB[x as usize % VOCAB.len()]).collect();
+        let text: Vec<&str> = d.iter().map(|&x| ARTICLES[x as usize]).collect();
         ib.add_document(&text.join(" "));
     }
     (kb, SearchEngine::new(ib.build()))
@@ -122,33 +140,34 @@ fn random_world(docs: &[Vec<u8>]) -> (KnowledgeBase, SearchEngine) {
 proptest::proptest! {
     /// `find_ground_truth` must return an identical (serialized)
     /// `GroundTruth` whether or not the subset memo is active, for
-    /// arbitrary worlds, query articles, pools, and seeds.
+    /// arbitrary worlds, query articles, pools, and seeds. Query sets
+    /// of zero to three articles and pools of up to seven let the climb
+    /// SWAP and REMOVE at every position of the evaluated set: with an
+    /// empty prefix, an empty suffix and both non-empty. Repeated picks
+    /// put duplicate leaves in the mix.
     #[test]
     fn memoized_climb_equals_unmemoized(
         docs in proptest::collection::vec(
             proptest::collection::vec(0u8..6, 1..14),
             2..12,
         ),
-        query_pick in 0u8..6,
-        pool_picks in proptest::collection::vec(0u8..6, 1..5),
+        query_picks in proptest::collection::vec(0u8..6, 0..4),
+        pool_picks in proptest::collection::vec(0u8..6, 1..8),
         relevant_count in 1usize..4,
         query_id in 0u32..50,
     ) {
         let (kb, engine) = random_world(&docs);
         let relevant: Vec<u32> =
             (0..docs.len().min(relevant_count) as u32).collect();
-        let ids: Vec<ArticleId> = (0..6)
-            .map(|i| {
-                kb.article_by_title(
-                    ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"][i],
-                )
-                .expect("article exists")
-            })
+        let ids: Vec<ArticleId> = ARTICLES
+            .iter()
+            .map(|t| kb.article_by_title(t).expect("article exists"))
             .collect();
-        let query_articles = [ids[query_pick as usize % 6]];
+        let query_articles: Vec<ArticleId> =
+            query_picks.iter().map(|&p| ids[p as usize]).collect();
         let mut pool: Vec<ArticleId> = pool_picks
             .iter()
-            .map(|&p| ids[p as usize % 6])
+            .map(|&p| ids[p as usize])
             .collect();
         pool.dedup();
 
@@ -160,7 +179,6 @@ proptest::proptest! {
         let raw = QualityEvaluator::without_memo(&kb, &engine, &relevant, 15);
         let a = find_ground_truth(&memo, &config, query_id, &query_articles, &pool);
         let b = find_ground_truth(&raw, &config, query_id, &query_articles, &pool);
-
         proptest::prop_assert_eq!(
             serde_json::to_string(&a).expect("serializes"),
             serde_json::to_string(&b).expect("serializes")
