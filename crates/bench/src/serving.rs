@@ -6,17 +6,23 @@
 //! ([`ReloadableEngine`]), and every generation reaches that slot the
 //! same way:
 //!
-//! * **prepare** — load it in process (through
-//!   `LoadedGeneration::into_engine`, the one loader) *or* spawn its
-//!   `qgx shard` fleet, never both;
+//! * **prepare** — load it in process *or* spawn its `qgx shard`
+//!   fleet, never both. In process, the store's [`HeldSegments`] keep
+//!   every segment engine the current generation serves, so a new
+//!   generation loads only the segments it adds (one, for a commit) and
+//!   shares the rest, phrase caches warm;
 //! * **install** — [`boot`] is the watcher's first tick: it puts the
 //!   first generation in a new slot keyed by the generation fingerprint
 //!   of the manifest it prepared (or, for an index cache, loaded or
 //!   published);
-//! * **watch** — [`Live::watch`] polls the manifest every 300 ms and, on
-//!   a new generation, prepares it off the serving path, swaps it in,
-//!   logs, then retires the replaced generation once its last in-flight
-//!   snapshot drops (draining its fleet, if any).
+//! * **watch** — [`Live::watch`] reads the manifest every
+//!   `WATCH_INTERVAL` (5 ms) and, on a new generation, prepares it off
+//!   the serving path, swaps it in and logs. A replaced in-process
+//!   generation is retired by dropping its `Arc`: in-flight requests
+//!   keep it alive, and segments the new one shares stay loaded. A
+//!   replaced fleet is drained once its last in-flight snapshot drops.
+//!   A generation that fails to prepare is logged once and not retried
+//!   until the manifest names another.
 //!
 //! An in-memory world has no store: it boots into a slot of its own at
 //! epoch 0, which nothing swaps and no watcher follows. So every world
@@ -36,7 +42,9 @@ use querygraph_retrieval::engine::SearchEngine;
 use querygraph_retrieval::lm::LmParams;
 use querygraph_retrieval::ondisk::{load_index_with, ArtifactSource};
 use querygraph_retrieval::remote::{server, RemoteEngine, ShardServer};
-use querygraph_retrieval::segstore::{self, segment_file, segment_fp, Manifest, SegStore};
+use querygraph_retrieval::segstore::{
+    self, segment_file, segment_fp, HeldSegments, Manifest, SegStore,
+};
 use querygraph_wiki::synth::SynthWiki;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -45,6 +53,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How often the live-reload watcher reads the store's manifest: a few
+/// hundred checksummed bytes, so a publish reaches readers within a few
+/// milliseconds for about 5 ms of CPU per second.
+const WATCH_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Log one line to stderr in a single `write` syscall. A supervisor and
 /// its shard children share the stderr fd, and the standard formatting
@@ -163,11 +176,12 @@ pub fn boot(
                     ));
                 }
             }
-            let store = Store {
+            let mut store = Store {
                 dir,
                 fingerprint,
                 source: cli.world_options().source(),
                 fleet: fleet.map(|(_, exe)| exe),
+                held: HeldSegments::default(),
             };
             let t = Instant::now();
             // An index cache already holds its generation in process; a
@@ -178,6 +192,8 @@ pub fn boot(
                     fleet: None,
                     manifest,
                     segment_load_seconds: Vec::new(),
+                    loaded: 0,
+                    reused: 0,
                 },
                 None => {
                     let prepared = store
@@ -220,23 +236,27 @@ struct Store {
     /// `Some(qgx)`: serve each generation from a fleet of `qgx shard`
     /// children; `None`: load it in process.
     fleet: Option<PathBuf>,
+    /// The segment engines in-process generations share, by seq.
+    held: HeldSegments,
 }
 
 /// One generation, ready to swap in.
 struct Prepared {
     engine: AnyEngine,
     fleet: Option<Fleet>,
-    /// The manifest the engine serves — what was actually loaded, not a
-    /// second read.
+    /// The manifest the engine serves.
     manifest: Manifest,
     segment_load_seconds: Vec<f64>,
+    /// Segments read (or shard children spawned) for this generation.
+    loaded: usize,
+    /// Segments shared with the generation it replaces.
+    reused: usize,
 }
 
 impl Store {
-    /// Prepare `manifest`'s generation: spawn its fleet, or load the
-    /// store's current generation in process (which may be newer than
-    /// `manifest` if another publish raced in).
-    fn prepare(&self, manifest: &Manifest) -> Result<Prepared, String> {
+    /// Prepare `manifest`'s generation: spawn its fleet, or load in
+    /// process the segments [`HeldSegments`] lacks and share the rest.
+    fn prepare(&mut self, manifest: &Manifest) -> Result<Prepared, String> {
         if let Some(exe) = &self.fleet {
             manifest.check_servable().map_err(|e| e.to_string())?;
             let (fleet, remote) = Fleet::spawn(exe, self, manifest)?;
@@ -245,28 +265,43 @@ impl Store {
                 fleet: Some(fleet),
                 manifest: manifest.clone(),
                 segment_load_seconds: Vec::new(),
+                loaded: manifest.segments.len(),
+                reused: 0,
             });
         }
-        let mut generation = segstore::load_generation(&self.dir, self.fingerprint, self.source)
-            .map_err(|e| e.to_string())?
-            .ok_or("the store has never published")?;
-        let segment_load_seconds = std::mem::take(&mut generation.segment_load_seconds);
-        let manifest = generation.manifest.clone();
+        let generation = self
+            .held
+            .load(&self.dir, manifest, self.source, LmParams::default())
+            .map_err(|e| e.to_string())?;
         Ok(Prepared {
-            engine: generation.into_engine(LmParams::default()),
+            engine: generation.engine,
             fleet: None,
-            manifest,
-            segment_load_seconds,
+            manifest: manifest.clone(),
+            segment_load_seconds: generation.segment_load_seconds,
+            loaded: generation.loaded,
+            reused: generation.reused,
         })
+    }
+
+    /// The store's manifest, read afresh.
+    fn read_manifest(&self) -> Result<Option<Manifest>, segstore::SegStoreError> {
+        segstore::read_manifest(&self.dir, self.fingerprint)
     }
 }
 
-/// A store-backed world's serving state: the generation slot and the
-/// current generation's fleet, if any.
+/// A store-backed world's serving state: the generation slot, the
+/// current generation's fleet, if any, and what the watcher has already
+/// reported.
 pub struct Live {
     store: Store,
     slot: ReloadableEngine,
     fleet: Option<Fleet>,
+    /// The generation fingerprint that last failed to prepare: not
+    /// retried until the manifest names another generation.
+    failed: Option<u64>,
+    /// The manifest read error last logged: not logged again until a
+    /// read succeeds or fails differently.
+    read_error: Option<String>,
 }
 
 impl Live {
@@ -279,15 +314,18 @@ impl Live {
             store,
             slot: ReloadableEngine::new(prepared.engine, epoch),
             fleet: prepared.fleet,
+            failed: None,
+            read_error: None,
         }
     }
 
-    /// The live-reload watcher behind `qgx serve`: tick every 300 ms
-    /// until `shutdown`, then drain whichever fleet is current.
+    /// The live-reload watcher behind `qgx serve`: tick every
+    /// `WATCH_INTERVAL` (5 ms) until `shutdown`, then drain whichever fleet
+    /// is current.
     pub fn watch(mut self, shutdown: Arc<AtomicBool>) -> JoinHandle<()> {
         std::thread::spawn(move || {
             while !shutdown.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(300));
+                std::thread::sleep(WATCH_INTERVAL);
                 self.tick();
             }
             self.shutdown();
@@ -298,23 +336,39 @@ impl Live {
     /// prepare it off the serving path, swap it in (the only
     /// serving-visible pause: one mutex-guarded pointer replace), log,
     /// then retire the replaced one. A generation that cannot be
-    /// prepared is logged and the previous one keeps serving.
+    /// prepared is logged once and the previous one keeps serving; one
+    /// that a newer publish replaced while it loaded (a compaction
+    /// removes the files it listed) is simply passed over.
     fn tick(&mut self) {
-        let manifest = match segstore::read_manifest(&self.store.dir, self.store.fingerprint) {
-            Ok(Some(manifest)) => manifest,
-            Ok(None) => return,
+        let manifest = match self.store.read_manifest() {
+            Ok(manifest) => {
+                self.read_error = None;
+                manifest
+            }
             Err(e) => {
-                log_line(&format!("# qgx: segstore watch: {e}"));
+                let e = e.to_string();
+                if self.read_error.as_ref() != Some(&e) {
+                    log_line(&format!("# qgx: segstore watch: {e}"));
+                    self.read_error = Some(e);
+                }
                 return;
             }
         };
-        if manifest.generation_fingerprint() == self.slot.epoch() {
+        let Some(manifest) = manifest else {
+            return;
+        };
+        let epoch = manifest.generation_fingerprint();
+        if epoch == self.slot.epoch() || Some(epoch) == self.failed {
             return;
         }
         let t = Instant::now();
         let prepared = match self.store.prepare(&manifest) {
             Ok(prepared) => prepared,
             Err(e) => {
+                let current = self.store.read_manifest().ok().flatten();
+                if current.is_some_and(|m| m.generation_fingerprint() != epoch) {
+                    return;
+                }
                 let what = if self.store.fleet.is_some() {
                     "fleet"
                 } else {
@@ -324,24 +378,29 @@ impl Live {
                     "# qgx: generation {} {what} failed ({e}); still serving the previous one",
                     manifest.generation
                 ));
+                self.failed = Some(epoch);
                 return;
             }
         };
         let prepare_seconds = t.elapsed().as_secs_f64();
         let t_swap = Instant::now();
-        let old = self
-            .slot
-            .swap(prepared.engine, prepared.manifest.generation_fingerprint());
+        let old = self.slot.swap(prepared.engine, epoch);
         let pause_us = t_swap.elapsed().as_secs_f64() * 1e6;
         log_line(&format!(
             "# qgx: serving generation {} ({} docs, {} segment(s)) — \
-             prepared off-path in {prepare_seconds:.3}s, swap pause {pause_us:.0}µs",
-            prepared.manifest.generation,
-            prepared.manifest.total_docs(),
-            prepared.manifest.segments.len()
+             prepared off-path in {prepare_seconds:.3}s, swap pause {pause_us:.0}µs \
+             (loaded {}, reused {})",
+            manifest.generation,
+            manifest.total_docs(),
+            manifest.segments.len(),
+            prepared.loaded,
+            prepared.reused
         ));
-        let old_fleet = std::mem::replace(&mut self.fleet, prepared.fleet);
-        retire(old, old_fleet);
+        // An in-process generation retires as its last holder drops it;
+        // only a fleet needs its requests finished before it drains.
+        if let Some(fleet) = std::mem::replace(&mut self.fleet, prepared.fleet) {
+            retire(old, fleet);
+        }
     }
 
     /// Stop serving: shut down and drain the current fleet, if any.
@@ -352,17 +411,15 @@ impl Live {
     }
 }
 
-/// Retire a replaced generation: wait for its in-flight snapshots to
-/// drop (after the swap, only they hold extra `Arc`s on it; 10 s at
-/// most), then shut down and drain its fleet, if any.
-fn retire(old: Arc<EngineGeneration>, fleet: Option<Fleet>) {
+/// Retire a replaced fleet generation: wait for its in-flight
+/// snapshots to drop (after the swap, only they hold extra `Arc`s on
+/// it; 10 s at most), then shut down and drain its fleet.
+fn retire(old: Arc<EngineGeneration>, fleet: Fleet) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while Arc::strong_count(&old) > 1 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    if let Some(fleet) = fleet {
-        fleet.shutdown(&old.engine);
-    }
+    fleet.shutdown(&old.engine);
 }
 
 /// The supervised children behind a fleet generation: one `qgx shard`
@@ -660,7 +717,7 @@ mod tests {
     use std::io::Read;
 
     fn empty_engine() -> AnyEngine {
-        AnyEngine::Mono(SearchEngine::new(IndexBuilder::new().build()))
+        AnyEngine::Mono(Arc::new(SearchEngine::new(IndexBuilder::new().build())))
     }
 
     /// A replaced generation's fleet must outlive every in-flight
@@ -686,7 +743,7 @@ mod tests {
 
         let in_flight = slot.snapshot();
         let old = slot.swap(empty_engine(), 2);
-        let retiring = std::thread::spawn(move || retire(old, Some(fleet)));
+        let retiring = std::thread::spawn(move || retire(old, fleet));
         // A drain takes milliseconds (cat exits at once on EOF), so a
         // retirement still running well after that is one still waiting
         // on the snapshot.

@@ -215,7 +215,8 @@ fn empty_generation_is_a_typed_boot_refusal() {
 }
 
 /// The watcher — in-process and fleet mode alike — must outlive a
-/// generation it cannot serve: log it, keep the old one answering.
+/// generation it cannot serve and a manifest it cannot read: log each
+/// once, keep the old generation answering.
 #[cfg(unix)]
 #[test]
 fn watcher_keeps_the_old_generation_when_the_new_one_is_unservable() {
@@ -263,12 +264,14 @@ fn watcher_keeps_the_old_generation_when_the_new_one_is_unservable() {
             .spawn()
             .expect("spawn qgx serve");
         let mut reader = BufReader::new(serve.stderr.take().expect("piped stderr"));
+        let mut log = String::new();
         let mut wait_for = |needle: &str| -> String {
             for _ in 0..64 {
                 let mut line = String::new();
                 if reader.read_line(&mut line).expect("read serve stderr") == 0 {
                     break;
                 }
+                log.push_str(&line);
                 if line.contains(needle) {
                     return line;
                 }
@@ -283,23 +286,31 @@ fn watcher_keeps_the_old_generation_when_the_new_one_is_unservable() {
             .expect("address")
             .to_string();
 
+        // The old generation keeps answering — and the watcher keeps
+        // ticking — through a client pass.
+        let client_pass = || {
+            let (stdout, _) = run_ok(&[
+                "client",
+                "--connect",
+                &http_addr,
+                "--seed-queries",
+                "--tiny",
+                "--top-k",
+                "5",
+                "--timeout-ms",
+                "15000",
+            ]);
+            assert!(stdout.contains("\"hits\""), "old generation gone: {stdout}");
+            assert!(!stdout.contains("artifact_shard"), "{stdout}");
+        };
         publish_empty_generation(store);
         let refusal = wait_for("still serving the previous one");
         assert!(refusal.contains("lists no segments"), "{refusal}");
-
-        let (stdout, _) = run_ok(&[
-            "client",
-            "--connect",
-            &http_addr,
-            "--seed-queries",
-            "--tiny",
-            "--top-k",
-            "5",
-            "--timeout-ms",
-            "15000",
-        ]);
-        assert!(stdout.contains("\"hits\""), "old generation gone: {stdout}");
-        assert!(!stdout.contains("artifact_shard"), "{stdout}");
+        client_pass();
+        // A manifest that stops reading is reported too.
+        std::fs::write(store_path.join("segstore.qgss"), b"torn").expect("tear the manifest");
+        wait_for("# qgx: segstore watch: ");
+        client_pass();
 
         let term = Command::new("kill")
             .args(["-TERM", &serve.id().to_string()])
@@ -313,6 +324,17 @@ fn watcher_keeps_the_old_generation_when_the_new_one_is_unservable() {
             .expect("drain serve stderr");
         assert!(status.success(), "serve must exit 0 after SIGTERM: {rest}");
         assert!(!rest.contains("panicked"), "{rest}");
+        // The watcher kept ticking through the client pass, but an
+        // unservable generation is refused once, and an unreadable
+        // manifest reported once, not on every tick.
+        log.push_str(&rest);
+        for needle in ["still serving the previous one", "# qgx: segstore watch: "] {
+            assert_eq!(
+                log.matches(needle).count(),
+                1,
+                "{needle:?} (fleet mode: {fleet}); stderr:\n{log}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -523,22 +545,34 @@ fn serve_hot_swaps_onto_a_new_generation_without_dropping_requests() {
         "--compact",
         "2",
     ]);
+    // The watcher may swap through some of the intermediate commits on
+    // its way to the full corpus: each such swap is onto a newer
+    // generation than the last, over fewer documents.
     let mut swapped = false;
+    let mut last_generation = 0;
     for _ in 0..64 {
         let mut line = String::new();
         if reader.read_line(&mut line).expect("read serve stderr") == 0 {
             break;
         }
-        if line.contains("serving generation") {
-            assert!(
-                line.contains("96 docs"),
-                "the swap must land on the full corpus: {line}"
-            );
+        let Some(rest) = line.split("serving generation ").nth(1) else {
+            continue;
+        };
+        let number = |text: &str| -> u64 {
+            let digits: String = text.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().expect("a number")
+        };
+        let generation = number(rest);
+        let docs = number(rest.split(" (").nth(1).expect("a doc count"));
+        assert!(generation > last_generation, "swapped backwards: {line}");
+        last_generation = generation;
+        if docs == 96 {
             swapped = true;
             break;
         }
+        assert!(docs < 96, "more documents than the corpus holds: {line}");
     }
-    assert!(swapped, "the watcher never swapped onto the new generation");
+    assert!(swapped, "the watcher never swapped onto the full corpus");
 
     // The swapped generation answers the same endpoint — no restart,
     // no dropped requests, and now over the full document set: the
@@ -573,5 +607,178 @@ fn serve_hot_swaps_onto_a_new_generation_without_dropping_requests() {
         .read_to_string(&mut rest)
         .expect("drain serve stderr");
     assert!(status.success(), "serve must exit 0 after SIGTERM: {rest}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A live server's segment reuse, through the library loader it uses:
+/// every generation a multi-commit ingest and a compaction publish,
+/// loaded over the segments the previous one held, answers the tier's
+/// seed queries byte-identically to a fresh load of the same manifest —
+/// while a commit reads only its own segment and a compaction leaves
+/// exactly the live segments held.
+#[test]
+fn held_segments_answer_every_generation_like_a_fresh_load() {
+    use querygraph_core::service::{ExpansionRequest, QueryExpander};
+    use querygraph_retrieval::backend::AnyEngine;
+    use querygraph_retrieval::lm::LmParams;
+    use querygraph_retrieval::ondisk::ArtifactSource;
+    use querygraph_retrieval::segstore::{self, HeldSegments};
+
+    let dir = scratch("held-reuse");
+    let store_path = dir.join("store");
+    let store = store_path.to_str().expect("utf-8 path");
+    let config = querygraph_core::experiment::ExperimentConfig::tiny();
+    let fingerprint = querygraph_core::cache::config_fingerprint(&config);
+    let wiki = querygraph_wiki::synth::generate(&config.wiki);
+    let corpus = querygraph_corpus::synth::generate_corpus(&wiki, &config.corpus);
+    let answers = |engine: &AnyEngine| -> Vec<String> {
+        let expander = QueryExpander::builder()
+            .retrieve_top(5)
+            .build(&wiki.kb, engine);
+        corpus
+            .queries
+            .queries
+            .iter()
+            .map(
+                |q| match expander.expand(&ExpansionRequest::new(q.keywords.as_str())) {
+                    Ok(response) => serde_json::to_string(&response).expect("serializes"),
+                    Err(e) => format!("error: {e:?}"),
+                },
+            )
+            .collect()
+    };
+    let mut held = HeldSegments::default();
+    // Load the store's current generation over `held`; check it against
+    // a fresh load and return (loaded, reused).
+    let mut swap_in = || -> (usize, usize) {
+        let manifest = segstore::read_manifest(&store_path, fingerprint)
+            .expect("reads")
+            .expect("published");
+        let shared = held
+            .load(
+                &store_path,
+                &manifest,
+                ArtifactSource::Read,
+                LmParams::default(),
+            )
+            .expect("loads");
+        let fresh = segstore::load_generation(&store_path, fingerprint, ArtifactSource::Read)
+            .expect("loads")
+            .expect("published");
+        assert_eq!(fresh.manifest, manifest);
+        let lm = LmParams::default();
+        let fresh = AnyEngine::from_shards(fresh.into_engines(lm), lm);
+        let got = answers(&shared.engine);
+        assert!(got.iter().any(|a| a.contains("\"score\"")), "{got:?}");
+        assert_eq!(
+            got,
+            answers(&fresh),
+            "generation {} answers differently over held segments",
+            manifest.generation
+        );
+        let live: Vec<u64> = manifest.segments.iter().map(|s| s.seq).collect();
+        assert_eq!(held.seqs(), live, "exactly the live segments are held");
+        (shared.loaded, shared.reused)
+    };
+
+    let ingest = |skip: &str, docs: &str| {
+        let dump = dir.join(format!("dump-{skip}.xml"));
+        let dump = dump.to_str().expect("utf-8 path");
+        let mut args = vec!["dump", "--tiny", "--out", dump, "--skip", skip];
+        if !docs.is_empty() {
+            args.extend(["--docs", docs]);
+        }
+        run_ok(&args);
+        run_ok(&[
+            "ingest",
+            "--tiny",
+            "--dump",
+            dump,
+            "--segstore",
+            store,
+            "--batch-docs",
+            "16",
+        ]);
+    };
+    // One commit per ingest: each new generation reads one segment.
+    ingest("0", "16");
+    assert_eq!(swap_in(), (1, 0), "the first generation loads everything");
+    ingest("16", "16");
+    assert_eq!(swap_in(), (1, 1));
+    ingest("32", "16");
+    assert_eq!(swap_in(), (1, 2));
+    // Three commits between two loads: only their segments are read.
+    ingest("48", "");
+    assert_eq!(swap_in(), (3, 3));
+    // A compaction replaces every segment.
+    run_ok(&["compact", "--tiny", "--segstore", store, "--shards", "2"]);
+    assert_eq!(swap_in(), (2, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store dropped and ingested again under the same seqs holds other
+/// documents: the segments held from the first one must not be reused.
+#[test]
+fn a_recreated_store_is_loaded_fresh_not_reused() {
+    use querygraph_retrieval::lm::LmParams;
+    use querygraph_retrieval::ondisk::ArtifactSource;
+    use querygraph_retrieval::query_lang::parse;
+    use querygraph_retrieval::segstore::{self, HeldSegments};
+
+    let dir = scratch("held-recreated");
+    let store_path = dir.join("store");
+    let store = store_path.to_str().expect("utf-8 path");
+    let fingerprint = querygraph_core::cache::config_fingerprint(
+        &querygraph_core::experiment::ExperimentConfig::tiny(),
+    );
+    let mut held = HeldSegments::default();
+    let mut generations = Vec::new();
+    for skip in ["0", "40"] {
+        let _ = std::fs::remove_dir_all(&store_path);
+        let dump = dir.join(format!("dump-{skip}.xml"));
+        let dump = dump.to_str().expect("utf-8 path");
+        run_ok(&[
+            "dump", "--tiny", "--out", dump, "--skip", skip, "--docs", "40",
+        ]);
+        run_ok(&[
+            "ingest",
+            "--tiny",
+            "--dump",
+            dump,
+            "--segstore",
+            store,
+            "--batch-docs",
+            "16",
+        ]);
+        let manifest = segstore::read_manifest(&store_path, fingerprint)
+            .expect("reads")
+            .expect("published");
+        let shared = held
+            .load(
+                &store_path,
+                &manifest,
+                ArtifactSource::Read,
+                LmParams::default(),
+            )
+            .expect("loads");
+        let fresh = segstore::load_generation(&store_path, fingerprint, ArtifactSource::Read)
+            .expect("loads")
+            .expect("published")
+            .into_engine(LmParams::default());
+        for word in ["the", "canal", "#combine(river mountain)"] {
+            let q = parse(word).expect("parses");
+            assert_eq!(shared.engine.search(&q, 10), fresh.search(&q, 10), "{word}");
+        }
+        generations.push((manifest, shared.loaded, shared.reused));
+    }
+    let (first, second) = (&generations[0], &generations[1]);
+    let seqs = |m: &segstore::Manifest| m.segments.iter().map(|s| s.seq).collect::<Vec<_>>();
+    assert_eq!(
+        seqs(&first.0),
+        seqs(&second.0),
+        "the same seqs name both stores"
+    );
+    assert_eq!(first.0.generation, second.0.generation);
+    assert_eq!((second.1, second.2), (3, 0), "nothing is reused");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -38,6 +38,7 @@ use querygraph_retrieval::segstore::{self, Manifest, SegStore, SegStoreError};
 use querygraph_retrieval::sharded;
 use querygraph_wiki::synth::{generate, SynthWiki};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -258,7 +259,7 @@ pub fn load_store_engine(
 fn publish_store(
     store: &Path,
     fingerprint: u64,
-    shards: &[SearchEngine],
+    shards: &[impl Borrow<SearchEngine>],
 ) -> Result<Manifest, SegStoreError> {
     let mut store = match SegStore::open(store, fingerprint) {
         Err(SegStoreError::Manifest(_)) => {
@@ -269,7 +270,10 @@ fn publish_store(
     };
     let staged = shards
         .iter()
-        .map(|shard| store.stage_segment(shard.index(), &shard.export_phrase_cache()))
+        .map(Borrow::borrow)
+        .map(|shard: &SearchEngine| {
+            store.stage_segment(shard.index(), &shard.export_phrase_cache())
+        })
         .collect::<Result<Vec<_>, _>>()?;
     Ok(store.replace_segments(&staged)?.clone())
 }

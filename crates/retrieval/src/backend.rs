@@ -159,8 +159,9 @@ impl RetrievalBackend for SearchEngine {
 /// trait by delegation). Live reload is not a layout: a
 /// [`ReloadableEngine`] wraps one `AnyEngine` per generation.
 pub enum AnyEngine {
-    /// The monolithic engine over one index.
-    Mono(SearchEngine),
+    /// The monolithic engine over one index (shared, so a live reload
+    /// can hand the same segment to its next generation).
+    Mono(Arc<SearchEngine>),
     /// N doc-partitioned shards behind deterministic scatter-gather.
     Sharded(ShardedEngine),
     /// N shard *processes* behind QGRP scatter-gather
@@ -170,15 +171,18 @@ pub enum AnyEngine {
 
 impl AnyEngine {
     /// The engine over `shards`, contiguous doc-id slices in global
-    /// order: the plain engine for one shard (its own `LmParams`), a
-    /// [`ShardedEngine`] scoring with `params` otherwise. The one place
-    /// built or loaded shards become an engine.
+    /// order, owned or shared: the plain engine for one shard (its own
+    /// `LmParams`), a [`ShardedEngine`] scoring with `params` otherwise.
+    /// The one place built or loaded shards become an engine.
     ///
     /// # Panics
     /// If `shards` is empty or the doc ids overflow `u32`.
-    pub fn from_shards(mut shards: Vec<SearchEngine>, params: LmParams) -> AnyEngine {
+    pub fn from_shards(
+        mut shards: Vec<impl Into<Arc<SearchEngine>>>,
+        params: LmParams,
+    ) -> AnyEngine {
         match shards.len() {
-            1 => AnyEngine::Mono(shards.pop().expect("one shard")),
+            1 => AnyEngine::Mono(shards.pop().expect("one shard").into()),
             _ => AnyEngine::Sharded(ShardedEngine::from_shards(shards, params)),
         }
     }
@@ -186,7 +190,7 @@ impl AnyEngine {
     /// This engine as a trait object.
     pub fn backend(&self) -> &(dyn RetrievalBackend + 'static) {
         match self {
-            AnyEngine::Mono(e) => e,
+            AnyEngine::Mono(e) => &**e,
             AnyEngine::Sharded(e) => e,
             AnyEngine::Remote(e) => e,
         }
@@ -413,12 +417,12 @@ mod tests {
 
     #[test]
     fn reloadable_swap_changes_answers_and_epoch() {
-        let a = AnyEngine::Mono(engine_over(&["gondola venice", "canal"]));
-        let b = AnyEngine::Mono(engine_over(&[
+        let a = AnyEngine::Mono(Arc::new(engine_over(&["gondola venice", "canal"])));
+        let b = AnyEngine::Mono(Arc::new(engine_over(&[
             "mountain hut",
             "mountain pass",
             "gondola lift",
-        ]));
+        ])));
         let r = ReloadableEngine::new(a, 1);
         let reader = r.clone();
         assert_eq!(reader.snapshot().engine.num_docs(), 2);
@@ -489,7 +493,7 @@ mod tests {
         let expect_b = engine_over(&docs_b).search(&q, 10);
         assert_ne!(expect_a, expect_b, "fixtures must be distinguishable");
 
-        let r = ReloadableEngine::new(AnyEngine::Mono(engine_over(&docs_a)), 1);
+        let r = ReloadableEngine::new(AnyEngine::Mono(Arc::new(engine_over(&docs_a))), 1);
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -512,9 +516,9 @@ mod tests {
             }
             for i in 0..200 {
                 let (engine, epoch) = if i % 2 == 0 {
-                    (AnyEngine::Mono(engine_over(&docs_b)), 2)
+                    (AnyEngine::Mono(Arc::new(engine_over(&docs_b))), 2)
                 } else {
-                    (AnyEngine::Mono(engine_over(&docs_a)), 1)
+                    (AnyEngine::Mono(Arc::new(engine_over(&docs_a))), 1)
                 };
                 r.swap(engine, epoch);
             }

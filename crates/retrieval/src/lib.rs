@@ -29,7 +29,8 @@
 //! * [`segstore`] — the one sharded on-disk layout: a generational
 //!   manifest over independently checksummed `QGIX` segments, grown by
 //!   streaming ingest, reshaped by compaction, and published once by a
-//!   `--shards N` index cache.
+//!   `--shards N` index cache; [`segstore::HeldSegments`] lets a live
+//!   reader load only the segments a new generation adds.
 //! * [`remote`] — shards as separate *processes*: the QGRP binary RPC
 //!   protocol, [`remote::ShardServer`] (one segment on a local socket),
 //!   and [`remote::RemoteEngine`] (the same coordinator over shard

@@ -95,6 +95,8 @@ const SECTION_IDS: [u32; 5] = [
 
 const HEADER_LEN: usize = 4 + 4 + 8 + 4; // magic + version + fingerprint + count
 const TABLE_ENTRY_LEN: usize = 4 + 8 + 8 + 8;
+/// Header, section table and header checksum: where the payloads start.
+const HEAD_LEN: usize = HEADER_LEN + SECTION_IDS.len() * TABLE_ENTRY_LEN + 8;
 
 /// Typed loader failure. Corrupted, truncated, or foreign files always
 /// surface as one of these — never a panic, never a wrong index.
@@ -200,6 +202,10 @@ pub struct LoadedIndex {
     pub phrases: Vec<PhraseCacheEntry>,
     /// World-configuration fingerprint recorded at write time.
     pub meta_fingerprint: u64,
+    /// The recorded header checksum: it covers the fingerprint and
+    /// every section's checksum, so it identifies the file's bytes
+    /// ([`read_header_checksum`] reads it back without the payloads).
+    pub header_checksum: u64,
 }
 
 /// FNV-1a 64 — the workspace's standard stable fingerprint.
@@ -424,10 +430,24 @@ pub fn load_index_with(path: &Path, source: ArtifactSource) -> Result<LoadedInde
     load_index_bytes(artifact_bytes(path, source)?)
 }
 
-/// Decode an artifact from an in-memory buffer. Postings lists become
-/// zero-copy views into `data`.
-pub fn load_index_bytes(data: Bytes) -> Result<LoadedIndex, OndiskError> {
-    // Header.
+/// The header checksum of the artifact at `path`, validated, reading
+/// only the header and section table (168 bytes). Two artifacts with the
+/// same header checksum record the same fingerprint and section
+/// checksums, which is how a reader holding a decoded artifact tells
+/// whether the file under its name still holds those bytes.
+pub fn read_header_checksum(path: &Path) -> Result<u64, OndiskError> {
+    use std::io::Read;
+    let mut head = Vec::with_capacity(HEAD_LEN);
+    std::fs::File::open(path)
+        .and_then(|file| file.take(HEAD_LEN as u64).read_to_end(&mut head))
+        .map_err(|e| OndiskError::Io(e.to_string()))?;
+    check_head(&head).map(|(_, checksum)| checksum)
+}
+
+/// Validate the header and section table at the start of `data`:
+/// magic, version, section count and header checksum. Returns the
+/// recorded `(meta_fingerprint, header_checksum)`.
+fn check_head(data: &[u8]) -> Result<(u64, u64), OndiskError> {
     if data.len() < HEADER_LEN {
         return Err(OndiskError::Truncated { context: "header" });
     }
@@ -436,12 +456,12 @@ pub fn load_index_bytes(data: Bytes) -> Result<LoadedIndex, OndiskError> {
         found.copy_from_slice(&data[0..4]);
         return Err(OndiskError::BadMagic { found });
     }
-    let version = read_u32_at(&data, 4);
+    let version = read_u32_at(data, 4);
     if version != FORMAT_VERSION {
         return Err(OndiskError::UnsupportedVersion { found: version });
     }
-    let meta_fingerprint = read_u64_at(&data, 8);
-    let count = read_u32_at(&data, 16) as usize;
+    let meta_fingerprint = read_u64_at(data, 8);
+    let count = read_u32_at(data, 16) as usize;
     if count != SECTION_IDS.len() {
         return Err(OndiskError::Malformed {
             context: "section count",
@@ -449,21 +469,28 @@ pub fn load_index_bytes(data: Bytes) -> Result<LoadedIndex, OndiskError> {
     }
 
     // Section table + header checksum.
-    let table_end = HEADER_LEN + count * TABLE_ENTRY_LEN;
-    if data.len() < table_end + 8 {
+    let table_end = HEAD_LEN - 8;
+    if data.len() < HEAD_LEN {
         return Err(OndiskError::Truncated {
             context: "section table",
         });
     }
-    let recorded = read_u64_at(&data, table_end);
+    let recorded = read_u64_at(data, table_end);
     if fnv1a(&data[..table_end]) != recorded {
         return Err(OndiskError::ChecksumMismatch { section: "header" });
     }
+    Ok((meta_fingerprint, recorded))
+}
+
+/// Decode an artifact from an in-memory buffer. Postings lists become
+/// zero-copy views into `data`.
+pub fn load_index_bytes(data: Bytes) -> Result<LoadedIndex, OndiskError> {
+    let (meta_fingerprint, header_checksum) = check_head(&data)?;
 
     // Sections: exactly the known ids, in order, within bounds, with
     // matching checksums; the file ends where the last section does.
-    let mut sections: Vec<Bytes> = Vec::with_capacity(count);
-    let mut expected_end = table_end + 8;
+    let mut sections: Vec<Bytes> = Vec::with_capacity(SECTION_IDS.len());
+    let mut expected_end = HEAD_LEN;
     for (i, &want_id) in SECTION_IDS.iter().enumerate() {
         let base = HEADER_LEN + i * TABLE_ENTRY_LEN;
         let id = read_u32_at(&data, base);
@@ -517,6 +544,7 @@ pub fn load_index_bytes(data: Bytes) -> Result<LoadedIndex, OndiskError> {
         index: InvertedIndex::from_parts(interner, postings, bounds, doc_lengths, total_tokens),
         phrases,
         meta_fingerprint,
+        header_checksum,
     })
 }
 

@@ -23,7 +23,7 @@
 //!    sorted local top-k keyed by global doc id.
 //!
 //! What runs at the far end of each frame is the very
-//! `ShardHandle for SearchEngine` method an in-process shard runs, so
+//! `ShardHandle for Arc<SearchEngine>` method an in-process shard runs, so
 //! the results are bit-identical to [`crate::sharded::ShardedEngine`]
 //! by shared code; the equivalence tests at N ∈ {1, 2, 3, 7} pin it.
 //!

@@ -195,7 +195,7 @@ impl ShardServer {
         let mut r = PayloadReader::new(payload);
         let query = read_query(&mut r)?;
         r.finish().map_err(malformed)?;
-        let cfs = ShardHandle::leaf_cfs(&*self.engine, &&query).map_err(refused("shard_error"))?;
+        let cfs = ShardHandle::leaf_cfs(&self.engine, &&query).map_err(refused("shard_error"))?;
         let mut out = Vec::new();
         put_u32(&mut out, cfs.len() as u32);
         for cf in cfs {
@@ -230,7 +230,7 @@ impl ShardServer {
         }
         r.finish().map_err(malformed)?;
 
-        let engine = &*self.engine;
+        let engine = &self.engine;
         let sorted = ShardHandle::score_topk(engine, &&query, k, mode, base, mu, epsilon, &probs)
             .map_err(refused("leaf_mismatch"))?;
         let mut out = Vec::new();
@@ -252,7 +252,7 @@ impl ShardServer {
         }
         r.finish().map_err(malformed)?;
         let hits =
-            ShardHandle::resolve_phrase(&*self.engine, &words).map_err(refused("shard_error"))?;
+            ShardHandle::resolve_phrase(&self.engine, &words).map_err(refused("shard_error"))?;
         let mut out = Vec::new();
         put_u32(&mut out, hits.len() as u32);
         for h in &hits {
@@ -266,7 +266,7 @@ impl ShardServer {
         let mut r = PayloadReader::new(payload);
         let doc = r.u32().map_err(malformed)?;
         r.finish().map_err(malformed)?;
-        let len = ShardHandle::doc_len(&*self.engine, doc).map_err(refused("bad_doc"))?;
+        let len = ShardHandle::doc_len(&self.engine, doc).map_err(refused("bad_doc"))?;
         let mut out = Vec::new();
         put_u32(&mut out, len);
         Ok(out)
@@ -274,7 +274,7 @@ impl ShardServer {
 
     fn op_stats(&self, payload: &[u8]) -> Result<Vec<u8>, (String, String)> {
         expect_empty(payload)?;
-        let len = ShardHandle::phrase_cache_len(&*self.engine).map_err(refused("shard_error"))?;
+        let len = ShardHandle::phrase_cache_len(&self.engine).map_err(refused("shard_error"))?;
         let mut out = Vec::new();
         put_u64(&mut out, len as u64);
         Ok(out)

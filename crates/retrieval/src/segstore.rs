@@ -42,15 +42,18 @@ use crate::engine::{PhraseCacheEntry, SearchEngine};
 use crate::index::{InvertedIndex, TermBound};
 use crate::lm::LmParams;
 use crate::ondisk::{
-    encode_index, fnv1a, load_index_with, write_atomic, ArtifactSource, LoadedIndex, OndiskError,
+    encode_index, fnv1a, load_index_with, read_header_checksum, write_atomic, ArtifactSource,
+    LoadedIndex, OndiskError,
 };
 use crate::par::parallel_map;
 use crate::postings::PostingsBuilder;
 use crate::sharded::doc_ranges;
 use querygraph_text::{Interner, TermId};
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Manifest magic: "QGSS" (QueryGraph Segment Store).
@@ -437,13 +440,17 @@ impl LoadedGeneration {
     pub fn into_engines(self, params: LmParams) -> Vec<SearchEngine> {
         self.segments
             .into_iter()
-            .map(|l| {
-                let engine = SearchEngine::with_params(l.index, params);
-                engine.seed_phrase_cache(l.phrases);
-                engine
-            })
+            .map(|l| segment_engine(l, params))
             .collect()
     }
+}
+
+/// A loaded segment as an engine, its phrase cache seeded from the
+/// segment's persisted dictionary.
+fn segment_engine(loaded: LoadedIndex, params: LmParams) -> SearchEngine {
+    let engine = SearchEngine::with_params(loaded.index, params);
+    engine.seed_phrase_cache(loaded.phrases);
+    engine
 }
 
 /// Load the current generation in `dir`; `Ok(None)` when the store has
@@ -461,25 +468,11 @@ pub fn load_generation(
     let Some(manifest) = read_manifest(dir, expected_fingerprint)? else {
         return Ok(None);
     };
-    manifest.check_servable()?;
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(manifest.segments.len());
-    let results = parallel_map(manifest.segments.len(), threads, |slot| {
-        let t = Instant::now();
-        let result = load_segment(dir, manifest.fingerprint, &manifest.segments[slot], source);
-        (result, t.elapsed().as_secs_f64())
-    });
-    let mut segments = Vec::with_capacity(results.len());
-    let mut segment_load_seconds = Vec::with_capacity(results.len());
-    for (meta, (result, seconds)) in manifest.segments.iter().zip(results) {
-        segments.push(result.map_err(|source| SegStoreError::Segment {
-            seq: meta.seq,
-            source,
-        })?);
-        segment_load_seconds.push(seconds);
-    }
+    let (segments, segment_load_seconds) = load_listed(&manifest, |meta| {
+        load_segment(dir, manifest.fingerprint, meta, source)
+    })?
+    .into_iter()
+    .unzip();
     Ok(Some(LoadedGeneration {
         manifest,
         segments,
@@ -487,7 +480,42 @@ pub fn load_generation(
     }))
 }
 
-/// Load one listed segment and hold it to its manifest entry.
+/// The one checked path from a manifest to its segments, behind
+/// [`load_generation`] and [`HeldSegments::load`]: refuse an unservable
+/// generation, then resolve every listed segment through `load` in
+/// parallel, timed; the first failure in manifest order is returned.
+fn load_listed<T: Send>(
+    manifest: &Manifest,
+    load: impl Fn(&SegmentMeta) -> Result<T, OndiskError> + Sync,
+) -> Result<Vec<(T, f64)>, SegStoreError> {
+    manifest.check_servable()?;
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(manifest.segments.len());
+    let results = parallel_map(manifest.segments.len(), threads, |slot| {
+        let t = Instant::now();
+        let result = load(&manifest.segments[slot]);
+        (result, t.elapsed().as_secs_f64())
+    });
+    manifest
+        .segments
+        .iter()
+        .zip(results)
+        .map(|(meta, (result, seconds))| {
+            result
+                .map(|loaded| (loaded, seconds))
+                .map_err(|source| SegStoreError::Segment {
+                    seq: meta.seq,
+                    source,
+                })
+        })
+        .collect()
+}
+
+/// Load one listed segment: independently checksummed by the `QGIX`
+/// loader, pinned to its manifest slot via [`segment_fp`], and held to
+/// its manifest entry's counts.
 fn load_segment(
     dir: &Path,
     store_fingerprint: u64,
@@ -510,6 +538,106 @@ fn load_segment(
         });
     }
     Ok(loaded)
+}
+
+/// The segment engines a long-lived reader of one store holds across
+/// generations, by seq. Segments are immutable, so a new generation
+/// needs only the segments this set lacks; the rest are the same
+/// engines — phrase caches warm — the current generation serves.
+///
+/// A seq alone does not name the bytes: a store that is dropped and
+/// published again restarts its seqs at 0. So a held segment is reused
+/// only while the manifest entry's counts and the file's header
+/// checksum (which covers every section checksum) still match what was
+/// loaded; anything else is loaded afresh, through every check
+/// [`load_generation`] makes.
+#[derive(Default)]
+pub struct HeldSegments {
+    by_seq: HashMap<u64, HeldSegment>,
+}
+
+#[derive(Clone)]
+struct HeldSegment {
+    engine: Arc<SearchEngine>,
+    header_checksum: u64,
+}
+
+impl HeldSegment {
+    fn wrap(fresh: LoadedIndex, params: LmParams) -> HeldSegment {
+        HeldSegment {
+            header_checksum: fresh.header_checksum,
+            engine: Arc::new(segment_engine(fresh, params)),
+        }
+    }
+}
+
+/// One generation [`HeldSegments::load`] assembled.
+pub struct SharedGeneration {
+    /// The generation's engine over shared segment engines.
+    pub engine: AnyEngine,
+    /// Segments read from disk for this generation.
+    pub loaded: usize,
+    /// Segments taken over from the previous generation.
+    pub reused: usize,
+    /// Seconds each segment took to load or to confirm, manifest order.
+    pub segment_load_seconds: Vec<f64>,
+}
+
+impl HeldSegments {
+    /// The generation `manifest` lists in `dir`, as one engine
+    /// ([`AnyEngine::from_shards`]). Held segments whose file is still
+    /// the one loaded are reused; the others load in parallel. On
+    /// success the held set becomes exactly this generation's segments,
+    /// so a segment the manifest no longer lists is released once the
+    /// generations serving it are gone; on failure it is unchanged.
+    pub fn load(
+        &mut self,
+        dir: &Path,
+        manifest: &Manifest,
+        source: ArtifactSource,
+        params: LmParams,
+    ) -> Result<SharedGeneration, SegStoreError> {
+        let resolved = load_listed(manifest, |meta| match self.reusable(dir, meta) {
+            Some(held) => Ok((held, false)),
+            None => load_segment(dir, manifest.fingerprint, meta, source)
+                .map(|fresh| (HeldSegment::wrap(fresh, params), true)),
+        })?;
+        let loaded = resolved.iter().filter(|((_, fresh), _)| *fresh).count();
+        let mut held = HashMap::with_capacity(resolved.len());
+        let mut engines = Vec::with_capacity(resolved.len());
+        let mut segment_load_seconds = Vec::with_capacity(resolved.len());
+        for (meta, ((segment, _), seconds)) in manifest.segments.iter().zip(resolved) {
+            engines.push(Arc::clone(&segment.engine));
+            segment_load_seconds.push(seconds);
+            held.insert(meta.seq, segment);
+        }
+        self.by_seq = held;
+        Ok(SharedGeneration {
+            engine: AnyEngine::from_shards(engines, params),
+            loaded,
+            reused: manifest.segments.len() - loaded,
+            segment_load_seconds,
+        })
+    }
+
+    /// The held segments' seqs, ascending.
+    pub fn seqs(&self) -> Vec<u64> {
+        let mut seqs: Vec<u64> = self.by_seq.keys().copied().collect();
+        seqs.sort_unstable();
+        seqs
+    }
+
+    /// The held engine for `meta`, when its counts and its file's
+    /// header checksum are still the ones loaded.
+    fn reusable(&self, dir: &Path, meta: &SegmentMeta) -> Option<HeldSegment> {
+        let held = self.by_seq.get(&meta.seq)?;
+        let index = held.engine.index();
+        let same = index.num_docs() == meta.num_docs as usize
+            && index.total_tokens() == meta.total_tokens
+            && read_header_checksum(&dir.join(segment_file(meta.seq))).ok()
+                == Some(held.header_checksum);
+        same.then(|| held.clone())
+    }
 }
 
 /// Merge `segments` (contiguous doc-id slices in order) into `shards`
@@ -1158,6 +1286,137 @@ mod tests {
         let b = engine.resolve_phrase(&phrase);
         assert_eq!(a.hits, b.hits);
         assert_eq!(a.collection_prob.to_bits(), b.collection_prob.to_bits());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    // ── held segments: a new generation loads only what it adds ─────
+
+    fn load_held(held: &mut HeldSegments, dir: &Path, fp: u64) -> SharedGeneration {
+        let manifest = read_manifest(dir, fp).expect("reads").expect("published");
+        held.load(dir, &manifest, ArtifactSource::Read, LmParams::default())
+            .expect("loads")
+    }
+
+    #[test]
+    fn a_shared_segment_resolves_phrases_with_each_generations_statistics() {
+        let dir = temp_dir("held-phrases");
+        let fp = 0x4E1D;
+        let mut store = SegStore::open(&dir, fp).expect("open");
+        let mut held = HeldSegments::default();
+        let phrase = vec!["grand".to_string(), "canal".to_string()];
+        let mut previous: Option<SharedGeneration> = None;
+        for (end, segments) in [(4, 1), (7, 2), (9, 3)] {
+            let start = previous.as_ref().map_or(0, |p| p.engine.num_docs());
+            ingest(&mut store, &DOCS[start..end], 9);
+            let generation = load_held(&mut held, &dir, fp);
+            assert_eq!(
+                (generation.loaded, generation.reused),
+                (1, segments - 1),
+                "a commit loads only its own segment"
+            );
+            // Segment 0 is the very engine the previous generation
+            // served, phrase cache warm from the resolution below …
+            let first = |g: &SharedGeneration| match &g.engine {
+                AnyEngine::Mono(engine) => Arc::clone(engine),
+                AnyEngine::Sharded(engine) => Arc::clone(&engine.shards()[0]),
+                AnyEngine::Remote(_) => unreachable!("loaded in process"),
+            };
+            if let Some(previous) = &previous {
+                assert!(Arc::ptr_eq(&first(previous), &first(&generation)));
+            }
+            // … yet the generation resolves with its own token total,
+            // exactly as a fresh load and a monolithic build do.
+            let fresh = engine_of(&dir, fp).resolve_phrase(&phrase);
+            let want = RetrievalBackend::resolve_phrase(&mono(&DOCS[..end]), &phrase);
+            for got in [generation.engine.resolve_phrase(&phrase), fresh] {
+                assert_eq!(got.hits, want.hits, "{segments} segment(s)");
+                assert_eq!(
+                    got.collection_prob.to_bits(),
+                    want.collection_prob.to_bits(),
+                    "{segments} segment(s)"
+                );
+            }
+            previous = Some(generation);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_held_segment_whose_file_changed_is_loaded_afresh() {
+        // Same seq, same doc and token counts, different documents: only
+        // the file's header checksum tells the two segment 0s apart.
+        let (old_docs, new_docs) = (["gondola canal", "venice"], ["mountain hut", "bridge"]);
+        assert_eq!(
+            index_of(&old_docs).total_tokens(),
+            index_of(&new_docs).total_tokens()
+        );
+        let dir = temp_dir("held-recreated");
+        let fp = 0x4E1E;
+        let mut held = HeldSegments::default();
+        ingest(&mut SegStore::open(&dir, fp).expect("open"), &old_docs, 2);
+        let old = load_held(&mut held, &dir, fp);
+
+        std::fs::remove_dir_all(&dir).ok();
+        let mut store = SegStore::open(&dir, fp).expect("reopen");
+        ingest(&mut store, &new_docs, 2);
+        let new = load_held(&mut held, &dir, fp);
+        assert_eq!((new.loaded, new.reused), (1, 0));
+        for q in ["gondola", "#combine(mountain bridge)"] {
+            let q = parse(q).unwrap();
+            assert_eq!(new.engine.search(&q, 5), mono(&new_docs).search(&q, 5));
+        }
+        assert_ne!(
+            old.engine.search(&parse("gondola").unwrap(), 5),
+            new.engine.search(&parse("gondola").unwrap(), 5)
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn held_segments_follow_compaction_and_survive_a_failed_load() {
+        let dir = temp_dir("held-compaction");
+        let fp = 0x4E1F;
+        let mut store = SegStore::open(&dir, fp).expect("open");
+        let mut held = HeldSegments::default();
+        ingest(&mut store, &DOCS[..6], 2);
+        let booted = load_held(&mut held, &dir, fp);
+        assert_eq!(
+            (booted.loaded, booted.reused),
+            (3, 0),
+            "boot loads everything"
+        );
+        assert_eq!(held.seqs(), [0, 1, 2]);
+
+        compact(&mut store, 2, ArtifactSource::Read).expect("compacts");
+        let compacted = load_held(&mut held, &dir, fp);
+        assert_eq!((compacted.loaded, compacted.reused), (2, 0));
+        assert_eq!(held.seqs(), [3, 4], "the replaced segments are released");
+
+        // A commit whose segment cannot load leaves the held set as it
+        // was; once the file is whole, the generation shares the held
+        // segments and loads only the new one.
+        store.commit_segment(&index_of(&DOCS[6..])).expect("commit");
+        let segment = dir.join(segment_file(5));
+        let bytes = std::fs::read(&segment).expect("segment exists");
+        std::fs::write(&segment, b"torn").expect("tear segment");
+        let manifest = store.manifest().clone();
+        match held.load(&dir, &manifest, ArtifactSource::Read, LmParams::default()) {
+            Err(SegStoreError::Segment { seq: 5, .. }) => {}
+            other => panic!(
+                "expected segment 5 to fail, got {:?}",
+                other.map(|g| g.loaded)
+            ),
+        }
+        assert_eq!(held.seqs(), [3, 4]);
+        std::fs::write(&segment, bytes).expect("restore segment");
+        let next = load_held(&mut held, &dir, fp);
+        assert_eq!((next.loaded, next.reused), (1, 2));
+        assert_eq!(held.seqs(), [3, 4, 5]);
+        let m = mono(&DOCS);
+        for q in QUERIES {
+            let q = parse(q).unwrap();
+            assert_eq!(next.engine.search(&q, 10), m.search(&q, 10), "{q:?}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -296,8 +296,9 @@ fn shard_leaf_bounds(
 
 /// One shard as the scatter-gather coordinator sees it: the per-shard
 /// operations QGRP defines, with the transport abstracted away. The
-/// two implementations are a [`SearchEngine`] in this process (plain
-/// calls, nothing serialized) and a
+/// two implementations are a shared [`SearchEngine`] in this process
+/// (plain calls, nothing serialized; the `Arc` lets consecutive
+/// generations hold the same segment) and a
 /// [`RemoteShard`](crate::remote::RemoteShard) (one round trip per
 /// call, and the server end of that round trip runs the `SearchEngine`
 /// methods below); [`ScatterEngine`] is written once against this
@@ -350,7 +351,7 @@ pub trait ShardHandle: Send + Sync {
     }
 }
 
-impl ShardHandle for SearchEngine {
+impl ShardHandle for Arc<SearchEngine> {
     type Query<'q> = &'q QueryNode;
 
     fn prepare(query: &QueryNode) -> &QueryNode {
@@ -477,8 +478,13 @@ impl CfMemo {
     }
 }
 
-/// [`ScatterEngine`] over shards held in this process.
-pub type ShardedEngine = ScatterEngine<SearchEngine>;
+/// [`ScatterEngine`] over shards held in this process. A shard is an
+/// `Arc`, so a live reload can build the next generation over the
+/// segment engines the current one already holds: each keeps its own
+/// phrase cache (a segment's local hits never change), while the
+/// engine's global phrase cache and cf memo start empty, because the
+/// new generation's token total moves every global value.
+pub type ShardedEngine = ScatterEngine<Arc<SearchEngine>>;
 
 /// Tag a shard's failure with its slot.
 fn shard_error(shard: usize) -> impl Fn(OndiskError) -> ShardedError {
@@ -560,16 +566,20 @@ impl<S: ShardHandle> ScatterEngine<S> {
     }
 }
 
-impl ScatterEngine<SearchEngine> {
-    /// Assemble from per-shard engines (shard order = ascending global
-    /// doc ranges). Aggregates global statistics once.
+impl ScatterEngine<Arc<SearchEngine>> {
+    /// Assemble from per-shard engines, owned or shared (shard order =
+    /// ascending global doc ranges). Aggregates global statistics once.
     ///
     /// # Panics
     /// If `shards` is empty or the doc ids overflow `u32`.
-    pub fn from_shards(shards: Vec<SearchEngine>, params: LmParams) -> ShardedEngine {
+    pub fn from_shards(
+        shards: Vec<impl Into<Arc<SearchEngine>>>,
+        params: LmParams,
+    ) -> ShardedEngine {
         let parts = shards
             .into_iter()
             .map(|s| {
+                let s: Arc<SearchEngine> = s.into();
                 let (num_docs, tokens) = (s.index().num_docs(), s.index().total_tokens());
                 (s, num_docs, tokens)
             })
@@ -892,13 +902,13 @@ mod tests {
     /// A shard that fails exactly one of its handle calls — the
     /// `fail_on`-th, counted from 0 — and is healthy otherwise.
     struct Flaky {
-        inner: SearchEngine,
+        inner: Arc<SearchEngine>,
         calls: std::sync::atomic::AtomicUsize,
         fail_on: usize,
     }
 
     impl Flaky {
-        fn tick(&self) -> Result<&SearchEngine, OndiskError> {
+        fn tick(&self) -> Result<&Arc<SearchEngine>, OndiskError> {
             let call = self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             if call == self.fail_on {
                 return Err(OndiskError::Io("injected".to_string()));
@@ -1097,7 +1107,12 @@ mod tests {
 
     #[test]
     fn a_doc_count_past_u32_is_refused() {
-        let parts = |last: usize| vec![(mono(&[]), u32::MAX as usize - 1, 0), (mono(&[]), last, 0)];
+        let parts = |last: usize| {
+            vec![
+                (Arc::new(mono(&[])), u32::MAX as usize - 1, 0),
+                (Arc::new(mono(&[])), last, 0),
+            ]
+        };
         let fits = ScatterEngine::assemble(parts(1), LmParams::default()).unwrap();
         assert_eq!(fits.num_docs, u32::MAX as usize);
         match ScatterEngine::assemble(parts(2), LmParams::default()) {
