@@ -76,8 +76,8 @@
 //! World flags (shared by `serve` and `replay`): `--tiny | --quick |
 //! --stress [--quick] | --track`, `--index-cache <dir>`, `--shards <n>`,
 //! `--segstore <dir>`, `--mmap`, `--strategy cycles|links|none`,
-//! `--max-features <n>`, `--top-k <k>`, `--prune`, `--expansion-cache
-//! <n>`.
+//! `--max-features <n>`, `--top-k <k>`, `--expansion-cache <n>`.
+//! Retrieval always runs the block-max pruned top-k (DESIGN.md §11).
 
 use querygraph_bench::serving::{self, log_line};
 use querygraph_bench::{flag_operand, flag_usize, CliOptions};
@@ -87,7 +87,6 @@ use querygraph_core::service::{
     Deadline, ExpansionRequest, ExpansionResponse, ExpansionStrategy, QueryExpander,
     QueryExpanderBuilder, ServiceError,
 };
-use querygraph_retrieval::engine::SearchMode;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -95,7 +94,7 @@ use std::time::{Duration, Instant};
 
 /// Flags selecting and tuning the served world, shared by `serve` and
 /// `replay` (each subcommand adds its own on top).
-const WORLD_FLAGS: [(&str, bool); 12] = [
+const WORLD_FLAGS: [(&str, bool); 11] = [
     ("--tiny", false),
     ("--quick", false),
     ("--stress", false),
@@ -107,7 +106,6 @@ const WORLD_FLAGS: [(&str, bool); 12] = [
     ("--strategy", true),
     ("--max-features", true),
     ("--top-k", true),
-    ("--prune", false),
 ];
 
 const REPLAY_FLAGS: [(&str, bool); 7] = [
@@ -248,7 +246,6 @@ struct ExpanderOptions {
     strategy: ExpansionStrategy,
     max_features: Option<usize>,
     top_k: usize,
-    prune: bool,
     expansion_cache: Option<usize>,
 }
 
@@ -265,25 +262,14 @@ impl ExpanderOptions {
             strategy,
             max_features: flag_usize(args, "--max-features"),
             top_k: flag_usize(args, "--top-k").unwrap_or(0),
-            prune: args.iter().any(|a| a == "--prune"),
             expansion_cache: flag_usize(args, "--expansion-cache"),
-        }
-    }
-
-    fn search_mode(&self) -> SearchMode {
-        if self.prune {
-            SearchMode::Pruned
-        } else {
-            SearchMode::Exact
         }
     }
 
     /// The builder these knobs select (cache attached separately so
     /// the caller keeps a counter handle).
     fn builder(&self, cache: &Option<Arc<ExpansionCache>>) -> QueryExpanderBuilder {
-        let mut builder = QueryExpander::builder()
-            .strategy(self.strategy.clone())
-            .search_mode(self.search_mode());
+        let mut builder = QueryExpander::builder().strategy(self.strategy.clone());
         if let Some(max) = self.max_features {
             builder = builder.max_features(max);
         }
@@ -344,7 +330,7 @@ fn boot(
     let stats = &world.stats;
     log_line(&format!(
         "# qgx: {} articles, index {} x{} shard(s) (world {:.3}s, build {:.3}s, load {:.3}s); \
-         strategy {}, top-k {}, search {}, cache {}",
+         strategy {}, top-k {}, cache {}",
         world.wiki.kb.num_articles(),
         stats.index_source.name(),
         stats.shard_count,
@@ -353,7 +339,6 @@ fn boot(
         stats.index_load_seconds,
         ex.strategy.name(),
         ex.top_k,
-        ex.search_mode().name(),
         ex.expansion_cache
             .map(|n| n.to_string())
             .unwrap_or_else(|| "off".to_string()),

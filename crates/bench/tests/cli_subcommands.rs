@@ -94,6 +94,9 @@ fn flags_are_rejected_per_subcommand() {
             &["serve", "--shard-threads", "2"][..],
             "unknown flag --shard-threads",
         ),
+        // Retrieval always prunes: there is no mode to pick.
+        (&["replay", "--prune"][..], "unknown flag --prune"),
+        (&["serve", "--prune"][..], "unknown flag --prune"),
     ] {
         let (status, stdout, stderr) = run(args, "");
         assert_eq!(status.code(), Some(2), "qgx {args:?} must be refused");

@@ -60,9 +60,6 @@ pub struct CacheKey {
     pub max_features: Option<usize>,
     /// Effective retrieval depth (0 = expansion only).
     pub top_k: usize,
-    /// Search-mode name, so exact and pruned retrieval never share an
-    /// entry (their scores are only pinned to 1e-9 of each other).
-    pub mode: &'static str,
     /// The epoch of the generation the request pinned
     /// ([`EngineGeneration::epoch`]): 0 for a fixed engine, the
     /// manifest's generation fingerprint for a slot. A live index swap
@@ -80,7 +77,6 @@ impl Hash for CacheKey {
         self.query.hash(state);
         self.max_features.hash(state);
         self.top_k.hash(state);
-        self.mode.hash(state);
         self.epoch.hash(state);
     }
 }
@@ -289,7 +285,6 @@ mod tests {
             query: q.to_string(),
             max_features: None,
             top_k: 0,
-            mode: "exact",
             epoch: 0,
         }
     }
@@ -332,13 +327,11 @@ mod tests {
         let mut b = key("venice");
         b.top_k = 5;
         let mut c = key("venice");
-        c.mode = "pruned";
-        let mut d = key("venice");
-        d.epoch = 1;
-        for k in [&a, &b, &c, &d] {
+        c.epoch = 1;
+        for k in [&a, &b, &c] {
             cache.get_or_compute(k, || Ok(response("venice"))).unwrap();
         }
-        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.len(), 3);
         assert_eq!(cache.hits(), 0);
     }
 

@@ -60,35 +60,24 @@ pub trait RetrievalBackend: Send + Sync {
     /// order plus the global collection probability.
     fn resolve_phrase(&self, words: &[String]) -> Arc<PhraseInfo>;
 
-    /// Execute a parsed query, returning the best `k` documents
-    /// (descending score, ties by ascending global doc id).
+    /// Execute a parsed query exactly ([`SearchMode::Exact`]),
+    /// returning the best `k` documents (descending score, ties by
+    /// ascending global doc id). Infallible: a backend whose shards can
+    /// fail answers no hits. The reference every layout is held to.
     fn search(&self, query: &QueryNode, k: usize) -> Vec<SearchHit>;
 
-    /// [`RetrievalBackend::search`] with an explicit execution mode.
-    /// [`SearchMode::Exact`] must equal `search` bitwise;
-    /// [`SearchMode::Pruned`] must be rank-equivalent (same documents
-    /// in the same order, scores within 1e-9). The default ignores the
-    /// mode and scores exactly — always a valid (if unaccelerated)
-    /// implementation of that contract.
-    fn search_with(&self, query: &QueryNode, k: usize, mode: SearchMode) -> Vec<SearchHit> {
-        let _ = mode;
-        self.search(query, k)
-    }
-
-    /// Fallible form of [`RetrievalBackend::search_with`] for backends
-    /// whose shards can fail at query time (remote shard processes).
-    /// The typed error names the failing shard so the serving facade
-    /// can surface it as `ServiceError::ArtifactShard`. A backend with
-    /// nothing that can fail keeps the default, which wraps
-    /// `search_with`.
+    /// [`RetrievalBackend::search`] in an explicit execution mode, with
+    /// a typed error naming the failing shard for backends whose shards
+    /// can fail at query time (remote shard processes), so the serving
+    /// facade can surface it as `ServiceError::ArtifactShard`. Serving
+    /// calls this with [`SearchMode::Pruned`]. Both modes must return
+    /// hits bit-equal to `search`.
     fn try_search_with(
         &self,
         query: &QueryNode,
         k: usize,
         mode: SearchMode,
-    ) -> Result<Vec<SearchHit>, ShardedError> {
-        Ok(self.search_with(query, k, mode))
-    }
+    ) -> Result<Vec<SearchHit>, ShardedError>;
 
     /// Where shard `shard` physically lives, when the backend knows —
     /// a socket address for remote shard processes, `None` for
@@ -139,8 +128,13 @@ impl RetrievalBackend for SearchEngine {
         SearchEngine::search(self, query, k)
     }
 
-    fn search_with(&self, query: &QueryNode, k: usize, mode: SearchMode) -> Vec<SearchHit> {
-        SearchEngine::search_with(self, query, k, mode)
+    fn try_search_with(
+        &self,
+        query: &QueryNode,
+        k: usize,
+        mode: SearchMode,
+    ) -> Result<Vec<SearchHit>, ShardedError> {
+        Ok(self.search_with(query, k, mode))
     }
 
     fn shard_count(&self) -> usize {
@@ -218,11 +212,6 @@ impl AnyEngine {
         self.backend().search(query, k)
     }
 
-    /// Execute a query with an explicit [`SearchMode`].
-    pub fn search_with(&self, query: &QueryNode, k: usize, mode: SearchMode) -> Vec<SearchHit> {
-        self.backend().search_with(query, k, mode)
-    }
-
     /// Number of documents in the global collection.
     pub fn num_docs(&self) -> usize {
         self.backend().num_docs()
@@ -261,10 +250,6 @@ impl RetrievalBackend for AnyEngine {
 
     fn search(&self, query: &QueryNode, k: usize) -> Vec<SearchHit> {
         self.backend().search(query, k)
-    }
-
-    fn search_with(&self, query: &QueryNode, k: usize, mode: SearchMode) -> Vec<SearchHit> {
-        self.backend().search_with(query, k, mode)
     }
 
     fn try_search_with(

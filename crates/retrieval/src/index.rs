@@ -53,39 +53,47 @@ impl IndexBuilder {
 
     /// Freeze into an immutable index.
     pub fn build(self) -> InvertedIndex {
-        let bounds = self
-            .accum
-            .iter()
-            .map(|entries| {
-                let mut bound = TermBound::EMPTY;
-                for (doc, positions) in entries {
-                    bound.max_tf = bound.max_tf.max(positions.len() as u32);
-                    bound.min_len = bound.min_len.min(self.doc_lengths[*doc as usize]);
-                }
-                bound.normalized()
-            })
-            .collect();
-        let postings = self
-            .accum
-            .into_iter()
-            .map(|entries| {
-                let mut b = PostingsBuilder::new();
-                for (doc, positions) in entries {
-                    b.push(doc, &positions);
-                }
-                b.build()
-            })
-            .collect();
-        let min_doc_len = self.doc_lengths.iter().copied().min().unwrap_or(0);
-        InvertedIndex {
-            interner: self.interner,
-            postings,
-            bounds,
-            doc_lengths: self.doc_lengths,
-            min_doc_len,
-            total_tokens: self.total_tokens,
-        }
+        freeze(
+            self.interner,
+            self.accum,
+            self.doc_lengths,
+            self.total_tokens,
+        )
     }
+}
+
+/// Freeze accumulated postings into an index: each term's
+/// `(doc, positions)` entries, docs ascending and indexed by term id,
+/// become its [`TermBound`] and its [`PostingsList`]. The one freeze
+/// behind [`IndexBuilder::build`] and compaction's reslice.
+pub(crate) fn freeze(
+    interner: Interner,
+    accum: Vec<Vec<(u32, Vec<u32>)>>,
+    doc_lengths: Vec<u32>,
+    total_tokens: u64,
+) -> InvertedIndex {
+    let bounds = accum
+        .iter()
+        .map(|entries| {
+            let mut bound = TermBound::EMPTY;
+            for (doc, positions) in entries {
+                bound.max_tf = bound.max_tf.max(positions.len() as u32);
+                bound.min_len = bound.min_len.min(doc_lengths[*doc as usize]);
+            }
+            bound.normalized()
+        })
+        .collect();
+    let postings = accum
+        .into_iter()
+        .map(|entries| {
+            let mut b = PostingsBuilder::new();
+            for (doc, positions) in entries {
+                b.push(doc, &positions);
+            }
+            b.build()
+        })
+        .collect();
+    InvertedIndex::from_parts(interner, postings, bounds, doc_lengths, total_tokens)
 }
 
 /// Per-term score-bound statistics for WAND-style pruning: the two

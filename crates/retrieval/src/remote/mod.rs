@@ -159,7 +159,7 @@ mod tests {
                     let r = remote.try_search_with(&q, k, SearchMode::Exact).unwrap();
                     assert_eq!(
                         r,
-                        sharded.search_with(&q, k, SearchMode::Exact),
+                        sharded.search(&q, k),
                         "remote vs sharded at {n} shards, k={k}, query {q:?}"
                     );
                     assert_eq!(
@@ -170,7 +170,7 @@ mod tests {
                     let pruned = remote.try_search_with(&q, k, SearchMode::Pruned).unwrap();
                     assert_eq!(
                         pruned,
-                        sharded.search_with(&q, k, SearchMode::Pruned),
+                        sharded.try_search_with(&q, k, SearchMode::Pruned).unwrap(),
                         "pruned remote vs sharded at {n} shards, k={k}, query {q:?}"
                     );
                 }
@@ -261,7 +261,7 @@ mod tests {
             other => panic!("expected shard-1 error, got {other:?}"),
         }
         // The infallible facade degrades to empty instead of panicking.
-        assert!(remote.search_with(&q, 5, SearchMode::Exact).is_empty());
+        assert!(remote.search(&q, 5).is_empty());
     }
 
     #[test]
@@ -421,7 +421,7 @@ mod tests {
                 let r = remote.try_search_with(&q, 10, mode).unwrap();
                 proptest::prop_assert_eq!(
                     r,
-                    sharded.search_with(&q, 10, mode),
+                    sharded.try_search_with(&q, 10, mode).unwrap(),
                     "mode {:?} at {} shards", mode, n
                 );
             }

@@ -39,14 +39,13 @@
 
 use crate::backend::AnyEngine;
 use crate::engine::{PhraseCacheEntry, SearchEngine};
-use crate::index::{InvertedIndex, TermBound};
+use crate::index::{self, InvertedIndex};
 use crate::lm::LmParams;
 use crate::ondisk::{
     encode_index, fnv1a, load_index_with, read_header_checksum, write_atomic, ArtifactSource,
     LoadedIndex, OndiskError,
 };
 use crate::par::parallel_map;
-use crate::postings::PostingsBuilder;
 use crate::sharded::doc_ranges;
 use querygraph_text::{Interner, TermId};
 use std::collections::HashMap;
@@ -699,28 +698,7 @@ fn reslice_one(segments: &[&InvertedIndex], bases: &[usize], range: Range<usize>
             }
         }
     }
-    let bounds = accum
-        .iter()
-        .map(|entries| {
-            let mut bound = TermBound::EMPTY;
-            for (doc, positions) in entries {
-                bound.max_tf = bound.max_tf.max(positions.len() as u32);
-                bound.min_len = bound.min_len.min(doc_lengths[*doc as usize]);
-            }
-            bound.normalized()
-        })
-        .collect();
-    let postings = accum
-        .into_iter()
-        .map(|entries| {
-            let mut b = PostingsBuilder::new();
-            for (doc, positions) in entries {
-                b.push(doc, &positions);
-            }
-            b.build()
-        })
-        .collect();
-    InvertedIndex::from_parts(interner, postings, bounds, doc_lengths, total_tokens)
+    index::freeze(interner, accum, doc_lengths, total_tokens)
 }
 
 /// Compact the store in place: load the current generation, reslice it

@@ -20,9 +20,11 @@
 use querygraph::core::cache::{store_dir, WorldOptions};
 use querygraph::core::experiment::{Experiment, ExperimentConfig};
 use querygraph::core::service::{ExpansionRequest, QueryExpander, ServiceError, ServingWorld};
-use querygraph::retrieval::engine::SearchMode;
+use querygraph::retrieval::backend::RetrievalBackend;
+use querygraph::retrieval::engine::{SearchHit, SearchMode};
 use querygraph::retrieval::lm::LmParams;
 use querygraph::retrieval::ondisk::fnv1a;
+use querygraph::retrieval::query_lang::parse;
 use querygraph::retrieval::segstore::{manifest_path, segment_file};
 use std::path::PathBuf;
 
@@ -227,12 +229,17 @@ fn mmap_loaded_worlds_serve_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Pruned serving at a real tier: every seed-tier query, cycle-expanded
-/// and retrieved (top 10) through `QueryExpander`, gets the same
-/// response in `Exact` and `Pruned` mode at one and at four shards.
+/// Served retrieval at a real tier: every seed-tier query,
+/// cycle-expanded and retrieved (top 10) through `QueryExpander`, gets
+/// the same response at one and at four shards, and its hits are the
+/// exact kernel's hits for its expanded query, bit for bit. Serving
+/// runs the pruned kernel, so this is what keeps it honest.
 #[test]
 fn seed_tier_serving_is_identical_exact_and_pruned_at_one_and_four_shards() {
     let config = ExperimentConfig::default_paper();
+    let bits = |hits: &[SearchHit]| -> Vec<(u32, u64)> {
+        hits.iter().map(|h| (h.doc, h.score.to_bits())).collect()
+    };
     let mut reference: Option<Vec<Result<String, String>>> = None;
     for shards in [1, 4] {
         let (world, corpus) = ServingWorld::open_with_options(
@@ -242,37 +249,43 @@ fn seed_tier_serving_is_identical_exact_and_pruned_at_one_and_four_shards() {
             &WorldOptions::sharded(shards),
         );
         assert_eq!(world.engine.shard_count(), shards);
-        for mode in [SearchMode::Exact, SearchMode::Pruned] {
-            let builder = QueryExpander::builder().retrieve_top(10).search_mode(mode);
-            let expander = world.expander_from(&builder);
-            let responses: Vec<Result<String, String>> = corpus
-                .queries
-                .queries
-                .iter()
-                .map(|q| {
-                    expander
-                        .expand(&ExpansionRequest::new(q.keywords.clone()))
-                        .map(|r| serde_json::to_string(&r).expect("response serializes"))
-                        .map_err(|e| e.to_string())
-                })
-                .collect();
-            match &reference {
-                None => {
-                    assert!(
-                        responses
-                            .iter()
-                            .any(|r| r.as_ref().is_ok_and(|r| r.contains("\"hits\":[{"))),
-                        "the seed tier must retrieve something"
-                    );
-                    reference = Some(responses);
-                }
-                Some(reference) => {
-                    for (i, (want, got)) in reference.iter().zip(&responses).enumerate() {
-                        assert_eq!(
-                            want, got,
-                            "query {i} diverged at {shards} shard(s), {mode:?}"
-                        );
-                    }
+        let builder = QueryExpander::builder().retrieve_top(10);
+        let expander = world.expander_from(&builder);
+        let responses: Vec<Result<String, String>> = corpus
+            .queries
+            .queries
+            .iter()
+            .map(|q| {
+                let response = expander
+                    .expand(&ExpansionRequest::new(q.keywords.clone()))
+                    .map_err(|e| e.to_string())?;
+                let query = parse(&response.expanded_query).expect("the served query parses");
+                let exact = world
+                    .engine
+                    .try_search_with(&query, 10, SearchMode::Exact)
+                    .expect("in-process search");
+                assert_eq!(
+                    bits(&response.hits),
+                    bits(&exact),
+                    "{:?} at {shards} shard(s): served hits are not the exact hits",
+                    q.keywords
+                );
+                Ok(serde_json::to_string(&response).expect("response serializes"))
+            })
+            .collect();
+        match &reference {
+            None => {
+                assert!(
+                    responses
+                        .iter()
+                        .any(|r| r.as_ref().is_ok_and(|r| r.contains("\"hits\":[{"))),
+                    "the seed tier must retrieve something"
+                );
+                reference = Some(responses);
+            }
+            Some(reference) => {
+                for (i, (want, got)) in reference.iter().zip(&responses).enumerate() {
+                    assert_eq!(want, got, "query {i} diverged at {shards} shard(s)");
                 }
             }
         }
