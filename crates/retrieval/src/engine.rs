@@ -35,7 +35,8 @@ pub(crate) const MAX_PRUNED_LEAVES: usize = 64;
 
 /// How the top-k loop executes. Serving always runs [`SearchMode::Pruned`];
 /// [`SearchMode::Exact`] is the reference the oracle tests compare
-/// against and the kernel's fallback for queries of more than 64 leaves.
+/// against and the kernel's fallback where pruning cannot pay off (more
+/// than 64 leaves, or no more than `k` candidates).
 /// QGRP carries the mode as one byte, so both stay nameable on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchMode {

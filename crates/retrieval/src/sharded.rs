@@ -126,7 +126,9 @@ pub(crate) struct ShardLeafView {
 /// The scoring kernel: score one shard's candidates into a top-k heap
 /// keyed by global doc id (`base` + local doc). Holds the single mode
 /// gate: `Pruned` applies only while the leaf count fits the pruning
-/// bitmask, otherwise exact scoring runs.
+/// bitmask and the leaves match more than `k` documents between them,
+/// otherwise exact scoring runs. With at most `k` candidates the heap
+/// never fills, so pruning could skip nothing and only add its cost.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn shard_topk(
     engine: &SearchEngine,
@@ -142,7 +144,10 @@ pub(crate) fn shard_topk(
     // may come off a socket: never size a heap by it unclamped.
     let k = k.min(engine.index().num_docs());
     match mode {
-        SearchMode::Pruned if views.len() <= MAX_PRUNED_LEAVES => {
+        SearchMode::Pruned
+            if views.len() <= MAX_PRUNED_LEAVES
+                && views.iter().map(|v| v.tf.len()).sum::<usize>() > k =>
+        {
             shard_pruned_topk(engine, base, specs, views, params, epsilon, k)
         }
         _ => shard_exact_topk(engine, base, views, params, epsilon, k),
