@@ -11,7 +11,7 @@
 //!             --query text | --queries f | --seed-queries [tier flags]]
 //!             [--repeat n] [--top-k k] [--max-features n] [--timeout-ms n]
 //! qgx shard   --segstore <dir> --seq <s> --shard <i> --fingerprint <fp>
-//!             [--listen <addr>] [--mmap]
+//!             [--listen <addr>]
 //! qgx dump    --out <path> [tier flags] [--skip n] [--docs n]
 //! qgx ingest  --dump <path> --segstore <dir> [tier flags]
 //!             [--batch-docs n] [--compact n]
@@ -75,12 +75,12 @@
 //!
 //! World flags (shared by `serve` and `replay`): `--tiny | --quick |
 //! --stress [--quick] | --track`, `--index-cache <dir>`, `--shards <n>`,
-//! `--segstore <dir>`, `--mmap`, `--strategy cycles|links|none`,
+//! `--segstore <dir>`, `--strategy cycles|links|none`,
 //! `--max-features <n>`, `--top-k <k>`, `--expansion-cache <n>`.
 //! Retrieval always runs the block-max pruned top-k (DESIGN.md §11).
 
 use querygraph_bench::serving::{self, log_line};
-use querygraph_bench::{flag_operand, flag_usize, CliOptions};
+use querygraph_bench::{flag_operand, flag_usize, reject_unknown_flags, CliOptions};
 use querygraph_core::expcache::ExpansionCache;
 use querygraph_core::http::{self, HttpServer, ServerConfig};
 use querygraph_core::service::{
@@ -94,7 +94,7 @@ use std::time::{Duration, Instant};
 
 /// Flags selecting and tuning the served world, shared by `serve` and
 /// `replay` (each subcommand adds its own on top).
-const WORLD_FLAGS: [(&str, bool); 11] = [
+const WORLD_FLAGS: [(&str, bool); 10] = [
     ("--tiny", false),
     ("--quick", false),
     ("--stress", false),
@@ -102,7 +102,6 @@ const WORLD_FLAGS: [(&str, bool); 11] = [
     ("--index-cache", true),
     ("--segstore", true),
     ("--shards", true),
-    ("--mmap", false),
     ("--strategy", true),
     ("--max-features", true),
     ("--top-k", true),
@@ -128,13 +127,12 @@ const SERVE_FLAGS: [(&str, bool); 7] = [
     ("--shard-procs", true),
 ];
 
-const SHARD_FLAGS: [(&str, bool); 6] = [
+const SHARD_FLAGS: [(&str, bool); 5] = [
     ("--segstore", true),
     ("--seq", true),
     ("--shard", true),
     ("--fingerprint", true),
     ("--listen", true),
-    ("--mmap", false),
 ];
 
 const DUMP_FLAGS: [(&str, bool); 7] = [
@@ -158,14 +156,13 @@ const INGEST_FLAGS: [(&str, bool); 8] = [
     ("--compact", true),
 ];
 
-const COMPACT_FLAGS: [(&str, bool); 7] = [
+const COMPACT_FLAGS: [(&str, bool); 6] = [
     ("--tiny", false),
     ("--quick", false),
     ("--stress", false),
     ("--track", false),
     ("--segstore", true),
     ("--shards", true),
-    ("--mmap", false),
 ];
 
 const CLIENT_FLAGS: [(&str, bool); 15] = [
@@ -185,31 +182,6 @@ const CLIENT_FLAGS: [(&str, bool); 15] = [
     ("--stress", false),
     ("--track", false),
 ];
-
-/// Reject unrecognized `--flags` (operand values are skipped) — a
-/// typo'd flag must not silently fall back to a different workload
-/// (e.g. blocking on stdin in CI).
-fn reject_unknown_flags(args: &[String], known: &[(&str, bool)], mode: &str) {
-    let mut i = 1; // skip argv[0]
-    while i < args.len() {
-        let arg = &args[i];
-        if arg.starts_with("--") {
-            match known.iter().find(|(name, _)| name == arg) {
-                Some((_, takes_operand)) => i += 1 + usize::from(*takes_operand),
-                None => {
-                    eprintln!(
-                        "error: unknown flag {arg} for qgx {mode} (known: {})",
-                        known.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(" ")
-                    );
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            eprintln!("error: unexpected argument {arg:?}");
-            std::process::exit(2);
-        }
-    }
-}
 
 const SUBCOMMANDS: &str = "serve | replay | client | shard | dump | ingest | compact";
 
@@ -356,7 +328,7 @@ fn expansion_cache(ex: &ExpanderOptions) -> Option<Arc<ExpansionCache>> {
 
 fn run_serve(args: &[String]) {
     let known: Vec<(&str, bool)> = WORLD_FLAGS.iter().chain(&SERVE_FLAGS).copied().collect();
-    reject_unknown_flags(args, &known, "serve");
+    reject_unknown_flags(args, &known, "qgx serve");
     let cli = CliOptions::from_vec(args);
     let ex = ExpanderOptions::from_args(args);
     let listen = flag_operand(args, "--listen").unwrap_or_else(|| "127.0.0.1:8787".to_string());
@@ -440,7 +412,7 @@ fn report_cache(cache: &Option<Arc<ExpansionCache>>) {
 /// nothing.
 fn run_replay(args: &[String]) {
     let known: Vec<(&str, bool)> = WORLD_FLAGS.iter().chain(&REPLAY_FLAGS).copied().collect();
-    reject_unknown_flags(args, &known, "replay");
+    reject_unknown_flags(args, &known, "qgx replay");
     let cli = CliOptions::from_vec(args);
     let ex = ExpanderOptions::from_args(args);
     let queries_file = flag_operand(args, "--queries");
@@ -602,7 +574,7 @@ fn report(
 // --------------------------------------------------------------- client
 
 fn run_client(args: &[String]) {
-    reject_unknown_flags(args, &CLIENT_FLAGS, "client");
+    reject_unknown_flags(args, &CLIENT_FLAGS, "qgx client");
     let addr = flag_operand(args, "--connect").unwrap_or_else(|| "127.0.0.1:8787".to_string());
     let timeout = Duration::from_millis(flag_usize(args, "--timeout-ms").unwrap_or(5000) as u64);
 
@@ -765,7 +737,7 @@ fn require_flag(args: &[String], name: &str) -> String {
 /// [`serving::run_shard`] — one segment served over QGRP until the
 /// supervisor's drain signal.
 fn run_shard(args: &[String]) {
-    reject_unknown_flags(args, &SHARD_FLAGS, "shard");
+    reject_unknown_flags(args, &SHARD_FLAGS, "qgx shard");
     let dir = require_flag(args, "--segstore");
     let seq = require_flag(args, "--seq");
     let seq: u64 = seq.parse().unwrap_or_else(|_| {
@@ -784,15 +756,8 @@ fn run_shard(args: &[String]) {
             std::process::exit(2);
         });
     let listen = flag_operand(args, "--listen").unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let source = CliOptions::from_vec(args).world_options().source();
-    if let Err(e) = serving::run_shard(
-        std::path::Path::new(&dir),
-        seq,
-        shard,
-        fingerprint,
-        &listen,
-        source,
-    ) {
+    if let Err(e) = serving::run_shard(std::path::Path::new(&dir), seq, shard, fingerprint, &listen)
+    {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
@@ -805,7 +770,7 @@ fn run_shard(args: &[String]) {
 /// a world can be dumped in batches and ingested incrementally — the
 /// live-swap path's test fixture.
 fn run_dump(args: &[String]) {
-    reject_unknown_flags(args, &DUMP_FLAGS, "dump");
+    reject_unknown_flags(args, &DUMP_FLAGS, "qgx dump");
     let cli = CliOptions::from_vec(args);
     let out = require_flag(args, "--out");
     let skip = flag_usize(args, "--skip").unwrap_or(0);
@@ -855,7 +820,7 @@ fn open_segstore(cli: &CliOptions, dir: &str) -> querygraph_retrieval::segstore:
 /// tokenized into the in-progress batch builder and dropped. With
 /// `--compact n` the live set is merged into `n` segments afterwards.
 fn run_ingest(args: &[String]) {
-    reject_unknown_flags(args, &INGEST_FLAGS, "ingest");
+    reject_unknown_flags(args, &INGEST_FLAGS, "qgx ingest");
     let cli = CliOptions::from_vec(args);
     let dump = require_flag(args, "--dump");
     let dir = require_flag(args, "--segstore");
@@ -920,9 +885,8 @@ fn run_ingest(args: &[String]) {
     );
 
     if let Some(shards) = compact_to {
-        let source = cli.world_options().source();
-        let (compaction_seconds, swap_pause_us) =
-            serving::compact_and_measure(&mut store, shards, source).unwrap_or_else(|e| {
+        let (compaction_seconds, swap_pause_us) = serving::compact_and_measure(&mut store, shards)
+            .unwrap_or_else(|e| {
                 eprintln!("error: {e}");
                 std::process::exit(1);
             });
@@ -938,16 +902,15 @@ fn run_ingest(args: &[String]) {
 /// balanced ones (default 1) and publish the new generation. A live
 /// `qgx serve --segstore` on the same store hot-swaps onto it.
 fn run_compact(args: &[String]) {
-    reject_unknown_flags(args, &COMPACT_FLAGS, "compact");
+    reject_unknown_flags(args, &COMPACT_FLAGS, "qgx compact");
     let cli = CliOptions::from_vec(args);
     let dir = require_flag(args, "--segstore");
     let shards = flag_usize(args, "--shards").unwrap_or(1).max(1);
 
     let mut store = open_segstore(&cli, &dir);
     let segments_before = store.manifest().segments.len();
-    let source = cli.world_options().source();
-    let (compaction_seconds, swap_pause_us) =
-        serving::compact_and_measure(&mut store, shards, source).unwrap_or_else(|e| {
+    let (compaction_seconds, swap_pause_us) = serving::compact_and_measure(&mut store, shards)
+        .unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(1);
         });

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p querygraph-bench --bin repro_all -- \
 //!     [--tiny | --quick | --stress [--quick]] [--index-cache <dir>] \
-//!     [--shards <n>] [--mmap] [--bench-out <path>] [--json out.json]
+//!     [--shards <n>] [--bench-out <path>] [--json out.json]
 //! ```
 //!
 //! Prints paper-vs-measured for Tables 2–4, Figs. 5, 6, 7a, 7b, 9 and
@@ -17,14 +17,23 @@
 //! [`querygraph_core::Report`] is written too.
 //! With `--shards <n>` the world runs on the doc-partitioned sharded
 //! backend (and segmented artifact layout) — the `Report` is
-//! byte-identical to the monolithic run at any shard count; `--mmap`
-//! maps artifacts instead of reading them.
+//! byte-identical to the monolithic run at any shard count. Any other
+//! flag exits 2 before anything runs.
 
 use querygraph_bench::{flag_operand, BenchRecord, CliOptions};
 
+/// The flags `repro_all` takes beside the tier flags, with whether each
+/// takes an operand.
+const FLAGS: [(&str, bool); 4] = [
+    ("--index-cache", true),
+    ("--shards", true),
+    ("--bench-out", true),
+    ("--json", true),
+];
+
 fn main() {
+    let options = CliOptions::from_args(&FLAGS);
     let args: Vec<String> = std::env::args().collect();
-    let options = CliOptions::from_vec(&args);
     let report_out = flag_operand(&args, "--json");
     let config = options.config();
     let (report, summary, build) = querygraph_bench::report_and_summary_with(

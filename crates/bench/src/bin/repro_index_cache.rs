@@ -20,7 +20,7 @@ use querygraph_core::experiment::Experiment;
 use querygraph_retrieval::ondisk::fnv1a;
 
 fn main() {
-    let options = CliOptions::from_args();
+    let options = CliOptions::from_args(&[("--index-cache", true)]);
     let config = options.config();
     let cache_dir = options.index_cache.unwrap_or_else(|| {
         std::env::temp_dir().join(format!("querygraph-index-cache-{}", std::process::id()))

@@ -8,9 +8,11 @@
 //! ([`standard_report`]) so their numbers are mutually consistent;
 //! `repro_all` prints everything at once and is what EXPERIMENTS.md is
 //! generated from. Common CLI (parsed by [`CliOptions::from_args`]):
-//! `--tiny` / `--quick` / `--stress` select the workload tier and
-//! `--index-cache <dir>` persists the inverted index across runs
-//! (`core::cache`). [`serving`] is how `qgx` serves a segment store.
+//! `--tiny` / `--quick` / `--stress` select the workload tier, and a
+//! binary that takes more flags lists them (`repro_all`'s
+//! `--index-cache <dir>` persists the inverted index across runs,
+//! `core::cache`); any flag a binary does not list exits 2. [`serving`]
+//! is how `qgx` serves a segment store.
 //!
 //! The crate writes one machine-readable record, [`BenchRecord`]
 //! (`repro_all --bench-out`), because the repo benchmark's
@@ -119,8 +121,8 @@ pub fn report_and_summary_cached(
 }
 
 /// [`report_and_summary_cached`] with explicit [`WorldOptions`]: the
-/// `--shards N` / `--mmap` knobs. The `Report` is byte-identical at any
-/// shard count.
+/// `--shards N` knob. The `Report` is byte-identical at any shard
+/// count.
 pub fn report_and_summary_with(
     config: &ExperimentConfig,
     index_cache: Option<&std::path::Path>,
@@ -251,8 +253,42 @@ pub struct CliOptions {
     /// `--shards <n>`: doc-partitioned shards, and the width of the
     /// index cache's segment store (`None`: not given; one shard).
     pub shards: Option<usize>,
-    /// `--mmap`: memory-map index artifacts instead of reading them.
-    pub mmap: bool,
+}
+
+/// The tier flags every repro binary takes. A flag table lists each
+/// flag with whether it takes an operand.
+const TIER_FLAGS: [(&str, bool); 4] = [
+    ("--tiny", false),
+    ("--quick", false),
+    ("--stress", false),
+    ("--track", false),
+];
+
+/// Exit 2 on any argument `known` does not list (operands of known
+/// flags are skipped; `args[0]` is the program) — a typo'd flag must
+/// not silently fall back to a different workload, such as the paper
+/// tier or a query stream on stdin. `program` names the command in the
+/// message.
+pub fn reject_unknown_flags(args: &[String], known: &[(&str, bool)], program: &str) {
+    let mut i = 1;
+    while i < args.len() {
+        let arg = &args[i];
+        if arg.starts_with("--") {
+            match known.iter().find(|(name, _)| name == arg) {
+                Some((_, takes_operand)) => i += 1 + usize::from(*takes_operand),
+                None => {
+                    eprintln!(
+                        "error: unknown flag {arg} for {program} (known: {})",
+                        known.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(" ")
+                    );
+                    std::process::exit(2);
+                }
+            }
+        } else {
+            eprintln!("error: unexpected argument {arg:?}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// The operand following `flag` in `args`, when the flag is present.
@@ -279,10 +315,17 @@ pub fn flag_usize(args: &[String], flag: &str) -> Option<usize> {
 }
 
 impl CliOptions {
-    /// Parse `std::env::args`. Exits with a message on malformed flags
-    /// (missing `--index-cache` / `--bench-out` operand).
-    pub fn from_args() -> CliOptions {
+    /// Parse `std::env::args`: the tier flags plus the binary's own
+    /// `flags` (name, takes an operand). Exits 2 with a message on any
+    /// other flag ([`reject_unknown_flags`]) or a missing operand.
+    pub fn from_args(flags: &[(&str, bool)]) -> CliOptions {
         let args: Vec<String> = std::env::args().collect();
+        let known: Vec<(&str, bool)> = TIER_FLAGS.iter().chain(flags).copied().collect();
+        let program = args
+            .first()
+            .and_then(|arg0| std::path::Path::new(arg0).file_name())
+            .map_or_else(|| "this command".into(), |name| name.to_string_lossy());
+        reject_unknown_flags(&args, &known, &program);
         Self::from_vec(&args)
     }
 
@@ -309,16 +352,12 @@ impl CliOptions {
             index_cache: operand("--index-cache").map(PathBuf::from),
             bench_out: operand("--bench-out"),
             shards: flag_usize(args, "--shards").map(|n| n.max(1)),
-            mmap: has("--mmap"),
         }
     }
 
     /// The [`WorldOptions`] these flags select.
     pub fn world_options(&self) -> WorldOptions {
-        WorldOptions {
-            shards: self.shards.unwrap_or(1),
-            mmap: self.mmap,
-        }
+        WorldOptions::sharded(self.shards.unwrap_or(1))
     }
 
     /// The configuration this invocation runs.
@@ -327,11 +366,11 @@ impl CliOptions {
     }
 }
 
-/// Parse the common CLI of the repro binaries: `--quick` switches to
-/// [`quick_config`], `--tiny` to [`tiny_config`], `--stress` to the
-/// stress tier.
+/// Parse the CLI of the repro binaries that take only the tier flags:
+/// `--quick` switches to [`quick_config`], `--tiny` to [`tiny_config`],
+/// `--stress` to the stress tier. Any other flag exits 2.
 pub fn config_from_args() -> ExperimentConfig {
-    CliOptions::from_args().config()
+    CliOptions::from_args(&[]).config()
 }
 
 #[cfg(test)]
@@ -396,22 +435,16 @@ mod tests {
     }
 
     #[test]
-    fn cli_shards_and_mmap() {
+    fn cli_shards() {
         let defaults = opts(&[]);
         assert_eq!(defaults.shards, None);
-        assert!(!defaults.mmap);
         assert_eq!(defaults.world_options(), WorldOptions::default());
         assert_eq!(defaults.world_options().shard_count(), 1);
-        let o = opts(&["--shards", "4", "--mmap"]);
+        let o = opts(&["--shards", "4"]);
         assert_eq!(o.shards, Some(4));
-        assert!(o.mmap);
         let wo = o.world_options();
         assert_eq!(wo.shards, 4);
         assert_eq!(wo.shard_count(), 4);
-        assert_eq!(
-            wo.source(),
-            querygraph_retrieval::ondisk::ArtifactSource::Mmap
-        );
         // --shards 0 is clamped to 1 shard rather than rejected.
         assert_eq!(opts(&["--shards", "0"]).shards, Some(1));
     }

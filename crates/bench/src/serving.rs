@@ -40,7 +40,7 @@ use querygraph_corpus::synth::{generate_corpus, SynthCorpus};
 use querygraph_retrieval::backend::{AnyEngine, EngineGeneration, ReloadableEngine};
 use querygraph_retrieval::engine::SearchEngine;
 use querygraph_retrieval::lm::LmParams;
-use querygraph_retrieval::ondisk::{load_index_with, ArtifactSource};
+use querygraph_retrieval::ondisk::{load_index, ArtifactSource};
 use querygraph_retrieval::remote::{server, RemoteEngine, ShardServer};
 use querygraph_retrieval::segstore::{
     self, segment_file, segment_fp, HeldSegments, Manifest, SegStore,
@@ -179,7 +179,6 @@ pub fn boot(
             let mut store = Store {
                 dir,
                 fingerprint,
-                source: cli.world_options().source(),
                 fleet: fleet.map(|(_, exe)| exe),
                 held: HeldSegments::default(),
             };
@@ -232,7 +231,6 @@ struct Store {
     dir: PathBuf,
     /// The store (= world-configuration) fingerprint.
     fingerprint: u64,
-    source: ArtifactSource,
     /// `Some(qgx)`: serve each generation from a fleet of `qgx shard`
     /// children; `None`: load it in process.
     fleet: Option<PathBuf>,
@@ -271,7 +269,7 @@ impl Store {
         }
         let generation = self
             .held
-            .load(&self.dir, manifest, self.source, LmParams::default())
+            .load(&self.dir, manifest, LmParams::default())
             .map_err(|e| e.to_string())?;
         Ok(Prepared {
             engine: generation.engine,
@@ -463,8 +461,7 @@ impl Fleet {
     ) -> Result<RemoteEngine, String> {
         let mut addrs = Vec::with_capacity(manifest.segments.len());
         for (slot, seg) in manifest.segments.iter().enumerate() {
-            let mut command = Command::new(exe);
-            command
+            let child = Command::new(exe)
                 .arg("shard")
                 .arg("--segstore")
                 .arg(&store.dir)
@@ -477,11 +474,7 @@ impl Fleet {
                 .arg("--listen")
                 .arg("127.0.0.1:0")
                 .stdin(Stdio::piped())
-                .stdout(Stdio::piped());
-            if store.source == ArtifactSource::Mmap {
-                command.arg("--mmap");
-            }
-            let child = command
+                .stdout(Stdio::piped())
                 .spawn()
                 .map_err(|e| format!("cannot spawn segment {}: {e}", seg.seq))?;
             self.children.push(child);
@@ -615,11 +608,10 @@ pub fn run_shard(
     shard: usize,
     fingerprint: u64,
     listen: &str,
-    source: ArtifactSource,
 ) -> Result<(), String> {
     let path = dir.join(segment_file(seq));
     let want = segment_fp(fingerprint, seq);
-    let loaded = load_index_with(&path, source)
+    let loaded = load_index(&path)
         .map_err(|e| format!("shard {shard}: cannot load {}: {e}", path.display()))?;
     // The same pinning the store loader enforces: a mis-deployed or
     // stale segment dies here, before it can answer.
@@ -672,15 +664,11 @@ pub fn run_shard(
 /// the engine-swap pause (the only serving-visible moment — the new
 /// generation is fully loaded before the swap, exactly as the watcher
 /// does it). Returns `(compaction_seconds, swap_pause_us)`.
-pub fn compact_and_measure(
-    store: &mut SegStore,
-    shards: usize,
-    source: ArtifactSource,
-) -> Result<(f64, f64), String> {
+pub fn compact_and_measure(store: &mut SegStore, shards: usize) -> Result<(f64, f64), String> {
     let lm = LmParams::default();
     let fingerprint = store.manifest().fingerprint;
     let load = |dir: &Path| {
-        segstore::load_generation(dir, fingerprint, source)
+        segstore::load_generation(dir, fingerprint, ArtifactSource::Read)
             .ok()
             .flatten()
             .map(|generation| {
@@ -693,7 +681,7 @@ pub fn compact_and_measure(
     let serving = load(store.dir()).map(|(engine, epoch)| ReloadableEngine::new(engine, epoch));
 
     let t = Instant::now();
-    match segstore::compact(store, shards.max(1), source) {
+    match segstore::compact(store, shards.max(1), ArtifactSource::Read) {
         Ok(Some(_)) => {}
         Ok(None) => return Err("the store has never published — nothing to compact".into()),
         Err(e) => return Err(format!("compaction failed: {e}")),

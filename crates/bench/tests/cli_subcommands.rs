@@ -97,6 +97,12 @@ fn flags_are_rejected_per_subcommand() {
         // Retrieval always prunes: there is no mode to pick.
         (&["replay", "--prune"][..], "unknown flag --prune"),
         (&["serve", "--prune"][..], "unknown flag --prune"),
+        // Artifacts are always read into memory: there is no byte
+        // source to pick.
+        (&["serve", "--mmap"][..], "unknown flag --mmap"),
+        (&["replay", "--mmap"][..], "unknown flag --mmap"),
+        (&["shard", "--mmap"][..], "unknown flag --mmap"),
+        (&["compact", "--mmap"][..], "unknown flag --mmap"),
     ] {
         let (status, stdout, stderr) = run(args, "");
         assert_eq!(status.code(), Some(2), "qgx {args:?} must be refused");

@@ -142,3 +142,19 @@ fn a_trailing_json_flag_is_refused_not_ignored() {
         "stderr: {stderr}"
     );
 }
+
+#[test]
+fn unknown_flags_are_refused_not_ignored() {
+    // A typo'd tier flag must not silently run the paper tier, and a
+    // removed knob must not be silently accepted.
+    for flag in ["--stres", "--mmap"] {
+        let output = repro_all(&std::env::temp_dir(), &["--tiny", flag]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{flag}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{flag}: nothing is reported");
+    }
+}

@@ -655,12 +655,7 @@ fn held_segments_answer_every_generation_like_a_fresh_load() {
             .expect("reads")
             .expect("published");
         let shared = held
-            .load(
-                &store_path,
-                &manifest,
-                ArtifactSource::Read,
-                LmParams::default(),
-            )
+            .load(&store_path, &manifest, LmParams::default())
             .expect("loads");
         let fresh = segstore::load_generation(&store_path, fingerprint, ArtifactSource::Read)
             .expect("loads")
@@ -754,12 +749,7 @@ fn a_recreated_store_is_loaded_fresh_not_reused() {
             .expect("reads")
             .expect("published");
         let shared = held
-            .load(
-                &store_path,
-                &manifest,
-                ArtifactSource::Read,
-                LmParams::default(),
-            )
+            .load(&store_path, &manifest, LmParams::default())
             .expect("loads");
         let fresh = segstore::load_generation(&store_path, fingerprint, ArtifactSource::Read)
             .expect("loads")

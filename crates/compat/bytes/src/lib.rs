@@ -10,50 +10,15 @@ use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
-/// The backing storage of a [`Bytes`]: a plain heap slice, or an
-/// arbitrary owner whose bytes it views (the real crate's
-/// `Bytes::from_owner`, used for memory-mapped files — dropping the
-/// last view drops the owner, which unmaps).
-#[derive(Clone)]
-enum Storage {
-    Heap(Arc<[u8]>),
-    Owner(Arc<dyn AsRef<[u8]> + Send + Sync>),
-}
-
-impl Storage {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Storage::Heap(data) => data,
-            Storage::Owner(owner) => owner.as_ref().as_ref(),
-        }
-    }
-}
-
 /// Cheaply cloneable immutable byte buffer (a view into shared storage).
 #[derive(Clone)]
 pub struct Bytes {
-    data: Storage,
+    data: Arc<[u8]>,
     offset: usize,
     len: usize,
 }
 
 impl Bytes {
-    /// A view over an arbitrary owner's bytes, like the real crate's
-    /// `Bytes::from_owner`: the owner is kept alive (and its `AsRef`
-    /// bytes must stay stable) until the last view drops. This is how
-    /// a memory-mapped file becomes a `Bytes` without copying.
-    pub fn from_owner<T>(owner: T) -> Bytes
-    where
-        T: AsRef<[u8]> + Send + Sync + 'static,
-    {
-        let len = owner.as_ref().len();
-        Bytes {
-            data: Storage::Owner(Arc::new(owner)),
-            offset: 0,
-            len,
-        }
-    }
-
     /// Length in bytes.
     pub fn len(&self) -> usize {
         self.len
@@ -95,7 +60,7 @@ impl Bytes {
 impl Default for Bytes {
     fn default() -> Bytes {
         Bytes {
-            data: Storage::Heap(Arc::from(&[][..])),
+            data: Arc::from(&[][..]),
             offset: 0,
             len: 0,
         }
@@ -106,7 +71,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         let len = v.len();
         Bytes {
-            data: Storage::Heap(Arc::from(v.into_boxed_slice())),
+            data: Arc::from(v.into_boxed_slice()),
             offset: 0,
             len,
         }
@@ -116,7 +81,7 @@ impl From<Vec<u8>> for Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data.as_slice()[self.offset..self.offset + self.len]
+        &self.data[self.offset..self.offset + self.len]
     }
 }
 
@@ -285,48 +250,6 @@ mod tests {
         let b = Bytes::from(v.clone());
         assert_eq!(&b[..], &v[..]);
         assert_eq!(b, Bytes::from(v));
-    }
-
-    #[test]
-    fn from_owner_views_without_copy() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-
-        struct Region {
-            data: Vec<u8>,
-            drops: Arc<AtomicUsize>,
-        }
-        impl AsRef<[u8]> for Region {
-            fn as_ref(&self) -> &[u8] {
-                &self.data
-            }
-        }
-        impl Drop for Region {
-            fn drop(&mut self) {
-                self.drops.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-
-        let drops = Arc::new(AtomicUsize::new(0));
-        let b = Bytes::from_owner(Region {
-            data: (0u8..64).collect(),
-            drops: Arc::clone(&drops),
-        });
-        assert_eq!(b.len(), 64);
-        assert_eq!(&b[..4], &[0, 1, 2, 3]);
-        // Slices keep the owner alive past the original handle.
-        let view = b.slice(60..);
-        drop(b);
-        assert_eq!(drops.load(Ordering::SeqCst), 0, "view keeps the owner");
-        assert_eq!(&view[..], &[60, 61, 62, 63]);
-        drop(view);
-        assert_eq!(drops.load(Ordering::SeqCst), 1, "last view drops the owner");
-    }
-
-    #[test]
-    fn from_owner_equals_heap_bytes() {
-        let v: Vec<u8> = (0u8..32).collect();
-        assert_eq!(Bytes::from_owner(v.clone()), Bytes::from(v));
     }
 
     #[test]

@@ -42,9 +42,8 @@ use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// How to build (or load) the retrieval backend of a world: physical
-/// layout and artifact byte source. The default is one shard, read
-/// into memory.
+/// How to build (or load) the retrieval backend of a world: its
+/// physical layout. The default is one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorldOptions {
     /// Doc-partitioned shards (and, cached, store segments). One is the
@@ -52,9 +51,6 @@ pub struct WorldOptions {
     /// [`ShardedEngine`](querygraph_retrieval::sharded::ShardedEngine),
     /// byte-identical at any count.
     pub shards: usize,
-    /// Memory-map artifacts instead of reading them (opt-in; falls
-    /// back to reading on any error).
-    pub mmap: bool,
 }
 
 impl Default for WorldOptions {
@@ -66,19 +62,7 @@ impl Default for WorldOptions {
 impl WorldOptions {
     /// Options for an `n`-shard layout.
     pub fn sharded(n: usize) -> WorldOptions {
-        WorldOptions {
-            shards: n.max(1),
-            mmap: false,
-        }
-    }
-
-    /// The artifact byte source these options select.
-    pub fn source(&self) -> ArtifactSource {
-        if self.mmap {
-            ArtifactSource::Mmap
-        } else {
-            ArtifactSource::Read
-        }
+        WorldOptions { shards: n.max(1) }
     }
 
     /// Physical shard count (at least 1).
@@ -166,15 +150,13 @@ pub fn store_dir(dir: &Path, config: &ExperimentConfig, shards: usize) -> PathBu
 }
 
 /// Strictly load the `shards`-way engine for `config` from its
-/// [`store_dir`] in `dir`, reading segment bytes per `source`
-/// ([`ArtifactSource::Mmap`] maps them instead of reading): the
-/// store's current generation must list exactly `shards` segments;
-/// every segment is independently validated and its phrase dictionary
-/// seeded, segments load in parallel, and every failure is a typed
-/// [`ServiceError`] (never a panic, never a silently wrong index) that —
-/// for segment failures — names the shard (its manifest slot,
-/// [`ServiceError::ArtifactShard`]). The one loader behind both
-/// construction paths: the serving facade
+/// [`store_dir`] in `dir`: the store's current generation must list
+/// exactly `shards` segments; every segment is independently validated
+/// and its phrase dictionary seeded, segments load in parallel, and
+/// every failure is a typed [`ServiceError`] (never a panic, never a
+/// silently wrong index) that — for segment failures — names the shard
+/// (its manifest slot, [`ServiceError::ArtifactShard`]). The one loader
+/// behind both construction paths: the serving facade
 /// ([`crate::service::ServingWorld::load`]) surfaces the error;
 /// [`build_experiment`] treats it as a cache miss and rebuilds.
 ///
@@ -190,7 +172,6 @@ pub fn load_store_engine(
     shards: usize,
     corpus_docs: Option<usize>,
     lm: LmParams,
-    source: ArtifactSource,
 ) -> Result<(AnyEngine, Manifest, Vec<f64>), ServiceError> {
     let store = store_dir(dir, config, shards);
     let manifest = segstore::manifest_path(&store);
@@ -199,7 +180,8 @@ pub fn load_store_engine(
         path: manifest.clone(),
         source,
     };
-    let mut generation = match segstore::load_generation(&store, fingerprint, source) {
+    let mut generation = match segstore::load_generation(&store, fingerprint, ArtifactSource::Read)
+    {
         Ok(Some(generation)) => generation,
         Ok(None) => return Err(ServiceError::ArtifactMissing { path: manifest }),
         Err(SegStoreError::Manifest(OndiskError::MetaMismatch { expected, found })) => {
@@ -317,7 +299,7 @@ pub(crate) fn build_world(
         // likelihood, and anything subtler is caught by the
         // golden-fingerprint tests the moment results would change.
         let docs = Some(corpus.corpus.len());
-        match load_store_engine(config, dir, shard_count, docs, lm, options.source()) {
+        match load_store_engine(config, dir, shard_count, docs, lm) {
             Ok((engine, manifest, shard_load_seconds)) => {
                 let stats = BuildStats {
                     world_seconds,
@@ -422,9 +404,8 @@ pub fn build_experiment(
 }
 
 /// [`build_experiment`] with explicit [`WorldOptions`] — the sharded
-/// layout and/or mmap-backed loading. The `Report` produced is
-/// byte-identical at any shard count (golden-pinned and
-/// property-tested).
+/// layout. The `Report` produced is byte-identical at any shard count
+/// (golden-pinned and property-tested).
 pub fn build_experiment_with(
     config: &ExperimentConfig,
     cache_dir: Option<&Path>,

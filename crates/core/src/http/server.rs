@@ -490,92 +490,46 @@ impl HttpServer {
             if exchange == 0 && deadline.expired() {
                 // The connection aged out waiting for a worker: an
                 // admission refusal (typed 408), not an idle peer —
-                // the silent-close path below is only for connections
-                // a worker picked up promptly and that never spoke.
-                let timeout = deadline.timeout_error();
-                self.stats.record_service_error(&timeout);
-                let body = protocol_error_body("timeout", &timeout.to_string());
-                let retry = timeout.retry_after_seconds();
-                let _ = self.respond(&mut stream, 408, &body, false, retry, &deadline, response);
+                // the silent close is only for connections a worker
+                // picked up promptly and that never spoke.
+                self.refuse(&mut stream, Stop::TimedOut, &deadline, response);
                 break;
             }
             let head = match self.read_head(&mut stream, buf, &deadline, queue) {
-                ReadStep::Ready(head) => head,
-                ReadStep::Closed => break,
-                ReadStep::TimedOut => {
-                    let timeout = deadline.timeout_error();
-                    self.stats.record_service_error(&timeout);
-                    let body = protocol_error_body("timeout", &timeout.to_string());
-                    let retry = timeout.retry_after_seconds();
-                    let _ =
-                        self.respond(&mut stream, 408, &body, false, retry, &deadline, response);
+                Ok(head) => head,
+                Err(stop) => {
+                    self.refuse(&mut stream, stop, &deadline, response);
                     break;
                 }
-                ReadStep::Protocol(e) => {
-                    self.stats.record_protocol_error(&e);
-                    let body = protocol_error_body(e.code(), &e.to_string());
-                    let _ = self.respond(
-                        &mut stream,
-                        e.status(),
-                        &body,
-                        false,
-                        None,
-                        &deadline,
-                        response,
-                    );
-                    break;
-                }
-                ReadStep::Io => break,
             };
-            match self.read_body(&mut stream, buf, &head, &deadline) {
-                BodyStep::Ready(body_len) => {
-                    // Decide keep-alive only once the request is fully
-                    // read: a drain that began while the body trickled
-                    // in must advertise `Connection: close`.
-                    let keep_alive = head.keep_alive()
-                        && exchange + 1 < self.config.keep_alive_requests
-                        && !queue.draining();
-                    let consumed = head.head_len + body_len;
-                    let ok = self.handle_request(
-                        &mut stream,
-                        &head,
-                        &buf[head.head_len..consumed],
-                        expander,
-                        &deadline,
-                        keep_alive,
-                        response,
-                    );
-                    // Drop the exchange's bytes; pipelined bytes of the
-                    // next request stay buffered.
-                    buf.drain(..consumed);
-                    if ok.is_err() || !keep_alive {
-                        break;
-                    }
-                }
-                BodyStep::TimedOut => {
-                    let timeout = deadline.timeout_error();
-                    self.stats.record_service_error(&timeout);
-                    let body = protocol_error_body("timeout", &timeout.to_string());
-                    let retry = timeout.retry_after_seconds();
-                    let _ =
-                        self.respond(&mut stream, 408, &body, false, retry, &deadline, response);
+            let body_len = match self.read_body(&mut stream, buf, &head, &deadline) {
+                Ok(body_len) => body_len,
+                Err(stop) => {
+                    self.refuse(&mut stream, stop, &deadline, response);
                     break;
                 }
-                BodyStep::Protocol(e) => {
-                    self.stats.record_protocol_error(&e);
-                    let body = protocol_error_body(e.code(), &e.to_string());
-                    let _ = self.respond(
-                        &mut stream,
-                        e.status(),
-                        &body,
-                        false,
-                        None,
-                        &deadline,
-                        response,
-                    );
-                    break;
-                }
-                BodyStep::Closed => break,
+            };
+            // Decide keep-alive only once the request is fully read: a
+            // drain that began while the body trickled in must
+            // advertise `Connection: close`.
+            let keep_alive = head.keep_alive()
+                && exchange + 1 < self.config.keep_alive_requests
+                && !queue.draining();
+            let consumed = head.head_len + body_len;
+            let ok = self.handle_request(
+                &mut stream,
+                &head,
+                &buf[head.head_len..consumed],
+                expander,
+                &deadline,
+                keep_alive,
+                response,
+            );
+            // Drop the exchange's bytes; pipelined bytes of the next
+            // request stay buffered.
+            buf.drain(..consumed);
+            if ok.is_err() || !keep_alive {
+                break;
             }
         }
         graceful_close(&mut stream, Duration::from_millis(100));
@@ -592,33 +546,32 @@ impl HttpServer {
         buf: &mut Vec<u8>,
         deadline: &Deadline,
         queue: &ConnQueue,
-    ) -> ReadStep {
+    ) -> Result<RequestHead, Stop> {
         let mut tmp = [0u8; 4096];
         loop {
             match parser::parse_head(buf, &self.config.limits) {
-                Ok(Some(head)) => return ReadStep::Ready(head),
+                Ok(Some(head)) => return Ok(head),
                 Ok(None) => {}
-                Err(e) => return ReadStep::Protocol(e),
+                Err(e) => return Err(Stop::Protocol(e)),
             }
             if deadline.expired() {
                 // Zero buffered bytes is an *idle* keep-alive peer —
                 // close silently; partial bytes are a timed-out (or
                 // deliberately slow) request and get the typed 408.
-                return if buf.is_empty() {
-                    ReadStep::Closed
+                return Err(if buf.is_empty() {
+                    Stop::Closed
                 } else {
-                    ReadStep::TimedOut
-                };
+                    Stop::TimedOut
+                });
             }
             if buf.is_empty() && queue.draining() {
                 // Draining and no request in flight: close now.
-                return ReadStep::Closed;
+                return Err(Stop::Closed);
             }
             match read_slice(stream, &mut tmp, deadline) {
                 SliceStep::Data(n) => buf.extend_from_slice(&tmp[..n]),
-                SliceStep::Eof => return ReadStep::Closed,
+                SliceStep::Closed => return Err(Stop::Closed),
                 SliceStep::TimedOutSlice => {}
-                SliceStep::Io => return ReadStep::Io,
             }
         }
     }
@@ -632,28 +585,57 @@ impl HttpServer {
         buf: &mut Vec<u8>,
         head: &RequestHead,
         deadline: &Deadline,
-    ) -> BodyStep {
-        let length = match head.content_length(&self.config.limits) {
-            Ok(n) => n,
-            Err(e) => return BodyStep::Protocol(e),
-        };
+    ) -> Result<usize, Stop> {
+        let length = head
+            .content_length(&self.config.limits)
+            .map_err(Stop::Protocol)?;
         if length == 0 && head.method == "POST" && head.header("content-length").is_none() {
-            return BodyStep::Protocol(ParseError::LengthRequired);
+            return Err(Stop::Protocol(ParseError::LengthRequired));
         }
         let want = head.head_len + length;
         let mut tmp = [0u8; 4096];
         while buf.len() < want {
             if deadline.expired() {
-                return BodyStep::TimedOut;
+                return Err(Stop::TimedOut);
             }
             match read_slice(stream, &mut tmp, deadline) {
                 SliceStep::Data(n) => buf.extend_from_slice(&tmp[..n]),
-                SliceStep::Eof => return BodyStep::Closed,
+                SliceStep::Closed => return Err(Stop::Closed),
                 SliceStep::TimedOutSlice => {}
-                SliceStep::Io => return BodyStep::Closed,
             }
         }
-        BodyStep::Ready(length)
+        Ok(length)
+    }
+
+    /// End an exchange that stopped before its request was read: a
+    /// closed or idle peer gets nothing; a timed-out request its typed
+    /// 408; a malformed one its typed protocol error. Either reply
+    /// closes the connection.
+    fn refuse(
+        &self,
+        stream: &mut TcpStream,
+        stop: Stop,
+        deadline: &Deadline,
+        rs: &mut ResponseScratch,
+    ) {
+        let (status, body, retry) = match stop {
+            Stop::Closed => return,
+            Stop::TimedOut => {
+                let timeout = deadline.timeout_error();
+                self.stats.record_service_error(&timeout);
+                let body = protocol_error_body("timeout", &timeout.to_string());
+                (408, body, timeout.retry_after_seconds())
+            }
+            Stop::Protocol(e) => {
+                self.stats.record_protocol_error(&e);
+                (
+                    e.status(),
+                    protocol_error_body(e.code(), &e.to_string()),
+                    None,
+                )
+            }
+        };
+        let _ = self.respond(stream, status, &body, false, retry, deadline, rs);
     }
 
     /// Route one parsed request and write its response.
@@ -820,9 +802,9 @@ impl HttpServer {
 /// Outcome of one bounded read slice.
 enum SliceStep {
     Data(usize),
-    Eof,
+    /// End of stream, or a read error: either way the peer is gone.
+    Closed,
     TimedOutSlice,
-    Io,
 }
 
 /// One deadline-bounded read of at most 100 ms, so callers can
@@ -833,10 +815,10 @@ fn read_slice(stream: &mut TcpStream, tmp: &mut [u8], deadline: &Deadline) -> Sl
         .min(Duration::from_millis(100))
         .max(Duration::from_millis(1));
     if stream.set_read_timeout(Some(slice)).is_err() {
-        return SliceStep::Io;
+        return SliceStep::Closed;
     }
     match stream.read(tmp) {
-        Ok(0) => SliceStep::Eof,
+        Ok(0) => SliceStep::Closed,
         Ok(n) => SliceStep::Data(n),
         Err(e)
             if e.kind() == std::io::ErrorKind::WouldBlock
@@ -845,24 +827,18 @@ fn read_slice(stream: &mut TcpStream, tmp: &mut [u8], deadline: &Deadline) -> Sl
             SliceStep::TimedOutSlice
         }
         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => SliceStep::TimedOutSlice,
-        Err(_) => SliceStep::Io,
+        Err(_) => SliceStep::Closed,
     }
 }
 
-enum ReadStep {
-    Ready(RequestHead),
-    Protocol(ParseError),
-    TimedOut,
+/// Why an exchange ends before its request is fully read.
+enum Stop {
+    /// The peer closed, went idle, or the server is draining.
     Closed,
-    Io,
-}
-
-enum BodyStep {
-    /// Body fully buffered; the payload carries its length.
-    Ready(usize),
-    Protocol(ParseError),
+    /// The request's deadline ran out mid-read.
     TimedOut,
-    Closed,
+    /// The request is malformed.
+    Protocol(ParseError),
 }
 
 /// The reason phrase for every status this server emits.

@@ -54,6 +54,8 @@
 //! assert!(t2.rows[0].max <= 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod config;
 pub mod contribution;

@@ -224,8 +224,8 @@ impl std::error::Error for ServiceError {
 impl ServiceError {
     /// Every code [`ServiceError::code`] can produce, in variant
     /// declaration order. A wire-stability test pins this list: adding
-    /// a variant without extending it (and the serde impls below) is a
-    /// compile- or test-time error, never a silent wire change.
+    /// a variant without extending it is a compile- or test-time error,
+    /// never a silent wire change.
     pub const CODES: [&'static str; 10] = [
         "empty_query",
         "no_linked_entities",
@@ -240,9 +240,9 @@ impl ServiceError {
     ];
 
     /// The wire-stable machine-readable code for this error — the
-    /// discriminator the HTTP error body, the serde form, and the
-    /// `/statz` per-code counters all share. Codes never change
-    /// meaning; new variants append new codes.
+    /// discriminator the HTTP error body and the `/statz` per-code
+    /// counters share. Codes never change meaning; new variants append
+    /// new codes.
     pub fn code(&self) -> &'static str {
         match self {
             ServiceError::EmptyQuery => "empty_query",
@@ -272,133 +272,6 @@ impl ServiceError {
             ServiceError::Overloaded { .. } => Some(2),
             _ => None,
         }
-    }
-}
-
-// The wire form is a tagged object — `{"code": ..., fields...}` — with
-// exactly the fields of the variant. Hand-written because the offline
-// serde shim cannot derive data-carrying enums. The wrapped
-// [`OndiskError`] of the artifact variants crosses the wire as its
-// rendered message and is reconstructed as `OndiskError::Io(message)`:
-// artifact errors are operator diagnostics that never need structured
-// re-dispatch on the far side of a socket.
-impl Serialize for ServiceError {
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        // `Io` carries a plain message already — ship it bare so Io
-        // sources round-trip exactly; other variants ship rendered.
-        fn source_wire(source: &OndiskError) -> String {
-            match source {
-                OndiskError::Io(message) => message.clone(),
-                other => other.to_string(),
-            }
-        }
-        let mut fields: Vec<(String, Value)> =
-            vec![("code".to_string(), Value::Str(self.code().to_string()))];
-        let mut push = |name: &str, value: Value| fields.push((name.to_string(), value));
-        match self {
-            ServiceError::EmptyQuery | ServiceError::NoEngine => {}
-            ServiceError::NoLinkedEntities { query } => {
-                push("query", Value::Str(query.clone()));
-            }
-            ServiceError::ArtifactMissing { path } => {
-                push("path", Value::Str(path.display().to_string()));
-            }
-            ServiceError::ArtifactLoad { path, source } => {
-                push("path", Value::Str(path.display().to_string()));
-                push("source", Value::Str(source_wire(source)));
-            }
-            ServiceError::ArtifactShard {
-                path,
-                shard,
-                source,
-            } => {
-                push("path", Value::Str(path.display().to_string()));
-                push("shard", Value::UInt(*shard as u64));
-                push("source", Value::Str(source_wire(source)));
-            }
-            ServiceError::ArtifactFingerprint {
-                path,
-                expected,
-                found,
-            } => {
-                push("path", Value::Str(path.display().to_string()));
-                push("expected", Value::UInt(*expected));
-                push("found", Value::UInt(*found));
-            }
-            ServiceError::ArtifactStale {
-                path,
-                indexed_docs,
-                corpus_docs,
-            } => {
-                push("path", Value::Str(path.display().to_string()));
-                push("indexed_docs", Value::UInt(*indexed_docs as u64));
-                push("corpus_docs", Value::UInt(*corpus_docs as u64));
-            }
-            ServiceError::Timeout {
-                elapsed_ms,
-                budget_ms,
-            } => {
-                push("elapsed_ms", Value::UInt(*elapsed_ms));
-                push("budget_ms", Value::UInt(*budget_ms));
-            }
-            ServiceError::Overloaded { queue_depth } => {
-                push("queue_depth", Value::UInt(*queue_depth as u64));
-            }
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for ServiceError {
-    fn from_value(v: &serde::Value) -> Result<ServiceError, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::expected("object", "ServiceError", v))?;
-        let field = |name: &str| serde::__private::field::<String>(entries, name, "ServiceError");
-        let path = || field("path").map(PathBuf::from);
-        let source = || field("source").map(OndiskError::Io);
-        let code = field("code")?;
-        Ok(match code.as_str() {
-            "empty_query" => ServiceError::EmptyQuery,
-            "no_linked_entities" => ServiceError::NoLinkedEntities {
-                query: field("query")?,
-            },
-            "no_engine" => ServiceError::NoEngine,
-            "artifact_missing" => ServiceError::ArtifactMissing { path: path()? },
-            "artifact_load" => ServiceError::ArtifactLoad {
-                path: path()?,
-                source: source()?,
-            },
-            "artifact_shard" => ServiceError::ArtifactShard {
-                path: path()?,
-                shard: serde::__private::field(entries, "shard", "ServiceError")?,
-                source: source()?,
-            },
-            "artifact_fingerprint" => ServiceError::ArtifactFingerprint {
-                path: path()?,
-                expected: serde::__private::field(entries, "expected", "ServiceError")?,
-                found: serde::__private::field(entries, "found", "ServiceError")?,
-            },
-            "artifact_stale" => ServiceError::ArtifactStale {
-                path: path()?,
-                indexed_docs: serde::__private::field(entries, "indexed_docs", "ServiceError")?,
-                corpus_docs: serde::__private::field(entries, "corpus_docs", "ServiceError")?,
-            },
-            "timeout" => ServiceError::Timeout {
-                elapsed_ms: serde::__private::field(entries, "elapsed_ms", "ServiceError")?,
-                budget_ms: serde::__private::field(entries, "budget_ms", "ServiceError")?,
-            },
-            "overloaded" => ServiceError::Overloaded {
-                queue_depth: serde::__private::field(entries, "queue_depth", "ServiceError")?,
-            },
-            other => {
-                return Err(serde::Error(format!(
-                    "unknown ServiceError code {other:?} (known: {})",
-                    ServiceError::CODES.join(", ")
-                )))
-            }
-        })
     }
 }
 
@@ -1016,8 +889,7 @@ impl ServingWorld {
     /// [`WorldOptions`] through the one strict loader,
     /// [`cache::load_store_engine`]: `shards` picks the `shards`-segment
     /// store ([`cache::store_dir`]: manifest + segments, segments in
-    /// parallel, typed per-shard errors); `mmap` maps segment bytes
-    /// instead of reading them.
+    /// parallel, typed per-shard errors).
     pub fn load_with_options(
         config: &ExperimentConfig,
         cache_dir: &std::path::Path,
@@ -1028,14 +900,8 @@ impl ServingWorld {
         let wiki = generate(&config.wiki);
         let world_seconds = t0.elapsed().as_secs_f64();
         let t = Instant::now();
-        let (engine, store, shard_load_seconds) = cache::load_store_engine(
-            config,
-            cache_dir,
-            options.shard_count(),
-            None,
-            lm,
-            options.source(),
-        )?;
+        let (engine, store, shard_load_seconds) =
+            cache::load_store_engine(config, cache_dir, options.shard_count(), None, lm)?;
         let stats = crate::cache::BuildStats {
             world_seconds,
             index_build_seconds: 0.0,
@@ -1069,7 +935,7 @@ impl ServingWorld {
     }
 
     /// [`ServingWorld::open`] with explicit Dirichlet smoothing and
-    /// [`WorldOptions`] — the `--shards N` / `--mmap` knobs of the
+    /// [`WorldOptions`] — the `--shards N` knob of the
     /// `qgx` server — also returning the synthetic corpus the open path
     /// regenerates anyway (for the staleness cross-check and cache-miss
     /// indexing), so a caller that serves the generated queries need
@@ -1513,24 +1379,11 @@ mod tests {
     }
 
     #[test]
-    fn every_variant_displays_and_round_trips_through_serde() {
+    fn every_variant_displays() {
         for sample in every_variant() {
             // Display must be non-empty and mention the interesting
             // payload (spot-checked per variant below).
-            let rendered = sample.to_string();
-            assert!(!rendered.is_empty());
-            let json = serde_json::to_string(&sample).expect("error serializes");
-            assert!(
-                json.contains(&format!("\"code\":\"{}\"", sample.code())),
-                "{json}"
-            );
-            let back: ServiceError = serde_json::from_str(&json).expect("error parses");
-            // Samples carry `Io` sources, so the round trip is exact for
-            // every variant (non-Io artifact sources come back as
-            // `OndiskError::Io(rendered message)` — see the impl note).
-            assert_eq!(back, sample);
-            assert_eq!(back.code(), sample.code());
-            assert_eq!(back.to_string(), rendered);
+            assert!(!sample.to_string().is_empty());
         }
         // Display spot checks: the operator-facing payload is in the text.
         assert!(ServiceError::Timeout {
@@ -1542,39 +1395,6 @@ mod tests {
         assert!(ServiceError::Overloaded { queue_depth: 64 }
             .to_string()
             .contains("64"));
-    }
-
-    #[test]
-    fn non_io_artifact_sources_keep_code_and_message_on_the_wire() {
-        let original = ServiceError::ArtifactLoad {
-            path: PathBuf::from("/cache/a.qgidx"),
-            source: OndiskError::ChecksumMismatch { section: "header" },
-        };
-        let json = serde_json::to_string(&original).unwrap();
-        let back: ServiceError = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.code(), original.code());
-        match back {
-            ServiceError::ArtifactLoad { path, source } => {
-                assert_eq!(path, PathBuf::from("/cache/a.qgidx"));
-                // The structured source degrades to its rendered
-                // message, never silently to nothing.
-                assert_eq!(
-                    source.to_string(),
-                    format!(
-                        "index artifact io error: {}",
-                        OndiskError::ChecksumMismatch { section: "header" }
-                    )
-                );
-            }
-            other => panic!("wrong variant after round trip: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn unknown_wire_code_is_rejected_with_the_known_list() {
-        let err = serde_json::from_str::<ServiceError>("{\"code\":\"bogus\"}").unwrap_err();
-        assert!(err.to_string().contains("bogus"));
-        assert!(err.to_string().contains("timeout"), "lists known codes");
     }
 
     #[test]

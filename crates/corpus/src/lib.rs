@@ -39,6 +39,8 @@
 //! assert!(text.contains("Gondola photo"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod document;
 pub mod imageclef;
 pub mod ingest;

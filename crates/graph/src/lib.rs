@@ -37,6 +37,8 @@
 //! assert_eq!(cycles[0].nodes.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod components;
 pub mod csr;

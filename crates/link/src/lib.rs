@@ -23,6 +23,8 @@
 //! assert!(titles.contains(&"Venice"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dictionary;
 pub mod linker;
 pub mod mention;

@@ -37,8 +37,6 @@
 //!   processes, byte-identical to the in-process engine).
 //! * [`par`] — the deterministic work-stealing [`par::parallel_map`]
 //!   runner (shared with `core::pipeline`, which re-exports it).
-//! * [`mmap`] — opt-in read-only file mapping behind
-//!   [`ondisk::ArtifactSource::Mmap`], with read fallback.
 //! * [`workspace`] — [`workspace::ScoreWorkspace`]: the hill climb's
 //!   fast path. Resolves each title phrase once, precomputes per-leaf
 //!   per-document log-beliefs, and scores candidate title sets without
@@ -47,8 +45,9 @@
 //!   engine.
 //! * [`ondisk`] — a versioned on-disk artifact for the whole retrieval
 //!   state (term dictionary, postings buffers, per-doc stats, phrase
-//!   dictionary) with checksummed sections and a zero-copy loader, so
-//!   paper-scale worlds are indexed once and reloaded across runs.
+//!   dictionary) with checksummed sections and a zero-copy loader (one
+//!   heap read, every postings list a view into it), so paper-scale
+//!   worlds are indexed once and reloaded across runs.
 //! * [`metrics`] — top-r precision `P(A, r, D)` and the averaged
 //!   quality `O(A, D)` of the paper's Eq. 1 (R = {1, 5, 10, 15}).
 //! * [`stats`] — five-number summaries (min/quartiles/max) used by
@@ -68,12 +67,13 @@
 //! assert_eq!(hits[0].doc, 0); // exact phrase + term beats scattered terms
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod engine;
 pub mod index;
 pub mod lm;
 pub mod metrics;
-pub mod mmap;
 pub mod ondisk;
 pub mod par;
 pub mod phrase;

@@ -7,8 +7,8 @@
 //! per-document statistics, and the phrase dictionary — into a single
 //! binary artifact, and loads it back by wrapping the file bytes in one
 //! [`bytes::Bytes`] buffer: every postings list becomes an
-//! offset/length *view* into that buffer (mmap-shaped; no per-term
-//! reallocation or re-encoding).
+//! offset/length *view* into that buffer (no per-term reallocation or
+//! re-encoding).
 //!
 //! ## Layout (all integers little-endian)
 //!
@@ -277,12 +277,11 @@ pub fn save_index(
 
 /// Write `bytes` to `path` via a same-directory temp file + rename.
 ///
-/// Never truncates or mutates the destination inode in place: a
-/// concurrent reader — in particular a long-lived server that
-/// *memory-mapped* the old artifact ([`ArtifactSource::Mmap`]) — keeps
-/// its old inode alive and intact, instead of having pages shrink
-/// (SIGBUS) or silently change under an already-validated mapping.
-/// Also means a crashed write leaves the old artifact, not half a new
+/// Never truncates or rewrites the destination in place: that would
+/// let a concurrent reader — a live server loading segments from the
+/// same store — read a half-written file, whereas a rename swaps the
+/// whole new file in at once and leaves an already-open old one
+/// intact. A crash mid-write leaves the old artifact, not half a new
 /// one.
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
@@ -379,55 +378,24 @@ fn encode_phrases(phrases: &[PhraseCacheEntry]) -> Vec<u8> {
 
 // ─── loading ────────────────────────────────────────────────────────
 
-/// How artifact bytes reach memory.
+/// How artifact bytes reach memory: always one heap read.
 ///
-/// The format is offset/length-shaped precisely so the buffer's origin
-/// doesn't matter: every postings list is a view into one `Bytes`,
-/// whether that wraps a heap read or a mapped file.
+/// Held for the repo benchmark, which still passes it to
+/// [`crate::segstore::load_generation`] and [`crate::segstore::compact`];
+/// the next change to the benchmark drops it with that argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ArtifactSource {
-    /// Read the whole file into memory once (the default).
+    /// Read the whole file into memory once.
     #[default]
     Read,
-    /// Memory-map the file (opt-in; unix only). Falls back to
-    /// [`ArtifactSource::Read`] on **any** mapping error — including
-    /// unsupported platforms — so the knob can only change paging
-    /// behaviour, never correctness or availability.
-    Mmap,
 }
 
-impl ArtifactSource {
-    /// Lower-case name for logs and records.
-    pub fn name(self) -> &'static str {
-        match self {
-            ArtifactSource::Read => "read",
-            ArtifactSource::Mmap => "mmap",
-        }
-    }
-}
-
-/// The artifact's bytes via the selected source. `Mmap` falls back to a
-/// plain read on any error.
-pub fn artifact_bytes(path: &Path, source: ArtifactSource) -> Result<Bytes, OndiskError> {
-    if source == ArtifactSource::Mmap {
-        if let Ok(bytes) = crate::mmap::map_file(path) {
-            return Ok(bytes);
-        }
-    }
-    let data = std::fs::read(path).map_err(|e| OndiskError::Io(e.to_string()))?;
-    Ok(Bytes::from(data))
-}
-
-/// Load an artifact from `path`. IO failures map to [`OndiskError::Io`].
+/// Load an artifact from `path`: the file is read into one buffer and
+/// every postings list becomes a view into it. IO failures map to
+/// [`OndiskError::Io`].
 pub fn load_index(path: &Path) -> Result<LoadedIndex, OndiskError> {
-    load_index_with(path, ArtifactSource::Read)
-}
-
-/// [`load_index`] with an explicit byte source ([`ArtifactSource`]).
-/// With `Mmap`, postings become zero-copy views into the mapping —
-/// pages fault in on demand instead of being copied up front.
-pub fn load_index_with(path: &Path, source: ArtifactSource) -> Result<LoadedIndex, OndiskError> {
-    load_index_bytes(artifact_bytes(path, source)?)
+    let data = std::fs::read(path).map_err(|e| OndiskError::Io(e.to_string()))?;
+    load_index_bytes(Bytes::from(data))
 }
 
 /// The header checksum of the artifact at `path`, validated, reading

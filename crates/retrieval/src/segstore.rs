@@ -42,7 +42,7 @@ use crate::engine::{PhraseCacheEntry, SearchEngine};
 use crate::index::{self, InvertedIndex};
 use crate::lm::LmParams;
 use crate::ondisk::{
-    encode_index, fnv1a, load_index_with, read_header_checksum, write_atomic, ArtifactSource,
+    encode_index, fnv1a, load_index, read_header_checksum, write_atomic, ArtifactSource,
     LoadedIndex, OndiskError,
 };
 use crate::par::parallel_map;
@@ -458,17 +458,18 @@ fn segment_engine(loaded: LoadedIndex, params: LmParams) -> SearchEngine {
 /// `QGIX` loader and pinned to its manifest slot via [`segment_fp`], and
 /// the first failure in manifest order is the one reported. A
 /// generation no engine could serve is a typed manifest error
-/// ([`Manifest::check_servable`]).
+/// ([`Manifest::check_servable`]). `_source` has one value and is held
+/// for the repo benchmark's callers ([`ArtifactSource`]).
 pub fn load_generation(
     dir: &Path,
     expected_fingerprint: u64,
-    source: ArtifactSource,
+    _source: ArtifactSource,
 ) -> Result<Option<LoadedGeneration>, SegStoreError> {
     let Some(manifest) = read_manifest(dir, expected_fingerprint)? else {
         return Ok(None);
     };
     let (segments, segment_load_seconds) = load_listed(&manifest, |meta| {
-        load_segment(dir, manifest.fingerprint, meta, source)
+        load_segment(dir, manifest.fingerprint, meta)
     })?
     .into_iter()
     .unzip();
@@ -519,9 +520,8 @@ fn load_segment(
     dir: &Path,
     store_fingerprint: u64,
     meta: &SegmentMeta,
-    source: ArtifactSource,
 ) -> Result<LoadedIndex, OndiskError> {
-    let loaded = load_index_with(&dir.join(segment_file(meta.seq)), source)?;
+    let loaded = load_index(&dir.join(segment_file(meta.seq)))?;
     let want = segment_fp(store_fingerprint, meta.seq);
     if loaded.meta_fingerprint != want {
         return Err(OndiskError::MetaMismatch {
@@ -593,12 +593,11 @@ impl HeldSegments {
         &mut self,
         dir: &Path,
         manifest: &Manifest,
-        source: ArtifactSource,
         params: LmParams,
     ) -> Result<SharedGeneration, SegStoreError> {
         let resolved = load_listed(manifest, |meta| match self.reusable(dir, meta) {
             Some(held) => Ok((held, false)),
-            None => load_segment(dir, manifest.fingerprint, meta, source)
+            None => load_segment(dir, manifest.fingerprint, meta)
                 .map(|fresh| (HeldSegment::wrap(fresh, params), true)),
         })?;
         let loaded = resolved.iter().filter(|((_, fresh), _)| *fresh).count();
@@ -704,7 +703,9 @@ fn reslice_one(segments: &[&InvertedIndex], bases: &[usize], range: Range<usize>
 /// Compact the store in place: load the current generation, reslice it
 /// into `shards` segments, stage them, and atomically replace the live
 /// set. Returns the new manifest's generation fingerprint. No-op
-/// (returns `None`) when the store has never published.
+/// (returns `None`) when the store has never published. `source` has
+/// one value and is held for the repo benchmark's callers
+/// ([`ArtifactSource`]).
 pub fn compact(
     store: &mut SegStore,
     shards: usize,
@@ -1271,7 +1272,7 @@ mod tests {
 
     fn load_held(held: &mut HeldSegments, dir: &Path, fp: u64) -> SharedGeneration {
         let manifest = read_manifest(dir, fp).expect("reads").expect("published");
-        held.load(dir, &manifest, ArtifactSource::Read, LmParams::default())
+        held.load(dir, &manifest, LmParams::default())
             .expect("loads")
     }
 
@@ -1378,7 +1379,7 @@ mod tests {
         let bytes = std::fs::read(&segment).expect("segment exists");
         std::fs::write(&segment, b"torn").expect("tear segment");
         let manifest = store.manifest().clone();
-        match held.load(&dir, &manifest, ArtifactSource::Read, LmParams::default()) {
+        match held.load(&dir, &manifest, LmParams::default()) {
             Err(SegStoreError::Segment { seq: 5, .. }) => {}
             other => panic!(
                 "expected segment 5 to fail, got {:?}",

@@ -25,6 +25,8 @@
 //! assert_eq!(toks[2].position, 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod interner;
 pub mod ngram;
 pub mod normalize;

@@ -33,6 +33,8 @@
 //! assert!(kb.categories_of(venice).len() >= 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod fixture;
 pub mod kb;

@@ -13,7 +13,7 @@ use querygraph::core::experiment::{Experiment, ExperimentConfig};
 use querygraph::core::service::{ServiceError, ServingWorld};
 use querygraph::retrieval::backend::AnyEngine;
 use querygraph::retrieval::lm::LmParams;
-use querygraph::retrieval::ondisk::{fnv1a, ArtifactSource};
+use querygraph::retrieval::ondisk::fnv1a;
 use querygraph::retrieval::segstore::{self, Manifest};
 use std::path::{Path, PathBuf};
 
@@ -57,14 +57,7 @@ fn load(
     dir: &Path,
     corpus_docs: Option<usize>,
 ) -> Result<(AnyEngine, Manifest, Vec<f64>), ServiceError> {
-    load_store_engine(
-        config,
-        dir,
-        1,
-        corpus_docs,
-        LmParams::default(),
-        ArtifactSource::Read,
-    )
+    load_store_engine(config, dir, 1, corpus_docs, LmParams::default())
 }
 
 /// Built-vs-loaded report fingerprints for one configuration.

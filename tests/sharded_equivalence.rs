@@ -1,6 +1,6 @@
 //! Sharding must be invisible in the science: the `ShardedEngine`'s
-//! scatter-gather, the segmented artifact layout, and mmap-backed
-//! loading may change *where bytes live*, never *what is computed*.
+//! scatter-gather and the segmented artifact layout may change *where
+//! bytes live*, never *what is computed*.
 //!
 //! Three layers of protection:
 //!
@@ -10,8 +10,7 @@
 //!   configurations. CI's `shard-smoke` job runs these.
 //! * **Property tests** — randomized micro worlds run through the full
 //!   pipeline at N ∈ {1, 2, 3, 7} shards and must serialize
-//!   byte-identical `Report`s; mmap-loaded worlds must answer
-//!   byte-identically to read-loaded ones; the seed tier serves
+//!   byte-identical `Report`s; the seed tier serves
 //!   identically in exact and pruned mode at one and four shards.
 //! * **Corruption fuzz** — flipping bytes in one shard segment must
 //!   surface as a typed `ServiceError::ArtifactShard` *naming that
@@ -193,39 +192,6 @@ fn corrupt_segment_surfaces_typed_per_shard_error() {
         ServingWorld::load_with_options(&config, &dir, LmParams::default(), &options),
         Err(ServiceError::ArtifactMissing { .. })
     ));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Mmap-backed loading is invisible: a world loaded with `--mmap`
-/// serves byte-identical responses to one loaded by reading, for both
-/// layouts; on any mapping problem the loader falls back to reading.
-#[test]
-fn mmap_loaded_worlds_serve_identically() {
-    let dir = temp_dir("mmap");
-    let config = micro_config(59, 61, 4, 2);
-    for (label, options) in [
-        ("mono", WorldOptions::default()),
-        ("sharded", WorldOptions::sharded(2)),
-    ] {
-        let mut mmap_options = options;
-        mmap_options.mmap = true;
-        // Cold build + persist with the plain options.
-        ServingWorld::open_with_options(&config, Some(&dir), LmParams::default(), &options);
-        let read = ServingWorld::load_with_options(&config, &dir, LmParams::default(), &options)
-            .expect("read load");
-        let mapped =
-            ServingWorld::load_with_options(&config, &dir, LmParams::default(), &mmap_options)
-                .expect("mmap load");
-        for article in read.wiki.kb.main_articles().take(4) {
-            let request = ExpansionRequest::new(read.wiki.kb.title(article)).with_retrieval(10);
-            assert_eq!(
-                read.expander().expand(&request),
-                mapped.expander().expand(&request),
-                "{label}: mmap-loaded expansion diverged for {:?}",
-                request.text
-            );
-        }
-    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
