@@ -4,10 +4,10 @@
 //!
 //! ```text
 //! qgx serve   --listen <addr>  [world flags] [--workers n] [--queue n]
-//!             [--deadline-ms n] [--keep-alive n] [--shard-procs n]
+//!             [--keep-alive n]
 //! qgx replay  [world flags] [--queries f | --seed-queries] [--repeat n]
-//!             [--deadline-ms n] [--json] [--shard-procs n]
-//! qgx client  --connect <addr> [--healthz | --statz | --flood n |
+//!             [--json]
+//! qgx client  --connect <addr> [--healthz | --statz | --flood n [--query text] |
 //!             --query text | --queries f | --seed-queries [tier flags]]
 //!             [--repeat n] [--top-k k] [--max-features n] [--timeout-ms n]
 //! qgx shard   --segstore <dir> --seq <s> --shard <i> --fingerprint <fp>
@@ -18,7 +18,14 @@
 //! qgx compact --segstore <dir> [tier flags] [--shards n]
 //! ```
 //!
-//! This file is flag parsing and HTTP / replay / client wiring; how a
+//! Tier flags: `--tiny | --quick | --stress [--quick] | --track
+//! [--quick]`. Each subcommand parses its argv once
+//! (`querygraph_bench::Args`) against its own flag table: an unknown or
+//! repeated flag, a missing operand (an operand never starts with
+//! `--`), conflicting tier flags, or `--shards 0` exits 2 before any
+//! work.
+//!
+//! This file is flag tables and HTTP / replay / client wiring; how a
 //! world boots and how a segment store is served live in
 //! `querygraph_bench::serving`. `qgx` writes no record files: what it
 //! did goes to stderr as counts, and a live server's account is
@@ -73,61 +80,56 @@
 //! --queries/--repeat/--flood` is the operator's tool against a
 //! `--connect` address.
 //!
-//! World flags (shared by `serve` and `replay`): `--tiny | --quick |
-//! --stress [--quick] | --track`, `--index-cache <dir>`, `--shards <n>`,
-//! `--segstore <dir>`, `--strategy cycles|links|none`,
-//! `--max-features <n>`, `--top-k <k>`, `--expansion-cache <n>`.
-//! Retrieval always runs the block-max pruned top-k (DESIGN.md §11).
+//! World flags (shared by `serve` and `replay`): the tier flags,
+//! `--index-cache <dir>`, `--shards <n>`, `--segstore <dir>`,
+//! `--strategy cycles|links|none`, `--max-features <n>`, `--top-k <k>`,
+//! `--expansion-cache <n>` (0: no cache), `--deadline-ms <n>`,
+//! `--shard-procs <n>`. Retrieval always runs the block-max pruned
+//! top-k (DESIGN.md §11).
 
 use querygraph_bench::serving::{self, log_line};
-use querygraph_bench::{flag_operand, flag_usize, reject_unknown_flags, CliOptions};
+use querygraph_bench::{Args, CliError, CliOptions, Flag, Hex, TIER_FLAGS};
 use querygraph_core::expcache::ExpansionCache;
 use querygraph_core::http::{self, HttpServer, ServerConfig};
 use querygraph_core::service::{
     Deadline, ExpansionRequest, ExpansionResponse, ExpansionStrategy, QueryExpander,
     QueryExpanderBuilder, ServiceError,
 };
+use querygraph_core::ExperimentConfig;
 use std::io::{BufRead, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Flags selecting and tuning the served world, shared by `serve` and
 /// `replay` (each subcommand adds its own on top).
-const WORLD_FLAGS: [(&str, bool); 10] = [
-    ("--tiny", false),
-    ("--quick", false),
-    ("--stress", false),
-    ("--track", false),
+const WORLD: [Flag; 9] = [
     ("--index-cache", true),
     ("--segstore", true),
     ("--shards", true),
     ("--strategy", true),
     ("--max-features", true),
     ("--top-k", true),
+    ("--expansion-cache", true),
+    ("--deadline-ms", true),
+    ("--shard-procs", true),
 ];
 
-const REPLAY_FLAGS: [(&str, bool); 7] = [
+const REPLAY: [Flag; 4] = [
     ("--queries", true),
     ("--seed-queries", false),
     ("--repeat", true),
-    ("--deadline-ms", true),
-    ("--expansion-cache", true),
     ("--json", false),
-    ("--shard-procs", true),
 ];
 
-const SERVE_FLAGS: [(&str, bool); 7] = [
+const SERVE: [Flag; 4] = [
     ("--listen", true),
     ("--workers", true),
     ("--queue", true),
-    ("--deadline-ms", true),
     ("--keep-alive", true),
-    ("--expansion-cache", true),
-    ("--shard-procs", true),
 ];
 
-const SHARD_FLAGS: [(&str, bool); 5] = [
+const SHARD: [Flag; 5] = [
     ("--segstore", true),
     ("--seq", true),
     ("--shard", true),
@@ -135,37 +137,18 @@ const SHARD_FLAGS: [(&str, bool); 5] = [
     ("--listen", true),
 ];
 
-const DUMP_FLAGS: [(&str, bool); 7] = [
-    ("--tiny", false),
-    ("--quick", false),
-    ("--stress", false),
-    ("--track", false),
-    ("--out", true),
-    ("--skip", true),
-    ("--docs", true),
-];
+const DUMP: [Flag; 3] = [("--out", true), ("--skip", true), ("--docs", true)];
 
-const INGEST_FLAGS: [(&str, bool); 8] = [
-    ("--tiny", false),
-    ("--quick", false),
-    ("--stress", false),
-    ("--track", false),
+const INGEST: [Flag; 4] = [
     ("--dump", true),
     ("--segstore", true),
     ("--batch-docs", true),
     ("--compact", true),
 ];
 
-const COMPACT_FLAGS: [(&str, bool); 6] = [
-    ("--tiny", false),
-    ("--quick", false),
-    ("--stress", false),
-    ("--track", false),
-    ("--segstore", true),
-    ("--shards", true),
-];
+const COMPACT: [Flag; 2] = [("--segstore", true), ("--shards", true)];
 
-const CLIENT_FLAGS: [(&str, bool); 15] = [
+const CLIENT: [Flag; 11] = [
     ("--connect", true),
     ("--timeout-ms", true),
     ("--healthz", false),
@@ -177,40 +160,38 @@ const CLIENT_FLAGS: [(&str, bool); 15] = [
     ("--repeat", true),
     ("--top-k", true),
     ("--max-features", true),
-    ("--tiny", false),
-    ("--quick", false),
-    ("--stress", false),
-    ("--track", false),
 ];
 
-const SUBCOMMANDS: &str = "serve | replay | client | shard | dump | ingest | compact";
+/// A subcommand's body.
+type Run = fn(&Args) -> Result<(), CliError>;
+
+/// Each subcommand with its flag table and its body.
+const SUBCOMMANDS: [(&str, &[&[Flag]], Run); 7] = [
+    ("serve", &[&TIER_FLAGS, &WORLD, &SERVE], run_serve),
+    ("replay", &[&TIER_FLAGS, &WORLD, &REPLAY], run_replay),
+    ("client", &[&TIER_FLAGS, &CLIENT], run_client),
+    ("shard", &[&SHARD], run_shard),
+    ("dump", &[&TIER_FLAGS, &DUMP], run_dump),
+    ("ingest", &[&TIER_FLAGS, &INGEST], run_ingest),
+    ("compact", &[&TIER_FLAGS, &COMPACT], run_compact),
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    match args.get(1).map(String::as_str) {
-        Some("serve") => run_serve(&without_subcommand(&args)),
-        Some("replay") => run_replay(&without_subcommand(&args)),
-        Some("client") => run_client(&without_subcommand(&args)),
-        Some("shard") => run_shard(&without_subcommand(&args)),
-        Some("dump") => run_dump(&without_subcommand(&args)),
-        Some("ingest") => run_ingest(&without_subcommand(&args)),
-        Some("compact") => run_compact(&without_subcommand(&args)),
-        Some(other) if !other.starts_with("--") => {
-            eprintln!("error: unknown subcommand {other:?} ({SUBCOMMANDS})");
-            std::process::exit(2);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let names: Vec<&str> = SUBCOMMANDS.iter().map(|(name, ..)| *name).collect();
+    let names = names.join(" | ");
+    let result = match argv.first() {
+        Some(name) if !name.starts_with("--") => {
+            match SUBCOMMANDS.iter().find(|(known, ..)| known == name) {
+                Some((_, table, run)) => Args::parse(&argv[1..], table).and_then(|args| run(&args)),
+                None => Err(CliError(format!("unknown subcommand {name:?} ({names})"))),
+            }
         }
-        _ => {
-            eprintln!("error: qgx needs a subcommand ({SUBCOMMANDS})");
-            std::process::exit(2);
-        }
+        _ => Err(CliError(format!("qgx needs a subcommand ({names})"))),
+    };
+    if let Err(e) = result {
+        e.exit();
     }
-}
-
-/// Drop `argv[1]` (the subcommand) so flag parsing sees only flags.
-fn without_subcommand(args: &[String]) -> Vec<String> {
-    let mut out = vec![args[0].clone()];
-    out.extend_from_slice(&args[2..]);
-    out
 }
 
 /// The expander knobs shared by `serve` and `replay`.
@@ -222,20 +203,20 @@ struct ExpanderOptions {
 }
 
 impl ExpanderOptions {
-    fn from_args(args: &[String]) -> ExpanderOptions {
-        let strategy = match flag_operand(args, "--strategy") {
+    fn from_args(args: &Args) -> Result<ExpanderOptions, CliError> {
+        let strategy = match args.operand("--strategy") {
             None => ExpansionStrategy::default(),
-            Some(name) => ExpansionStrategy::parse(&name).unwrap_or_else(|| {
-                eprintln!("error: unknown --strategy {name:?} (cycles|links|none)");
-                std::process::exit(2);
-            }),
+            Some(name) => ExpansionStrategy::parse(name).ok_or_else(|| {
+                CliError(format!("unknown --strategy {name:?} (cycles|links|none)"))
+            })?,
         };
-        ExpanderOptions {
+        Ok(ExpanderOptions {
             strategy,
-            max_features: flag_usize(args, "--max-features"),
-            top_k: flag_usize(args, "--top-k").unwrap_or(0),
-            expansion_cache: flag_usize(args, "--expansion-cache"),
-        }
+            max_features: args.get("--max-features")?,
+            top_k: args.get("--top-k")?.unwrap_or(0),
+            // A zero-entry cache is no cache.
+            expansion_cache: args.get("--expansion-cache")?.filter(|&n| n > 0),
+        })
     }
 
     /// The builder these knobs select (cache attached separately so
@@ -258,32 +239,26 @@ impl ExpanderOptions {
 /// Boot the world the flags select through `serving::boot` and log the
 /// one boot line. Flag combinations are refused (exit 2) before any boot
 /// work, so a usage error costs nothing even at `--stress`.
-fn boot(
-    args: &[String],
-    cli: &CliOptions,
-    ex: &ExpanderOptions,
-    want_corpus: bool,
-) -> serving::World {
-    let segstore = flag_operand(args, "--segstore").map(PathBuf::from);
-    let shard_procs = flag_usize(args, "--shard-procs").filter(|&n| n > 0);
-    let refuse = |message: String| -> ! {
-        eprintln!("error: {message}");
-        std::process::exit(2);
-    };
+fn boot(args: &Args, ex: &ExpanderOptions, want_corpus: bool) -> Result<serving::World, CliError> {
+    let cli = CliOptions::from_args(args)?;
+    let segstore: Option<PathBuf> = args.get("--segstore")?;
+    let shard_procs = args.get("--shard-procs")?.filter(|&n| n > 0);
     if segstore.is_some() && (cli.index_cache.is_some() || cli.shards.is_some()) {
-        refuse("--segstore is its own index source; drop --index-cache/--shards".into());
+        return Err(CliError(
+            "--segstore is its own index source; drop --index-cache/--shards".into(),
+        ));
     }
     if let (Some(n), None) = (shard_procs, &segstore) {
         if cli.index_cache.is_none() {
-            refuse(
+            return Err(CliError(
                 "--shard-procs requires --index-cache (children load QGIX segments from it)".into(),
-            );
+            ));
         }
         if cli.world_options().shard_count() != n {
-            refuse(format!(
+            return Err(CliError(format!(
                 "--shard-procs {n} requires --shards {n} \
                  (the width of the cache store the children serve; --shards defaults to 1)"
-            ));
+            )));
         }
     }
     let fleet = shard_procs.map(|n| {
@@ -293,7 +268,7 @@ fn boot(
         });
         (n, exe)
     });
-    let world = serving::boot(cli, segstore.as_deref(), fleet, want_corpus).unwrap_or_else(
+    let world = serving::boot(&cli, segstore.as_deref(), fleet, want_corpus).unwrap_or_else(
         |(code, message)| {
             eprintln!("error: {message}");
             std::process::exit(code);
@@ -315,37 +290,32 @@ fn boot(
             .map(|n| n.to_string())
             .unwrap_or_else(|| "off".to_string()),
     ));
-    world
+    Ok(world)
 }
 
 fn expansion_cache(ex: &ExpanderOptions) -> Option<Arc<ExpansionCache>> {
-    ex.expansion_cache
-        .filter(|&n| n > 0)
-        .map(|n| Arc::new(ExpansionCache::new(n)))
+    ex.expansion_cache.map(|n| Arc::new(ExpansionCache::new(n)))
 }
 
 // ---------------------------------------------------------------- serve
 
-fn run_serve(args: &[String]) {
-    let known: Vec<(&str, bool)> = WORLD_FLAGS.iter().chain(&SERVE_FLAGS).copied().collect();
-    reject_unknown_flags(args, &known, "qgx serve");
-    let cli = CliOptions::from_vec(args);
-    let ex = ExpanderOptions::from_args(args);
-    let listen = flag_operand(args, "--listen").unwrap_or_else(|| "127.0.0.1:8787".to_string());
-    let workers = flag_usize(args, "--workers").unwrap_or(4).max(1);
-    let queue_depth = flag_usize(args, "--queue").unwrap_or(128).max(1);
-    let deadline_ms = flag_usize(args, "--deadline-ms").unwrap_or(2000).max(1);
-    let keep_alive = flag_usize(args, "--keep-alive").unwrap_or(100).max(1);
+fn run_serve(args: &Args) -> Result<(), CliError> {
+    let ex = ExpanderOptions::from_args(args)?;
+    let listen = args.operand("--listen").unwrap_or("127.0.0.1:8787");
+    let workers = args.get("--workers")?.unwrap_or(4).max(1);
+    let queue_depth = args.get("--queue")?.unwrap_or(128).max(1);
+    let deadline_ms: u64 = args.get("--deadline-ms")?.unwrap_or(2000).max(1);
+    let keep_alive = args.get("--keep-alive")?.unwrap_or(100).max(1);
 
-    let world = boot(args, &cli, &ex, false);
+    let world = boot(args, &ex, false)?;
     let cache = expansion_cache(&ex);
     let expander = ex.builder(&cache).build_live(&world.wiki.kb, &world.slot);
 
     let server = HttpServer::bind(ServerConfig {
-        addr: listen.clone(),
+        addr: listen.to_string(),
         workers,
         queue_depth,
-        deadline: Duration::from_millis(deadline_ms as u64),
+        deadline: Duration::from_millis(deadline_ms),
         keep_alive_requests: keep_alive,
         limits: http::HttpLimits::default(),
     })
@@ -353,7 +323,9 @@ fn run_serve(args: &[String]) {
         eprintln!("error: cannot bind {listen}: {e}");
         std::process::exit(1);
     });
-    let addr = server.local_addr().map(|a| a.to_string()).unwrap_or(listen);
+    let addr = server
+        .local_addr()
+        .map_or_else(|_| listen.to_string(), |a| a.to_string());
     log_line(&format!(
         "# qgx: listening on {addr} ({workers} workers, queue {queue_depth}, \
          deadline {deadline_ms} ms, keep-alive {keep_alive})"
@@ -391,6 +363,7 @@ fn run_serve(args: &[String]) {
         statz.conn_p99_us,
     );
     report_cache(&cache);
+    Ok(())
 }
 
 /// The `# expansion cache: H/L hits` line, when a cache was attached.
@@ -410,24 +383,23 @@ fn report_cache(cache: &Option<Arc<ExpansionCache>>) {
 /// `qgx replay`: the in-process reference. Serves the workload
 /// sequentially, in order, printing one answer per request, and times
 /// nothing.
-fn run_replay(args: &[String]) {
-    let known: Vec<(&str, bool)> = WORLD_FLAGS.iter().chain(&REPLAY_FLAGS).copied().collect();
-    reject_unknown_flags(args, &known, "qgx replay");
-    let cli = CliOptions::from_vec(args);
-    let ex = ExpanderOptions::from_args(args);
-    let queries_file = flag_operand(args, "--queries");
-    let seed_queries = args.iter().any(|a| a == "--seed-queries");
-    if queries_file.is_some() && seed_queries {
+fn run_replay(args: &Args) -> Result<(), CliError> {
+    let ex = ExpanderOptions::from_args(args)?;
+    let seed_queries = args.has("--seed-queries");
+    if args.has("--queries") && seed_queries {
         // Two workload sources would mean silently serving one of
         // them — the failure class this CLI refuses throughout.
-        eprintln!("error: --queries and --seed-queries are mutually exclusive");
-        std::process::exit(2);
+        return Err(CliError(
+            "--queries and --seed-queries are mutually exclusive".into(),
+        ));
     }
-    let repeat = flag_usize(args, "--repeat").unwrap_or(1).max(1);
-    let json = args.iter().any(|a| a == "--json");
-    let deadline_ms = flag_usize(args, "--deadline-ms");
+    let repeat = args.get("--repeat")?.unwrap_or(1).max(1);
+    let json = args.has("--json");
+    let deadline_ms: Option<u64> = args.get("--deadline-ms")?;
+    // Read before the boot, so that a bad path costs no world build.
+    let file_queries = args.operand("--queries").map(read_query_file);
 
-    let world = boot(args, &cli, &ex, seed_queries);
+    let world = boot(args, &ex, seed_queries)?;
     let cache = expansion_cache(&ex);
     let expander = ex.builder(&cache).build_live(&world.wiki.kb, &world.slot);
     let mut tally = Tally::default();
@@ -436,8 +408,9 @@ fn run_replay(args: &[String]) {
     let mut answer = |text: &str| {
         let request = ExpansionRequest::new(text);
         let response = match deadline_ms {
-            Some(ms) => expander
-                .expand_deadlined(&request, Deadline::after(Duration::from_millis(ms as u64))),
+            Some(ms) => {
+                expander.expand_deadlined(&request, Deadline::after(Duration::from_millis(ms)))
+            }
             None => expander.expand(&request),
         };
         report(text, &response, json, &mut tally);
@@ -445,8 +418,8 @@ fn run_replay(args: &[String]) {
 
     // A fixed workload — a file or the tier's generated query set — is
     // optionally repeated; without one, stdin is served until EOF.
-    let workload: Option<Vec<String>> = match (&queries_file, &world.corpus) {
-        (Some(path), _) => Some(read_query_file(path)),
+    let workload: Option<Vec<String>> = match (file_queries, &world.corpus) {
+        (Some(queries), _) => Some(queries),
         (None, Some(corpus)) => Some(
             corpus
                 .queries
@@ -495,6 +468,7 @@ fn run_replay(args: &[String]) {
         tally.failures
     );
     report_cache(&cache);
+    Ok(())
 }
 
 /// One `#`-stripped nonempty query per line.
@@ -573,67 +547,78 @@ fn report(
 
 // --------------------------------------------------------------- client
 
-fn run_client(args: &[String]) {
-    reject_unknown_flags(args, &CLIENT_FLAGS, "qgx client");
-    let addr = flag_operand(args, "--connect").unwrap_or_else(|| "127.0.0.1:8787".to_string());
-    let timeout = Duration::from_millis(flag_usize(args, "--timeout-ms").unwrap_or(5000) as u64);
-
-    if args.iter().any(|a| a == "--healthz") {
-        match http::get(&addr, "/healthz", timeout) {
-            Ok(r) if r.status == 200 => {
-                print!("{}", r.body_text());
-            }
-            Ok(r) => {
-                eprintln!("error: /healthz answered {}", r.status);
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("error: {addr} unreachable: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
+fn run_client(args: &Args) -> Result<(), CliError> {
+    // One mode per invocation: silently serving one of two would hide
+    // the other. `--query` is a workload of its own, or `--flood`'s
+    // probe text.
+    let modes: Vec<&str> = "--healthz --statz --flood --queries --seed-queries"
+        .split(' ')
+        .filter(|mode| args.has(mode))
+        .collect();
+    if modes.is_empty() && !args.has("--query") {
+        return Err(CliError(
+            "qgx client needs --healthz, --statz, --flood, --query, --queries, or --seed-queries"
+                .into(),
+        ));
     }
-    if args.iter().any(|a| a == "--statz") {
-        match http::get(&addr, "/statz", timeout) {
-            Ok(r) if r.status == 200 => print!("{}", r.body_text()),
-            Ok(r) => {
-                eprintln!("error: /statz answered {}", r.status);
-                std::process::exit(1);
+    if modes.len() > 1 {
+        return Err(CliError(format!(
+            "{} are mutually exclusive (one mode per client run)",
+            modes.join(" and ")
+        )));
+    }
+    if args.has("--query") && !matches!(modes[..], [] | ["--flood"]) {
+        return Err(CliError(format!(
+            "--query cannot be combined with {} (only --flood takes it, as its probe text)",
+            modes[0]
+        )));
+    }
+    let addr = args.operand("--connect").unwrap_or("127.0.0.1:8787");
+    let timeout = Duration::from_millis(args.get("--timeout-ms")?.unwrap_or(5000));
+    let top_k: Option<usize> = args.get("--top-k")?;
+    let max_features: Option<usize> = args.get("--max-features")?;
+    let flood: Option<usize> = args.get("--flood")?;
+    let repeat = args.get("--repeat")?.unwrap_or(1).max(1);
+
+    for (flag, path) in [("--healthz", "/healthz"), ("--statz", "/statz")] {
+        if args.has(flag) {
+            match http::get(addr, path, timeout) {
+                Ok(r) if r.status == 200 => print!("{}", r.body_text()),
+                Ok(r) => {
+                    eprintln!("error: {path} answered {}", r.status);
+                    std::process::exit(1);
+                }
+                Err(e) => {
+                    eprintln!("error: {addr} unreachable: {e}");
+                    std::process::exit(1);
+                }
             }
-            Err(e) => {
-                eprintln!("error: {addr} unreachable: {e}");
-                std::process::exit(1);
-            }
+            return Ok(());
         }
-        return;
     }
 
     let request_json = |text: &str| {
         let mut request = ExpansionRequest::new(text);
-        if let Some(k) = flag_usize(args, "--top-k") {
+        if let Some(k) = top_k {
             request = request.with_retrieval(k);
         }
-        if let Some(n) = flag_usize(args, "--max-features") {
+        if let Some(n) = max_features {
             request = request.with_max_features(n);
         }
         serde_json::to_string(&request).expect("request serializes")
     };
 
-    if let Some(n) = flag_usize(args, "--flood") {
+    if let Some(n) = flood {
         // Forced overload: n concurrent one-shot connections. Every
         // one must get a clean, typed HTTP answer (200s and 503s both
         // count as clean; a hang, refused read, or malformed response
         // is a failure).
-        let text = flag_operand(args, "--query").unwrap_or_else(|| "flood probe".to_string());
-        let body = request_json(&text);
+        let body = request_json(args.operand("--query").unwrap_or("flood probe"));
         let outcomes: Vec<Result<u16, String>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n.max(1))
                 .map(|_| {
-                    let body = body.clone();
-                    let addr = addr.clone();
-                    scope.spawn(move || {
-                        http::post_json(&addr, "/expand", &body, timeout)
+                    scope.spawn(|| {
+                        http::post_json(addr, "/expand", &body, timeout)
                             .map(|r| r.status)
                             .map_err(|e| e.to_string())
                     })
@@ -669,24 +654,21 @@ fn run_client(args: &[String]) {
         if broken > 0 {
             std::process::exit(1);
         }
-        return;
+        return Ok(());
     }
 
     // Workload mode: one query, a file, or the tier's seed query set.
     // Response bodies stream to stdout exactly as received, so the
     // output is byte-identical to `qgx replay --json` on the same
     // workload against the same world.
-    let queries_file = flag_operand(args, "--queries");
-    let seed_queries = args.iter().any(|a| a == "--seed-queries");
-    let single = flag_operand(args, "--query");
-    let workload: Vec<String> = if let Some(text) = single {
-        vec![text]
-    } else if let Some(path) = queries_file {
-        read_query_file(&path)
-    } else if seed_queries {
-        // Regenerate the tier's query set client-side — cheap (no
+    let workload: Vec<String> = if let Some(text) = args.operand("--query") {
+        vec![text.to_string()]
+    } else if let Some(path) = args.operand("--queries") {
+        read_query_file(path)
+    } else {
+        // --seed-queries: regenerate the tier's query set client-side — cheap (no
         // index), and identical to what `replay --seed-queries` serves.
-        let config = CliOptions::from_vec(args).config();
+        let config = args.tier().config();
         let wiki = querygraph_wiki::synth::generate(&config.wiki);
         let corpus = querygraph_corpus::synth::generate_corpus(&wiki, &config.corpus);
         corpus
@@ -695,19 +677,14 @@ fn run_client(args: &[String]) {
             .iter()
             .map(|q| q.keywords.clone())
             .collect()
-    } else {
-        eprintln!("error: qgx client needs --healthz, --statz, --flood, --query, --queries, or --seed-queries");
-        std::process::exit(2);
     };
     if workload.is_empty() {
-        eprintln!("error: empty workload");
-        std::process::exit(2);
+        return Err(CliError("empty workload".into()));
     }
-    let repeat = flag_usize(args, "--repeat").unwrap_or(1).max(1);
     let stdout = std::io::stdout();
     for _ in 0..repeat {
         for text in &workload {
-            match http::post_json(&addr, "/expand", &request_json(text), timeout) {
+            match http::post_json(addr, "/expand", &request_json(text), timeout) {
                 Ok(response) => {
                     let mut out = stdout.lock();
                     out.write_all(&response.body).expect("stdout");
@@ -720,47 +697,26 @@ fn run_client(args: &[String]) {
             }
         }
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------- shard
 
-/// A required flag's operand, or a `exit 2` usage error — a shard
-/// child launched without its identity must refuse, not guess.
-fn require_flag(args: &[String], name: &str) -> String {
-    flag_operand(args, name).unwrap_or_else(|| {
-        eprintln!("error: this subcommand requires {name} <value>");
-        std::process::exit(2);
-    })
-}
-
 /// `qgx shard`: parse a fleet child's identity and run
 /// [`serving::run_shard`] — one segment served over QGRP until the
-/// supervisor's drain signal.
-fn run_shard(args: &[String]) {
-    reject_unknown_flags(args, &SHARD_FLAGS, "qgx shard");
-    let dir = require_flag(args, "--segstore");
-    let seq = require_flag(args, "--seq");
-    let seq: u64 = seq.parse().unwrap_or_else(|_| {
-        eprintln!("error: --seq must be a segment sequence number, got {seq:?}");
-        std::process::exit(2);
-    });
-    let shard = require_flag(args, "--shard");
-    let shard: usize = shard.parse().unwrap_or_else(|_| {
-        eprintln!("error: --shard must be a shard index, got {shard:?}");
-        std::process::exit(2);
-    });
-    let fingerprint = require_flag(args, "--fingerprint");
-    let fingerprint =
-        u64::from_str_radix(fingerprint.trim_start_matches("0x"), 16).unwrap_or_else(|_| {
-            eprintln!("error: --fingerprint must be a hex u64, got {fingerprint:?}");
-            std::process::exit(2);
-        });
-    let listen = flag_operand(args, "--listen").unwrap_or_else(|| "127.0.0.1:0".to_string());
-    if let Err(e) = serving::run_shard(std::path::Path::new(&dir), seq, shard, fingerprint, &listen)
-    {
+/// supervisor's drain signal. A child launched without its identity
+/// refuses rather than guesses.
+fn run_shard(args: &Args) -> Result<(), CliError> {
+    let dir: PathBuf = args.required("--segstore")?;
+    let seq = args.required("--seq")?;
+    let shard = args.required("--shard")?;
+    let Hex(fingerprint) = args.required("--fingerprint")?;
+    let listen = args.operand("--listen").unwrap_or("127.0.0.1:0");
+    if let Err(e) = serving::run_shard(&dir, seq, shard, fingerprint, listen) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
+    Ok(())
 }
 
 // ------------------------------------------- dump / ingest / compact
@@ -769,20 +725,18 @@ fn run_shard(args: &[String]) {
 /// XML dump. `--skip`/`--docs` slice the corpus in document order, so
 /// a world can be dumped in batches and ingested incrementally — the
 /// live-swap path's test fixture.
-fn run_dump(args: &[String]) {
-    reject_unknown_flags(args, &DUMP_FLAGS, "qgx dump");
-    let cli = CliOptions::from_vec(args);
-    let out = require_flag(args, "--out");
-    let skip = flag_usize(args, "--skip").unwrap_or(0);
-    let take = flag_usize(args, "--docs").unwrap_or(usize::MAX);
+fn run_dump(args: &Args) -> Result<(), CliError> {
+    let out: String = args.required("--out")?;
+    let skip = args.get("--skip")?.unwrap_or(0);
+    let take = args.get("--docs")?.unwrap_or(usize::MAX);
 
-    let config = cli.config();
+    let config = args.tier().config();
     let t = Instant::now();
     let wiki = querygraph_wiki::synth::generate(&config.wiki);
     let corpus = querygraph_corpus::synth::generate_corpus(&wiki, &config.corpus);
     let total = corpus.corpus.len();
-    let mut writer = querygraph_corpus::ingest::DumpWriter::create(std::path::Path::new(&out))
-        .unwrap_or_else(|e| {
+    let mut writer =
+        querygraph_corpus::ingest::DumpWriter::create(Path::new(&out)).unwrap_or_else(|e| {
             eprintln!("error: cannot create {out}: {e}");
             std::process::exit(1);
         });
@@ -801,17 +755,19 @@ fn run_dump(args: &[String]) {
         "# qgx: dumped {written} of {total} docs (skip {skip}) to {out} in {:.3}s",
         t.elapsed().as_secs_f64()
     );
+    Ok(())
 }
 
 /// Open the tier's segment store, pinned to the tier's world
 /// fingerprint.
-fn open_segstore(cli: &CliOptions, dir: &str) -> querygraph_retrieval::segstore::SegStore {
-    let fingerprint = querygraph_core::cache::config_fingerprint(&cli.config());
-    querygraph_retrieval::segstore::SegStore::open(std::path::Path::new(dir), fingerprint)
-        .unwrap_or_else(|e| {
+fn open_segstore(config: &ExperimentConfig, dir: &str) -> querygraph_retrieval::segstore::SegStore {
+    let fingerprint = querygraph_core::cache::config_fingerprint(config);
+    querygraph_retrieval::segstore::SegStore::open(Path::new(dir), fingerprint).unwrap_or_else(
+        |e| {
             eprintln!("error: segment store {dir}: {e}");
             std::process::exit(1);
-        })
+        },
+    )
 }
 
 /// `qgx ingest`: stream a dump through `DumpStream` in bounded
@@ -819,17 +775,15 @@ fn open_segstore(cli: &CliOptions, dir: &str) -> querygraph_retrieval::segstore:
 /// `QGIX` segment. Never materializes the corpus: each document is
 /// tokenized into the in-progress batch builder and dropped. With
 /// `--compact n` the live set is merged into `n` segments afterwards.
-fn run_ingest(args: &[String]) {
-    reject_unknown_flags(args, &INGEST_FLAGS, "qgx ingest");
-    let cli = CliOptions::from_vec(args);
-    let dump = require_flag(args, "--dump");
-    let dir = require_flag(args, "--segstore");
-    let batch_docs = flag_usize(args, "--batch-docs").unwrap_or(10_000).max(1);
-    let compact_to = flag_usize(args, "--compact");
+fn run_ingest(args: &Args) -> Result<(), CliError> {
+    let dump: String = args.required("--dump")?;
+    let dir: String = args.required("--segstore")?;
+    let batch_docs = args.get("--batch-docs")?.unwrap_or(10_000).max(1);
+    let compact_to = args.get("--compact")?;
 
-    let mut store = open_segstore(&cli, &dir);
+    let mut store = open_segstore(&args.tier().config(), &dir);
     let generation_before = store.manifest().generation;
-    let mut stream = querygraph_corpus::ingest::DumpStream::from_path(std::path::Path::new(&dump))
+    let mut stream = querygraph_corpus::ingest::DumpStream::from_path(Path::new(&dump))
         .unwrap_or_else(|e| {
             eprintln!("error: cannot open {dump}: {e}");
             std::process::exit(1);
@@ -896,18 +850,17 @@ fn run_ingest(args: &[String]) {
             store.manifest().segments.len()
         );
     }
+    Ok(())
 }
 
 /// `qgx compact`: merge the store's live segments into `--shards`
 /// balanced ones (default 1) and publish the new generation. A live
 /// `qgx serve --segstore` on the same store hot-swaps onto it.
-fn run_compact(args: &[String]) {
-    reject_unknown_flags(args, &COMPACT_FLAGS, "qgx compact");
-    let cli = CliOptions::from_vec(args);
-    let dir = require_flag(args, "--segstore");
-    let shards = flag_usize(args, "--shards").unwrap_or(1).max(1);
+fn run_compact(args: &Args) -> Result<(), CliError> {
+    let dir: String = args.required("--segstore")?;
+    let shards = args.get("--shards")?.unwrap_or(1);
 
-    let mut store = open_segstore(&cli, &dir);
+    let mut store = open_segstore(&args.tier().config(), &dir);
     let segments_before = store.manifest().segments.len();
     let (compaction_seconds, swap_pause_us) = serving::compact_and_measure(&mut store, shards)
         .unwrap_or_else(|e| {
@@ -921,4 +874,5 @@ fn run_compact(args: &[String]) {
         store.manifest().total_docs(),
         store.manifest().generation
     );
+    Ok(())
 }

@@ -2,8 +2,9 @@
 //!
 //! ```text
 //! cargo run --release -p querygraph-bench --bin repro_all -- \
-//!     [--tiny | --quick | --stress [--quick]] [--index-cache <dir>] \
-//!     [--shards <n>] [--bench-out <path>] [--json out.json]
+//!     [--tiny | --quick | --stress [--quick] | --track [--quick]] \
+//!     [--index-cache <dir>] [--shards <n>] [--bench-out <path>] \
+//!     [--json out.json]
 //! ```
 //!
 //! Prints paper-vs-measured for Tables 2–4, Figs. 5, 6, 7a, 7b, 9 and
@@ -18,13 +19,13 @@
 //! With `--shards <n>` the world runs on the doc-partitioned sharded
 //! backend (and segmented artifact layout) — the `Report` is
 //! byte-identical to the monolithic run at any shard count. Any other
-//! flag exits 2 before anything runs.
+//! argument, a repeated flag, a missing operand, conflicting tier
+//! flags or `--shards 0` exits 2 before anything runs.
 
-use querygraph_bench::{flag_operand, BenchRecord, CliOptions};
+use querygraph_bench::{Args, BenchRecord, CliOptions, Flag};
 
-/// The flags `repro_all` takes beside the tier flags, with whether each
-/// takes an operand.
-const FLAGS: [(&str, bool); 4] = [
+/// The flags `repro_all` takes beside the tier flags.
+const FLAGS: [Flag; 4] = [
     ("--index-cache", true),
     ("--shards", true),
     ("--bench-out", true),
@@ -32,9 +33,11 @@ const FLAGS: [(&str, bool); 4] = [
 ];
 
 fn main() {
-    let options = CliOptions::from_args(&FLAGS);
-    let args: Vec<String> = std::env::args().collect();
-    let report_out = flag_operand(&args, "--json");
+    let parsed = Args::from_env(&FLAGS).and_then(|args| {
+        let report_out = args.operand("--json").map(str::to_string);
+        Ok((CliOptions::from_args(&args)?, report_out))
+    });
+    let (options, report_out) = parsed.unwrap_or_else(|e| e.exit());
     let config = options.config();
     let (report, summary, build) = querygraph_bench::report_and_summary_with(
         &config,

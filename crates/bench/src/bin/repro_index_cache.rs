@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! cargo run --release -p querygraph-bench --bin repro_index_cache -- \
-//!     [--tiny | --quick | --stress [--quick]] [--index-cache <dir>]
+//!     [--tiny | --quick | --stress [--quick] | --track [--quick]] \
+//!     [--index-cache <dir>]
 //! ```
 //!
 //! Runs the selected configuration **twice** against one cache
@@ -14,13 +15,15 @@
 //! factor the ROADMAP promises (≥ 5×). Exits non-zero when either
 //! fails; CI's `index-cache` job runs this on every PR.
 
-use querygraph_bench::CliOptions;
+use querygraph_bench::{Args, CliOptions};
 use querygraph_core::cache::IndexSource;
 use querygraph_core::experiment::Experiment;
 use querygraph_retrieval::ondisk::fnv1a;
 
 fn main() {
-    let options = CliOptions::from_args(&[("--index-cache", true)]);
+    let options = Args::from_env(&[("--index-cache", true)])
+        .and_then(|args| CliOptions::from_args(&args))
+        .unwrap_or_else(|e| e.exit());
     let config = options.config();
     let cache_dir = options.index_cache.unwrap_or_else(|| {
         std::env::temp_dir().join(format!("querygraph-index-cache-{}", std::process::id()))

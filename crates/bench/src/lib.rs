@@ -5,14 +5,14 @@
 //! micro-benchmarks for the performance-critical kernels (`benches/`).
 //!
 //! All binaries run the same standard experiment
-//! ([`standard_report`]) so their numbers are mutually consistent;
-//! `repro_all` prints everything at once and is what EXPERIMENTS.md is
-//! generated from. Common CLI (parsed by [`CliOptions::from_args`]):
-//! `--tiny` / `--quick` / `--stress` select the workload tier, and a
-//! binary that takes more flags lists them (`repro_all`'s
-//! `--index-cache <dir>` persists the inverted index across runs,
-//! `core::cache`); any flag a binary does not list exits 2. [`serving`]
-//! is how `qgx` serves a segment store.
+//! ([`report_for`]) so their numbers are mutually consistent;
+//! `repro_all` prints everything at once. Every binary parses its argv
+//! once, with [`Args::parse`] against its flag table: `--tiny` /
+//! `--quick` / `--stress [--quick]` / `--track [--quick]` select the
+//! workload tier, and a binary that takes more flags lists them
+//! (`repro_all`'s `--index-cache <dir>` persists the inverted index
+//! across runs, `core::cache`); any other argument exits 2.
+//! [`serving`] is how `qgx` serves a segment store.
 //!
 //! The crate writes one machine-readable record, [`BenchRecord`]
 //! (`repro_all --bench-out`), because the repo benchmark's
@@ -92,37 +92,19 @@ impl BenchRecord {
     }
 }
 
-/// Build the paper-scale experiment and analyze all 50 queries using
-/// all available cores. Prints provenance (seeds, sizes, timing) to
-/// stderr so stdout stays clean table output.
-pub fn standard_report() -> Report {
-    report_for(&ExperimentConfig::default_paper())
-}
-
-/// Build and run an experiment for an explicit configuration.
+/// Build and run an experiment for an explicit configuration. Prints
+/// provenance (seeds, sizes, timing) to stderr so stdout stays clean
+/// table output.
 pub fn report_for(config: &ExperimentConfig) -> Report {
-    report_and_summary(config).0
+    report_and_summary_with(config, None, &WorldOptions::default()).0
 }
 
-/// [`report_for`], also returning the pipeline's [`RunSummary`] and the
-/// build-side [`BuildStats`] — the numbers `repro_all` archives.
-pub fn report_and_summary(config: &ExperimentConfig) -> (Report, RunSummary, BuildStats) {
-    report_and_summary_cached(config, None)
-}
-
-/// [`report_and_summary`] with an optional index-cache directory: the
-/// first run builds and persists the inverted index, subsequent runs
-/// load it (byte-identical `Report` either way).
-pub fn report_and_summary_cached(
-    config: &ExperimentConfig,
-    index_cache: Option<&std::path::Path>,
-) -> (Report, RunSummary, BuildStats) {
-    report_and_summary_with(config, index_cache, &WorldOptions::default())
-}
-
-/// [`report_and_summary_cached`] with explicit [`WorldOptions`]: the
-/// `--shards N` knob. The `Report` is byte-identical at any shard
-/// count.
+/// [`report_for`] with an optional index-cache directory (the first run
+/// builds and persists the inverted index, later runs load it) and
+/// explicit [`WorldOptions`] (the `--shards N` knob), also returning the
+/// pipeline's [`RunSummary`] and the build-side [`BuildStats`] — the
+/// numbers `repro_all` archives. The `Report` is byte-identical either
+/// way and at any shard count.
 pub fn report_and_summary_with(
     config: &ExperimentConfig,
     index_cache: Option<&std::path::Path>,
@@ -163,65 +145,27 @@ fn indent_hash(s: &str) -> String {
     s.lines().map(|l| format!("# {l}\n")).collect()
 }
 
-/// The test-scale configuration (`--tiny` flag of the repro binaries):
-/// the same miniature world the unit tests use.
-pub fn tiny_config() -> ExperimentConfig {
-    ExperimentConfig::tiny()
-}
-
-/// A smaller configuration for quick looks (`--quick` flag of the repro
-/// binaries): 12 queries instead of 50.
-pub fn quick_config() -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::default_paper();
-    cfg.wiki.num_topics = 12;
-    cfg.corpus.num_queries = 12;
-    cfg.corpus.noise_docs = 300;
-    cfg
-}
-
-/// The paper-scale stress configuration (`--stress`): a 100k+ article
-/// knowledge base and ~31k documents.
-pub fn stress_config() -> ExperimentConfig {
-    ExperimentConfig::stress()
-}
-
-/// `--stress --quick`: the same stress-scale world, but only 8 of the
-/// 60 queries analyzed — world synthesis and indexing (what the stress
-/// tier measures) are untouched while CI stays fast.
-pub fn stress_quick_config() -> ExperimentConfig {
-    ExperimentConfig::stress_sampled(8)
-}
-
-/// The track-scale configuration (`--track`): the stress knowledge
-/// base over a ~237k-document corpus — the ImageCLEF 2011 Wikipedia
-/// track's size, and the tier `qgx ingest` exists for.
-pub fn track_config() -> ExperimentConfig {
-    ExperimentConfig::track()
-}
-
-/// `--track --quick`: the same ~237k-document world, but only 6 of the
-/// 60 queries analyzed, so CI can build and serve the track tier in its
-/// sampled lane.
-pub fn track_quick_config() -> ExperimentConfig {
-    ExperimentConfig::track_sampled(6)
-}
-
 /// Workload tiers selected by the shared CLI flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
     /// `--tiny` — the unit-test world.
     Tiny,
-    /// `--quick` — 12 queries.
+    /// `--quick` — the paper world cut to 12 topics and 12 queries.
     Quick,
     /// default — the paper-scale seed world.
     Paper,
-    /// `--stress` — 100k+ articles.
+    /// `--stress` — a 100k+ article knowledge base and ~31k documents.
     Stress,
-    /// `--stress --quick` — stress world, sampled queries.
+    /// `--stress --quick` — the stress world with 8 of its 60 queries
+    /// analyzed: world synthesis and indexing (what the stress tier
+    /// measures) are untouched while CI stays fast.
     StressQuick,
-    /// `--track` — the ~237k-document ingest tier.
+    /// `--track` — the stress knowledge base over a ~237k-document
+    /// corpus, the ImageCLEF 2011 Wikipedia track's size and the tier
+    /// `qgx ingest` exists for.
     Track,
-    /// `--track --quick` — track world, sampled queries.
+    /// `--track --quick` — the track world with 6 of its 60 queries
+    /// analyzed, so CI can build and serve it in its sampled lane.
     TrackQuick,
 }
 
@@ -229,18 +173,176 @@ impl Tier {
     /// The configuration this tier runs.
     pub fn config(self) -> ExperimentConfig {
         match self {
-            Tier::Tiny => tiny_config(),
-            Tier::Quick => quick_config(),
+            Tier::Tiny => ExperimentConfig::tiny(),
+            Tier::Quick => {
+                let mut cfg = ExperimentConfig::default_paper();
+                cfg.wiki.num_topics = 12;
+                cfg.corpus.num_queries = 12;
+                cfg.corpus.noise_docs = 300;
+                cfg
+            }
             Tier::Paper => ExperimentConfig::default_paper(),
-            Tier::Stress => stress_config(),
-            Tier::StressQuick => stress_quick_config(),
-            Tier::Track => track_config(),
-            Tier::TrackQuick => track_quick_config(),
+            Tier::Stress => ExperimentConfig::stress(),
+            Tier::StressQuick => ExperimentConfig::stress_sampled(8),
+            Tier::Track => ExperimentConfig::track(),
+            Tier::TrackQuick => ExperimentConfig::track_sampled(6),
         }
     }
 }
 
-/// The shared CLI of the repro binaries.
+/// One flag of a command's table: its name and whether it takes an
+/// operand.
+pub type Flag = (&'static str, bool);
+
+/// The tier flags of every binary that builds a world.
+pub const TIER_FLAGS: [Flag; 4] = [
+    ("--tiny", false),
+    ("--quick", false),
+    ("--stress", false),
+    ("--track", false),
+];
+
+/// A usage error: the binary prints it and exits 2 before doing any
+/// work.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CliError(pub String);
+
+impl CliError {
+    /// Print `error: …` and exit 2 — how every `main` reports a
+    /// [`CliError`].
+    pub fn exit(self) -> ! {
+        eprintln!("error: {}", self.0);
+        std::process::exit(2);
+    }
+}
+
+/// An argument vector parsed once, left to right, against a flag
+/// table. Every flag is listed, none repeats, an operand never starts
+/// with `--`, the tier flags name one tier, and `--shards` is at least
+/// 1; anything else is a [`CliError`].
+#[derive(Debug)]
+pub struct Args {
+    given: Vec<(&'static str, Option<String>)>,
+    tier: Tier,
+}
+
+impl Args {
+    /// Parse `argv` (without the program name) against the flags of
+    /// `table`, whose parts together are the command's flag table.
+    pub fn parse(argv: &[String], table: &[&[Flag]]) -> Result<Args, CliError> {
+        let known = || table.iter().flat_map(|part| part.iter());
+        let mut given: Vec<(&'static str, Option<String>)> = Vec::new();
+        let mut rest = argv.iter();
+        while let Some(arg) = rest.next() {
+            let Some(&(name, takes_operand)) = known().find(|(name, _)| name == arg) else {
+                return Err(CliError(if arg.starts_with("--") {
+                    let names: Vec<&str> = known().map(|(name, _)| *name).collect();
+                    format!("unknown flag {arg} (known: {})", names.join(" "))
+                } else {
+                    format!("unexpected argument {arg:?}")
+                }));
+            };
+            if given.iter().any(|(seen, _)| *seen == name) {
+                return Err(CliError(format!("{name} given twice")));
+            }
+            let operand = if takes_operand {
+                match rest.next() {
+                    Some(value) if !value.starts_with("--") => Some(value.clone()),
+                    _ => return Err(CliError(format!("{name} requires an operand"))),
+                }
+            } else {
+                None
+            };
+            given.push((name, operand));
+        }
+        let mut args = Args {
+            given,
+            tier: Tier::Paper,
+        };
+        let tier_flags: Vec<&str> = TIER_FLAGS
+            .iter()
+            .map(|(name, _)| *name)
+            .filter(|name| args.has(name))
+            .collect();
+        args.tier = match tier_flags[..] {
+            [] => Tier::Paper,
+            ["--tiny"] => Tier::Tiny,
+            ["--quick"] => Tier::Quick,
+            ["--stress"] => Tier::Stress,
+            ["--quick", "--stress"] => Tier::StressQuick,
+            ["--track"] => Tier::Track,
+            ["--quick", "--track"] => Tier::TrackQuick,
+            _ => {
+                return Err(CliError(format!(
+                    "conflicting tier flags {} (pick one of --tiny, --quick, \
+                     --stress [--quick], --track [--quick])",
+                    tier_flags.join(" ")
+                )))
+            }
+        };
+        if args.get::<usize>("--shards")? == Some(0) {
+            return Err(CliError("--shards must be at least 1".into()));
+        }
+        Ok(args)
+    }
+
+    /// `std::env::args` after the program name, parsed against the
+    /// tier flags and `flags`.
+    pub fn from_env(flags: &[Flag]) -> Result<Args, CliError> {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        Args::parse(&argv, &[&TIER_FLAGS, flags])
+    }
+
+    /// The tier the tier flags name.
+    pub fn tier(&self) -> Tier {
+        self.tier
+    }
+
+    /// Whether `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|(name, _)| *name == flag)
+    }
+
+    /// The operand of `flag`, when given.
+    pub fn operand(&self, flag: &str) -> Option<&str> {
+        self.given
+            .iter()
+            .find(|(name, _)| *name == flag)
+            .and_then(|(_, operand)| operand.as_deref())
+    }
+
+    /// The operand of `flag` parsed as a `T`, when given.
+    pub fn get<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, CliError> {
+        self.operand(flag)
+            .map(|value| {
+                value.parse().map_err(|_| {
+                    CliError(format!("{flag} operand must be a number, got {value:?}"))
+                })
+            })
+            .transpose()
+    }
+
+    /// [`Args::get`] for a flag the command cannot run without.
+    pub fn required<T: std::str::FromStr>(&self, flag: &str) -> Result<T, CliError> {
+        self.get(flag)?
+            .ok_or_else(|| CliError(format!("this command requires {flag} <value>")))
+    }
+}
+
+/// A hexadecimal `u64` operand, with or without a `0x` prefix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hex(pub u64);
+
+impl std::str::FromStr for Hex {
+    type Err = std::num::ParseIntError;
+
+    fn from_str(s: &str) -> Result<Hex, Self::Err> {
+        u64::from_str_radix(s.trim_start_matches("0x"), 16).map(Hex)
+    }
+}
+
+/// The world flags of the repro binaries and `qgx`, read from one
+/// [`Args`].
 #[derive(Debug, Clone)]
 pub struct CliOptions {
     /// Selected workload tier.
@@ -255,104 +357,15 @@ pub struct CliOptions {
     pub shards: Option<usize>,
 }
 
-/// The tier flags every repro binary takes. A flag table lists each
-/// flag with whether it takes an operand.
-const TIER_FLAGS: [(&str, bool); 4] = [
-    ("--tiny", false),
-    ("--quick", false),
-    ("--stress", false),
-    ("--track", false),
-];
-
-/// Exit 2 on any argument `known` does not list (operands of known
-/// flags are skipped; `args[0]` is the program) — a typo'd flag must
-/// not silently fall back to a different workload, such as the paper
-/// tier or a query stream on stdin. `program` names the command in the
-/// message.
-pub fn reject_unknown_flags(args: &[String], known: &[(&str, bool)], program: &str) {
-    let mut i = 1;
-    while i < args.len() {
-        let arg = &args[i];
-        if arg.starts_with("--") {
-            match known.iter().find(|(name, _)| name == arg) {
-                Some((_, takes_operand)) => i += 1 + usize::from(*takes_operand),
-                None => {
-                    eprintln!(
-                        "error: unknown flag {arg} for {program} (known: {})",
-                        known.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(" ")
-                    );
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            eprintln!("error: unexpected argument {arg:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The operand following `flag` in `args`, when the flag is present.
-/// Exits with a message when the flag is last (missing operand) — the
-/// shared behaviour of every repro/serve binary's CLI.
-pub fn flag_operand(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|pos| {
-        args.get(pos + 1).cloned().unwrap_or_else(|| {
-            eprintln!("error: {flag} requires an operand");
-            std::process::exit(2);
-        })
-    })
-}
-
-/// [`flag_operand`] parsed as a number; exits with a message on a
-/// non-numeric operand.
-pub fn flag_usize(args: &[String], flag: &str) -> Option<usize> {
-    flag_operand(args, flag).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: {flag} operand must be a number, got {v:?}");
-            std::process::exit(2);
-        })
-    })
-}
-
 impl CliOptions {
-    /// Parse `std::env::args`: the tier flags plus the binary's own
-    /// `flags` (name, takes an operand). Exits 2 with a message on any
-    /// other flag ([`reject_unknown_flags`]) or a missing operand.
-    pub fn from_args(flags: &[(&str, bool)]) -> CliOptions {
-        let args: Vec<String> = std::env::args().collect();
-        let known: Vec<(&str, bool)> = TIER_FLAGS.iter().chain(flags).copied().collect();
-        let program = args
-            .first()
-            .and_then(|arg0| std::path::Path::new(arg0).file_name())
-            .map_or_else(|| "this command".into(), |name| name.to_string_lossy());
-        reject_unknown_flags(&args, &known, &program);
-        Self::from_vec(&args)
-    }
-
-    /// Parse an explicit argument vector (testable).
-    pub fn from_vec(args: &[String]) -> CliOptions {
-        let has = |flag: &str| args.iter().any(|a| a == flag);
-        let operand = |flag: &'static str| flag_operand(args, flag);
-        let tier = match (
-            has("--track"),
-            has("--stress"),
-            has("--quick"),
-            has("--tiny"),
-        ) {
-            (true, _, true, _) => Tier::TrackQuick,
-            (true, _, false, _) => Tier::Track,
-            (false, true, true, _) => Tier::StressQuick,
-            (false, true, false, _) => Tier::Stress,
-            (false, false, _, true) => Tier::Tiny,
-            (false, false, true, false) => Tier::Quick,
-            _ => Tier::Paper,
-        };
-        CliOptions {
-            tier,
-            index_cache: operand("--index-cache").map(PathBuf::from),
-            bench_out: operand("--bench-out"),
-            shards: flag_usize(args, "--shards").map(|n| n.max(1)),
-        }
+    /// The world flags `args` carries.
+    pub fn from_args(args: &Args) -> Result<CliOptions, CliError> {
+        Ok(CliOptions {
+            tier: args.tier(),
+            index_cache: args.get("--index-cache")?,
+            bench_out: args.get("--bench-out")?,
+            shards: args.get("--shards")?,
+        })
     }
 
     /// The [`WorldOptions`] these flags select.
@@ -366,11 +379,12 @@ impl CliOptions {
     }
 }
 
-/// Parse the CLI of the repro binaries that take only the tier flags:
-/// `--quick` switches to [`quick_config`], `--tiny` to [`tiny_config`],
-/// `--stress` to the stress tier. Any other flag exits 2.
+/// The configuration of a repro binary that takes only the tier flags;
+/// any other argument exits 2.
 pub fn config_from_args() -> ExperimentConfig {
-    CliOptions::from_args(&[]).config()
+    Args::from_env(&[])
+        .map(|args| args.tier().config())
+        .unwrap_or_else(|e| e.exit())
 }
 
 #[cfg(test)]
@@ -378,26 +392,44 @@ mod tests {
     use super::*;
     use querygraph_core::experiment::Experiment;
 
-    fn opts(args: &[&str]) -> CliOptions {
-        let v: Vec<String> = std::iter::once("bin".to_string())
-            .chain(args.iter().map(|s| s.to_string()))
-            .collect();
-        CliOptions::from_vec(&v)
+    /// `repro_all`'s flags beside the tier flags.
+    const FLAGS: [Flag; 3] = [
+        ("--index-cache", true),
+        ("--shards", true),
+        ("--bench-out", true),
+    ];
+
+    fn args(argv: &[&str]) -> Result<Args, CliError> {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        Args::parse(&argv, &[&TIER_FLAGS, &FLAGS])
+    }
+
+    fn parse(argv: &[&str]) -> Result<CliOptions, CliError> {
+        CliOptions::from_args(&args(argv)?)
+    }
+
+    fn opts(argv: &[&str]) -> CliOptions {
+        parse(argv).expect("flags parse")
+    }
+
+    fn refusal(argv: &[&str]) -> String {
+        parse(argv).expect_err("flags are refused").0
     }
 
     #[test]
     fn quick_config_is_consistent() {
-        let cfg = quick_config();
+        let cfg = Tier::Quick.config();
         assert!(cfg.corpus.num_queries <= cfg.wiki.num_topics);
     }
 
     #[test]
     fn stress_configs_are_consistent() {
-        for cfg in [stress_config(), stress_quick_config()] {
+        let (stress, stress_quick) = (Tier::Stress.config(), Tier::StressQuick.config());
+        for cfg in [&stress, &stress_quick] {
             assert!(cfg.corpus.num_queries <= cfg.wiki.num_topics);
             assert!(cfg.wiki.num_topics * cfg.wiki.articles_per_topic >= 100_000);
         }
-        assert!(stress_quick_config().corpus.num_queries < stress_config().corpus.num_queries);
+        assert!(stress_quick.corpus.num_queries < stress.corpus.num_queries);
     }
 
     #[test]
@@ -409,20 +441,69 @@ mod tests {
         assert_eq!(opts(&["--stress", "--quick"]).tier, Tier::StressQuick);
         assert_eq!(opts(&["--track"]).tier, Tier::Track);
         assert_eq!(opts(&["--track", "--quick"]).tier, Tier::TrackQuick);
+        assert_eq!(opts(&["--quick", "--track"]).tier, Tier::TrackQuick);
+        for conflict in [
+            &["--tiny", "--stress"][..],
+            &["--tiny", "--quick"],
+            &["--tiny", "--track"],
+            &["--stress", "--track"],
+            &["--stress", "--track", "--quick"],
+        ] {
+            assert!(
+                refusal(conflict).starts_with("conflicting tier flags"),
+                "{conflict:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn args_take_each_flag_once_and_no_flag_as_an_operand() {
+        assert_eq!(
+            refusal(&["--index-cache", "--tiny"]),
+            "--index-cache requires an operand"
+        );
+        assert_eq!(
+            refusal(&["--tiny", "--bench-out"]),
+            "--bench-out requires an operand"
+        );
+        assert_eq!(
+            refusal(&["--shards", "2", "--shards", "3"]),
+            "--shards given twice"
+        );
+        assert_eq!(refusal(&["--tiny", "--tiny"]), "--tiny given twice");
+        assert!(refusal(&["--stres"]).starts_with("unknown flag --stres (known: --tiny"));
+        assert_eq!(refusal(&["--tiny", "2"]), "unexpected argument \"2\"");
+        assert_eq!(
+            refusal(&["--shards", "two"]),
+            "--shards operand must be a number, got \"two\""
+        );
+        let parsed = args(&["--bench-out", "out.json"]).expect("flags parse");
+        assert!(parsed.has("--bench-out") && !parsed.has("--tiny"));
+        assert_eq!(parsed.operand("--bench-out"), Some("out.json"));
+        assert_eq!(
+            parsed.required::<String>("--bench-out").as_deref(),
+            Ok("out.json")
+        );
+        assert_eq!(
+            parsed.required::<usize>("--shards"),
+            Err(CliError("this command requires --shards <value>".into()))
+        );
+        assert_eq!("0xff".parse::<Hex>(), Ok(Hex(255)));
     }
 
     #[test]
     fn track_configs_are_consistent() {
-        for cfg in [track_config(), track_quick_config()] {
+        let (track, track_quick) = (Tier::Track.config(), Tier::TrackQuick.config());
+        for cfg in [&track, &track_quick] {
             assert!(cfg.corpus.num_queries <= cfg.wiki.num_topics);
             assert!(
                 cfg.corpus.noise_docs >= 200_000,
                 "track must be track-scale"
             );
         }
-        assert!(track_quick_config().corpus.num_queries < track_config().corpus.num_queries);
-        assert_eq!(Tier::Track.config(), track_config());
-        assert_eq!(Tier::TrackQuick.config(), track_quick_config());
+        assert!(track_quick.corpus.num_queries < track.corpus.num_queries);
+        assert_eq!(track, ExperimentConfig::track());
+        assert_eq!(track_quick, ExperimentConfig::track_sampled(6));
     }
 
     #[test]
@@ -445,8 +526,8 @@ mod tests {
         let wo = o.world_options();
         assert_eq!(wo.shards, 4);
         assert_eq!(wo.shard_count(), 4);
-        // --shards 0 is clamped to 1 shard rather than rejected.
-        assert_eq!(opts(&["--shards", "0"]).shards, Some(1));
+        // --shards 0 names no world: it is refused, not clamped.
+        assert_eq!(refusal(&["--shards", "0"]), "--shards must be at least 1");
     }
 
     #[test]
@@ -468,9 +549,9 @@ mod tests {
             shard_count: 1,
             shard_load_seconds: Vec::new(),
         };
-        let exp = Experiment::build(&tiny_config());
+        let exp = Experiment::build(&Tier::Tiny.config());
         let (_, run) = exp.run_parallel_with_summary(2);
-        let record = BenchRecord::new(&tiny_config(), &build, run);
+        let record = BenchRecord::new(&Tier::Tiny.config(), &build, run);
         assert_eq!(record.schema, 9);
         assert_eq!(record.index_source, "loaded");
         assert_eq!(record.shard_count, 1);

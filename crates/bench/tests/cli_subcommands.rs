@@ -5,6 +5,7 @@
 //! flags are rejected per subcommand.
 
 use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 const QGX: &str = env!("CARGO_BIN_EXE_qgx");
@@ -12,7 +13,13 @@ const QGX: &str = env!("CARGO_BIN_EXE_qgx");
 /// Run qgx with `args`, feeding `stdin`, returning (status, stdout,
 /// stderr).
 fn run(args: &[&str], stdin: &str) -> (std::process::ExitStatus, String, String) {
+    run_in(Path::new("."), args, stdin)
+}
+
+/// [`run`] with `cwd` as the working directory.
+fn run_in(cwd: &Path, args: &[&str], stdin: &str) -> (std::process::ExitStatus, String, String) {
     let mut child = Command::new(QGX)
+        .current_dir(cwd)
         .args(args)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -109,6 +116,74 @@ fn flags_are_rejected_per_subcommand() {
         assert!(stdout.is_empty(), "nothing is served: {stdout}");
         assert!(stderr.contains(refusal), "stderr: {stderr}");
     }
+}
+
+/// A fresh, empty working directory under the system temp dir.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("qgx-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+#[test]
+fn one_flag_one_value_and_one_client_mode() {
+    // Each row once ran: the first `--top-k` served, `--tiny` was read
+    // as the query file (after booting the world), or the client served
+    // one of two modes. Every row is refused before any world is built,
+    // and the client rows before connecting to the port, where nothing
+    // listens.
+    let dir = scratch("one-value");
+    std::fs::write(dir.join("q.txt"), "glacier\n").expect("write query file");
+    let client = |mode: &[&'static str]| -> Vec<&'static str> {
+        ["client", "--connect", "127.0.0.1:9"]
+            .into_iter()
+            .chain(mode.iter().copied())
+            .collect()
+    };
+    for (args, refusal) in [
+        (
+            vec!["replay", "--tiny", "--top-k", "5", "--top-k", "7"],
+            "--top-k given twice",
+        ),
+        (
+            vec!["replay", "--queries", "--tiny"],
+            "--queries requires an operand",
+        ),
+        (
+            vec!["replay", "--tiny", "--queries", "missing.txt"],
+            "cannot read missing.txt",
+        ),
+        (
+            client(&["--healthz", "--statz"]),
+            "--healthz and --statz are mutually exclusive",
+        ),
+        (
+            client(&["--query", "glacier", "--queries", "q.txt"]),
+            "--query cannot be combined with --queries",
+        ),
+    ] {
+        let (status, stdout, stderr) = run_in(&dir, &args, "");
+        assert_eq!(status.code(), Some(2), "qgx {args:?}: {stderr}");
+        assert!(
+            stdout.is_empty(),
+            "qgx {args:?}: nothing is served: {stdout}"
+        );
+        assert!(stderr.contains(refusal), "qgx {args:?}: {stderr}");
+        assert!(
+            !stderr.contains(" articles"),
+            "qgx {args:?}: booted first: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_zero_entry_expansion_cache_boots_with_the_cache_off() {
+    let (status, _, stderr) = run(&["replay", "--tiny", "--expansion-cache", "0"], "");
+    assert!(status.success(), "stderr: {stderr}");
+    assert!(stderr.contains("cache off"), "stderr: {stderr}");
+    assert!(!stderr.contains("# expansion cache:"), "stderr: {stderr}");
 }
 
 #[test]

@@ -158,3 +158,36 @@ fn unknown_flags_are_refused_not_ignored() {
         assert!(output.stdout.is_empty(), "{flag}: nothing is reported");
     }
 }
+
+#[test]
+fn a_flag_is_never_an_operand_and_the_tier_is_one_tier() {
+    // Each row once exited 0: the report went to a file named
+    // `--tiny`, the index was cached in a directory named `--tiny`,
+    // the stress tier ran, or one shard served. Run in a fresh
+    // directory, so that nothing lands in the working tree.
+    let dir = scratch("flag-operands");
+    for (args, refusal) in [
+        (&["--json", "--tiny"][..], "--json requires an operand"),
+        (
+            &["--index-cache", "--tiny"],
+            "--index-cache requires an operand",
+        ),
+        (
+            &["--tiny", "--stress"],
+            "conflicting tier flags --tiny --stress",
+        ),
+        (&["--tiny", "--shards", "0"], "--shards must be at least 1"),
+    ] {
+        let output = repro_all(&dir, args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(refusal), "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{args:?}: nothing is reported");
+    }
+    let left_behind: Vec<_> = std::fs::read_dir(&dir)
+        .expect("scratch dir lists")
+        .map(|entry| entry.expect("dir entry").file_name())
+        .collect();
+    assert!(left_behind.is_empty(), "refused runs wrote {left_behind:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

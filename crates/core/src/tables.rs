@@ -2,8 +2,8 @@
 //! figure of the paper.
 //!
 //! Each struct mirrors one artifact of the evaluation section; the
-//! `render()` methods print the same rows/series the paper reports so
-//! that `repro_*` binaries and `EXPERIMENTS.md` share one format. The
+//! `render()` methods print the same rows/series the paper reports, so
+//! every `repro_*` binary shares one format. The
 //! paper's published values are embedded as `PAPER_*` constants so every
 //! rendering shows paper-vs-measured side by side.
 
