@@ -11,7 +11,7 @@ mod common;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use querygraph_core::expansion::CycleExpanderConfig;
 use querygraph_graph::cycles::CycleFinder;
-use querygraph_graph::subgraph::{induce, Subgraph};
+use querygraph_graph::subgraph::{induce_reach, Subgraph};
 use querygraph_graph::traversal::ball;
 use querygraph_graph::TypedGraph;
 use querygraph_wiki::synth::{generate, SynthWikiConfig};
@@ -69,10 +69,10 @@ fn bench_anchored(c: &mut Criterion) {
     });
 }
 
-/// The search as `cycle_features` runs it: on the induced, truncated
-/// radius-2 neighbourhood of each query, through the query's nodes.
-/// One iteration is 32 requests; the neighbourhoods are built outside
-/// the timed loop.
+/// The search as `cycle_features` runs it: through the query's nodes,
+/// on the part of the truncated radius-2 neighbourhood within
+/// ⌊max_len/2⌋ hops of them. One iteration is 32 requests; the
+/// subgraphs are built outside the timed loop.
 fn bench_query_neighbourhood(c: &mut Criterion) {
     let (wiki, queries) = common::paper_requests();
     let (kb, config) = (&wiki.kb, CycleExpanderConfig::default());
@@ -80,14 +80,11 @@ fn bench_query_neighbourhood(c: &mut Criterion) {
         .iter()
         .map(|query| {
             let nodes: Vec<u32> = query.iter().map(|&a| kb.article_node(a)).collect();
-            let mut neighborhood = ball(kb.graph(), &nodes, config.neighborhood_radius);
-            neighborhood.truncate(config.max_neighborhood);
-            for &node in &nodes {
-                if !neighborhood.contains(&node) {
-                    neighborhood.push(node);
-                }
-            }
-            let sub = induce(kb.graph(), &neighborhood);
+            let mut kept = ball(kb.graph(), &nodes, config.neighborhood_radius);
+            kept.truncate(config.max_neighborhood);
+            kept.extend_from_slice(&nodes);
+            let hops = (config.max_len / 2) as u32;
+            let sub = induce_reach(kb.graph(), &kept, &nodes, hops);
             let local = nodes.iter().filter_map(|&n| sub.local_of(n)).collect();
             (sub, local)
         })

@@ -14,6 +14,9 @@
 //! `expansion/cycle_expander_paper` is the strategy over 32 requests of
 //! the `hot_paper` workload's shape (one iteration is all 32): the
 //! cache-miss path that workload's p95 and throughput ride.
+//! `expansion/cycle_expander_stress_requests` is the same 32-request
+//! shape on the stress world: every request `cold_stress` serves runs
+//! it. `cycle_expander_stress` times one hub-and-satellite query there.
 
 mod common;
 
@@ -38,7 +41,7 @@ fn query(wiki: &SynthWiki) -> [ArticleId; 2] {
 
 fn bench_expanders(c: &mut Criterion) {
     let small = small_world();
-    let stress = generate(&SynthWikiConfig::stress());
+    let (stress, stress_requests) = common::stress_requests();
     let config = CycleExpanderConfig::default();
 
     let mut group = c.benchmark_group("expansion");
@@ -51,16 +54,22 @@ fn bench_expanders(c: &mut Criterion) {
             b.iter(|| black_box(cycle_features(&wiki.kb, &config, black_box(&query))).len());
         });
     }
-    let (paper, requests) = common::paper_requests();
-    group.bench_function("cycle_expander_paper", |b| {
-        b.iter(|| {
-            let mut features = 0;
-            for request in &requests {
-                features += black_box(cycle_features(&paper.kb, &config, black_box(request))).len();
-            }
-            features
+    let (paper, paper_requests) = common::paper_requests();
+    for (name, wiki, requests) in [
+        ("cycle_expander_paper", &paper, &paper_requests),
+        ("cycle_expander_stress_requests", &stress, &stress_requests),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut features = 0;
+                for request in requests {
+                    features +=
+                        black_box(cycle_features(&wiki.kb, &config, black_box(request))).len();
+                }
+                features
+            });
         });
-    });
+    }
     let small_query = query(&small);
     group.bench_function("direct_link_expander", |b| {
         b.iter(|| black_box(link_features(&small.kb, black_box(&small_query), 10)).len());

@@ -5,11 +5,13 @@
 //! ```text
 //! qgx serve   --listen <addr>  [world flags] [--workers n] [--queue n]
 //!             [--keep-alive n]
-//! qgx replay  [world flags] [--queries f | --seed-queries] [--repeat n]
+//! qgx replay  [world flags] [(--queries f | --seed-queries) [--repeat n]]
 //!             [--json]
-//! qgx client  --connect <addr> [--healthz | --statz | --flood n [--query text] |
-//!             --query text | --queries f | --seed-queries [tier flags]]
-//!             [--repeat n] [--top-k k] [--max-features n] [--timeout-ms n]
+//! qgx client  --connect <addr> [--timeout-ms n] (--healthz | --statz |
+//!             --flood n [--query text] [request flags] |
+//!             (--query text | --queries f | --seed-queries [tier flags])
+//!             [--repeat n] [request flags])
+//!             request flags: [--top-k k] [--max-features n]
 //! qgx shard   --segstore <dir> --seq <s> --shard <i> --fingerprint <fp>
 //!             [--listen <addr>]
 //! qgx dump    --out <path> [tier flags] [--skip n] [--docs n]
@@ -393,6 +395,12 @@ fn run_replay(args: &Args) -> Result<(), CliError> {
             "--queries and --seed-queries are mutually exclusive".into(),
         ));
     }
+    if args.has("--repeat") && !args.has("--queries") && !seed_queries {
+        // Stdin is served once, until EOF: there is nothing to repeat.
+        return Err(CliError(
+            "--repeat applies only with --queries or --seed-queries".into(),
+        ));
+    }
     let repeat = args.get("--repeat")?.unwrap_or(1).max(1);
     let json = args.has("--json");
     let deadline_ms: Option<u64> = args.get("--deadline-ms")?;
@@ -441,9 +449,6 @@ fn run_replay(args: &Args) -> Result<(), CliError> {
             }
         }
     } else {
-        if repeat > 1 {
-            eprintln!("# qgx: --repeat applies to --queries/--seed-queries workloads only");
-        }
         let stdin = std::io::stdin();
         for line in stdin.lock().lines() {
             let line = line.unwrap_or_else(|e| {
@@ -572,6 +577,28 @@ fn run_client(args: &Args) -> Result<(), CliError> {
             "--query cannot be combined with {} (only --flood takes it, as its probe text)",
             modes[0]
         )));
+    }
+    // Nor is a flag the mode does not read accepted and dropped. So
+    // `--healthz` and `--statz` take only `--connect` and `--timeout-ms`.
+    let flood = args.has("--flood");
+    let workload = !flood && !args.has("--healthz") && !args.has("--statz");
+    let tier: Vec<&str> = TIER_FLAGS.iter().map(|(flag, _)| *flag).collect();
+    for (flags, read, reader) in [
+        (&tier[..], args.has("--seed-queries"), "--seed-queries"),
+        (
+            &["--repeat"][..],
+            workload,
+            "a workload (--query, --queries or --seed-queries)",
+        ),
+        (
+            &["--top-k", "--max-features"][..],
+            workload || flood,
+            "a workload or --flood",
+        ),
+    ] {
+        if let Some(flag) = flags.iter().find(|&&flag| !read && args.has(flag)) {
+            return Err(CliError(format!("{flag} applies only with {reader}")));
+        }
     }
     let addr = args.operand("--connect").unwrap_or("127.0.0.1:8787");
     let timeout = Duration::from_millis(args.get("--timeout-ms")?.unwrap_or(5000));

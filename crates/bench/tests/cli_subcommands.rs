@@ -179,6 +179,78 @@ fn one_flag_one_value_and_one_client_mode() {
 }
 
 #[test]
+fn a_flag_the_mode_does_not_read_is_refused() {
+    // Each row once ran and dropped the flag: the probe ignored the
+    // tier or the request knobs, a file workload ignored the tier, a
+    // flood ignored `--repeat`, and replay served stdin once. The client
+    // rows are refused before connecting to the port, where nothing
+    // listens; the replay row before booting.
+    let client = |mode: &[&'static str]| -> Vec<&'static str> {
+        ["client", "--connect", "127.0.0.1:9"]
+            .into_iter()
+            .chain(mode.iter().copied())
+            .collect()
+    };
+    for (args, refusal) in [
+        (
+            client(&["--healthz", "--stress"]),
+            "--stress applies only with --seed-queries",
+        ),
+        (
+            client(&["--statz", "--timeout-ms", "50", "--top-k", "5"]),
+            "--top-k applies only with a workload or --flood",
+        ),
+        (
+            client(&["--healthz", "--max-features", "3"]),
+            "--max-features applies only with a workload or --flood",
+        ),
+        (
+            client(&["--statz", "--repeat", "2"]),
+            "--repeat applies only with a workload",
+        ),
+        (
+            client(&["--queries", "q.txt", "--tiny"]),
+            "--tiny applies only with --seed-queries",
+        ),
+        (
+            client(&["--query", "glacier", "--quick"]),
+            "--quick applies only with --seed-queries",
+        ),
+        (
+            client(&["--flood", "4", "--repeat", "3"]),
+            "--repeat applies only with a workload",
+        ),
+        (
+            vec!["replay", "--tiny", "--repeat", "3"],
+            "--repeat applies only with --queries or --seed-queries",
+        ),
+    ] {
+        let (status, stdout, stderr) = run(&args, "");
+        assert_eq!(status.code(), Some(2), "qgx {args:?}: {stderr}");
+        assert!(
+            stdout.is_empty(),
+            "qgx {args:?}: nothing is served: {stdout}"
+        );
+        assert!(stderr.contains(refusal), "qgx {args:?}: {stderr}");
+        assert!(
+            !stderr.contains(" articles"),
+            "qgx {args:?}: booted first: {stderr}"
+        );
+    }
+    // What each mode does read still parses: these reach the port and
+    // fail there (exit 1), not at the flags.
+    for mode in [
+        &["--healthz", "--timeout-ms", "50"][..],
+        &["--flood", "1", "--query", "glacier", "--top-k", "5"][..],
+        &["--query", "glacier", "--repeat", "2", "--max-features", "3"][..],
+    ] {
+        let args = client(mode);
+        let (status, _, stderr) = run(&args, "");
+        assert_eq!(status.code(), Some(1), "qgx {args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn a_zero_entry_expansion_cache_boots_with_the_cache_off() {
     let (status, _, stderr) = run(&["replay", "--tiny", "--expansion-cache", "0"], "");
     assert!(status.success(), "stderr: {stderr}");

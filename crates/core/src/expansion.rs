@@ -13,7 +13,7 @@
 //! work ([1, 2, 3] in the paper).
 
 use querygraph_graph::cycles::{induced_cycle_edges, CycleFinder};
-use querygraph_graph::subgraph::induce;
+use querygraph_graph::subgraph::induce_reach;
 use querygraph_graph::traversal::ball;
 use querygraph_graph::EdgeType;
 use querygraph_wiki::{ArticleId, KnowledgeBase};
@@ -110,18 +110,19 @@ pub fn cycle_features(
     }
 
     // Bounded neighbourhood (BFS ball, truncated deterministically
-    // by node id after the radius cut).
-    let mut neighborhood = ball(g, &query_nodes, cfg.neighborhood_radius);
-    neighborhood.truncate(cfg.max_neighborhood);
-    // The kept ball ascends; behind it sit only re-added query nodes.
-    let kept = neighborhood.len();
-    for &qn in &query_nodes {
-        let (in_ball, readded) = neighborhood.split_at(kept);
-        if in_ball.binary_search(&qn).is_err() && !readded.contains(&qn) {
-            neighborhood.push(qn);
-        }
-    }
-    let sub = induce(g, &neighborhood);
+    // by node id after the radius cut), plus the query nodes, which the
+    // cut may have dropped; `induce_reach` reads `kept` as a set, so a
+    // repeat is harmless.
+    let mut kept = ball(g, &query_nodes, cfg.neighborhood_radius);
+    kept.truncate(cfg.max_neighborhood);
+    kept.extend_from_slice(&query_nodes);
+    // Every node of a cycle of length ≤ max_len through a query node
+    // is within ⌊max_len/2⌋ hops of it round the cycle, through kept
+    // nodes: induce only that reach. It is induced from the same graph
+    // as the kept set, with locals in the same order, so the search
+    // emits the same cycles in the same order.
+    let hops = u32::try_from(cfg.max_len / 2).unwrap_or(u32::MAX);
+    let sub = induce_reach(g, &kept, &query_nodes, hops);
     let local_query: Vec<u32> = query_nodes
         .iter()
         .filter_map(|&qn| sub.local_of(qn))

@@ -15,10 +15,13 @@
 //! * [`cycles`] — enumeration of simple cycles of bounded length (≤ 5 in
 //!   the paper), the central primitive of the whole analysis.
 //! * [`subgraph`] — induced subgraphs with node mappings (query-graph
-//!   assembly, §2.3).
+//!   assembly, §2.3), and [`subgraph::induce_reach`], the part of a
+//!   node set within a hop count of the query nodes.
 //! * [`traversal`] — multi-source BFS distances and the depth-bounded
-//!   [`traversal::ball`] the cycle expander cuts its search
-//!   neighbourhood with (§4's real-time challenge).
+//!   [`traversal::ball`] the cycle expander cuts its neighbourhood with
+//!   (§4's real-time challenge); the cycle search then runs only on the
+//!   part of the kept ball that `induce_reach` finds within ⌊max_len/2⌋
+//!   hops of the query nodes.
 //!
 //! All algorithms operate on dense `u32` node ids ([`NodeId`]); the
 //! Wikipedia layer (`querygraph-wiki`) maps articles and categories onto

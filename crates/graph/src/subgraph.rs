@@ -80,9 +80,56 @@ pub fn induce(g: &TypedGraph, nodes: &[u32]) -> Subgraph {
     }
 }
 
+/// Induce the subgraph of `g` over the nodes of `kept` that a BFS over
+/// the undirected cycle view reaches from `sources` in at most `hops`
+/// steps without leaving `kept`. A source outside `kept` is not reached.
+///
+/// This is `induce` of that reach, and the reach is what a search for
+/// cycles of length ≤ 2·`hops` + 1 through a source can touch: every
+/// node of such a cycle lies within `hops` steps of the source, round
+/// the cycle. Both graphs are induced from `g`, so they hold the same
+/// such cycles, and locals follow parent-id order in both.
+///
+/// Costs the reach's nodes and edges plus |V|/64 words: one bitset
+/// holds the kept nodes not yet reached, and a node's bit is cleared
+/// as the BFS takes it.
+pub fn induce_reach(g: &TypedGraph, kept: &[u32], sources: &[u32], hops: u32) -> Subgraph {
+    let mut open = vec![0u64; (g.node_count() as usize).div_ceil(64)];
+    for &u in kept {
+        open[(u / 64) as usize] |= 1 << (u % 64);
+    }
+    // Takes `u` out of the open set; true when it was in it.
+    let mut take = |u: u32| {
+        let (word, bit) = (&mut open[(u / 64) as usize], 1u64 << (u % 64));
+        let was_open = *word & bit != 0;
+        *word &= !bit;
+        was_open
+    };
+
+    // Reached nodes in BFS order; the last level is `reached[level..]`.
+    let mut reached: Vec<u32> = sources.iter().copied().filter(|&s| take(s)).collect();
+    let mut level = 0;
+    for _ in 0..hops {
+        let end = reached.len();
+        if level == end {
+            break;
+        }
+        for i in level..end {
+            for &v in g.und_neighbors(reached[i]) {
+                if take(v) {
+                    reached.push(v);
+                }
+            }
+        }
+        level = end;
+    }
+    induce(g, &reached)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traversal::{bfs_distances, UNREACHABLE};
     use crate::{EdgeType, GraphBuilder};
 
     fn path_graph() -> TypedGraph {
@@ -200,5 +247,58 @@ mod tests {
                 }
             }
         }
+
+        /// `induce_reach` against its definition: induce the kept set,
+        /// take BFS distances from the kept sources inside it, and
+        /// induce what lies within `hops`. Sources are drawn from the
+        /// whole graph, so some fall outside `kept`; multigraphs of every
+        /// edge type, so redirect-only nodes and doubled pairs occur.
+        #[test]
+        fn reach_induction_is_the_filtered_bfs_inside_kept(
+            edges in proptest::collection::vec((0u32..150, 0u32..150, 0u8..4), 0..400),
+            kept in proptest::collection::vec(0u32..150, 0..100),
+            sources in proptest::collection::vec(0u32..150, 0..4),
+            hops in 0u32..=4,
+        ) {
+            let hops = if hops == 4 { u32::MAX } else { hops };
+            let mut b = GraphBuilder::new(150);
+            for (u, v, t) in edges {
+                if u != v {
+                    b.add_edge(u, v, EdgeType::from_u8(t).expect("0..4"));
+                }
+            }
+            let g = b.build();
+            let whole = induce(&g, &kept);
+            let local_sources: Vec<u32> =
+                sources.iter().filter_map(|&s| whole.local_of(s)).collect();
+            let within: Vec<u32> = bfs_distances(&whole.graph, &local_sources)
+                .into_iter()
+                .enumerate()
+                .filter(|&(_, d)| d != UNREACHABLE && d <= hops)
+                .map(|(l, _)| whole.parent_of(l as u32))
+                .collect();
+            let got = induce_reach(&g, &kept, &sources, hops);
+            let want = induce(&g, &within);
+            proptest::prop_assert_eq!(&got.to_parent, &want.to_parent);
+            proptest::prop_assert_eq!(got.graph.edge_count(), want.graph.edge_count());
+            for u in 0..want.node_count() {
+                proptest::prop_assert!(got.graph.out_edges(u).eq(want.graph.out_edges(u)));
+                proptest::prop_assert_eq!(got.graph.und_neighbors(u), want.graph.und_neighbors(u));
+            }
+        }
+    }
+
+    #[test]
+    fn reach_stops_at_the_hop_count_and_the_kept_set() {
+        // 0 →link 1 →belongs 2 →inside 3; 4 →redirect 0 is not a step.
+        let g = path_graph();
+        let reach =
+            |kept: &[u32], sources: &[u32], hops| induce_reach(&g, kept, sources, hops).to_parent;
+        assert_eq!(reach(&[0, 1, 2, 3, 4], &[0], 2), vec![0, 1, 2]);
+        assert_eq!(reach(&[0, 1, 2, 3, 4], &[0], u32::MAX), vec![0, 1, 2, 3]);
+        // 2 is not kept, so 3 is out of reach however far the BFS goes.
+        assert_eq!(reach(&[0, 1, 3], &[0], u32::MAX), vec![0, 1]);
+        // A source outside `kept` reaches nothing.
+        assert_eq!(reach(&[1, 2], &[0], 3), Vec::<u32>::new());
     }
 }

@@ -25,7 +25,7 @@ use querygraph::core::expansion::{cycle_features, link_features, CycleExpanderCo
 use querygraph::core::service::ExpansionStrategy;
 use querygraph::graph::cycles::induced_cycle_edges;
 use querygraph::graph::subgraph::induce;
-use querygraph::graph::traversal::ball;
+use querygraph::graph::traversal::{ball, bfs_distances, UNREACHABLE};
 use querygraph::graph::TypedGraph;
 use querygraph::retrieval::ondisk::fnv1a;
 use querygraph::wiki::synth::{generate, SynthWiki, SynthWikiConfig};
@@ -187,6 +187,11 @@ struct Seen {
     /// Query nodes the `max_neighborhood` cut dropped and the expander
     /// put back.
     readded: usize,
+    /// Queries whose ball the `max_neighborhood` cut shortened.
+    cut: usize,
+    /// Kept nodes farther than ⌊max_len/2⌋ hops from every query node
+    /// inside the kept neighbourhood: no emitted cycle can hold one.
+    unreached: usize,
     /// Cycles the density floor rejected.
     sparse: usize,
     /// Expansions that returned a feature.
@@ -209,6 +214,7 @@ fn reference_expand(
     }
 
     let mut neighborhood = ball(g, &query_nodes, cfg.neighborhood_radius);
+    seen.cut += usize::from(neighborhood.len() > cfg.max_neighborhood);
     neighborhood.truncate(cfg.max_neighborhood);
     for &qn in &query_nodes {
         if !neighborhood.contains(&qn) {
@@ -221,6 +227,10 @@ fn reference_expand(
         .iter()
         .filter_map(|&qn| sub.local_of(qn))
         .collect();
+    seen.unreached += bfs_distances(&sub.graph, &local_query)
+        .into_iter()
+        .filter(|&d| d == UNREACHABLE || d as usize > cfg.max_len / 2)
+        .count();
 
     let mut scores: HashMap<ArticleId, f64> = HashMap::new();
     let mut visit = |nodes: &[u32]| {
@@ -295,6 +305,8 @@ fn assert_matches_reference(
         total.nonempty += usize::from(!expected.is_empty());
         total.cycles = total.cycles.max(seen.cycles);
         total.readded += seen.readded;
+        total.cut += seen.cut;
+        total.unreached += seen.unreached;
         total.sparse += seen.sparse;
     }
     total
@@ -353,6 +365,34 @@ fn configs() -> Vec<(CycleExpanderConfig, Reached)> {
                 ..base()
             },
             |seen| seen.readded > 0,
+        ),
+        // A radius below ⌊max_len/2⌋: the ball, not the hop count,
+        // bounds what the search reaches.
+        (
+            CycleExpanderConfig {
+                neighborhood_radius: 1,
+                ..base()
+            },
+            |seen| seen.cycles > 0 && seen.unreached == 0,
+        ),
+        // A radius above it, under a cut that binds: the search reaches
+        // only part of the kept set.
+        (
+            CycleExpanderConfig {
+                neighborhood_radius: 3,
+                max_neighborhood: 40,
+                ..base()
+            },
+            |seen| seen.cut > 0 && seen.unreached > 0,
+        ),
+        // A hop count below the radius, under a cut that binds.
+        (
+            CycleExpanderConfig {
+                max_len: 3,
+                max_neighborhood: 40,
+                ..base()
+            },
+            |seen| seen.cut > 0 && seen.unreached > 0,
         ),
     ]
 }

@@ -2,10 +2,12 @@
 //! knowledge base, against a reference built from the slow parts.
 //!
 //! `cycle_features` keeps the `max_neighborhood` lowest node ids of the
-//! radius-2 ball and induces the subgraph over them, so the served
-//! bytes depend on `ball` returning exactly the filtered full-graph BFS
-//! in ascending order, and on `induce` freezing exactly the graph a
-//! sorting `GraphBuilder` would. The crate-level proptests check both
+//! radius-2 ball and induces the subgraph over the part of them within
+//! ⌊max_len/2⌋ hops of the query nodes (`induce_reach`, whose crate
+//! proptest checks that reach), so the served bytes depend on `ball`
+//! returning exactly the filtered full-graph BFS in ascending order,
+//! and on `induce` freezing exactly the graph a sorting `GraphBuilder`
+//! would. The crate-level proptests check both
 //! on small random graphs; this checks them where the O(|V|) term used
 //! to be: 112k nodes, balls of a few thousand.
 
