@@ -13,13 +13,13 @@ use rand::{Rng, SeedableRng};
 /// (`benchmark/src/plan.rs`): a main article of a random topic, 60 % of
 /// the time joined by a second one of the same topic. A row that
 /// iterates over all of them reports 32 requests per iteration.
-pub fn paper_requests() -> (SynthWiki, Vec<Vec<ArticleId>>) {
+pub(crate) fn paper_requests() -> (SynthWiki, Vec<Vec<ArticleId>>) {
     requests(&SynthWikiConfig::default_experiment())
 }
 
 /// [`paper_requests`] on the 112k-node stress-tier world, the one
 /// `cold_stress` serves.
-pub fn stress_requests() -> (SynthWiki, Vec<Vec<ArticleId>>) {
+pub(crate) fn stress_requests() -> (SynthWiki, Vec<Vec<ArticleId>>) {
     requests(&SynthWikiConfig::stress())
 }
 

@@ -1,6 +1,6 @@
 //! Thread-scaling benchmark of `retrieval::par::parallel_map` — the
 //! one work-stealing runner every parallel consumer in the workspace
-//! shares (`run_queries`, `expand_batch`, shard scatter-gather,
+//! shares (`run_queries`, shard scatter-gather,
 //! segment loading).
 //!
 //! Two shapes at 1/2/4/8 workers:

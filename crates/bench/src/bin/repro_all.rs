@@ -15,7 +15,7 @@
 //! first run and loaded (instead of rebuilt) on subsequent runs; the
 //! record's `index_build_seconds` / `index_load_seconds` track the
 //! speedup. With `--json <path>` the full machine-readable
-//! [`querygraph_core::Report`] is written too.
+//! [`querygraph_core::experiment::Report`] is written too.
 //! With `--shards <n>` the world runs on the doc-partitioned sharded
 //! backend (and segmented artifact layout) — the `Report` is
 //! byte-identical to the monolithic run at any shard count. Any other

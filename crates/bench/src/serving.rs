@@ -582,7 +582,7 @@ mod sig {
     }
 
     /// Install the flag-setting handler for SIGINT (2) and SIGTERM (15).
-    pub fn install() {
+    pub(crate) fn install() {
         // SAFETY: `signal(2)` takes a signal number and a handler of the
         // C signature; `handle` is async-signal-safe (one atomic
         // store), and installing it twice is harmless.
@@ -593,7 +593,7 @@ mod sig {
     }
 
     /// Whether a shutdown signal has arrived.
-    pub fn requested() -> bool {
+    pub(crate) fn requested() -> bool {
         REQUESTED.load(Ordering::SeqCst)
     }
 }

@@ -1,6 +1,6 @@
 //! World cache: build the retrieval index once, persist it, reload it.
 //!
-//! [`build_experiment`] is [`Experiment::build`] with an optional cache
+//! `build_experiment` is [`Experiment::build`] with an optional cache
 //! directory. The synthetic wiki and corpus are always regenerated
 //! (they are cheap and fully determined by the configuration); the
 //! expensive part — tokenizing and indexing every document, plus
@@ -90,7 +90,7 @@ impl IndexSource {
     }
 }
 
-/// Wall-clock breakdown of one [`build_experiment`] call.
+/// Wall-clock breakdown of one `build_experiment` call.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BuildStats {
     /// Seconds to synthesize the wiki and corpus (always paid).
@@ -127,7 +127,7 @@ impl BuildStats {
 /// the *configuration* inputs that determine the index bytes. Pipeline
 /// knobs (pool caps, cycle limits …) deliberately do not participate:
 /// they change the analysis, not the index. Generator/tokenizer *code*
-/// changes are invisible to this fingerprint; [`build_experiment`]
+/// changes are invisible to this fingerprint; `build_experiment`
 /// additionally cross-checks a loaded index against the regenerated
 /// corpus (doc count) to catch that kind of staleness.
 pub fn config_fingerprint(config: &ExperimentConfig) -> u64 {
@@ -158,7 +158,7 @@ pub fn store_dir(dir: &Path, config: &ExperimentConfig, shards: usize) -> PathBu
 /// (its manifest slot, [`ServiceError::ArtifactShard`]). The one loader
 /// behind both construction paths: the serving facade
 /// ([`crate::service::ServingWorld::load`]) surfaces the error;
-/// [`build_experiment`] treats it as a cache miss and rebuilds.
+/// `build_experiment` treats it as a cache miss and rebuilds.
 ///
 /// With `corpus_docs` set, the loaded index must cover exactly that
 /// many documents — the cross-check that catches generator/tokenizer
@@ -396,14 +396,14 @@ pub(crate) fn build_world(
 /// entry is published for the next run. Loaded and built experiments
 /// produce byte-identical `Report`s (pinned by the golden-fingerprint
 /// tests).
-pub fn build_experiment(
+pub(crate) fn build_experiment(
     config: &ExperimentConfig,
     cache_dir: Option<&Path>,
 ) -> (Experiment, BuildStats) {
     build_experiment_with(config, cache_dir, &WorldOptions::default())
 }
 
-/// [`build_experiment`] with explicit [`WorldOptions`] — the sharded
+/// `build_experiment` with explicit [`WorldOptions`] — the sharded
 /// layout. The `Report` produced is byte-identical at any shard count
 /// (golden-pinned and property-tested).
 pub fn build_experiment_with(

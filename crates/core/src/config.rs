@@ -17,16 +17,16 @@ pub struct ExperimentConfig {
     /// Ground-truth search parameters.
     pub ground_truth: GroundTruthConfig,
     /// Maximum cycle length analyzed (the paper stops at 5).
-    pub max_cycle_len: usize,
+    pub(crate) max_cycle_len: usize,
     /// Per-query cap on enumerated cycles (safety valve; the paper's §4
     /// names unbounded cycle enumeration as the open challenge).
-    pub cycle_limit: usize,
+    pub(crate) cycle_limit: usize,
     /// Cap on |L(q.D)| fed to the hill climb (candidates are kept in
     /// descending relevant-document frequency).
-    pub max_pool: usize,
+    pub(crate) max_pool: usize,
     /// Also compute the §4 article-frequency correlation (extra
     /// retrieval evaluations per query).
-    pub compute_correlation: bool,
+    pub(crate) compute_correlation: bool,
 }
 
 impl ExperimentConfig {

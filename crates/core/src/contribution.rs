@@ -16,7 +16,7 @@ use querygraph_wiki::ArticleId;
 
 /// Percentual contribution of adding `cycle_articles` to the query
 /// articles.
-pub fn contribution(
+pub(crate) fn contribution(
     evaluator: &QualityEvaluator<'_>,
     query_articles: &[ArticleId],
     baseline_quality: f64,
@@ -34,7 +34,7 @@ pub fn contribution(
 
 /// The percentual difference `100 · (after − before) / before`, with the
 /// zero-baseline fallback described in the module docs.
-pub fn percent_change(before: f64, after: f64) -> f64 {
+pub(crate) fn percent_change(before: f64, after: f64) -> f64 {
     if before > 0.0 {
         100.0 * (after - before) / before
     } else {

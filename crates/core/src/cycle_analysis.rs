@@ -15,7 +15,7 @@
 //! * **density of extra edges** — `(E − |C|) / (M − |C|)` (Fig. 7b),
 //!   undefined when `M = |C|` (always the case for length 2);
 //! * **contribution** — the retrieval-quality delta (Figs. 5 and 9),
-//!   filled in by [`fill_contributions`] because it needs a search
+//!   filled in by `fill_contributions` because it needs a search
 //!   engine.
 
 use crate::contribution::contribution;
@@ -39,15 +39,15 @@ pub struct CycleRecord {
     /// categories / |C|.
     pub category_ratio: f64,
     /// E(C).
-    pub edge_count: usize,
+    pub(crate) edge_count: usize,
     /// M(C).
-    pub max_edges: usize,
+    pub(crate) max_edges: usize,
     /// `(E − |C|) / (M − |C|)`, `None` when `M = |C|`.
     pub extra_edge_density: Option<f64>,
     /// The cycle's article entities (knowledge-base ids).
     pub articles: Vec<ArticleId>,
     /// Retrieval contribution in percent; `None` until
-    /// [`fill_contributions`] runs.
+    /// `fill_contributions` runs.
     pub contribution: Option<f64>,
 }
 
@@ -108,7 +108,7 @@ pub fn enumerate_cycles(
 /// Fill each record's contribution: O(L(q.k) ∪ C_articles) vs the
 /// baseline O(L(q.k)). Cycle article sets repeat heavily across cycles,
 /// so evaluations are memoized per distinct article set.
-pub fn fill_contributions(
+pub(crate) fn fill_contributions(
     records: &mut [CycleRecord],
     evaluator: &QualityEvaluator<'_>,
     query_articles: &[ArticleId],
@@ -132,7 +132,7 @@ pub fn fill_contributions(
 /// and its single-feature contribution, over the non-query articles
 /// appearing in the records. `None` when fewer than two such articles
 /// exist or a correlation is undefined.
-pub fn article_frequency_correlation(
+pub(crate) fn article_frequency_correlation(
     records: &[CycleRecord],
     evaluator: &QualityEvaluator<'_>,
     query_articles: &[ArticleId],
@@ -161,7 +161,11 @@ pub fn article_frequency_correlation(
 
 /// Group mean of a per-cycle metric by cycle length: `out[len] = mean`.
 /// Lengths without cycles yield `None`.
-pub fn mean_by_length<F>(records: &[CycleRecord], max_len: usize, metric: F) -> Vec<Option<f64>>
+pub(crate) fn mean_by_length<F>(
+    records: &[CycleRecord],
+    max_len: usize,
+    metric: F,
+) -> Vec<Option<f64>>
 where
     F: Fn(&CycleRecord) -> Option<f64>,
 {

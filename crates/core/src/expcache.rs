@@ -52,14 +52,14 @@ const CACHE_SHARDS: usize = 8;
 /// Keys are totally ordered (field declaration order, query text
 /// first) so eviction can break stamp ties deterministically.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct CacheKey {
+pub(crate) struct CacheKey {
     /// The query text as served (trimmed — exactly the `query` field
     /// of the response).
-    pub query: String,
+    pub(crate) query: String,
     /// Effective feature cap (builder cap tightened by the request).
-    pub max_features: Option<usize>,
+    pub(crate) max_features: Option<usize>,
     /// Effective retrieval depth (0 = expansion only).
-    pub top_k: usize,
+    pub(crate) top_k: usize,
     /// The epoch of the generation the request pinned
     /// ([`EngineGeneration::epoch`]): 0 for a fixed engine, the
     /// manifest's generation fingerprint for a slot. A live index swap
@@ -69,7 +69,7 @@ pub struct CacheKey {
     ///
     /// [`EngineGeneration::epoch`]:
     ///     querygraph_retrieval::backend::EngineGeneration::epoch
-    pub epoch: u64,
+    pub(crate) epoch: u64,
 }
 
 impl Hash for CacheKey {
@@ -135,19 +135,9 @@ impl ExpansionCache {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Entries currently resident (including in-flight cells).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Lookups answered from the cache (including followers that
@@ -180,7 +170,7 @@ impl ExpansionCache {
     /// Return the cached response for `key`, or run `compute` exactly
     /// once per concurrent cohort (single-flight) and cache its
     /// success. Errors propagate uncached.
-    pub fn get_or_compute<F>(
+    pub(crate) fn get_or_compute<F>(
         &self,
         key: &CacheKey,
         compute: F,
@@ -351,7 +341,7 @@ mod tests {
         }
         assert_eq!(attempts, 2, "errors must be retried");
         assert_eq!(cache.hits(), 0);
-        assert!(cache.is_empty(), "failed cells must be withdrawn");
+        assert!(cache.len() == 0, "failed cells must be withdrawn");
         // A success after failures caches normally.
         cache.get_or_compute(&k, || Ok(response("broken"))).unwrap();
         cache.get_or_compute(&k, || panic!("must hit")).unwrap();
@@ -370,7 +360,7 @@ mod tests {
             "capacity bound violated: {} entries",
             cache.len()
         );
-        assert!(!cache.is_empty());
+        assert!(cache.len() > 0);
         // Recently inserted keys are still resident (stale ones were
         // the eviction victims); at least the very last key must hit.
         let last = key("query-199");
@@ -443,7 +433,7 @@ mod tests {
         assert_eq!(computes, 3);
         assert_eq!(cache.lookups(), 0);
         assert_eq!(cache.hit_rate(), 0.0);
-        assert!(cache.is_empty());
+        assert!(cache.len() == 0);
     }
 
     #[test]

@@ -62,17 +62,17 @@ pub struct QueryAnalysis {
     /// L(q.k): articles linked from the keywords.
     pub lqk: Vec<ArticleId>,
     /// |L(q.D)| before pool capping.
-    pub lqd_size: usize,
+    pub(crate) lqd_size: usize,
     /// Ground-truth result (§2.2).
     pub ground_truth: GroundTruth,
     /// Largest-component statistics of G(q) (Table 3).
-    pub lcc: LccStats,
+    pub(crate) lcc: LccStats,
     /// Measured cycles with contributions (§3).
     pub cycles: Vec<CycleRecord>,
     /// Per-configuration precisions for Table 4.
-    pub table4_rows: Vec<(String, [f64; 4])>,
+    pub(crate) table4_rows: Vec<(String, [f64; 4])>,
     /// §4 article-frequency correlation `(pearson, spearman)`.
-    pub correlation: Option<(f64, f64)>,
+    pub(crate) correlation: Option<(f64, f64)>,
 }
 
 /// The aggregated reproduction results.
@@ -83,11 +83,11 @@ pub struct Report {
     /// One analysis per query, in query order.
     pub per_query: Vec<QueryAnalysis>,
     /// Knowledge-base statistics (reciprocity etc.).
-    pub kb: KbStats,
+    pub(crate) kb: KbStats,
 }
 
 /// The Table 4 cycle-length configurations, in paper order.
-pub const TABLE4_CONFIGS: [(&str, &[usize]); 7] = [
+pub(crate) const TABLE4_CONFIGS: [(&str, &[usize]); 7] = [
     ("2", &[2]),
     ("3", &[3]),
     ("4", &[4]),
@@ -134,13 +134,6 @@ impl Experiment {
         .0
     }
 
-    /// A serving facade ([`crate::service::QueryExpander`]) over this
-    /// experiment's world, with default knobs. Builds the entity
-    /// linker; construct once and reuse.
-    pub fn expander(&self) -> crate::service::QueryExpander<'_> {
-        crate::service::QueryExpander::new(&self.wiki.kb, &self.engine)
-    }
-
     /// Analyze every query sequentially.
     pub fn run(&self) -> Report {
         self.run_with_summary().0
@@ -179,7 +172,7 @@ impl Experiment {
     }
 
     /// The §2–§3 pipeline for one query (untimed; see
-    /// [`PipelineCtx::analyze_timed`] for the instrumented variant).
+    /// `PipelineCtx::analyze_timed` for the instrumented variant).
     pub fn analyze_query(&self, linker: &EntityLinker<'_>, qi: usize) -> QueryAnalysis {
         pipeline::analyze_one(
             &self.config,

@@ -76,19 +76,19 @@ pub struct GroundTruth {
 
 /// Running totals of one evaluator's quality evaluations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EvalCounts {
+pub(crate) struct EvalCounts {
     /// Quality evaluations requested.
-    pub evaluations: usize,
+    pub(crate) evaluations: usize,
     /// Requests answered from the subset memo.
-    pub cached: usize,
+    pub(crate) cached: usize,
     /// Requests that ran a workspace search.
-    pub computed: usize,
+    pub(crate) computed: usize,
 }
 
 impl EvalCounts {
     /// Counts accumulated since `earlier` (which must be a prefix of
     /// this history).
-    pub fn since(self, earlier: EvalCounts) -> EvalCounts {
+    pub(crate) fn since(self, earlier: EvalCounts) -> EvalCounts {
         EvalCounts {
             evaluations: self.evaluations - earlier.evaluations,
             cached: self.cached - earlier.cached,
@@ -199,46 +199,47 @@ impl<'a> QualityEvaluator<'a> {
     }
 
     /// O(articles, D) of Eq. 1 (memoized; counts one evaluation).
-    pub fn quality(&self, articles: &[ArticleId]) -> f64 {
+    pub(crate) fn quality(&self, articles: &[ArticleId]) -> f64 {
         self.quality_of(articles, None, &[])
     }
 
     /// O(set ∪ {extra}, D): quality with `extra` appended — the climb's
     /// ADD neighbor. Every ADD neighbor of `set` shares `set` as the
     /// workspace's cached prefix.
-    pub fn with_article(&self, set: &[ArticleId], extra: ArticleId) -> f64 {
+    pub(crate) fn with_article(&self, set: &[ArticleId], extra: ArticleId) -> f64 {
         self.quality_of(set, Some(extra), &[])
     }
 
     /// O(set \ set\[index\], D): quality with one position dropped — the
     /// climb's REMOVE neighbor.
-    pub fn without_article(&self, set: &[ArticleId], index: usize) -> f64 {
+    pub(crate) fn without_article(&self, set: &[ArticleId], index: usize) -> f64 {
         self.quality_of(&set[..index], None, &set[index + 1..])
     }
 
     /// O with `set[index]` replaced by `replacement` — the climb's SWAP
     /// neighbor. Every SWAP at one `index` shares `set[..index]` as the
     /// workspace's cached prefix.
-    pub fn with_swap(&self, set: &[ArticleId], index: usize, replacement: ArticleId) -> f64 {
+    pub(crate) fn with_swap(&self, set: &[ArticleId], index: usize, replacement: ArticleId) -> f64 {
         self.quality_of(&set[..index], Some(replacement), &set[index + 1..])
     }
 
     /// Per-cutoff precisions of the article set (never memoized — the
     /// ranked list is needed, not just the quality).
-    pub fn precisions(&self, articles: &[ArticleId]) -> [f64; 4] {
+    pub(crate) fn precisions(&self, articles: &[ArticleId]) -> [f64; 4] {
         let state = &mut *self.state.borrow_mut();
         let hits = self.search(state, articles, None, &[]);
         precisions(&hits, &self.relevant)
     }
 
     /// Evaluation counters so far (total / memo hits / computed).
-    pub fn counts(&self) -> EvalCounts {
+    pub(crate) fn counts(&self) -> EvalCounts {
         self.state.borrow().counts
     }
 
     /// Distinct phrase resolutions performed by the workspace — exactly
     /// one per distinct article title evaluated through this evaluator.
-    pub fn resolutions(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn resolutions(&self) -> usize {
         self.state.borrow().workspace.resolutions()
     }
 

@@ -23,7 +23,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Log-bucket resolution: sub-buckets per factor-of-two in value.
-pub const BUCKETS_PER_OCTAVE: usize = 8;
+pub(crate) const BUCKETS_PER_OCTAVE: usize = 8;
 
 /// Octaves covered above 1 µs: `2^40` µs ≈ 12.7 days, far past any
 /// deadline this server can serve. Larger samples clamp into the top
@@ -37,13 +37,10 @@ const NUM_BUCKETS: usize = 1 + OCTAVES * BUCKETS_PER_OCTAVE;
 /// Fixed-memory, lock-free histogram of latency samples in
 /// microseconds. Share behind `Arc` (or a field of a shared stats
 /// struct); every method takes `&self`.
-pub struct LatencyHistogram {
+pub(crate) struct LatencyHistogram {
     buckets: [AtomicU64; NUM_BUCKETS],
     /// Total samples recorded.
     count: AtomicU64,
-    /// Exact sum, in integer nanoseconds (overflows after ~584 years
-    /// of accumulated latency — treated as unreachable).
-    sum_ns: AtomicU64,
     /// Exact maximum, in integer nanoseconds.
     max_ns: AtomicU64,
 }
@@ -53,7 +50,6 @@ impl Default for LatencyHistogram {
         LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
             max_ns: AtomicU64::new(0),
         }
     }
@@ -96,7 +92,7 @@ fn bucket_upper_us(i: usize) -> f64 {
 impl LatencyHistogram {
     /// Record one sample (microseconds). Lock-free; negative or NaN
     /// samples land in the underflow bucket rather than panicking.
-    pub fn record(&self, us: f64) {
+    pub(crate) fn record(&self, us: f64) {
         self.buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         let ns = if us.is_finite() && us > 0.0 {
@@ -104,20 +100,14 @@ impl LatencyHistogram {
         } else {
             0
         };
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// A point-in-time copy of the counters, cheap to take while
     /// recording continues (per-bucket reads are relaxed; a snapshot
     /// concurrent with recording may be at most a few samples skewed,
     /// never structurally wrong).
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: self
                 .buckets
@@ -125,7 +115,6 @@ impl LatencyHistogram {
                 .map(|b| b.load(Ordering::Relaxed))
                 .collect(),
             count: self.count.load(Ordering::Relaxed),
-            sum_ns: self.sum_ns.load(Ordering::Relaxed),
             max_ns: self.max_ns.load(Ordering::Relaxed),
         }
     }
@@ -137,7 +126,6 @@ impl LatencyHistogram {
 pub struct HistogramSnapshot {
     buckets: Vec<u64>,
     count: u64,
-    sum_ns: u64,
     max_ns: u64,
 }
 
@@ -148,24 +136,15 @@ impl HistogramSnapshot {
     }
 
     /// Exact maximum sample, microseconds (0 when empty).
-    pub fn max_us(&self) -> f64 {
+    pub(crate) fn max_us(&self) -> f64 {
         self.max_ns as f64 / 1e3
-    }
-
-    /// Exact mean, microseconds (0 when empty).
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / 1e3 / self.count as f64
-        }
     }
 
     /// Nearest-rank percentile (`p` in 0..=100), reported as the
     /// holding bucket's upper bound clamped to the exact observed max
     /// — within +9.1% of the true value, never below it for tail
     /// percentiles. 0 when empty.
-    pub fn percentile_us(&self, p: f64) -> f64 {
+    pub(crate) fn percentile_us(&self, p: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -199,7 +178,6 @@ mod tests {
         assert_eq!(s.percentile_us(50.0), 0.0);
         assert_eq!(s.percentile_us(99.9), 0.0);
         assert_eq!(s.max_us(), 0.0);
-        assert_eq!(s.mean_us(), 0.0);
     }
 
     #[test]
@@ -220,8 +198,6 @@ mod tests {
             );
         }
         assert_eq!(snap.max_us(), 10_000.0);
-        let exact_mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        assert!((snap.mean_us() - exact_mean).abs() < 1e-6);
     }
 
     #[test]
@@ -257,13 +233,13 @@ mod tests {
         // The whole point: size is a compile-time constant.
         assert_eq!(
             std::mem::size_of::<LatencyHistogram>(),
-            (NUM_BUCKETS + 3) * 8
+            (NUM_BUCKETS + 2) * 8
         );
         let h = LatencyHistogram::default();
         for i in 0..100_000u64 {
             h.record((i % 977) as f64 + 0.5);
         }
-        assert_eq!(h.count(), 100_000);
+        assert_eq!(h.snapshot().count(), 100_000);
     }
 
     #[test]

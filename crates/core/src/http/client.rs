@@ -15,20 +15,12 @@ pub struct HttpResponse {
     /// The status code from the status line.
     pub status: u16,
     /// Header `(name, value)` pairs in arrival order.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     /// The response body, exactly as received.
     pub body: Vec<u8>,
 }
 
 impl HttpResponse {
-    /// The first value of `name`, matched case-insensitively.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
     /// The body as UTF-8 (lossy — diagnostics only).
     pub fn body_text(&self) -> String {
         String::from_utf8_lossy(&self.body).into_owned()

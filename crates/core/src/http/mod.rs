@@ -30,16 +30,16 @@
 //!   writes get typed 4xx answers within one deadline budget; no
 //!   worker hangs, no panics on hostile input.
 //!
-//! [`client`] is the matching minimal blocking client (`qgx client`
+//! `client` is the matching minimal blocking client (`qgx client`
 //! and the conformance tests drive the server with it).
 
-pub mod client;
+mod client;
 pub mod parser;
-pub mod server;
+mod server;
 
 pub use client::{get, post_json, request, HttpResponse};
-pub use parser::{HttpLimits, ParseError, RequestHead};
-pub use server::{HttpServer, ServerConfig, ServerStats, StatzSnapshot};
+pub use parser::HttpLimits;
+pub use server::{HttpServer, ServerConfig, StatzSnapshot};
 
 use crate::service::ServiceError;
 
@@ -82,7 +82,7 @@ pub fn expand_error_body(query: &str, error: &ServiceError) -> String {
 
 /// The error body for protocol-level rejections (no query to echo):
 /// `{"code":…,"error":…}` with a [`ParseError::code`]-style code.
-pub fn protocol_error_body(code: &str, message: &str) -> String {
+pub(crate) fn protocol_error_body(code: &str, message: &str) -> String {
     format!(
         "{{\"code\":{},\"error\":{}}}",
         json_string(code),

@@ -22,13 +22,13 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HttpLimits {
     /// Maximum bytes in the request line (method + target + version).
-    pub max_request_line: usize,
+    pub(crate) max_request_line: usize,
     /// Maximum number of header lines.
-    pub max_headers: usize,
+    pub(crate) max_headers: usize,
     /// Maximum total bytes in the head (request line + all headers).
-    pub max_head_bytes: usize,
+    pub(crate) max_head_bytes: usize,
     /// Maximum declared `Content-Length`.
-    pub max_body_bytes: usize,
+    pub(crate) max_body_bytes: usize,
 }
 
 impl Default for HttpLimits {
@@ -47,18 +47,18 @@ impl Default for HttpLimits {
 /// so error bodies are uniform across protocol and service failures).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
-    /// The request line exceeded [`HttpLimits::max_request_line`].
+    /// The request line exceeded `HttpLimits::max_request_line`.
     RequestLineTooLong {
         /// The configured ceiling.
         limit: usize,
     },
     /// The head (request line + headers) exceeded
-    /// [`HttpLimits::max_head_bytes`].
+    /// `HttpLimits::max_head_bytes`.
     HeadTooLarge {
         /// The configured ceiling.
         limit: usize,
     },
-    /// More header lines than [`HttpLimits::max_headers`].
+    /// More header lines than `HttpLimits::max_headers`.
     TooManyHeaders {
         /// The configured ceiling.
         limit: usize,
@@ -75,7 +75,7 @@ pub enum ParseError {
     /// `Content-Length` is non-numeric or repeated with different
     /// values.
     BadContentLength,
-    /// The declared body exceeds [`HttpLimits::max_body_bytes`].
+    /// The declared body exceeds `HttpLimits::max_body_bytes`.
     BodyTooLarge {
         /// The declared `Content-Length`.
         declared: usize,
@@ -98,7 +98,8 @@ impl ParseError {
     /// test-time error, never a silently dropped counter.
     ///
     /// [`ServiceError::CODES`]: crate::service::ServiceError::CODES
-    pub const CODES: [&'static str; 10] = [
+    #[cfg(test)]
+    pub(crate) const CODES: [&'static str; 10] = [
         "request_line_too_long",
         "head_too_large",
         "too_many_headers",
@@ -112,7 +113,7 @@ impl ParseError {
     ];
 
     /// The HTTP status this rejection is answered with.
-    pub fn status(&self) -> u16 {
+    pub(crate) fn status(&self) -> u16 {
         match self {
             ParseError::RequestLineTooLong { .. }
             | ParseError::HeadTooLarge { .. }
@@ -128,7 +129,7 @@ impl ParseError {
     }
 
     /// The wire-stable machine-readable code for the error body.
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             ParseError::RequestLineTooLong { .. } => "request_line_too_long",
             ParseError::HeadTooLarge { .. } => "head_too_large",
@@ -183,21 +184,21 @@ impl std::error::Error for ParseError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestHead {
     /// The method token, as sent (`GET`, `POST`, …).
-    pub method: String,
+    pub(crate) method: String,
     /// The request target (`/expand`, `/healthz?x=1`, …).
-    pub target: String,
+    pub(crate) target: String,
     /// `HTTP/1.0` or `HTTP/1.1` (anything else is rejected).
-    pub version: String,
+    pub(crate) version: String,
     /// Header `(name, value)` pairs in arrival order; names keep their
     /// sent casing, lookups are case-insensitive.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     /// Bytes of the buffer the head consumed (body starts here).
-    pub head_len: usize,
+    pub(crate) head_len: usize,
 }
 
 impl RequestHead {
     /// The first value of `name`, matched case-insensitively.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(k, _)| k.eq_ignore_ascii_case(name))
@@ -207,7 +208,7 @@ impl RequestHead {
     /// The declared body length under `limits`. `Ok(0)` when absent
     /// (per [`ParseError::LengthRequired`], callers that *need* a body
     /// reject that case themselves).
-    pub fn content_length(&self, limits: &HttpLimits) -> Result<usize, ParseError> {
+    pub(crate) fn content_length(&self, limits: &HttpLimits) -> Result<usize, ParseError> {
         if self.header("transfer-encoding").is_some() {
             return Err(ParseError::UnsupportedTransferEncoding);
         }
@@ -240,7 +241,7 @@ impl RequestHead {
     /// Whether the connection stays open after this exchange:
     /// HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close, and an
     /// explicit `Connection` header overrides either way.
-    pub fn keep_alive(&self) -> bool {
+    pub(crate) fn keep_alive(&self) -> bool {
         match self.header("connection") {
             Some(v) if v.eq_ignore_ascii_case("close") => false,
             Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,

@@ -150,7 +150,7 @@ impl Default for ServerConfig {
 /// Live serving counters, shared between workers and observers.
 /// Everything is monotonic and **lock-free**: scalar counters and the
 /// per-code tallies are atomics, and the latency distributions are
-/// log-bucketed [`LatencyHistogram`]s (constant memory over any run
+/// log-bucketed `LatencyHistogram`s (constant memory over any run
 /// length, one relaxed `fetch_add` per sample) — so concurrent workers
 /// never serialize on a stats mutex and [`ServerStats::snapshot`] is
 /// safe to call from any thread at any time (the `/statz` endpoint
@@ -188,7 +188,7 @@ pub struct StatzSnapshot {
     /// read too slowly, or computed too late).
     pub timeouts: u64,
     /// Protocol-level rejections (malformed heads, oversized bodies…).
-    pub bad_requests: u64,
+    pub(crate) bad_requests: u64,
     /// Typed failures by wire code (`ServiceError::code` and
     /// `ParseError::code` values share this namespace).
     pub error_codes: BTreeMap<String, u64>,
@@ -246,7 +246,7 @@ impl ServerStats {
     /// Typed failures by wire code, copied out (codes never bumped are
     /// absent — exactly the map the old mutex-guarded implementation
     /// accumulated, so the `/statz` wire format is unchanged).
-    pub fn error_codes(&self) -> BTreeMap<String, u64> {
+    pub(crate) fn error_codes(&self) -> BTreeMap<String, u64> {
         self.error_codes
             .nonzero()
             .map(|(code, n)| (code.to_string(), n))

@@ -12,14 +12,14 @@
 //! * [`cycle_analysis`] — §3: enumerate the cycles of G(q) through the
 //!   query articles and measure length, category ratio, density of extra
 //!   edges (the M(C) formula) and retrieval contribution.
-//! * [`contribution`] — the percentual O-difference a cycle's articles
+//! * `contribution` — the percentual O-difference a cycle's articles
 //!   buy (Figs. 5 and 9).
 //! * [`expansion`] — the findings operationalized: the cycle strategy
 //!   (dense cycles, ≈30 % category ratio) and the direct-link baseline,
 //!   one function each.
 //! * [`experiment`] — the reproduction pipeline: synthesize Wikipedia +
 //!   corpus, build ground truths, analyze every query graph, aggregate
-//!   every table and figure ([`tables`]).
+//!   every table and figure (`tables`).
 //! * [`pipeline`] — the execution layer under [`experiment`]: the
 //!   shared read-only [`pipeline::PipelineCtx`], per-stage timing, and
 //!   the deterministic work-stealing runner that parallelizes the
@@ -32,8 +32,8 @@
 //!   answers ad-hoc per-query expansion requests (entity linking →
 //!   cycle-based expansion → optional retrieval) over a world built
 //!   once — directly from a cached on-disk index if available — with
-//!   typed errors and a deterministic batch entrypoint. The
-//!   reproduction pipeline is itself a consumer of this facade.
+//!   typed errors. The reproduction pipeline is itself a consumer of
+//!   this facade.
 //! * [`expcache`] — a bounded, shard-aware memoization of complete
 //!   expansion responses with single-flight misses, for the
 //!   head-heavy query distributions real serving sees.
@@ -58,27 +58,18 @@
 
 pub mod cache;
 pub mod config;
-pub mod contribution;
+mod contribution;
 pub mod cycle_analysis;
 pub mod expansion;
 pub mod expcache;
 pub mod experiment;
 pub mod ground_truth;
-pub mod histogram;
+mod histogram;
 pub mod http;
 pub mod pipeline;
 pub mod query_graph;
 pub mod service;
-pub mod tables;
+mod tables;
 
-pub use cache::{BuildStats, IndexSource};
 pub use expcache::ExpansionCache;
-pub use experiment::{Experiment, ExperimentConfig, Report};
-pub use histogram::{HistogramSnapshot, LatencyHistogram};
-pub use http::{HttpServer, ServerConfig};
-pub use pipeline::{PipelineCtx, RunSummary, Stage, StageTimings};
-pub use query_graph::QueryGraph;
-pub use service::{
-    Deadline, ExpansionRequest, ExpansionResponse, ExpansionStrategy, QueryExpander,
-    QueryExpanderBuilder, ServiceError, ServingWorld,
-};
+pub use experiment::ExperimentConfig;

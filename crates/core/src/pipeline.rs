@@ -1,8 +1,8 @@
 //! The query-analysis pipeline: shared context, per-stage timing, and a
 //! deterministic work-stealing runner.
 //!
-//! [`Experiment::run`](crate::Experiment::run) and
-//! [`Experiment::run_parallel`](crate::Experiment::run_parallel) are thin
+//! [`Experiment::run`](crate::experiment::Experiment::run) and
+//! [`Experiment::run_parallel`](crate::experiment::Experiment::run_parallel) are thin
 //! wrappers over this module. The pieces:
 //!
 //! * [`PipelineCtx`] — the read-only world shared by every worker: the
@@ -10,17 +10,16 @@
 //!   and the configuration. Building one constructs the linker's title
 //!   dictionary once; analyzing a query never mutates it (the engine's
 //!   phrase cache is interior-mutable behind a lock but only memoizes).
-//! * [`analyze_timed`](PipelineCtx::analyze_timed) — the paper's §2–§3
+//! * `PipelineCtx::analyze_timed` — the paper's §2–§3
 //!   per-query pipeline, instrumented per [`Stage`].
 //! * [`parallel_map`] — the deterministic work-stealing runner,
 //!   re-exported from `querygraph_retrieval::par` (it moved down so the
 //!   sharded engine can scatter per-shard work on it too): map `0..n`
 //!   through a pure function over `std::thread::scope` workers with
 //!   chunked work stealing, results reassembled in index order.
-//!   [`run_queries`], the serving facade's
-//!   [`crate::service::QueryExpander::expand_batch`], per-shard
-//!   retrieval, and parallel segment loading are all clients.
-//! * [`run_queries`] — distributes queries over [`parallel_map`].
+//!   `run_queries`, per-shard retrieval, and parallel segment loading
+//!   are all clients.
+//! * `run_queries` — distributes queries over [`parallel_map`].
 //!   Output is **deterministic**: each analysis depends only on the
 //!   read-only context and its query index, and results are
 //!   reassembled in query order, so the `Report` is byte-identical to
@@ -29,7 +28,7 @@
 //! * [`RunSummary`] — the machine-readable timing record (wall clock +
 //!   per-stage CPU seconds) that `repro_all --bench-out` serializes
 //!   and the repo benchmark's `repro_batch` workload reads. Timings
-//!   live here, *outside* [`Report`](crate::Report), exactly so that
+//!   live here, *outside* [`Report`](crate::experiment::Report), exactly so that
 //!   reports stay byte-stable across runs and thread counts.
 
 use crate::config::ExperimentConfig;
@@ -82,7 +81,7 @@ impl Stage {
     ];
 
     /// Snake-case stage name, as written to `run.stage_seconds`.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Stage::Link => "link",
             Stage::GroundTruth => "ground_truth",
@@ -104,19 +103,19 @@ impl Stage {
 
 /// Wall-clock seconds per [`Stage`] for one query.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct StageTimings {
+pub(crate) struct StageTimings {
     /// Seconds per stage, indexed like [`Stage::ALL`].
-    pub seconds: [f64; Stage::ALL.len()],
+    pub(crate) seconds: [f64; Stage::ALL.len()],
 }
 
 impl StageTimings {
     /// Total seconds across all stages.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.seconds.iter().sum()
     }
 
     /// Seconds spent in `stage`.
-    pub fn get(&self, stage: Stage) -> f64 {
+    pub(crate) fn get(&self, stage: Stage) -> f64 {
         self.seconds[stage.index()]
     }
 
@@ -139,17 +138,17 @@ impl StageTimings {
 /// both ad-hoc queries and the batch experiment.
 pub struct PipelineCtx<'a> {
     /// Run configuration.
-    pub config: &'a ExperimentConfig,
+    pub(crate) config: &'a ExperimentConfig,
     /// The corpus and query set under analysis.
-    pub corpus: &'a SynthCorpus,
+    pub(crate) corpus: &'a SynthCorpus,
     /// The retrieval backend over the documents' linking text —
     /// monolithic or sharded, byte-identical either way.
-    pub engine: &'a dyn RetrievalBackend,
+    pub(crate) engine: &'a dyn RetrievalBackend,
     /// The knowledge base the query graphs are induced from.
-    pub kb: &'a KnowledgeBase,
+    pub(crate) kb: &'a KnowledgeBase,
     /// The serving facade over the same world (entity linker built
     /// once at construction).
-    pub expander: QueryExpander<'a>,
+    pub(crate) expander: QueryExpander<'a>,
 }
 
 impl<'a> PipelineCtx<'a> {
@@ -165,18 +164,13 @@ impl<'a> PipelineCtx<'a> {
         }
     }
 
-    /// The entity linker (owned by the serving facade).
-    pub fn linker(&self) -> &EntityLinker<'a> {
-        self.expander.linker()
-    }
-
     /// Analyze query `qi` (untimed convenience).
     pub fn analyze(&self, qi: usize) -> QueryAnalysis {
         self.analyze_timed(qi).0
     }
 
     /// Analyze query `qi`, reporting per-stage wall-clock timings.
-    pub fn analyze_timed(&self, qi: usize) -> (QueryAnalysis, StageTimings) {
+    pub(crate) fn analyze_timed(&self, qi: usize) -> (QueryAnalysis, StageTimings) {
         analyze_one(
             self.config,
             self.corpus,
@@ -200,27 +194,27 @@ pub struct RunSummary {
     /// Queries analyzed.
     pub queries: usize,
     /// End-to-end wall-clock seconds of the run.
-    pub wall_seconds: f64,
+    pub(crate) wall_seconds: f64,
     /// `(stage name, summed seconds across queries)`, in stage order.
     /// Summed per-stage time is CPU time: with N workers it can exceed
     /// `wall_seconds`.
     pub stage_seconds: Vec<(String, f64)>,
     /// Mean per-query seconds across **all** stages.
-    pub per_query_mean_seconds: f64,
+    pub(crate) per_query_mean_seconds: f64,
     /// Mean per-query seconds of the §3 cycle analysis alone
     /// (enumeration + contributions) — the quantity the paper's §4
     /// "≈6 minutes per query" refers to.
-    pub cycle_analysis_mean_seconds: f64,
+    pub(crate) cycle_analysis_mean_seconds: f64,
     /// Quality evaluations requested by the §2.2 hill climbs (summed
     /// over queries; memo hits included, so the count is comparable
     /// across fast-path on/off).
-    pub ground_truth_evaluations: usize,
+    pub(crate) ground_truth_evaluations: usize,
     /// Hill-climb evaluations answered from the subset memo.
-    pub ground_truth_cached: usize,
+    pub(crate) ground_truth_cached: usize,
     /// Hill-climb evaluations that ran a workspace search.
-    pub ground_truth_computed: usize,
+    pub(crate) ground_truth_computed: usize,
     /// `ground_truth_cached / ground_truth_evaluations` (0 when none).
-    pub ground_truth_cache_hit_rate: f64,
+    pub(crate) ground_truth_cache_hit_rate: f64,
 }
 
 impl RunSummary {
@@ -303,7 +297,10 @@ impl RunSummary {
 /// cheap load balancing for the heavy-tailed per-query cost the paper's
 /// §4 describes, with no locks on the work path (one `fetch_add` per
 /// claimed query).
-pub fn run_queries(ctx: &PipelineCtx<'_>, threads: usize) -> (Vec<QueryAnalysis>, RunSummary) {
+pub(crate) fn run_queries(
+    ctx: &PipelineCtx<'_>,
+    threads: usize,
+) -> (Vec<QueryAnalysis>, RunSummary) {
     let n = ctx.corpus.queries.len();
     let start = Instant::now();
     let (mode, workers) = if threads <= 1 {

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 /// Why a node is part of the query graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NodeRole {
+pub(crate) enum NodeRole {
     /// Article of L(q.k) — triangular boxes in Fig. 3.
     QueryArticle,
     /// Article of A′ (best expansion features) — circle boxes.
@@ -38,13 +38,11 @@ pub struct QueryGraph {
     /// nodes.
     pub sub: Subgraph,
     /// Role of each local node.
-    pub roles: Vec<NodeRole>,
+    pub(crate) roles: Vec<NodeRole>,
     /// Local ids of the L(q.k) articles present in the graph.
-    pub query_nodes: Vec<u32>,
+    pub(crate) query_nodes: Vec<u32>,
     /// |L(q.k)| as given (denominator of the expansion ratio).
-    pub num_query_articles: usize,
-    /// |X(q)| = |L(q.k) ∪ A′|.
-    pub num_x_articles: usize,
+    pub(crate) num_query_articles: usize,
 }
 
 /// Statistics of the largest connected component — one row set of
@@ -54,11 +52,11 @@ pub struct LccStats {
     /// Relative size of the largest component: |LCC| / |G(q)|.
     pub size_ratio: f64,
     /// Fraction of L(q.k) articles inside the LCC.
-    pub query_node_ratio: f64,
+    pub(crate) query_node_ratio: f64,
     /// Fraction of LCC nodes that are articles.
-    pub article_ratio: f64,
+    pub(crate) article_ratio: f64,
     /// Fraction of LCC nodes that are categories.
-    pub category_ratio: f64,
+    pub(crate) category_ratio: f64,
     /// |X(q) ∩ LCC| / |L(q.k) ∩ LCC|; 0 when no query article is inside
     /// (the paper's sentinel).
     pub expansion_ratio: f64,
@@ -66,14 +64,14 @@ pub struct LccStats {
     pub tpr: f64,
     /// Absolute node count of the whole query graph (the paper reports
     /// an average of 208.22).
-    pub total_nodes: usize,
+    pub(crate) total_nodes: usize,
 }
 
 /// Assemble G(q) from the knowledge base, the query articles L(q.k) and
 /// the expansion articles A′.
 ///
 /// Redirects inside either set contribute their main article (kept with
-/// [`NodeRole::MainArticle`]); every included article contributes its
+/// `NodeRole::MainArticle`); every included article contributes its
 /// categories. Roles are assigned with precedence
 /// query > expansion > main > category.
 pub fn assemble(
@@ -138,7 +136,6 @@ pub fn assemble(
         roles,
         query_nodes,
         num_query_articles: query_articles.len(),
-        num_x_articles: x_articles.len(),
     }
 }
 
@@ -211,7 +208,7 @@ impl QueryGraph {
     }
 
     /// Number of categories among `local_nodes` (cycle category counts).
-    pub fn count_categories(&self, local_nodes: &[u32]) -> usize {
+    pub(crate) fn count_categories(&self, local_nodes: &[u32]) -> usize {
         local_nodes
             .iter()
             .filter(|&&l| self.roles[l as usize] == NodeRole::Category)
@@ -219,7 +216,7 @@ impl QueryGraph {
     }
 
     /// Map a local node back to an article id, if it is an article.
-    pub fn local_article(&self, kb: &KnowledgeBase, local: u32) -> Option<ArticleId> {
+    pub(crate) fn local_article(&self, kb: &KnowledgeBase, local: u32) -> Option<ArticleId> {
         kb.node_article(self.sub.parent_of(local))
     }
 }
@@ -243,7 +240,6 @@ mod tests {
         let kb = venice_mini_wiki();
         let g = venice_graph(&kb);
         // 5 articles + their categories; no redirects in X(q) here.
-        assert_eq!(g.num_x_articles, 5);
         assert!(g.category_nodes().len() >= 5);
         assert_eq!(g.article_nodes().len(), 5);
         assert_eq!(g.query_nodes.len(), 2);
@@ -257,7 +253,6 @@ mod tests {
         let g = assemble(&kb, &[venice], &[venice]);
         let vn = g.sub.local_of(kb.article_node(venice)).unwrap();
         assert_eq!(g.roles[vn as usize], NodeRole::QueryArticle);
-        assert_eq!(g.num_x_articles, 1);
     }
 
     #[test]

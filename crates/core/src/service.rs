@@ -15,12 +15,8 @@
 //!   [`ExpansionResponse`]s. Every failure on the serving path is a
 //!   typed [`ServiceError`], never a panic.
 //! * [`QueryExpanderBuilder`] — the knobs: expansion strategy
-//!   ([`ExpansionStrategy`]), linker synonym pass, feature caps, default
-//!   retrieval depth, response cache.
-//! * [`QueryExpander::expand_batch`] — many requests over the same
-//!   deterministic work-stealing runner the reproduction pipeline uses
-//!   ([`crate::pipeline::parallel_map`]); output order always matches
-//!   input order.
+//!   ([`ExpansionStrategy`]), feature caps, default retrieval depth,
+//!   response cache.
 //! * [`ServingWorld`] — the owned world a long-lived server holds:
 //!   synthesized knowledge base + engine, loaded either strictly from
 //!   its index cache's segment store ([`ServingWorld::load`], typed
@@ -49,7 +45,6 @@ use crate::cache::{self, WorldOptions};
 use crate::config::ExperimentConfig;
 use crate::expansion::{cycle_features, expanded_titles, link_features, CycleExpanderConfig};
 use crate::expcache::{CacheKey, ExpansionCache};
-use crate::pipeline::parallel_map;
 use querygraph_link::EntityLinker;
 use querygraph_retrieval::backend::{
     AnyEngine, EngineGeneration, ReloadableEngine, RetrievalBackend,
@@ -226,7 +221,8 @@ impl ServiceError {
     /// declaration order. A wire-stability test pins this list: adding
     /// a variant without extending it is a compile- or test-time error,
     /// never a silent wire change.
-    pub const CODES: [&'static str; 10] = [
+    #[cfg(test)]
+    pub(crate) const CODES: [&'static str; 10] = [
         "empty_query",
         "no_linked_entities",
         "no_engine",
@@ -243,7 +239,7 @@ impl ServiceError {
     /// discriminator the HTTP error body and the `/statz` per-code
     /// counters share. Codes never change meaning; new variants append
     /// new codes.
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             ServiceError::EmptyQuery => "empty_query",
             ServiceError::NoLinkedEntities { .. } => "no_linked_entities",
@@ -296,32 +292,27 @@ impl Deadline {
 
     /// A deadline whose clock started at `start` (e.g. when the request
     /// was *accepted*, before it waited in a queue).
-    pub fn starting_at(start: Instant, budget: Duration) -> Deadline {
+    pub(crate) fn starting_at(start: Instant, budget: Duration) -> Deadline {
         Deadline { start, budget }
     }
 
-    /// The total budget.
-    pub fn budget(&self) -> Duration {
-        self.budget
-    }
-
     /// Time consumed since the deadline's start instant.
-    pub fn elapsed(&self) -> Duration {
+    pub(crate) fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }
 
     /// Budget not yet consumed (zero once expired).
-    pub fn remaining(&self) -> Duration {
+    pub(crate) fn remaining(&self) -> Duration {
         self.budget.saturating_sub(self.elapsed())
     }
 
     /// Whether the budget is exhausted.
-    pub fn expired(&self) -> bool {
+    pub(crate) fn expired(&self) -> bool {
         self.elapsed() >= self.budget
     }
 
     /// `Err(`[`ServiceError::Timeout`]`)` once the budget is exhausted.
-    pub fn check(&self) -> Result<(), ServiceError> {
+    pub(crate) fn check(&self) -> Result<(), ServiceError> {
         if self.expired() {
             Err(self.timeout_error())
         } else {
@@ -409,10 +400,10 @@ pub struct ExpansionRequest {
     /// *lower* bound wins (a request can tighten the server's cap,
     /// never raise it). `None` uses the builder's cap alone, which
     /// itself defaults to the strategy's own limit.
-    pub max_features: Option<usize>,
+    pub(crate) max_features: Option<usize>,
     /// Retrieve this many documents with the expanded query; `None`
     /// falls back to the builder's default (off unless configured).
-    pub top_k: Option<usize>,
+    pub(crate) top_k: Option<usize>,
 }
 
 impl ExpansionRequest {
@@ -463,34 +454,14 @@ pub struct ExpansionResponse {
     pub hits: Vec<SearchHit>,
 }
 
-impl ExpansionResponse {
-    /// The feature titles, in rank order.
-    pub fn feature_titles(&self) -> Vec<&str> {
-        self.features.iter().map(|t| t.title.as_str()).collect()
-    }
-}
-
-/// Knobs for a [`QueryExpander`]: expansion strategy, linker behaviour,
-/// feature caps, retrieval defaults.
-#[derive(Debug, Clone)]
+/// Knobs for a [`QueryExpander`]: expansion strategy, feature caps,
+/// retrieval defaults, response cache.
+#[derive(Debug, Clone, Default)]
 pub struct QueryExpanderBuilder {
     strategy: ExpansionStrategy,
-    use_synonyms: bool,
     max_features: Option<usize>,
     default_top_k: Option<usize>,
     cache: Option<Arc<ExpansionCache>>,
-}
-
-impl Default for QueryExpanderBuilder {
-    fn default() -> Self {
-        QueryExpanderBuilder {
-            strategy: ExpansionStrategy::default(),
-            use_synonyms: true,
-            max_features: None,
-            default_top_k: None,
-            cache: None,
-        }
-    }
 }
 
 impl QueryExpanderBuilder {
@@ -498,13 +469,6 @@ impl QueryExpanderBuilder {
     /// expander).
     pub fn strategy(mut self, strategy: ExpansionStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Enable or disable the linker's synonym pass (default: on, the
-    /// paper's behaviour).
-    pub fn synonyms(mut self, on: bool) -> Self {
-        self.use_synonyms = on;
         self
     }
 
@@ -561,15 +525,10 @@ impl QueryExpanderBuilder {
     }
 
     fn assemble<'w>(&self, kb: &'w KnowledgeBase, source: Option<Source<'w>>) -> QueryExpander<'w> {
-        let linker = if self.use_synonyms {
-            EntityLinker::new(kb)
-        } else {
-            EntityLinker::new(kb).without_synonyms()
-        };
         QueryExpander {
             kb,
             source,
-            linker,
+            linker: EntityLinker::new(kb),
             strategy: self.strategy.clone(),
             max_features: self.max_features,
             default_top_k: self.default_top_k,
@@ -607,15 +566,14 @@ impl Pinned<'_> {
 /// Construction is the expensive step (the linker's title dictionary);
 /// [`QueryExpander::expand`] is allocation-light and lock-free except
 /// for the engine's memoizing phrase cache and the one slot snapshot a
-/// request over a slot takes, so one expander can serve many threads
-/// ([`QueryExpander::expand_batch`] does exactly that).
+/// request over a slot takes, so one expander can serve many threads.
 ///
 /// ```
 /// use querygraph_core::config::ExperimentConfig;
 /// use querygraph_core::service::{ExpansionRequest, QueryExpander, ServingWorld};
 ///
 /// let world = ServingWorld::open(&ExperimentConfig::tiny(), None);
-/// let expander = QueryExpander::new(&world.wiki.kb, &world.engine);
+/// let expander = QueryExpander::builder().build(&world.wiki.kb, &world.engine);
 /// let title = world.wiki.kb.title(world.wiki.kb.main_articles().next().unwrap());
 /// // Expand and also retrieve the top 5 documents.
 /// let response = expander
@@ -634,9 +592,12 @@ pub struct QueryExpander<'w> {
 }
 
 impl<'w> QueryExpander<'w> {
-    /// A facade with the default knobs (cycle strategy, synonyms on,
-    /// no default retrieval). Use [`QueryExpander::builder`] for more.
-    pub fn new(kb: &'w KnowledgeBase, engine: &'w dyn RetrievalBackend) -> QueryExpander<'w> {
+    /// A facade with the default knobs (cycle strategy, no default
+    /// retrieval). Use [`QueryExpander::builder`] for more.
+    pub(crate) fn new(
+        kb: &'w KnowledgeBase,
+        engine: &'w dyn RetrievalBackend,
+    ) -> QueryExpander<'w> {
         QueryExpanderBuilder::default().build(kb, engine)
     }
 
@@ -645,26 +606,10 @@ impl<'w> QueryExpander<'w> {
         QueryExpanderBuilder::default()
     }
 
-    /// The knowledge base this expander serves from.
-    pub fn kb(&self) -> &'w KnowledgeBase {
-        self.kb
-    }
-
     /// The entity linker (title dictionary built at construction). The
     /// reproduction pipeline links documents through this.
     pub fn linker(&self) -> &EntityLinker<'w> {
         &self.linker
-    }
-
-    /// The active expansion strategy.
-    pub fn strategy(&self) -> &ExpansionStrategy {
-        &self.strategy
-    }
-
-    /// The response cache, when built with one (read it for hit
-    /// statistics; the server's `Arc` is the same cache).
-    pub fn cache(&self) -> Option<&Arc<ExpansionCache>> {
-        self.cache.as_ref()
     }
 
     /// Serve one request end to end.
@@ -817,19 +762,6 @@ impl<'w> QueryExpander<'w> {
         self.expand(&ExpansionRequest::new(text))
     }
 
-    /// Serve many requests across `threads` workers on the same
-    /// deterministic work-stealing runner the reproduction pipeline
-    /// uses. Results are in request order and identical to a sequential
-    /// loop regardless of thread count (each expansion is a pure
-    /// function of the shared read-only world and its request).
-    pub fn expand_batch(
-        &self,
-        requests: &[ExpansionRequest],
-        threads: usize,
-    ) -> Vec<Result<ExpansionResponse, ServiceError>> {
-        parallel_map(requests.len(), threads, |i| self.expand(&requests[i]))
-    }
-
     fn terms(&self, articles: &[ArticleId]) -> Vec<ExpansionTerm> {
         articles
             .iter()
@@ -855,8 +787,6 @@ pub struct ServingWorld {
     /// The retrieval backend over the corpus's linking text — the plain
     /// engine at one shard, sharded per the options it was opened with.
     pub engine: AnyEngine,
-    /// The configuration that determines this world.
-    pub config: ExperimentConfig,
     /// Build-vs-load wall-clock breakdown.
     pub stats: crate::cache::BuildStats,
     /// The generation of its index cache's segment store `engine` was
@@ -914,7 +844,6 @@ impl ServingWorld {
         Ok(ServingWorld {
             wiki,
             engine,
-            config: config.clone(),
             stats,
             store: Some(store),
         })
@@ -952,7 +881,6 @@ impl ServingWorld {
         let world = ServingWorld {
             wiki,
             engine,
-            config: config.clone(),
             stats,
             store,
         };
@@ -973,6 +901,7 @@ impl ServingWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::parallel_map;
     use querygraph_wiki::fixture::venice_mini_wiki;
 
     fn venice_expander(kb: &KnowledgeBase) -> QueryExpander<'_> {
@@ -989,7 +918,7 @@ mod tests {
         entity_titles.sort_unstable();
         assert_eq!(entity_titles, ["Gondola", "Venice"]);
         assert!(!r.features.is_empty(), "venice query grows features");
-        assert!(r.feature_titles().contains(&"Grand Canal (Venice)"));
+        assert!(r.features.iter().any(|f| f.title == "Grand Canal (Venice)"));
         assert!(r.expanded_query.starts_with("#combine("));
         assert!(r.expanded_query.contains("#1(gondola)"));
         assert!(r.hits.is_empty(), "no retrieval unless requested");
@@ -1101,7 +1030,7 @@ mod tests {
         .collect();
         let sequential: Vec<_> = requests.iter().map(|r| ex.expand(r)).collect();
         for threads in [1, 2, 8] {
-            let batch = ex.expand_batch(&requests, threads);
+            let batch = parallel_map(requests.len(), threads, |i| ex.expand(&requests[i]));
             assert_eq!(batch, sequential, "threads={threads}");
         }
     }
@@ -1210,7 +1139,7 @@ mod tests {
         assert_eq!(cache.hits(), 3, "second pass hits every query");
         assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(cache.len(), 3);
-        assert!(cached.cache().is_some() && uncached.cache().is_none());
+        assert!(cached.cache.is_some() && uncached.cache.is_none());
     }
 
     #[test]
@@ -1233,7 +1162,7 @@ mod tests {
         }
         assert_eq!(cache.lookups(), 2);
         assert_eq!(cache.hits(), 0);
-        assert!(cache.is_empty(), "failures must not occupy capacity");
+        assert_eq!(cache.len(), 0, "failures must not occupy capacity");
         // A request cap above the builder cap is the same effective
         // request — one entry; a lower cap is a different one.
         let q = "gondola in venice";
@@ -1274,7 +1203,7 @@ mod tests {
         let expected: Vec<_> = requests.iter().map(|r| uncached.expand(r)).collect();
         for threads in [1, 2, 8] {
             assert_eq!(
-                cached.expand_batch(&requests, threads),
+                parallel_map(requests.len(), threads, |i| cached.expand(&requests[i])),
                 expected,
                 "threads={threads}"
             );

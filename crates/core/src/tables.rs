@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 
 /// Paper values of Table 2 (ground-truth precision): min, q1, median,
 /// q3, max per cutoff 1/5/10/15.
-pub const PAPER_TABLE2: [[f64; 5]; 4] = [
+pub(crate) const PAPER_TABLE2: [[f64; 5]; 4] = [
     [0.0, 1.0, 1.0, 1.0, 1.0],
     [0.0, 1.0, 1.0, 1.0, 1.0],
     [0.2, 0.6, 0.9, 1.0, 1.0],
@@ -22,7 +22,7 @@ pub const PAPER_TABLE2: [[f64; 5]; 4] = [
 
 /// Paper values of Table 3 (largest-component statistics): rows are
 /// %size, %query nodes, %articles, %categories, expansion ratio.
-pub const PAPER_TABLE3: [[f64; 5]; 5] = [
+pub(crate) const PAPER_TABLE3: [[f64; 5]; 5] = [
     [0.164, 0.477, 0.587, 0.688, 1.0],
     [0.0, 1.0, 1.0, 1.0, 1.0],
     [0.025, 0.148, 0.217, 0.269, 0.5],
@@ -31,7 +31,7 @@ pub const PAPER_TABLE3: [[f64; 5]; 5] = [
 ];
 
 /// Paper values of Table 4 (precision by cycle-length configuration).
-pub const PAPER_TABLE4: [(&str, [f64; 4]); 7] = [
+pub(crate) const PAPER_TABLE4: [(&str, [f64; 4]); 7] = [
     ("2", [0.826, 0.539, 0.539, 0.552]),
     ("3", [0.833, 0.578, 0.519, 0.513]),
     ("4", [0.703, 0.589, 0.541, 0.494]),
@@ -43,25 +43,25 @@ pub const PAPER_TABLE4: [(&str, [f64; 4]); 7] = [
 
 /// Paper values of Fig. 5: average contribution (%) per cycle length
 /// 2..=5.
-pub const PAPER_FIG5: [f64; 4] = [50.53, 24.38, 32.74, 32.31];
+pub(crate) const PAPER_FIG5: [f64; 4] = [50.53, 24.38, 32.74, 32.31];
 
 /// Paper values of Fig. 6: average number of cycles per length 2..=5.
-pub const PAPER_FIG6: [f64; 4] = [1.56, 9.1, 35.22, 136.84];
+pub(crate) const PAPER_FIG6: [f64; 4] = [1.56, 9.1, 35.22, 136.84];
 
 /// Paper values of Fig. 7a: average category ratio per length 3..=5.
-pub const PAPER_FIG7A: [f64; 3] = [0.366, 0.375, 0.382];
+pub(crate) const PAPER_FIG7A: [f64; 3] = [0.366, 0.375, 0.382];
 
 /// Paper values of Fig. 7b: average density of extra edges per length
 /// 3..=5.
-pub const PAPER_FIG7B: [f64; 3] = [0.289, 0.38, 0.333];
+pub(crate) const PAPER_FIG7B: [f64; 3] = [0.289, 0.38, 0.333];
 
 /// Paper scalars of §3: average TPR of the largest components, link
 /// reciprocity, and average query-graph size.
-pub const PAPER_TPR: f64 = 0.3;
+pub(crate) const PAPER_TPR: f64 = 0.3;
 /// Link reciprocity the paper measures on Wikipedia.
-pub const PAPER_RECIPROCITY: f64 = 0.1147;
+pub(crate) const PAPER_RECIPROCITY: f64 = 0.1147;
 /// Average query-graph size (nodes) reported in §4.
-pub const PAPER_QG_NODES: f64 = 208.22;
+pub(crate) const PAPER_QG_NODES: f64 = 208.22;
 
 /// Table 2: ground-truth precision summary per cutoff.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -94,15 +94,15 @@ impl Table2 {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table3 {
     /// %size of the LCC.
-    pub size: FiveNumber,
+    pub(crate) size: FiveNumber,
     /// % of L(q.k) captured by the LCC.
-    pub query_nodes: FiveNumber,
+    pub(crate) query_nodes: FiveNumber,
     /// Article share of the LCC.
     pub articles: FiveNumber,
     /// Category share of the LCC.
     pub categories: FiveNumber,
     /// Expansion ratio |X(q)|/|L(q.k)| within the LCC.
-    pub expansion_ratio: FiveNumber,
+    pub(crate) expansion_ratio: FiveNumber,
 }
 
 impl Table3 {
@@ -136,7 +136,7 @@ impl Table3 {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table4 {
     /// `(configuration label, [P@1, P@5, P@10, P@15])`.
-    pub rows: Vec<(String, [f64; 4])>,
+    pub(crate) rows: Vec<(String, [f64; 4])>,
 }
 
 impl Table4 {
@@ -175,13 +175,13 @@ impl Table4 {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LengthSeries {
     /// Figure label.
-    pub label: String,
+    pub(crate) label: String,
     /// `values[len]` = measured mean for that cycle length.
     pub values: Vec<Option<f64>>,
     /// Paper values aligned to `first_len`.
-    pub paper: Vec<f64>,
+    pub(crate) paper: Vec<f64>,
     /// Cycle length of `paper[0]`.
-    pub first_len: usize,
+    pub(crate) first_len: usize,
 }
 
 impl LengthSeries {
@@ -209,11 +209,11 @@ impl LengthSeries {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Fig9 {
     /// Binned means: `(bin centre density, mean contribution, count)`.
-    pub bins: Vec<(f64, f64, usize)>,
+    pub(crate) bins: Vec<(f64, f64, usize)>,
     /// OLS trend `(slope, intercept)` over the raw points.
-    pub trend: Option<(f64, f64)>,
+    pub(crate) trend: Option<(f64, f64)>,
     /// Number of raw (density, contribution) points.
-    pub points: usize,
+    pub(crate) points: usize,
 }
 
 impl Fig9 {
@@ -249,13 +249,13 @@ impl Fig9 {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScalarStats {
     /// Mean TPR of the largest components (paper ≈ 0.3).
-    pub tpr_mean: f64,
+    pub(crate) tpr_mean: f64,
     /// Link reciprocity of the knowledge base (paper 0.1147).
-    pub link_reciprocity: f64,
+    pub(crate) link_reciprocity: f64,
     /// Mean query-graph size in nodes (paper 208.22).
-    pub avg_query_graph_nodes: f64,
+    pub(crate) avg_query_graph_nodes: f64,
     /// Mean cycles per query graph.
-    pub avg_cycles_per_query: f64,
+    pub(crate) avg_cycles_per_query: f64,
 }
 
 impl ScalarStats {

@@ -10,24 +10,24 @@ use serde::{Deserialize, Serialize};
 /// A caption inside a language section; `article` is the path of the
 /// Wikipedia article the caption was harvested from (kept verbatim).
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct Caption {
+pub(crate) struct Caption {
     /// Source article path, e.g. `text/en/1/302887`.
-    pub article: String,
+    pub(crate) article: String,
     /// Caption text.
-    pub text: String,
+    pub(crate) text: String,
 }
 
 /// One `<text xml:lang="…">` section.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct LangSection {
+pub(crate) struct LangSection {
     /// Language code (`en`, `de`, `fr`, …).
-    pub lang: String,
+    pub(crate) lang: String,
     /// `<description>` content.
-    pub description: String,
+    pub(crate) description: String,
     /// `<comment>` content (often empty).
-    pub comment: String,
+    pub(crate) comment: String,
     /// `<caption>` entries in document order.
-    pub captions: Vec<Caption>,
+    pub(crate) captions: Vec<Caption>,
 }
 
 /// One image-metadata document.
@@ -38,24 +38,24 @@ pub struct ImageDoc {
     /// The `file` attribute (image path).
     pub file: String,
     /// `<name>`: image file name including extension.
-    pub name: String,
+    pub(crate) name: String,
     /// Language sections in document order.
-    pub texts: Vec<LangSection>,
+    pub(crate) texts: Vec<LangSection>,
     /// The general `<comment>` (wiki `{{Information …}}` markup).
-    pub comment: String,
+    pub(crate) comment: String,
     /// `<license>` content.
-    pub license: String,
+    pub(crate) license: String,
 }
 
 impl ImageDoc {
     /// The language section for `lang`, if present.
-    pub fn section(&self, lang: &str) -> Option<&LangSection> {
+    pub(crate) fn section(&self, lang: &str) -> Option<&LangSection> {
         self.texts.iter().find(|s| s.lang == lang)
     }
 
     /// The file name without its extension — region ① of the paper's
     /// Fig. 2 extraction.
-    pub fn name_without_extension(&self) -> &str {
+    pub(crate) fn name_without_extension(&self) -> &str {
         match self.name.rfind('.') {
             Some(dot) if dot > 0 => &self.name[..dot],
             _ => &self.name,

@@ -14,7 +14,7 @@
 use crate::document::{Caption, ImageDoc, LangSection};
 use crate::xml::{parse_element, Element, XmlError};
 
-/// Parse one ImageCLEF metadata file into an [`ImageDoc`].
+/// Parse one ImageCLEF metadata file into an `ImageDoc`.
 ///
 /// Lenient where the real collection is messy: missing sections default
 /// to empty, unknown elements are ignored.
@@ -70,7 +70,7 @@ fn parse_section(el: &Element) -> LangSection {
 /// Extract the `|Description=` field from a wiki `{{Information …}}`
 /// comment — region ③ of Fig. 2. Returns an empty string when the
 /// pattern is absent.
-pub fn extract_comment_description(comment: &str) -> &str {
+pub(crate) fn extract_comment_description(comment: &str) -> &str {
     let Some(pos) = comment.find("|Description=") else {
         return "";
     };

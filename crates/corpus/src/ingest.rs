@@ -23,7 +23,7 @@ use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Default cap on one record's byte length (and thus on buffered memory).
-pub const DEFAULT_MAX_DOC_BYTES: usize = 4 << 20;
+pub(crate) const DEFAULT_MAX_DOC_BYTES: usize = 4 << 20;
 
 /// Bytes read from the underlying reader per refill.
 const CHUNK: usize = 64 * 1024;
@@ -48,7 +48,7 @@ pub enum IngestError {
         offset: u64,
     },
     /// A record failed XML parsing (truncated tags, unbalanced tags,
-    /// oversized fields — see [`crate::xml::XmlLimits`]).
+    /// oversized fields — see `crate::xml::XmlLimits`).
     Xml {
         /// Absolute offset of the XML error.
         offset: u64,
@@ -115,7 +115,7 @@ impl DumpWriter<BufWriter<File>> {
 
 impl<W: Write> DumpWriter<W> {
     /// Writer over an arbitrary sink.
-    pub fn new(out: W) -> Self {
+    pub(crate) fn new(out: W) -> Self {
         DumpWriter { out, docs: 0 }
     }
 
@@ -152,7 +152,6 @@ pub struct DumpStream<R: Read> {
     eof: bool,
     fused: bool,
     max_doc_bytes: usize,
-    docs: u64,
     peak_buf: usize,
 }
 
@@ -169,12 +168,12 @@ impl DumpStream<io::BufReader<File>> {
 
 impl<R: Read> DumpStream<R> {
     /// Stream with the default record-size cap.
-    pub fn new(input: R) -> Self {
+    pub(crate) fn new(input: R) -> Self {
         DumpStream::with_max_doc_bytes(input, DEFAULT_MAX_DOC_BYTES)
     }
 
     /// Stream with an explicit record-size cap (the memory bound).
-    pub fn with_max_doc_bytes(input: R, max_doc_bytes: usize) -> Self {
+    pub(crate) fn with_max_doc_bytes(input: R, max_doc_bytes: usize) -> Self {
         DumpStream {
             input,
             buf: Vec::new(),
@@ -182,14 +181,8 @@ impl<R: Read> DumpStream<R> {
             eof: false,
             fused: false,
             max_doc_bytes,
-            docs: 0,
             peak_buf: 0,
         }
-    }
-
-    /// Records successfully yielded so far.
-    pub fn docs_yielded(&self) -> u64 {
-        self.docs
     }
 
     /// High-water mark of the internal buffer — the observable memory
@@ -283,7 +276,6 @@ impl<R: Read> DumpStream<R> {
                     message: e.message,
                 })?;
                 self.discard(end);
-                self.docs += 1;
                 return Ok(Some(doc));
             }
             if self.buf.len() > self.max_doc_bytes {
@@ -455,8 +447,12 @@ mod tests {
         let mut s1 = DumpStream::new(&small[..]);
         while s1.next().is_some() {}
         let mut s2 = DumpStream::new(&large[..]);
-        while s2.next().is_some() {}
-        assert_eq!(s2.docs_yielded(), 2000);
+        let mut yielded = 0;
+        for doc in s2.by_ref() {
+            doc.unwrap();
+            yielded += 1;
+        }
+        assert_eq!(yielded, 2000);
         // The rolling window never holds more than ~one record + chunks.
         assert!(s2.peak_buffer_bytes() <= s1.peak_buffer_bytes() + 2 * CHUNK);
     }

@@ -4,18 +4,21 @@
 //! image-retrieval collection that the paper builds its ground truth on
 //! (§2, Fig. 2), modelled end to end:
 //!
-//! * [`xml`] — a minimal, dependency-free XML pull parser and writer
+//! * `xml` — a minimal, dependency-free XML pull parser and writer
 //!   (the allowed crate set contains no XML crate, so this substrate is
 //!   built from scratch; see DESIGN.md §1).
-//! * [`document`] — the image-metadata document model: id, file name,
+//! * `document` — the image-metadata document model: id, file name,
 //!   per-language text sections with descriptions and captions, the
 //!   general comment, and the license.
 //! * [`imageclef`] — parsing ImageCLEF XML files into documents and the
 //!   paper's *linking text* extraction: ① the file name without
 //!   extension, ② the English text section, ③ the description from the
 //!   general comment (Fig. 2's three highlighted regions).
-//! * [`query`] — queries (keyword list + relevant-document set, the
-//!   `q = <k, D>` tuples of Table 1), the corpus container, and qrels.
+//! * `query` — queries (keyword list + relevant-document set, the
+//!   `q = <k, D>` tuples of Table 1) and the corpus container; [`qrels`]
+//!   reads and writes their relevance judgments.
+//! * [`writer`] and [`ingest`] — documents back to ImageCLEF-shaped XML,
+//!   and a bounded-memory stream over a concatenated XML dump.
 //! * [`synth`] — a deterministic corpus generator grounded in a
 //!   synthetic Wikipedia: relevant documents mention article titles near
 //!   the query topic (creating the vocabulary mismatch that motivates
@@ -41,14 +44,13 @@
 
 #![forbid(unsafe_code)]
 
-pub mod document;
+mod document;
 pub mod imageclef;
 pub mod ingest;
 pub mod qrels;
-pub mod query;
+mod query;
 pub mod synth;
 pub mod writer;
-pub mod xml;
+mod xml;
 
-pub use document::{Caption, ImageDoc, LangSection};
-pub use query::{Corpus, DocId, Query, QuerySet};
+pub use query::DocId;

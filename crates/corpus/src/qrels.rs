@@ -25,9 +25,9 @@ pub fn to_qrels(queries: &QuerySet) -> String {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QrelsError {
     /// 1-based line number.
-    pub line: usize,
+    pub(crate) line: usize,
     /// Description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for QrelsError {

@@ -8,14 +8,14 @@
 use crate::document::ImageDoc;
 use serde::{Deserialize, Serialize};
 
-/// Dense identifier of a document within a [`Corpus`].
+/// Dense identifier of a document within a `Corpus`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct DocId(pub u32);
 
 impl DocId {
     /// The id as a `usize` for indexing.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -28,17 +28,12 @@ pub struct Corpus {
 
 impl Corpus {
     /// An empty corpus.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Corpus from a document vector (ids follow vector order).
-    pub fn from_docs(docs: Vec<ImageDoc>) -> Self {
-        Corpus { docs }
-    }
-
     /// Append a document, returning its id.
-    pub fn push(&mut self, doc: ImageDoc) -> DocId {
+    pub(crate) fn push(&mut self, doc: ImageDoc) -> DocId {
         let id = DocId(self.docs.len() as u32);
         self.docs.push(doc);
         id
@@ -52,11 +47,6 @@ impl Corpus {
     /// Number of documents.
     pub fn len(&self) -> usize {
         self.docs.len()
-    }
-
-    /// True when the corpus holds no documents.
-    pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
     }
 
     /// Iterate `(DocId, &ImageDoc)` in id order.
@@ -82,7 +72,7 @@ pub struct Query {
 
 impl Query {
     /// Construct a query, normalizing `relevant` to sorted/deduped.
-    pub fn new(id: u32, keywords: impl Into<String>, mut relevant: Vec<DocId>) -> Self {
+    pub(crate) fn new(id: u32, keywords: impl Into<String>, mut relevant: Vec<DocId>) -> Self {
         relevant.sort_unstable();
         relevant.dedup();
         Query {
@@ -90,11 +80,6 @@ impl Query {
             keywords: keywords.into(),
             relevant,
         }
-    }
-
-    /// True when `d` is a correct result for this query.
-    pub fn is_relevant(&self, d: DocId) -> bool {
-        self.relevant.binary_search(&d).is_ok()
     }
 }
 
@@ -106,19 +91,9 @@ pub struct QuerySet {
 }
 
 impl QuerySet {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Number of queries.
     pub fn len(&self) -> usize {
         self.queries.len()
-    }
-
-    /// True when there are no queries.
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
     }
 
     /// Find a query by its id.
@@ -139,7 +114,7 @@ mod tests {
     #[test]
     fn corpus_push_and_lookup() {
         let mut c = Corpus::new();
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
         let d0 = c.push(ImageDoc {
             id: "0".into(),
             ..ImageDoc::default()
@@ -159,8 +134,6 @@ mod tests {
     fn query_relevance_is_sorted_set() {
         let q = Query::new(90, "gondola in venice", vec![DocId(5), DocId(2), DocId(5)]);
         assert_eq!(q.relevant, vec![DocId(2), DocId(5)]);
-        assert!(q.is_relevant(DocId(2)));
-        assert!(!q.is_relevant(DocId(3)));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! *retrieval geometry* of the real track:
 //!
 //! * **Vocabulary mismatch.** Relevant documents mention the query's
-//!   article titles only with probability [`SynthCorpusConfig::mention_query_prob`];
+//!   article titles only with probability `SynthCorpusConfig::mention_query_prob`;
 //!   mostly they mention *other* titles of the same topic. A raw keyword
 //!   query therefore misses most relevant documents — the motivation for
 //!   query expansion in the paper's introduction.
@@ -15,7 +15,7 @@
 //!   of the query articles, i.e. exactly the articles that share links
 //!   and categories (and hence short, dense, category-bearing cycles)
 //!   with the query articles.
-//! * **Drift.** With probability [`SynthCorpusConfig::drift_prob`] a
+//! * **Drift.** With probability `SynthCorpusConfig::drift_prob` a
 //!   relevant document also mentions a *neighbouring topic's* title —
 //!   these titles enter L(q.D) as tempting but mediocre expansion
 //!   features, the synthetic analogue of Fig. 8's `sheep`→`anthrax`
@@ -46,38 +46,38 @@ pub struct SynthCorpusConfig {
     /// own topic so relevance judgments do not bleed across queries).
     pub num_queries: usize,
     /// Inclusive range of relevant documents per query.
-    pub relevant_per_query: (usize, usize),
+    pub(crate) relevant_per_query: (usize, usize),
     /// Number of mixed-topic noise documents.
     pub noise_docs: usize,
     /// Probability a query mentions two entities (otherwise one), like
     /// the paper's "Graffiti Street Art" example with several entities.
-    pub two_entity_query_prob: f64,
+    pub(crate) two_entity_query_prob: f64,
     /// Probability a relevant document mentions the query titles
     /// themselves (the vocabulary-mismatch dial; lower = harder).
-    pub mention_query_prob: f64,
+    pub(crate) mention_query_prob: f64,
     /// Inclusive range of same-topic title mentions per relevant doc.
-    pub topic_mentions_per_doc: (usize, usize),
+    pub(crate) topic_mentions_per_doc: (usize, usize),
     /// Probability a relevant doc drifts one mention into a neighbour
     /// topic.
-    pub drift_prob: f64,
+    pub(crate) drift_prob: f64,
     /// Probability a relevant doc mentions a title from a *random far*
     /// topic — those articles reach L(q.D) but sit disconnected from
     /// the query's neighbourhood, producing the disconnected
     /// query-graph components of Table 3.
-    pub far_drift_prob: f64,
+    pub(crate) far_drift_prob: f64,
     /// Inclusive range of relevant documents per query that are
     /// *far-flavoured*: they mention only far-topic titles, so the only
     /// way to retrieve them is through a structurally disconnected
     /// expansion feature. This is what drives Table 3's %size below 1.
-    pub far_docs_per_query: (usize, usize),
+    pub(crate) far_docs_per_query: (usize, usize),
     /// Inclusive range of **distractor** documents per query: documents
     /// that mention the query's own titles but are *not* relevant
     /// (mixed-topic content). They are what makes the unexpanded
     /// keyword query imprecise — the paper's motivation for expansion.
-    pub distractors_per_query: (usize, usize),
+    pub(crate) distractors_per_query: (usize, usize),
     /// Probability a document carries German/French decoy sections
     /// (exercising the English-only extraction of Fig. 2).
-    pub decoy_lang_prob: f64,
+    pub(crate) decoy_lang_prob: f64,
 }
 
 impl SynthCorpusConfig {
@@ -146,10 +146,10 @@ pub struct SynthCorpus {
     pub corpus: Corpus,
     /// The query set with relevance judgments.
     pub queries: QuerySet,
-    /// `query index → wiki topic id`.
-    pub query_topics: Vec<usize>,
-    /// `query index → the articles whose titles form the keywords`.
-    pub query_articles: Vec<Vec<ArticleId>>,
+    /// `query index → the articles whose titles form the keywords`: the
+    /// reference the generator tests check keywords and documents against.
+    #[cfg(test)]
+    query_articles: Vec<Vec<ArticleId>>,
 }
 
 /// Generate the corpus. Deterministic in `(wiki, config)`.
@@ -166,7 +166,7 @@ pub fn generate_corpus(wiki: &SynthWiki, config: &SynthCorpusConfig) -> SynthCor
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut corpus = Corpus::new();
     let mut queries = Vec::with_capacity(config.num_queries);
-    let mut query_topics = Vec::with_capacity(config.num_queries);
+    #[cfg(test)]
     let mut query_articles = Vec::with_capacity(config.num_queries);
 
     for qi in 0..config.num_queries {
@@ -217,7 +217,7 @@ pub fn generate_corpus(wiki: &SynthWiki, config: &SynthCorpusConfig) -> SynthCor
         }
 
         queries.push(Query::new(qi as u32 + 1, keywords, relevant));
-        query_topics.push(t);
+        #[cfg(test)]
         query_articles.push(q_arts);
     }
 
@@ -230,7 +230,7 @@ pub fn generate_corpus(wiki: &SynthWiki, config: &SynthCorpusConfig) -> SynthCor
     SynthCorpus {
         corpus,
         queries: QuerySet { queries },
-        query_topics,
+        #[cfg(test)]
         query_articles,
     }
 }
@@ -605,7 +605,7 @@ mod tests {
                 .map(|&a| querygraph_text::normalize(wiki.kb.title(a)))
                 .collect();
             for (id, doc) in distractors {
-                assert!(!q.is_relevant(id), "distractor judged relevant");
+                assert!(!q.relevant.contains(&id), "distractor judged relevant");
                 let text = querygraph_text::normalize(&linking_text(doc));
                 assert!(
                     q_titles.iter().any(|t| text.contains(t)),
@@ -648,7 +648,7 @@ mod tests {
     fn relevant_docs_mention_topic_titles() {
         let (wiki, sc) = small();
         for (qi, q) in sc.queries.iter().enumerate() {
-            let t = sc.query_topics[qi];
+            let t = qi; // one topic per query, in order
             let topic_titles: Vec<String> = wiki.topics[t]
                 .articles
                 .iter()

@@ -1,4 +1,4 @@
-//! Serialize an [`ImageDoc`] back to ImageCLEF-shaped XML.
+//! Serialize an `ImageDoc` back to ImageCLEF-shaped XML.
 //!
 //! Used by the synthetic corpus generator (documents are materialized as
 //! XML and re-parsed, so the parser path is exercised end to end) and for

@@ -17,9 +17,9 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct XmlError {
     /// Byte offset where the error was detected.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// Human-readable description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for XmlError {
@@ -46,17 +46,17 @@ fn err<T>(offset: usize, message: impl Into<String>) -> Result<T, XmlError> {
 /// allocations. The defaults are far above anything a well-formed
 /// ImageCLEF record produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct XmlLimits {
+pub(crate) struct XmlLimits {
     /// Maximum byte length of one text run (or CDATA section).
-    pub max_text_bytes: usize,
+    pub(crate) max_text_bytes: usize,
     /// Maximum byte length of one attribute value.
-    pub max_attr_bytes: usize,
+    pub(crate) max_attr_bytes: usize,
     /// Maximum byte length of a tag or attribute name.
-    pub max_name_bytes: usize,
+    pub(crate) max_name_bytes: usize,
     /// Maximum number of attributes on one tag.
-    pub max_attrs: usize,
+    pub(crate) max_attrs: usize,
     /// Maximum element nesting depth in [`parse_element_with`].
-    pub max_depth: usize,
+    pub(crate) max_depth: usize,
 }
 
 impl Default for XmlLimits {
@@ -73,7 +73,7 @@ impl Default for XmlLimits {
 
 /// One XML token from the [`Tokenizer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum XmlToken {
+pub(crate) enum XmlToken {
     /// `<name attr="v">`
     StartTag {
         /// Element name.
@@ -99,7 +99,7 @@ pub enum XmlToken {
 
 /// Decode the predefined entities and numeric character references in
 /// `raw`.
-pub fn decode_entities(raw: &str) -> Result<String, XmlError> {
+pub(crate) fn decode_entities(raw: &str) -> Result<String, XmlError> {
     if !raw.contains('&') {
         return Ok(raw.to_owned());
     }
@@ -164,7 +164,7 @@ fn utf8_len(first: u8) -> usize {
 }
 
 /// Escape text content for emission.
-pub fn escape_text(raw: &str) -> String {
+pub(crate) fn escape_text(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
     for c in raw.chars() {
         match c {
@@ -178,7 +178,7 @@ pub fn escape_text(raw: &str) -> String {
 }
 
 /// Escape an attribute value for emission inside double quotes.
-pub fn escape_attr(raw: &str) -> String {
+pub(crate) fn escape_attr(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
     for c in raw.chars() {
         match c {
@@ -193,20 +193,15 @@ pub fn escape_attr(raw: &str) -> String {
 
 /// Pull tokenizer over an XML string. Skips declarations, processing
 /// instructions and comments; yields [`XmlToken`]s.
-pub struct Tokenizer<'a> {
+pub(crate) struct Tokenizer<'a> {
     input: &'a str,
     pos: usize,
     limits: XmlLimits,
 }
 
 impl<'a> Tokenizer<'a> {
-    /// Tokenizer over `input` with default [`XmlLimits`].
-    pub fn new(input: &'a str) -> Self {
-        Tokenizer::with_limits(input, XmlLimits::default())
-    }
-
     /// Tokenizer over `input` with explicit limits.
-    pub fn with_limits(input: &'a str, limits: XmlLimits) -> Self {
+    pub(crate) fn with_limits(input: &'a str, limits: XmlLimits) -> Self {
         Tokenizer {
             input,
             pos: 0,
@@ -215,7 +210,7 @@ impl<'a> Tokenizer<'a> {
     }
 
     /// Current byte offset (for error reporting).
-    pub fn offset(&self) -> usize {
+    pub(crate) fn offset(&self) -> usize {
         self.pos
     }
 
@@ -225,7 +220,7 @@ impl<'a> Tokenizer<'a> {
 
     /// Next token, or `Ok(None)` at end of input.
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<XmlToken>, XmlError> {
+    pub(crate) fn next(&mut self) -> Result<Option<XmlToken>, XmlError> {
         loop {
             if self.pos >= self.input.len() {
                 return Ok(None);
@@ -415,18 +410,18 @@ impl<'a> Tokenizer<'a> {
 
 /// A DOM element.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Element {
+pub(crate) struct Element {
     /// Tag name.
-    pub name: String,
+    pub(crate) name: String,
     /// Attributes in document order.
-    pub attrs: Vec<(String, String)>,
+    pub(crate) attrs: Vec<(String, String)>,
     /// Child nodes in document order.
-    pub children: Vec<Node>,
+    pub(crate) children: Vec<Node>,
 }
 
 /// A DOM node: element or text.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Node {
+pub(crate) enum Node {
     /// Child element.
     Element(Element),
     /// Text content.
@@ -435,7 +430,7 @@ pub enum Node {
 
 impl Element {
     /// Attribute value by name.
-    pub fn attr(&self, name: &str) -> Option<&str> {
+    pub(crate) fn attr(&self, name: &str) -> Option<&str> {
         self.attrs
             .iter()
             .find(|(k, _)| k == name)
@@ -443,7 +438,10 @@ impl Element {
     }
 
     /// Child elements with the given tag name.
-    pub fn children_named<'e>(&'e self, name: &str) -> impl Iterator<Item = &'e Element> + 'e {
+    pub(crate) fn children_named<'e>(
+        &'e self,
+        name: &str,
+    ) -> impl Iterator<Item = &'e Element> + 'e {
         let name = name.to_owned();
         self.children.iter().filter_map(move |n| match n {
             Node::Element(e) if e.name == name => Some(e),
@@ -451,13 +449,8 @@ impl Element {
         })
     }
 
-    /// First child element with the given name.
-    pub fn child(&self, name: &str) -> Option<&Element> {
-        self.children_named(name).next()
-    }
-
     /// Concatenated text of all *direct* text children.
-    pub fn text(&self) -> String {
+    pub(crate) fn text(&self) -> String {
         let mut out = String::new();
         for n in &self.children {
             if let Node::Text(t) = n {
@@ -466,31 +459,16 @@ impl Element {
         }
         out
     }
-
-    /// Concatenated text of the whole subtree (depth-first).
-    pub fn deep_text(&self) -> String {
-        let mut out = String::new();
-        fn walk(e: &Element, out: &mut String) {
-            for n in &e.children {
-                match n {
-                    Node::Text(t) => out.push_str(t),
-                    Node::Element(c) => walk(c, out),
-                }
-            }
-        }
-        walk(self, &mut out);
-        out
-    }
 }
 
 /// Parse a document with a single root element into that [`Element`],
 /// using default [`XmlLimits`].
-pub fn parse_element(input: &str) -> Result<Element, XmlError> {
+pub(crate) fn parse_element(input: &str) -> Result<Element, XmlError> {
     parse_element_with(input, XmlLimits::default())
 }
 
 /// Parse a document with a single root element under explicit limits.
-pub fn parse_element_with(input: &str, limits: XmlLimits) -> Result<Element, XmlError> {
+pub(crate) fn parse_element_with(input: &str, limits: XmlLimits) -> Result<Element, XmlError> {
     let mut tok = Tokenizer::with_limits(input, limits);
     let mut stack: Vec<Element> = Vec::new();
     let mut root: Option<Element> = None;
@@ -565,7 +543,7 @@ mod tests {
 
     #[test]
     fn tokenizes_simple_document() {
-        let mut t = Tokenizer::new("<a x=\"1\"><b/>hello</a>");
+        let mut t = Tokenizer::with_limits("<a x=\"1\"><b/>hello</a>", XmlLimits::default());
         assert_eq!(
             t.next().unwrap().unwrap(),
             XmlToken::StartTag {
@@ -590,7 +568,10 @@ mod tests {
 
     #[test]
     fn skips_declaration_and_comments() {
-        let mut t = Tokenizer::new("<?xml version=\"1.0\" encoding=\"UTF-8\" ?><!-- c --><r/>");
+        let mut t = Tokenizer::with_limits(
+            "<?xml version=\"1.0\" encoding=\"UTF-8\" ?><!-- c --><r/>",
+            XmlLimits::default(),
+        );
         assert_eq!(
             t.next().unwrap().unwrap(),
             XmlToken::SelfClosing {
@@ -624,10 +605,13 @@ mod tests {
         let e = parse_element("<image id=\"8\"><name>x.jpg</name><text xml:lang=\"en\"><description>A b</description></text></image>").unwrap();
         assert_eq!(e.name, "image");
         assert_eq!(e.attr("id"), Some("8"));
-        assert_eq!(e.child("name").unwrap().text(), "x.jpg");
-        let text = e.child("text").unwrap();
+        assert_eq!(e.children_named("name").next().unwrap().text(), "x.jpg");
+        let text = e.children_named("text").next().unwrap();
         assert_eq!(text.attr("xml:lang"), Some("en"));
-        assert_eq!(text.child("description").unwrap().text(), "A b");
+        assert_eq!(
+            text.children_named("description").next().unwrap().text(),
+            "A b"
+        );
     }
 
     #[test]
@@ -635,13 +619,7 @@ mod tests {
         let e = parse_element("<r><c>1</c><d/><c>2</c></r>").unwrap();
         let texts: Vec<String> = e.children_named("c").map(|c| c.text()).collect();
         assert_eq!(texts, vec!["1", "2"]);
-        assert!(e.child("missing").is_none());
-    }
-
-    #[test]
-    fn deep_text_concatenates() {
-        let e = parse_element("<r>a<c>b<d>c</d></c>d</r>").unwrap();
-        assert_eq!(e.deep_text(), "abcd");
+        assert!(e.children_named("missing").next().is_none());
     }
 
     #[test]
@@ -758,7 +736,7 @@ mod tests {
         for cut in 0..=bytes.len() {
             let prefix = String::from_utf8_lossy(&bytes[..cut]);
             let _ = parse_element(&prefix);
-            let mut tok = Tokenizer::new(&prefix);
+            let mut tok = Tokenizer::with_limits(&prefix, XmlLimits::default());
             while let Ok(Some(_)) = tok.next() {}
         }
     }

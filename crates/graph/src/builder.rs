@@ -36,23 +36,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Append a fresh node, returning its id.
-    pub fn add_node(&mut self) -> u32 {
-        let id = self.n;
-        self.n += 1;
-        id
-    }
-
-    /// Current node count.
-    pub fn node_count(&self) -> u32 {
-        self.n
-    }
-
-    /// Number of staged (pre-dedup) edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Add a directed typed edge. Self-loops are rejected (the Wikipedia
     /// schema has none and every algorithm in this crate assumes their
     /// absence).
@@ -78,17 +61,6 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn add_node_extends_range() {
-        let mut b = GraphBuilder::new(1);
-        let id = b.add_node();
-        assert_eq!(id, 1);
-        b.add_edge(0, 1, EdgeType::Link);
-        let g = b.build();
-        assert_eq!(g.node_count(), 2);
-        assert_eq!(g.edge_count(), 1);
-    }
 
     #[test]
     fn exact_duplicates_are_removed() {

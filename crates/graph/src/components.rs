@@ -15,20 +15,15 @@ use crate::unionfind::UnionFind;
 #[derive(Debug, Clone)]
 pub struct Components {
     /// `assignment[node] = component id`, ids dense from 0.
-    pub assignment: Vec<u32>,
+    pub(crate) assignment: Vec<u32>,
     /// `sizes[component id] = member count`.
-    pub sizes: Vec<usize>,
+    pub(crate) sizes: Vec<usize>,
 }
 
 impl Components {
-    /// Number of components.
-    pub fn count(&self) -> usize {
-        self.sizes.len()
-    }
-
     /// Id of the largest component (ties broken by lower id, which is
     /// deterministic because ids are assigned in node order).
-    pub fn largest(&self) -> Option<u32> {
+    pub(crate) fn largest(&self) -> Option<u32> {
         if self.sizes.is_empty() {
             return None;
         }
@@ -42,7 +37,7 @@ impl Components {
     }
 
     /// All members of component `c`, in ascending node order.
-    pub fn members(&self, c: u32) -> Vec<u32> {
+    pub(crate) fn members(&self, c: u32) -> Vec<u32> {
         self.assignment
             .iter()
             .enumerate()
@@ -67,22 +62,6 @@ pub fn connected_components(g: &TypedGraph) -> Components {
     let mut uf = UnionFind::new(n);
     for (s, d, _) in g.edges() {
         uf.union(s, d);
-    }
-    relabel(&mut uf, n)
-}
-
-/// Components over the cycle view only (redirect edges ignored). Used by
-/// analyses that ask "is this node structurally connected, not merely a
-/// redirect alias".
-pub fn connected_components_cycle_view(g: &TypedGraph) -> Components {
-    let n = g.node_count();
-    let mut uf = UnionFind::new(n);
-    for u in 0..n {
-        for &v in g.und_neighbors(u) {
-            if u < v {
-                uf.union(u, v);
-            }
-        }
     }
     relabel(&mut uf, n)
 }
@@ -125,7 +104,7 @@ mod tests {
     #[test]
     fn counts_components_with_redirects() {
         let c = connected_components(&two_components());
-        assert_eq!(c.count(), 3);
+        assert_eq!(c.sizes.len(), 3);
         assert_eq!(c.sizes.iter().sum::<usize>(), 6);
     }
 
@@ -136,18 +115,10 @@ mod tests {
     }
 
     #[test]
-    fn cycle_view_drops_redirect_connectivity() {
-        let c = connected_components_cycle_view(&two_components());
-        // 3 and 4 are now separate singletons: 0-1-2, {3}, {4}, {5}.
-        assert_eq!(c.count(), 4);
-        assert_eq!(c.largest_members(), vec![0, 1, 2]);
-    }
-
-    #[test]
     fn empty_graph() {
         let g = GraphBuilder::new(0).build();
         let c = connected_components(&g);
-        assert_eq!(c.count(), 0);
+        assert_eq!(c.sizes.len(), 0);
         assert_eq!(c.largest(), None);
         assert!(c.largest_members().is_empty());
     }
@@ -163,7 +134,7 @@ mod tests {
             }
         }
         let c = connected_components(&b.build());
-        assert_eq!(c.count(), 1);
+        assert_eq!(c.sizes.len(), 1);
         assert_eq!(c.sizes[0], 4);
     }
 

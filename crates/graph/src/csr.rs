@@ -162,18 +162,6 @@ impl TypedGraph {
             .map(|(&s, &t)| (s, EdgeType::from_u8(t).expect("valid stored type")))
     }
 
-    /// Out-degree of `u` (directed, all types).
-    #[inline]
-    pub fn out_degree(&self, u: u32) -> usize {
-        (self.out_offsets[u as usize + 1] - self.out_offsets[u as usize]) as usize
-    }
-
-    /// In-degree of `u` (directed, all types).
-    #[inline]
-    pub fn in_degree(&self, u: u32) -> usize {
-        (self.in_offsets[u as usize + 1] - self.in_offsets[u as usize]) as usize
-    }
-
     /// Sorted unique neighbors of `u` in the undirected cycle view
     /// (redirect edges excluded).
     #[inline]
@@ -183,12 +171,6 @@ impl TypedGraph {
             self.und_offsets[u as usize + 1] as usize,
         );
         &self.und_neighbors[lo..hi]
-    }
-
-    /// Degree in the undirected cycle view.
-    #[inline]
-    pub fn und_degree(&self, u: u32) -> usize {
-        self.und_neighbors(u).len()
     }
 
     /// True when `u` and `v` are adjacent in the undirected cycle view.
@@ -215,15 +197,6 @@ impl TypedGraph {
             i += 1;
         }
         false
-    }
-
-    /// True when any directed edge `u → v` (any type) exists.
-    pub fn has_any_edge(&self, u: u32, v: u32) -> bool {
-        let (lo, hi) = (
-            self.out_offsets[u as usize] as usize,
-            self.out_offsets[u as usize + 1] as usize,
-        );
-        self.out_targets[lo..hi].binary_search(&v).is_ok()
     }
 
     /// Number of distinct directed cycle-eligible edges between `u` and
@@ -286,10 +259,10 @@ mod tests {
     #[test]
     fn degrees() {
         let g = diamond();
-        assert_eq!(g.out_degree(0), 2);
-        assert_eq!(g.in_degree(0), 2); // from 1 (link) and 4 (redirect)
-        assert_eq!(g.out_degree(4), 1);
-        assert_eq!(g.in_degree(3), 1);
+        assert_eq!(g.out_edges(0).count(), 2);
+        assert_eq!(g.in_edges(0).count(), 2); // from 1 (link) and 4 (redirect)
+        assert_eq!(g.out_edges(4).count(), 1);
+        assert_eq!(g.in_edges(3).count(), 1);
     }
 
     #[test]
@@ -355,8 +328,8 @@ mod tests {
         let g = GraphBuilder::new(3).build();
         assert_eq!(g.node_count(), 3);
         for u in 0..3 {
-            assert_eq!(g.out_degree(u), 0);
-            assert_eq!(g.und_degree(u), 0);
+            assert_eq!(g.out_edges(u).count(), 0);
+            assert!(g.und_neighbors(u).is_empty());
         }
     }
 

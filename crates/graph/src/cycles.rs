@@ -78,23 +78,6 @@ pub struct Cycle {
     pub nodes: Vec<u32>,
 }
 
-impl Cycle {
-    /// Cycle length |C| (number of nodes == number of required edges).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Cycles always have ≥ 2 nodes; provided for clippy completeness.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// True when the cycle contains node `u`.
-    pub fn contains(&self, u: u32) -> bool {
-        self.nodes.contains(&u)
-    }
-}
-
 /// The neighbours of `u` (undirected cycle view) with ids above `floor`.
 fn neighbors_above(g: &TypedGraph, u: u32, floor: u32) -> &[u32] {
     let all = g.und_neighbors(u);
@@ -587,7 +570,7 @@ mod tests {
         let g = b.build();
         let cycles = CycleFinder::new(&g).find_all();
         assert_eq!(cycles.len(), 1);
-        assert_eq!(cycles[0].len(), 2);
+        assert_eq!(cycles[0].nodes.len(), 2);
     }
 
     #[test]
@@ -640,7 +623,7 @@ mod tests {
         assert_eq!(CycleFinder::new(&g).max_len(4).find_all().len(), 0);
         let cycles = CycleFinder::new(&g).max_len(5).find_all();
         assert_eq!(cycles.len(), 1);
-        assert_eq!(cycles[0].len(), 5);
+        assert_eq!(cycles[0].nodes.len(), 5);
     }
 
     #[test]
@@ -653,7 +636,7 @@ mod tests {
         let g = b.build();
         let cycles = CycleFinder::new(&g).min_len(3).find_all();
         assert_eq!(cycles.len(), 1);
-        assert_eq!(cycles[0].len(), 3);
+        assert_eq!(cycles[0].nodes.len(), 3);
     }
 
     #[test]
@@ -666,7 +649,7 @@ mod tests {
         let g = b.build();
         let cycles = CycleFinder::new(&g).require_any_of(&[4]).find_all();
         assert_eq!(cycles.len(), 1);
-        assert!(cycles[0].contains(4));
+        assert!(cycles[0].nodes.contains(&4));
     }
 
     #[test]
@@ -685,7 +668,7 @@ mod tests {
         let g = clique(4, 4).build();
         let cycles = CycleFinder::new(&g).require_any_of(&[3, 3, 99]).find_all();
         assert_eq!(cycles.len(), 3 + 3, "K4: every cycle through one node");
-        assert!(cycles.iter().all(|c| c.contains(3)));
+        assert!(cycles.iter().all(|c| c.nodes.contains(&3)));
     }
 
     #[test]

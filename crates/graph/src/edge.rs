@@ -25,51 +25,22 @@ pub enum EdgeType {
 }
 
 impl EdgeType {
-    /// All edge types, in discriminant order.
-    pub const ALL: [EdgeType; 4] = [
-        EdgeType::Link,
-        EdgeType::Belongs,
-        EdgeType::Inside,
-        EdgeType::Redirect,
-    ];
-
     /// True for edge types that may participate in cycles. Redirect edges
     /// are excluded per §4 of the paper.
     #[inline]
-    pub fn cycle_eligible(self) -> bool {
+    pub(crate) fn cycle_eligible(self) -> bool {
         !matches!(self, EdgeType::Redirect)
-    }
-
-    /// Stable short name used by the text serialization format.
-    pub fn name(self) -> &'static str {
-        match self {
-            EdgeType::Link => "link",
-            EdgeType::Belongs => "belongs",
-            EdgeType::Inside => "inside",
-            EdgeType::Redirect => "redirect",
-        }
-    }
-
-    /// Parse the short name produced by [`EdgeType::name`].
-    pub fn from_name(name: &str) -> Option<EdgeType> {
-        match name {
-            "link" => Some(EdgeType::Link),
-            "belongs" => Some(EdgeType::Belongs),
-            "inside" => Some(EdgeType::Inside),
-            "redirect" => Some(EdgeType::Redirect),
-            _ => None,
-        }
     }
 
     /// Discriminant as `u8` (used by the compact CSR encoding).
     #[inline]
-    pub fn as_u8(self) -> u8 {
+    pub(crate) fn as_u8(self) -> u8 {
         self as u8
     }
 
     /// Inverse of [`EdgeType::as_u8`].
     #[inline]
-    pub fn from_u8(v: u8) -> Option<EdgeType> {
+    pub(crate) fn from_u8(v: u8) -> Option<EdgeType> {
         match v {
             0 => Some(EdgeType::Link),
             1 => Some(EdgeType::Belongs),
@@ -93,17 +64,10 @@ mod tests {
     }
 
     #[test]
-    fn name_round_trips() {
-        for t in EdgeType::ALL {
-            assert_eq!(EdgeType::from_name(t.name()), Some(t));
-        }
-        assert_eq!(EdgeType::from_name("bogus"), None);
-    }
-
-    #[test]
     fn u8_round_trips() {
-        for t in EdgeType::ALL {
-            assert_eq!(EdgeType::from_u8(t.as_u8()), Some(t));
+        for v in 0..4u8 {
+            let t = EdgeType::from_u8(v).expect("0..4 are the discriminants");
+            assert_eq!(t.as_u8(), v);
         }
         assert_eq!(EdgeType::from_u8(9), None);
     }

@@ -12,6 +12,8 @@
 //!   extraction (Table 3 of the paper).
 //! * [`triangles`] — triangle participation ratio, the TPR ≈ 0.3
 //!   observation of §3.
+//! * [`stats`] — link reciprocity, the 11.47 % length-2 cycle share
+//!   of §3.
 //! * [`cycles`] — enumeration of simple cycles of bounded length (≤ 5 in
 //!   the paper), the central primitive of the whole analysis.
 //! * [`subgraph`] — induced subgraphs with node mappings (query-graph
@@ -23,9 +25,8 @@
 //!   part of the kept ball that `induce_reach` finds within ⌊max_len/2⌋
 //!   hops of the query nodes.
 //!
-//! All algorithms operate on dense `u32` node ids ([`NodeId`]); the
-//! Wikipedia layer (`querygraph-wiki`) maps articles and categories onto
-//! them.
+//! All algorithms operate on dense `u32` node ids; the Wikipedia layer
+//! (`querygraph-wiki`) maps articles and categories onto them.
 //!
 //! ```
 //! use querygraph_graph::{EdgeType, GraphBuilder, cycles::CycleFinder};
@@ -42,19 +43,17 @@
 
 #![forbid(unsafe_code)]
 
-pub mod builder;
+mod builder;
 pub mod components;
-pub mod csr;
+mod csr;
 pub mod cycles;
-pub mod edge;
-pub mod ids;
+mod edge;
 pub mod stats;
 pub mod subgraph;
 pub mod traversal;
 pub mod triangles;
-pub mod unionfind;
+mod unionfind;
 
 pub use builder::GraphBuilder;
 pub use csr::TypedGraph;
 pub use edge::EdgeType;
-pub use ids::NodeId;

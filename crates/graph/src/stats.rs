@@ -1,54 +1,10 @@
-//! Whole-graph structural statistics.
-//!
-//! Includes the reciprocity measurement behind the paper's "11.47 % of
+//! Link reciprocity: the measurement behind the paper's "11.47 % of
 //! all pairs of articles that are connected form a cycle of length 2"
 //! observation (§3): among unordered node pairs joined by at least one
 //! `Link` edge, the fraction joined in *both* directions.
 
 use crate::csr::TypedGraph;
 use crate::edge::EdgeType;
-
-/// Summary of a [`TypedGraph`]'s size and per-type edge counts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphStats {
-    /// Total nodes.
-    pub nodes: u32,
-    /// Total directed edges.
-    pub edges: usize,
-    /// Directed edge count per [`EdgeType`], indexed by discriminant.
-    pub edges_by_type: [usize; 4],
-    /// Mean undirected (cycle-view) degree.
-    pub mean_und_degree: f64,
-    /// Maximum undirected degree.
-    pub max_und_degree: usize,
-}
-
-/// Compute [`GraphStats`].
-pub fn graph_stats(g: &TypedGraph) -> GraphStats {
-    let mut edges_by_type = [0usize; 4];
-    for (_, _, t) in g.edges() {
-        edges_by_type[t.as_u8() as usize] += 1;
-    }
-    let n = g.node_count();
-    let mut total_deg = 0usize;
-    let mut max_deg = 0usize;
-    for u in 0..n {
-        let d = g.und_degree(u);
-        total_deg += d;
-        max_deg = max_deg.max(d);
-    }
-    GraphStats {
-        nodes: n,
-        edges: g.edge_count(),
-        edges_by_type,
-        mean_und_degree: if n == 0 {
-            0.0
-        } else {
-            total_deg as f64 / n as f64
-        },
-        max_und_degree: max_deg,
-    }
-}
 
 /// Link reciprocity: over unordered pairs `{u, v}` connected by at least
 /// one `Link` edge, the fraction connected by `Link` edges in both
@@ -83,38 +39,10 @@ pub fn link_reciprocity(g: &TypedGraph) -> Option<f64> {
     }
 }
 
-/// Histogram of undirected degrees: `hist[d] = number of nodes with
-/// undirected degree d`.
-pub fn und_degree_histogram(g: &TypedGraph) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for u in 0..g.node_count() {
-        let d = g.und_degree(u);
-        if d >= hist.len() {
-            hist.resize(d + 1, 0);
-        }
-        hist[d] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::GraphBuilder;
-
-    #[test]
-    fn stats_on_mixed_graph() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1, EdgeType::Link);
-        b.add_edge(1, 0, EdgeType::Link);
-        b.add_edge(0, 2, EdgeType::Belongs);
-        b.add_edge(2, 3, EdgeType::Inside);
-        let s = graph_stats(&b.build());
-        assert_eq!(s.nodes, 4);
-        assert_eq!(s.edges, 4);
-        assert_eq!(s.edges_by_type, [2, 1, 1, 0]);
-        assert_eq!(s.max_und_degree, 2);
-    }
 
     #[test]
     fn reciprocity_half() {
@@ -139,20 +67,5 @@ mod tests {
         b.add_edge(0, 1, EdgeType::Link);
         b.add_edge(1, 0, EdgeType::Link);
         assert_eq!(link_reciprocity(&b.build()), Some(1.0));
-    }
-
-    #[test]
-    fn degree_histogram() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1, EdgeType::Link);
-        let hist = und_degree_histogram(&b.build());
-        assert_eq!(hist, vec![1, 2]); // one isolated node, two of degree 1
-    }
-
-    #[test]
-    fn empty_graph_stats() {
-        let s = graph_stats(&GraphBuilder::new(0).build());
-        assert_eq!(s.nodes, 0);
-        assert_eq!(s.mean_und_degree, 0.0);
     }
 }

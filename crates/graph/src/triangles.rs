@@ -1,4 +1,4 @@
-//! Triangle counting and the triangle participation ratio (TPR).
+//! Triangle detection and the triangle participation ratio (TPR).
 //!
 //! §3 of the paper reports that the largest connected components of the
 //! query graphs have an average TPR around 0.3 — "particularly large if
@@ -10,23 +10,9 @@
 
 use crate::csr::TypedGraph;
 
-/// Sorted-slice intersection test helper: true when `a` and `b` share an
-/// element. Both inputs must be sorted ascending.
-fn share_element(a: &[u32], b: &[u32]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
-}
-
 /// Mark every node that participates in at least one triangle of the
 /// undirected cycle view. Returns a boolean per node.
-pub fn triangle_participants(g: &TypedGraph) -> Vec<bool> {
+pub(crate) fn triangle_participants(g: &TypedGraph) -> Vec<bool> {
     let n = g.node_count() as usize;
     let mut in_triangle = vec![false; n];
     for u in 0..g.node_count() {
@@ -61,17 +47,6 @@ pub fn triangle_participants(g: &TypedGraph) -> Vec<bool> {
     in_triangle
 }
 
-/// Triangle participation ratio over the whole graph: the fraction of
-/// nodes in at least one triangle. Returns 0.0 for the empty graph.
-pub fn triangle_participation_ratio(g: &TypedGraph) -> f64 {
-    let n = g.node_count();
-    if n == 0 {
-        return 0.0;
-    }
-    let marks = triangle_participants(g);
-    marks.iter().filter(|&&m| m).count() as f64 / n as f64
-}
-
 /// TPR restricted to a node subset (the paper computes TPR on the
 /// *largest connected component* of each query graph). `members` need not
 /// be sorted. Returns 0.0 for an empty subset.
@@ -82,41 +57,6 @@ pub fn tpr_of_subset(g: &TypedGraph, members: &[u32]) -> f64 {
     let marks = triangle_participants(g);
     let hit = members.iter().filter(|&&m| marks[m as usize]).count();
     hit as f64 / members.len() as f64
-}
-
-/// Count distinct triangles {u, v, w} in the undirected cycle view.
-pub fn triangle_count(g: &TypedGraph) -> usize {
-    let mut count = 0usize;
-    for u in 0..g.node_count() {
-        let nu = g.und_neighbors(u);
-        for &v in nu {
-            if v <= u {
-                continue;
-            }
-            let nv = g.und_neighbors(v);
-            // Count common neighbors w > v so each triangle counts once.
-            let (mut i, mut j) = (0, 0);
-            while i < nu.len() && j < nv.len() {
-                match nu[i].cmp(&nv[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        if nu[i] > v {
-                            count += 1;
-                        }
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-        }
-    }
-    count
-}
-
-/// True when `u` and `v` have any common undirected neighbor.
-pub fn have_common_neighbor(g: &TypedGraph, u: u32, v: u32) -> bool {
-    share_element(g.und_neighbors(u), g.und_neighbors(v))
 }
 
 #[cfg(test)]
@@ -135,11 +75,6 @@ mod tests {
     }
 
     #[test]
-    fn counts_single_triangle() {
-        assert_eq!(triangle_count(&triangle_plus_tail()), 1);
-    }
-
-    #[test]
     fn participants_marked_exactly() {
         let marks = triangle_participants(&triangle_plus_tail());
         assert_eq!(marks, vec![true, true, true, false, false]);
@@ -147,7 +82,7 @@ mod tests {
 
     #[test]
     fn tpr_whole_graph() {
-        let tpr = triangle_participation_ratio(&triangle_plus_tail());
+        let tpr = tpr_of_subset(&triangle_plus_tail(), &[0, 1, 2, 3, 4]);
         assert!((tpr - 0.6).abs() < 1e-12, "3 of 5 nodes → 0.6, got {tpr}");
     }
 
@@ -166,8 +101,8 @@ mod tests {
             b.add_edge(u, v, EdgeType::Inside);
         }
         let g = b.build();
-        assert_eq!(triangle_count(&g), 0);
-        assert_eq!(triangle_participation_ratio(&g), 0.0);
+        assert_eq!(triangle_participants(&g), vec![false; 7]);
+        assert_eq!(tpr_of_subset(&g, &[0, 1, 2, 3, 4, 5, 6]), 0.0);
     }
 
     #[test]
@@ -177,24 +112,29 @@ mod tests {
         b.add_edge(1, 2, EdgeType::Link);
         b.add_edge(2, 0, EdgeType::Redirect); // would close the triangle
         let g = b.build();
-        assert_eq!(triangle_count(&g), 0);
+        assert_eq!(triangle_participants(&g), vec![false; 3]);
     }
 
     #[test]
     fn reciprocal_links_do_not_double_count() {
-        let mut b = GraphBuilder::new(3);
+        // 0 ⇄ 1 is one undirected edge, so only the triangle {0, 1, 2}
+        // exists; 1 — 2 alone (no 0 — 2) would close none.
+        let mut b = GraphBuilder::new(4);
         b.add_edge(0, 1, EdgeType::Link);
         b.add_edge(1, 0, EdgeType::Link);
         b.add_edge(1, 2, EdgeType::Link);
         b.add_edge(2, 0, EdgeType::Link);
+        b.add_edge(1, 3, EdgeType::Link);
+        b.add_edge(3, 1, EdgeType::Link);
         let g = b.build();
-        assert_eq!(triangle_count(&g), 1);
+        assert_eq!(triangle_participants(&g), vec![true, true, true, false]);
+        assert_eq!(tpr_of_subset(&g, &[0, 1, 2, 3]), 0.75);
     }
 
     #[test]
     fn empty_graph_edge_cases() {
         let g = GraphBuilder::new(0).build();
-        assert_eq!(triangle_participation_ratio(&g), 0.0);
+        assert!(triangle_participants(&g).is_empty());
         assert_eq!(tpr_of_subset(&g, &[]), 0.0);
     }
 
@@ -207,7 +147,7 @@ mod tests {
             }
         }
         let g = b.build();
-        assert_eq!(triangle_count(&g), 4);
-        assert_eq!(triangle_participation_ratio(&g), 1.0);
+        assert_eq!(triangle_participants(&g), vec![true; 4]);
+        assert_eq!(tpr_of_subset(&g, &[0, 1, 2, 3]), 1.0);
     }
 }

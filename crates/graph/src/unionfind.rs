@@ -2,24 +2,22 @@
 
 /// Union-find over `0..n`.
 #[derive(Debug, Clone)]
-pub struct UnionFind {
+pub(crate) struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
-    components: usize,
 }
 
 impl UnionFind {
     /// `n` singleton sets.
-    pub fn new(n: u32) -> Self {
+    pub(crate) fn new(n: u32) -> Self {
         UnionFind {
             parent: (0..n).collect(),
             size: vec![1; n as usize],
-            components: n as usize,
         }
     }
 
     /// Representative of `x`'s set (with path halving).
-    pub fn find(&mut self, mut x: u32) -> u32 {
+    pub(crate) fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             let grand = self.parent[self.parent[x as usize] as usize];
             self.parent[x as usize] = grand;
@@ -30,7 +28,7 @@ impl UnionFind {
 
     /// Merge the sets of `a` and `b`; returns true when they were
     /// previously distinct.
-    pub fn union(&mut self, a: u32, b: u32) -> bool {
+    pub(crate) fn union(&mut self, a: u32, b: u32) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return false;
@@ -42,34 +40,7 @@ impl UnionFind {
         };
         self.parent[small as usize] = big;
         self.size[big as usize] += self.size[small as usize];
-        self.components -= 1;
         true
-    }
-
-    /// True when `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: u32) -> usize {
-        let r = self.find(x);
-        self.size[r as usize] as usize
-    }
-
-    /// Number of disjoint sets remaining.
-    pub fn component_count(&self) -> usize {
-        self.components
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// True when there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
     }
 }
 
@@ -80,9 +51,8 @@ mod tests {
     #[test]
     fn starts_as_singletons() {
         let mut uf = UnionFind::new(4);
-        assert_eq!(uf.component_count(), 4);
-        assert!(!uf.connected(0, 1));
-        assert_eq!(uf.set_size(2), 1);
+        assert_ne!(uf.find(0), uf.find(1));
+        assert_eq!(uf.find(2), 2);
     }
 
     #[test]
@@ -91,11 +61,10 @@ mod tests {
         assert!(uf.union(0, 1));
         assert!(uf.union(2, 3));
         assert!(!uf.union(1, 0)); // already merged
-        assert_eq!(uf.component_count(), 2);
+        assert_ne!(uf.find(0), uf.find(2));
         assert!(uf.union(1, 2));
-        assert_eq!(uf.component_count(), 1);
-        assert!(uf.connected(0, 3));
-        assert_eq!(uf.set_size(0), 4);
+        assert!(!uf.union(0, 3));
+        assert_eq!(uf.find(0), uf.find(3));
     }
 
     #[test]
@@ -104,14 +73,7 @@ mod tests {
         uf.union(0, 1);
         uf.union(1, 2);
         uf.union(3, 4);
-        assert!(uf.connected(0, 2));
-        assert!(!uf.connected(2, 3));
-    }
-
-    #[test]
-    fn empty_union_find() {
-        let uf = UnionFind::new(0);
-        assert!(uf.is_empty());
-        assert_eq!(uf.component_count(), 0);
+        assert_eq!(uf.find(0), uf.find(2));
+        assert_ne!(uf.find(2), uf.find(3));
     }
 }

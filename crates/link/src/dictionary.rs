@@ -25,7 +25,7 @@ pub struct TitleDictionary {
 
 impl TitleDictionary {
     /// Build the dictionary for a knowledge base.
-    pub fn build(kb: &KnowledgeBase) -> Self {
+    pub(crate) fn build(kb: &KnowledgeBase) -> Self {
         let mut by_title = HashMap::with_capacity(kb.num_articles());
         let mut max_tokens = 1;
         let mut first_tokens = Interner::new();
@@ -46,29 +46,24 @@ impl TitleDictionary {
     }
 
     /// Look up a normalized phrase (tokens joined by single spaces).
-    pub fn get(&self, normalized_phrase: &str) -> Option<ArticleId> {
+    pub(crate) fn get(&self, normalized_phrase: &str) -> Option<ArticleId> {
         self.by_title.get(normalized_phrase).copied()
     }
 
     /// Longest title width in tokens.
-    pub fn max_tokens(&self) -> usize {
+    pub(crate) fn max_tokens(&self) -> usize {
         self.max_tokens
     }
 
     /// True when some title starts with this token — used to prune the
     /// scan.
-    pub fn could_start_title(&self, token: &str) -> bool {
+    pub(crate) fn could_start_title(&self, token: &str) -> bool {
         self.first_tokens.get(token).is_some()
     }
 
     /// Number of distinct (normalized) titles.
     pub fn len(&self) -> usize {
         self.by_title.len()
-    }
-
-    /// True when the dictionary is empty.
-    pub fn is_empty(&self) -> bool {
-        self.by_title.is_empty()
     }
 }
 

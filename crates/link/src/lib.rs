@@ -6,7 +6,7 @@
 //! largest substrings in the input query that matches with the title of
 //! an article in Wikipedia." This crate implements that as a greedy
 //! leftmost-longest scan of the normalized token stream against a
-//! [`dictionary::TitleDictionary`], plus the paper's synonym-phrase
+//! dictionary of normalized titles, plus the paper's synonym-phrase
 //! refinement: "we derive a synonym phrase by replacing at least one
 //! term of the input text by a synonymous term", where synonyms come
 //! from Wikipedia redirects.
@@ -25,11 +25,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod dictionary;
-pub mod linker;
-pub mod mention;
-pub mod synonyms;
+mod dictionary;
+mod linker;
+mod mention;
+mod synonyms;
 
-pub use dictionary::TitleDictionary;
 pub use linker::EntityLinker;
-pub use mention::Mention;

@@ -31,7 +31,6 @@ pub struct EntityLinker<'kb> {
     kb: &'kb KnowledgeBase,
     dict: TitleDictionary,
     use_synonyms: bool,
-    resolve_redirects: bool,
 }
 
 impl<'kb> EntityLinker<'kb> {
@@ -42,19 +41,12 @@ impl<'kb> EntityLinker<'kb> {
             kb,
             dict: TitleDictionary::build(kb),
             use_synonyms: true,
-            resolve_redirects: true,
         }
     }
 
     /// Disable the synonym pass (ablation studies).
     pub fn without_synonyms(mut self) -> Self {
         self.use_synonyms = false;
-        self
-    }
-
-    /// Keep redirect articles as-is instead of resolving to mains.
-    pub fn keep_redirects(mut self) -> Self {
-        self.resolve_redirects = false;
         self
     }
 
@@ -65,7 +57,7 @@ impl<'kb> EntityLinker<'kb> {
 
     /// Link `text`, returning mentions in token order (synonym-derived
     /// mentions after base mentions).
-    pub fn link(&self, text: &str) -> Vec<Mention> {
+    pub(crate) fn link(&self, text: &str) -> Vec<Mention> {
         let tokens = tokenize(text);
         let mut mentions = self.scan(&tokens, false);
 
@@ -127,11 +119,7 @@ impl<'kb> EntityLinker<'kb> {
     }
 
     fn final_article(&self, m: &Mention) -> ArticleId {
-        if self.resolve_redirects {
-            self.kb.resolve_redirect(m.article)
-        } else {
-            m.article
-        }
+        self.kb.resolve_redirect(m.article)
     }
 
     /// Greedy leftmost-longest scan of a token stream.
@@ -224,15 +212,6 @@ mod tests {
         let t = titles(&kb, &arts);
         assert!(t.contains(&"Bridge of Sighs".to_string()));
         assert!(!t.contains(&"Ponte dei Sospiri".to_string()));
-    }
-
-    #[test]
-    fn keep_redirects_mode() {
-        let kb = venice_mini_wiki();
-        let linker = EntityLinker::new(&kb).keep_redirects();
-        let arts = linker.link_articles("ponte dei sospiri");
-        let t = titles(&kb, &arts);
-        assert_eq!(t, vec!["Ponte dei Sospiri".to_string()]);
     }
 
     #[test]

@@ -4,26 +4,28 @@ use querygraph_wiki::ArticleId;
 
 /// One entity mention found by the linker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Mention {
+pub(crate) struct Mention {
     /// The matched article (may be a redirect article; callers resolve).
-    pub article: ArticleId,
+    pub(crate) article: ArticleId,
     /// Start token index in the normalized input.
-    pub start: usize,
+    pub(crate) start: usize,
     /// Width in tokens.
-    pub len: usize,
+    pub(crate) len: usize,
     /// True when the match came from a synonym phrase rather than the
     /// literal input (§2.1's redirect-derived variants).
-    pub via_synonym: bool,
+    pub(crate) via_synonym: bool,
 }
 
 impl Mention {
     /// One-past-the-end token index.
-    pub fn end(&self) -> usize {
+    pub(crate) fn end(&self) -> usize {
         self.start + self.len
     }
 
-    /// True when this mention overlaps `other` in the token stream.
-    pub fn overlaps(&self, other: &Mention) -> bool {
+    /// True when this mention overlaps `other` in the token stream: the
+    /// reference the linker's non-overlap test checks its scan against.
+    #[cfg(test)]
+    pub(crate) fn overlaps(&self, other: &Mention) -> bool {
         self.start < other.end() && other.start < self.end()
     }
 }

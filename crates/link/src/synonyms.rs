@@ -11,7 +11,7 @@ use querygraph_wiki::KnowledgeBase;
 
 /// Synonym surface forms for a term (normalized output, the term itself
 /// excluded). Empty when the term matches no title.
-pub fn synonyms_for_term(kb: &KnowledgeBase, term: &str) -> Vec<String> {
+pub(crate) fn synonyms_for_term(kb: &KnowledgeBase, term: &str) -> Vec<String> {
     let norm = normalize(term);
     let Some(article) = kb.article_by_normalized_title(&norm) else {
         return Vec::new();

@@ -91,11 +91,11 @@ pub struct PhraseInfo {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhraseCacheEntry {
     /// The normalized phrase words (the cache key).
-    pub words: Vec<String>,
+    pub(crate) words: Vec<String>,
     /// Exact hits in doc-id order.
-    pub hits: Vec<PhraseHit>,
+    pub(crate) hits: Vec<PhraseHit>,
     /// Exact phrase collection probability.
-    pub collection_prob: f64,
+    pub(crate) collection_prob: f64,
 }
 
 /// One unresolved leaf of a flattened query AST: what the query asks
@@ -188,7 +188,7 @@ impl SearchEngine {
 
     /// The scoring parameters (shared with [`crate::workspace`] and the
     /// backend trait).
-    pub fn params(&self) -> LmParams {
+    pub(crate) fn params(&self) -> LmParams {
         self.params
     }
 

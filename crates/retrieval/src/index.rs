@@ -2,7 +2,7 @@
 //!
 //! [`IndexBuilder`] tokenizes documents (through `querygraph-text`, the
 //! same normalization the entity linker uses) and freezes an
-//! [`InvertedIndex`]: one [`PostingsList`] per term, document lengths,
+//! [`InvertedIndex`]: one `PostingsList` per term, document lengths,
 //! and collection statistics for smoothing.
 
 use crate::postings::{PostingsBuilder, PostingsList};
@@ -44,11 +44,6 @@ impl IndexBuilder {
             }
         }
         doc
-    }
-
-    /// Number of documents added so far.
-    pub fn doc_count(&self) -> usize {
-        self.doc_lengths.len()
     }
 
     /// Freeze into an immutable index.
@@ -104,11 +99,11 @@ pub(crate) fn freeze(
 /// document — independently of μ, which is why the artifact can store
 /// these raw counts instead of a smoothing-specific score.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TermBound {
+pub(crate) struct TermBound {
     /// Highest term frequency across the term's postings.
-    pub max_tf: u32,
+    pub(crate) max_tf: u32,
     /// Shortest document (token count) among those containing the term.
-    pub min_len: u32,
+    pub(crate) min_len: u32,
 }
 
 impl TermBound {
@@ -194,7 +189,7 @@ impl InvertedIndex {
     }
 
     /// Length (token count) of document `doc`.
-    pub fn doc_len(&self, doc: u32) -> u32 {
+    pub(crate) fn doc_len(&self, doc: u32) -> u32 {
         self.doc_lengths[doc as usize]
     }
 
@@ -208,17 +203,17 @@ impl InvertedIndex {
     }
 
     /// Term id of an (already normalized) word.
-    pub fn term_id(&self, term: &str) -> Option<TermId> {
+    pub(crate) fn term_id(&self, term: &str) -> Option<TermId> {
         self.interner.get(term)
     }
 
     /// The postings list of a term id.
-    pub fn postings(&self, t: TermId) -> &PostingsList {
+    pub(crate) fn postings(&self, t: TermId) -> &PostingsList {
         &self.postings[t.index()]
     }
 
     /// The score-bound statistics of a term id (see [`TermBound`]).
-    pub fn term_bound(&self, t: TermId) -> TermBound {
+    pub(crate) fn term_bound(&self, t: TermId) -> TermBound {
         self.bounds[t.index()]
     }
 
@@ -226,36 +221,24 @@ impl InvertedIndex {
     /// empty collection. Bounds the background (tf = 0) log-belief of
     /// any component, since the belief is decreasing in document
     /// length.
-    pub fn min_doc_len(&self) -> u32 {
+    pub(crate) fn min_doc_len(&self) -> u32 {
         self.min_doc_len
     }
 
     /// Postings by raw term string (normalized form expected).
-    pub fn postings_for(&self, term: &str) -> Option<&PostingsList> {
+    pub(crate) fn postings_for(&self, term: &str) -> Option<&PostingsList> {
         self.term_id(term).map(|t| self.postings(t))
-    }
-
-    /// Collection probability of a term: cf(t) / total tokens. Unknown
-    /// terms get 0.
-    pub fn collection_prob(&self, term: &str) -> f64 {
-        if self.total_tokens == 0 {
-            return 0.0;
-        }
-        match self.postings_for(term) {
-            Some(p) => p.collection_freq() as f64 / self.total_tokens as f64,
-            None => 0.0,
-        }
     }
 
     /// The smallest nonzero probability representable in this
     /// collection; the smoothing floor for unseen terms and phrases.
-    pub fn epsilon_prob(&self) -> f64 {
+    pub(crate) fn epsilon_prob(&self) -> f64 {
         epsilon_for(self.total_tokens)
     }
 }
 
 /// The smoothing floor for a collection of `total_tokens` tokens — the
-/// one formula behind [`InvertedIndex::epsilon_prob`] and the sharded
+/// one formula behind `InvertedIndex::epsilon_prob` and the sharded
 /// engine's globally aggregated floor, so the two can never drift (the
 /// byte-identity contract divides by *this* value on both layouts).
 pub fn epsilon_for(total_tokens: u64) -> f64 {
@@ -283,7 +266,7 @@ mod tests {
         let mut b = IndexBuilder::new();
         assert_eq!(b.add_document("x"), 0);
         assert_eq!(b.add_document("y"), 1);
-        assert_eq!(b.doc_count(), 2);
+        assert_eq!(b.build().num_docs(), 2);
     }
 
     #[test]
@@ -323,7 +306,6 @@ mod tests {
     fn unknown_terms() {
         let idx = tiny();
         assert!(idx.postings_for("missing").is_none());
-        assert_eq!(idx.collection_prob("missing"), 0.0);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! this crate implements the same contract:
 //!
 //! * [`index`] — a positional inverted index with delta-varint-encoded
-//!   postings ([`postings`]), document lengths and collection statistics.
-//! * [`phrase`] — exact-phrase matching (`#1(...)`: terms at consecutive
+//!   postings (`postings`), document lengths and collection statistics.
+//! * `phrase` — exact-phrase matching (`#1(...)`: terms at consecutive
 //!   positions), the operator the paper's queries are built from.
 //! * [`lm`] — Dirichlet-smoothed query-likelihood scoring, INDRI's
 //!   default retrieval model.
@@ -76,24 +76,26 @@ pub mod lm;
 pub mod metrics;
 pub mod ondisk;
 pub mod par;
-pub mod phrase;
-pub mod postings;
+mod phrase;
+mod postings;
 pub mod query_lang;
 pub mod remote;
 pub mod segstore;
 pub mod sharded;
 pub mod stats;
-pub mod topk;
+mod topk;
 pub mod workspace;
 
-pub use backend::{AnyEngine, RetrievalBackend};
-pub use engine::{PhraseCacheEntry, SearchEngine, SearchHit, SearchMode};
-pub use index::{IndexBuilder, InvertedIndex};
-pub use metrics::{average_quality, precision_at, EVAL_CUTOFFS};
-pub use ondisk::{ArtifactSource, LoadedIndex, OndiskError};
+pub use backend::AnyEngine;
+pub use backend::RetrievalBackend;
+pub use engine::SearchHit;
+pub use engine::SearchMode;
+pub use index::IndexBuilder;
+pub use ondisk::ArtifactSource;
 pub use par::parallel_map;
-pub use query_lang::{parse, QueryNode};
-pub use remote::{RemoteEngine, RemoteShard, ShardServer};
-pub use segstore::{SegStore, SegStoreError};
-pub use sharded::{ShardedEngine, ShardedError};
-pub use workspace::{LeafId, ScoreWorkspace};
+pub use query_lang::QueryNode;
+pub use remote::RemoteEngine;
+pub use remote::RemoteShard;
+pub use remote::ShardServer;
+pub use segstore::SegStore;
+pub use sharded::ShardedEngine;

@@ -15,7 +15,7 @@
 //! logarithm stays finite.
 
 /// Default Dirichlet prior (INDRI's default).
-pub const DEFAULT_MU: f64 = 2500.0;
+pub(crate) const DEFAULT_MU: f64 = 2500.0;
 
 /// Scoring parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,7 +40,7 @@ impl Default for LmParams {
 /// in the workspace evaluates this one expression, which is what makes
 /// their scores bit-identical.
 #[inline]
-pub fn log_belief_with_floor(
+pub(crate) fn log_belief_with_floor(
     params: LmParams,
     epsilon: f64,
     tf: u32,
@@ -68,7 +68,7 @@ mod tests {
     #[test]
     fn higher_tf_scores_higher() {
         let index = idx();
-        let p = index.collection_prob("a");
+        let p = 5.0 / 12.0; // cf("a") / total tokens
         let params = LmParams::default();
         let s1 = log_belief_with_floor(params, index.epsilon_prob(), 1, 10, p);
         let s4 = log_belief_with_floor(params, index.epsilon_prob(), 4, 10, p);
@@ -78,7 +78,7 @@ mod tests {
     #[test]
     fn longer_docs_dilute() {
         let index = idx();
-        let p = index.collection_prob("a");
+        let p = 5.0 / 12.0; // cf("a") / total tokens
         let params = LmParams::default();
         let short = log_belief_with_floor(params, index.epsilon_prob(), 1, 5, p);
         let long = log_belief_with_floor(params, index.epsilon_prob(), 1, 500, p);
@@ -88,7 +88,7 @@ mod tests {
     #[test]
     fn zero_tf_uses_background() {
         let index = idx();
-        let p = index.collection_prob("a");
+        let p = 5.0 / 12.0; // cf("a") / total tokens
         let params = LmParams::default();
         let s = log_belief_with_floor(params, index.epsilon_prob(), 0, 10, p);
         assert!(s.is_finite());

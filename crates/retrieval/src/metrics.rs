@@ -47,23 +47,6 @@ pub fn precisions(results: &[SearchHit], relevant: &[u32]) -> [f64; 4] {
     out
 }
 
-/// Average precision (AP) of one ranked list — used by the extension
-/// analyses, not by the paper's tables.
-pub fn average_precision(results: &[SearchHit], relevant: &[u32]) -> f64 {
-    if relevant.is_empty() {
-        return 0.0;
-    }
-    let mut hits = 0usize;
-    let mut sum = 0.0;
-    for (i, h) in results.iter().enumerate() {
-        if relevant.binary_search(&h.doc).is_ok() {
-            hits += 1;
-            sum += hits as f64 / (i + 1) as f64;
-        }
-    }
-    sum / relevant.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,16 +113,5 @@ mod tests {
     #[test]
     fn empty_results_zero_precision() {
         assert_eq!(average_quality(&[], &[1, 2]), 0.0);
-    }
-
-    #[test]
-    fn average_precision_perfect_and_empty() {
-        let results = hits(&[1, 2]);
-        assert_eq!(average_precision(&results, &[1, 2]), 1.0);
-        assert_eq!(average_precision(&results, &[]), 0.0);
-        // Relevant at ranks 1 and 3.
-        let results = hits(&[1, 9, 2]);
-        let expect = (1.0 + 2.0 / 3.0) / 2.0;
-        assert!((average_precision(&results, &[1, 2]) - expect).abs() < 1e-12);
     }
 }

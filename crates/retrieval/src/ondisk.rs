@@ -3,7 +3,7 @@
 //! The pipeline rebuilds the whole inverted index from the synthetic
 //! corpus on every run, which caps experiments near seed scale. This
 //! module persists the retrieval state — term dictionary, the
-//! contiguous delta-varint postings buffers from [`crate::postings`],
+//! contiguous delta-varint postings buffers from `crate::postings`,
 //! per-document statistics, and the phrase dictionary — into a single
 //! binary artifact, and loads it back by wrapping the file bytes in one
 //! [`bytes::Bytes`] buffer: every postings list becomes an
@@ -37,7 +37,7 @@
 //!   phrase its words,
 //!   delta-varint `(doc, tf)` hits, and the collection probability.
 //! * **BOUNDS** — term count, per-term `(max_tf u32, min_len u32)`
-//!   score-bound statistics ([`crate::index::TermBound`]) feeding the
+//!   score-bound statistics (`crate::index::TermBound`) feeding the
 //!   WAND-style pruned search. Stored μ-independently as raw counts;
 //!   the loader cross-checks every entry against the validating
 //!   postings walk, so a corrupted or crafted bound can never loosen
@@ -74,11 +74,11 @@ use std::fmt;
 use std::path::Path;
 
 /// File magic: "QGIX" (QueryGraph IndeX).
-pub const MAGIC: [u8; 4] = *b"QGIX";
+pub(crate) const MAGIC: [u8; 4] = *b"QGIX";
 
 /// The one format version written and read (v2 appended the BOUNDS
 /// section). Bumped on any layout change; the loader refuses all others.
-pub const FORMAT_VERSION: u32 = 2;
+pub(crate) const FORMAT_VERSION: u32 = 2;
 
 const SEC_TERMS: u32 = 1;
 const SEC_POSTINGS: u32 = 2;
@@ -109,12 +109,12 @@ pub enum OndiskError {
         /// What was being read.
         context: &'static str,
     },
-    /// The file does not start with [`MAGIC`].
+    /// The file does not start with `MAGIC`.
     BadMagic {
         /// The four bytes found instead.
         found: [u8; 4],
     },
-    /// The format version is not [`FORMAT_VERSION`].
+    /// The format version is not `FORMAT_VERSION`.
     UnsupportedVersion {
         /// The version found in the header.
         found: u32,
@@ -205,7 +205,7 @@ pub struct LoadedIndex {
     /// The recorded header checksum: it covers the fingerprint and
     /// every section's checksum, so it identifies the file's bytes
     /// ([`read_header_checksum`] reads it back without the payloads).
-    pub header_checksum: u64,
+    pub(crate) header_checksum: u64,
 }
 
 /// FNV-1a 64 — the workspace's standard stable fingerprint.
@@ -221,7 +221,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 // ─── writing ────────────────────────────────────────────────────────
 
 /// Encode `index` (and the phrase dictionary) into artifact bytes.
-pub fn encode_index(
+pub(crate) fn encode_index(
     index: &InvertedIndex,
     phrases: &[PhraseCacheEntry],
     meta_fingerprint: u64,
@@ -265,7 +265,7 @@ fn assemble(sections: &[(u32, Vec<u8>)], meta_fingerprint: u64) -> Vec<u8> {
     out
 }
 
-/// Write the artifact to `path` (via [`encode_index`]), atomically.
+/// Write the artifact to `path` (via `encode_index`), atomically.
 pub fn save_index(
     path: &Path,
     index: &InvertedIndex,
@@ -403,7 +403,7 @@ pub fn load_index(path: &Path) -> Result<LoadedIndex, OndiskError> {
 /// same header checksum record the same fingerprint and section
 /// checksums, which is how a reader holding a decoded artifact tells
 /// whether the file under its name still holds those bytes.
-pub fn read_header_checksum(path: &Path) -> Result<u64, OndiskError> {
+pub(crate) fn read_header_checksum(path: &Path) -> Result<u64, OndiskError> {
     use std::io::Read;
     let mut head = Vec::with_capacity(HEAD_LEN);
     std::fs::File::open(path)
@@ -452,7 +452,7 @@ fn check_head(data: &[u8]) -> Result<(u64, u64), OndiskError> {
 
 /// Decode an artifact from an in-memory buffer. Postings lists become
 /// zero-copy views into `data`.
-pub fn load_index_bytes(data: Bytes) -> Result<LoadedIndex, OndiskError> {
+pub(crate) fn load_index_bytes(data: Bytes) -> Result<LoadedIndex, OndiskError> {
     let (meta_fingerprint, header_checksum) = check_head(&data)?;
 
     // Sections: exactly the known ids, in order, within bounds, with

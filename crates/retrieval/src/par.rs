@@ -5,7 +5,7 @@
 //! the retrieval layer itself can scatter work — the sharded engine
 //! fans per-shard retrieval and per-shard artifact loads over it —
 //! without a dependency cycle. Every parallel consumer in the
-//! workspace (`run_queries`, `expand_batch`, shard scatter-gather,
+//! workspace (`run_queries`, shard scatter-gather,
 //! parallel segment loading) runs on this one runner, so the
 //! determinism argument is made once: the steal schedule only decides
 //! *who* computes an index, never *what* is computed.

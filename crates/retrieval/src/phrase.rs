@@ -29,7 +29,7 @@ pub struct PhraseHit {
 /// order plus the phrase collection frequency (sum of tfs).
 ///
 /// An empty phrase or a phrase with any unknown term matches nothing.
-pub fn match_phrase(index: &InvertedIndex, terms: &[TermId]) -> Vec<PhraseHit> {
+pub(crate) fn match_phrase(index: &InvertedIndex, terms: &[TermId]) -> Vec<PhraseHit> {
     match terms {
         [] => return Vec::new(),
         [term] => {
@@ -116,7 +116,7 @@ fn count_phrase_occurrences(positions: &[Vec<u32>]) -> u32 {
 /// Resolve a phrase's words to term ids; `None` if any word is unknown
 /// to the index (the phrase then cannot match and its collection
 /// frequency is zero).
-pub fn resolve_terms(index: &InvertedIndex, words: &[String]) -> Option<Vec<TermId>> {
+pub(crate) fn resolve_terms(index: &InvertedIndex, words: &[String]) -> Option<Vec<TermId>> {
     words.iter().map(|w| index.term_id(w)).collect()
 }
 
@@ -222,7 +222,7 @@ mod tests {
             let tf_grand = g
                 .iter()
                 .find(|p| p.doc == h.doc)
-                .map(|p| p.tf())
+                .map(|p| p.positions.len() as u32)
                 .unwrap_or(0);
             assert!(h.tf <= tf_grand);
         }

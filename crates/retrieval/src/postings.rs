@@ -24,7 +24,7 @@
 use bytes::{BufMut, Bytes, BytesMut};
 
 /// Append `v` as a LEB128 varint.
-pub fn write_varint(buf: &mut impl BufMut, mut v: u32) {
+pub(crate) fn write_varint(buf: &mut impl BufMut, mut v: u32) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -48,7 +48,7 @@ pub fn write_varint(buf: &mut impl BufMut, mut v: u32) {
 /// single-byte varint (small postings deltas) — takes the early return
 /// below and pays nothing for the canonicality checks; only
 /// continuation bytes enter the checked loop.
-pub fn read_varint(data: &[u8], pos: &mut usize) -> Option<u32> {
+pub(crate) fn read_varint(data: &[u8], pos: &mut usize) -> Option<u32> {
     let &first = data.get(*pos)?;
     *pos += 1;
     if first & 0x80 == 0 {
@@ -88,12 +88,12 @@ pub fn read_varint(data: &[u8], pos: &mut usize) -> Option<u32> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct StreamStats {
     /// Sum of tfs across the stream.
-    pub cf: u64,
+    pub(crate) cf: u64,
     /// Highest tf of any entry; 0 for an empty stream.
-    pub max_tf: u32,
+    pub(crate) max_tf: u32,
     /// Shortest document (token count) among the stream's docs; 0 for
     /// an empty stream.
-    pub min_len: u32,
+    pub(crate) min_len: u32,
 }
 
 /// Walk an encoded postings stream **without allocating**, verifying it
@@ -166,23 +166,16 @@ pub(crate) fn validate_stream(
 
 /// One decoded document entry of a postings list.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DocPosting {
+pub(crate) struct DocPosting {
     /// Document id.
-    pub doc: u32,
+    pub(crate) doc: u32,
     /// Term positions in the document, ascending.
-    pub positions: Vec<u32>,
-}
-
-impl DocPosting {
-    /// Term frequency in this document.
-    pub fn tf(&self) -> u32 {
-        self.positions.len() as u32
-    }
+    pub(crate) positions: Vec<u32>,
 }
 
 /// An immutable, encoded postings list.
 #[derive(Debug, Clone, Default)]
-pub struct PostingsList {
+pub(crate) struct PostingsList {
     data: Bytes,
     doc_count: u32,
     collection_freq: u64,
@@ -207,22 +200,22 @@ impl PostingsList {
     }
 
     /// Number of documents containing the term.
-    pub fn doc_count(&self) -> u32 {
+    pub(crate) fn doc_count(&self) -> u32 {
         self.doc_count
     }
 
     /// Total occurrences of the term across the collection.
-    pub fn collection_freq(&self) -> u64 {
+    pub(crate) fn collection_freq(&self) -> u64 {
         self.collection_freq
     }
 
     /// Encoded size in bytes.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         self.data.len()
     }
 
     /// Iterate decoded document entries in doc-id order.
-    pub fn iter(&self) -> PostingsIter<'_> {
+    pub(crate) fn iter(&self) -> PostingsIter<'_> {
         PostingsIter {
             cursor: self.cursor(),
         }
@@ -231,7 +224,7 @@ impl PostingsList {
     /// A position-lazy cursor over the entries in doc-id order: each
     /// entry yields `(doc, tf)`, and its positions are decoded only on
     /// request.
-    pub fn cursor(&self) -> PostingsCursor<'_> {
+    pub(crate) fn cursor(&self) -> PostingsCursor<'_> {
         PostingsCursor {
             data: &self.data,
             pos: 0,
@@ -253,7 +246,7 @@ impl PostingsList {
 /// after which the cursor yields nothing further — as they do on a doc
 /// id or position that would overflow `u32`, so garbled bytes end the
 /// walk instead of panicking.
-pub struct PostingsCursor<'a> {
+pub(crate) struct PostingsCursor<'a> {
     data: &'a [u8],
     pos: usize,
     last_doc: u32,
@@ -267,7 +260,7 @@ impl PostingsCursor<'_> {
     /// The next entry's `(doc, tf)`, stepping over the previous entry's
     /// unread positions.
     #[inline]
-    pub fn next_entry(&mut self) -> Option<(u32, u32)> {
+    pub(crate) fn next_entry(&mut self) -> Option<(u32, u32)> {
         if self.remaining == 0 {
             return None;
         }
@@ -302,7 +295,7 @@ impl PostingsCursor<'_> {
     /// [`PostingsCursor::next_entry`]; a second call yields no
     /// positions.
     #[inline]
-    pub fn positions_into(&mut self, out: &mut Vec<u32>) -> Option<()> {
+    pub(crate) fn positions_into(&mut self, out: &mut Vec<u32>) -> Option<()> {
         out.clear();
         let decoded = self.read_positions(out);
         if decoded.is_none() {
@@ -329,7 +322,7 @@ impl PostingsCursor<'_> {
 
 /// Decoding iterator over a [`PostingsList`]: a [`PostingsCursor`] that
 /// decodes every entry's positions.
-pub struct PostingsIter<'a> {
+pub(crate) struct PostingsIter<'a> {
     cursor: PostingsCursor<'a>,
 }
 
@@ -355,7 +348,7 @@ impl Iterator for PostingsIter<'_> {
 /// Incremental encoder. Documents must be appended in ascending doc-id
 /// order with ascending positions.
 #[derive(Debug, Default)]
-pub struct PostingsBuilder {
+pub(crate) struct PostingsBuilder {
     buf: BytesMut,
     last_doc: u32,
     first: bool,
@@ -365,7 +358,7 @@ pub struct PostingsBuilder {
 
 impl PostingsBuilder {
     /// An empty builder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PostingsBuilder {
             first: true,
             ..Default::default()
@@ -377,7 +370,7 @@ impl PostingsBuilder {
     /// # Panics
     /// If `doc` is not strictly greater than the previous doc, or
     /// `positions` is empty or not strictly ascending.
-    pub fn push(&mut self, doc: u32, positions: &[u32]) {
+    pub(crate) fn push(&mut self, doc: u32, positions: &[u32]) {
         assert!(!positions.is_empty(), "postings entry needs ≥1 position");
         if self.first {
             write_varint(&mut self.buf, doc);
@@ -403,7 +396,7 @@ impl PostingsBuilder {
     }
 
     /// Freeze into an immutable list.
-    pub fn build(self) -> PostingsList {
+    pub(crate) fn build(self) -> PostingsList {
         PostingsList {
             data: self.buf.freeze(),
             doc_count: self.doc_count,
@@ -708,7 +701,7 @@ mod tests {
             while let Some(entry) = cursor.next_entry() {
                 skipped.push(entry);
             }
-            let tfs: Vec<(u32, u32)> = list.iter().map(|p| (p.doc, p.tf())).collect();
+            let tfs: Vec<(u32, u32)> = list.iter().map(|p| (p.doc, p.positions.len() as u32)).collect();
             proptest::prop_assert_eq!(skipped, tfs);
 
             let data = list.encoded_bytes().to_vec();

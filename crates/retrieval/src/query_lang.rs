@@ -48,15 +48,6 @@ impl QueryNode {
             .collect();
         QueryNode::Combine(children)
     }
-
-    /// Number of leaf components (terms + phrases).
-    pub fn leaf_count(&self) -> usize {
-        match self {
-            QueryNode::Term(_) | QueryNode::Phrase(_) => 1,
-            QueryNode::Combine(c) => c.iter().map(QueryNode::leaf_count).sum(),
-            QueryNode::Weight(c) => c.iter().map(|(_, n)| n.leaf_count()).sum(),
-        }
-    }
 }
 
 impl fmt::Display for QueryNode {
@@ -92,9 +83,9 @@ impl fmt::Display for QueryNode {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset in the input.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// Description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for ParseError {
@@ -299,7 +290,15 @@ mod tests {
     #[test]
     fn nested_combine() {
         let q = parse("#combine(#1(grand canal) gondola #combine(a b))").unwrap();
-        assert_eq!(q.leaf_count(), 4);
+        let term = |t: &str| QueryNode::Term(t.into());
+        assert_eq!(
+            q,
+            QueryNode::Combine(vec![
+                QueryNode::Phrase(vec!["grand".into(), "canal".into()]),
+                term("gondola"),
+                QueryNode::Combine(vec![term("a"), term("b")]),
+            ])
+        );
     }
 
     #[test]

@@ -57,11 +57,11 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HelloInfo {
     /// The segment fingerprint embedded in the shard's artifact.
-    pub fingerprint: u64,
+    pub(crate) fingerprint: u64,
     /// The shard index the process was started as.
-    pub shard: u32,
+    pub(crate) shard: u32,
     /// Documents in the shard's segment.
-    pub num_docs: u32,
+    pub(crate) num_docs: u32,
     /// Tokens in the shard's segment.
     pub total_tokens: u64,
 }
@@ -105,11 +105,6 @@ impl RemoteShard {
             "connect {addr}: {}",
             last.map(|e| e.to_string()).unwrap_or_default()
         )))
-    }
-
-    /// The address this client dials.
-    pub fn addr(&self) -> &str {
-        &self.addr
     }
 
     /// A transport or protocol failure as the typed per-shard error the
@@ -241,7 +236,7 @@ impl RemoteShard {
     }
 
     /// Resolve one phrase to the shard's local hits.
-    pub fn resolve_phrase(&self, words: &[String]) -> Result<Vec<PhraseHit>, ProtoError> {
+    pub(crate) fn resolve_phrase(&self, words: &[String]) -> Result<Vec<PhraseHit>, ProtoError> {
         let mut payload = Vec::new();
         put_u32(&mut payload, words.len() as u32);
         for w in words {
@@ -262,7 +257,7 @@ impl RemoteShard {
     }
 
     /// Length of one local document.
-    pub fn doc_len(&self, doc: u32) -> Result<u32, ProtoError> {
+    pub(crate) fn doc_len(&self, doc: u32) -> Result<u32, ProtoError> {
         let mut payload = Vec::new();
         put_u32(&mut payload, doc);
         let response = self.call(Op::DocLen, &payload)?;
@@ -273,7 +268,7 @@ impl RemoteShard {
     }
 
     /// The shard's phrase-cache entry count.
-    pub fn stats(&self) -> Result<u64, ProtoError> {
+    pub(crate) fn stats(&self) -> Result<u64, ProtoError> {
         let response = self.call(Op::Stats, &[])?;
         let mut r = PayloadReader::new(&response);
         let len = r.u64()?;
@@ -282,7 +277,7 @@ impl RemoteShard {
     }
 
     /// Ask the shard process to drain and exit.
-    pub fn shutdown(&self) -> Result<(), ProtoError> {
+    pub(crate) fn shutdown(&self) -> Result<(), ProtoError> {
         self.call(Op::Shutdown, &[]).map(|_| ())
     }
 }
@@ -375,11 +370,6 @@ impl ScatterEngine<RemoteShard> {
             parts.push((shard, info.num_docs as usize, info.total_tokens));
         }
         ScatterEngine::assemble(parts, params)
-    }
-
-    /// The socket address of shard `shard`, when it exists.
-    pub fn shard_addr(&self, shard: usize) -> Option<&str> {
-        self.shards().get(shard).map(|s| s.addr())
     }
 
     /// Ask every shard process to drain and exit (used by supervisors

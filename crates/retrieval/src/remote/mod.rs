@@ -6,7 +6,7 @@
 //!   bounded payload, FNV-1a trailer).
 //! * [`server`] — [`ShardServer`]: serve one `QGIX` segment on a local
 //!   socket (`qgx shard` wraps it in a process).
-//! * [`client`] — [`RemoteShard`] (one shard's RPC client, a
+//! * `client` — [`RemoteShard`] (one shard's RPC client, a
 //!   [`ShardHandle`](crate::sharded::ShardHandle)) and [`RemoteEngine`]
 //!   (the scatter-gather coordinator over N of them).
 //!
@@ -19,11 +19,11 @@
 //! every global input crosses the socket as integer counts or f64 bit
 //! patterns, never re-derived floats. See `DESIGN.md` §13.
 
-pub mod client;
+mod client;
 pub mod proto;
 pub mod server;
 
-pub use client::{HelloInfo, RemoteEngine, RemoteShard};
+pub use client::{RemoteEngine, RemoteShard};
 pub use server::ShardServer;
 
 #[cfg(test)]

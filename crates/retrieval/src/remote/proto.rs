@@ -15,7 +15,7 @@
 //! * `status` is 0 on requests and successful responses; 1 marks an
 //!   error response whose payload is `{code, message}` (two length-
 //!   prefixed strings).
-//! * `payload_len` is bounded by [`MAX_PAYLOAD`]; every integer is
+//! * `payload_len` is bounded by `MAX_PAYLOAD`; every integer is
 //!   little-endian; strings are u32 length + UTF-8 bytes; vectors are
 //!   u32 count + elements. `f64`s travel as `to_bits()` so global
 //!   smoothing inputs arrive **bit-exactly** — the byte-identity
@@ -34,24 +34,24 @@ use std::fmt;
 use std::io::{Read, Write};
 
 /// Frame magic: "QGRP" (QueryGraph RPC).
-pub const MAGIC: [u8; 4] = *b"QGRP";
+pub(crate) const MAGIC: [u8; 4] = *b"QGRP";
 
 /// Protocol version; both ends refuse other versions.
-pub const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 1;
 
 /// Upper bound on a frame payload (16 MiB) — a desynchronized or
 /// hostile peer cannot make either end allocate unboundedly.
-pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
+pub(crate) const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
 /// Fixed frame header length: magic + version + request id + op +
 /// status + payload length.
-pub const HEADER_LEN: usize = 4 + 4 + 8 + 1 + 1 + 4;
+pub(crate) const HEADER_LEN: usize = 4 + 4 + 8 + 1 + 1 + 4;
 
 /// Status byte of a successful request or response.
-pub const STATUS_OK: u8 = 0;
+pub(crate) const STATUS_OK: u8 = 0;
 
 /// Status byte of an error response (payload is `{code, message}`).
-pub const STATUS_ERROR: u8 = 1;
+pub(crate) const STATUS_ERROR: u8 = 1;
 
 /// Operations a shard process serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +83,7 @@ pub enum Op {
 
 impl Op {
     /// Decode an op byte.
-    pub fn from_u8(v: u8) -> Option<Op> {
+    pub(crate) fn from_u8(v: u8) -> Option<Op> {
         match v {
             1 => Some(Op::Hello),
             2 => Some(Op::LeafCfs),
@@ -102,7 +102,7 @@ impl Op {
 pub enum ProtoError {
     /// The socket read/write itself failed (includes EOF mid-frame).
     Io(String),
-    /// The frame does not start with [`MAGIC`].
+    /// The frame does not start with `MAGIC`.
     BadMagic {
         /// The four bytes found instead.
         found: [u8; 4],
@@ -112,7 +112,7 @@ pub enum ProtoError {
         /// The version found in the header.
         found: u32,
     },
-    /// The declared payload length exceeds [`MAX_PAYLOAD`].
+    /// The declared payload length exceeds `MAX_PAYLOAD`.
     OversizedPayload {
         /// The declared length.
         len: u32,
@@ -177,7 +177,7 @@ pub struct Frame {
     pub request_id: u64,
     /// Raw op byte (validated by the dispatcher, not the framing).
     pub op: u8,
-    /// [`STATUS_OK`] or [`STATUS_ERROR`].
+    /// `STATUS_OK` or `STATUS_ERROR`.
     pub status: u8,
     /// Operation payload.
     pub payload: Vec<u8>,
@@ -250,30 +250,30 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtoError> {
 // ── payload codec ───────────────────────────────────────────────────
 
 /// Append a u32 (LE).
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Append a u64 (LE).
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Append a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
 }
 
 /// Bounds-checked payload reader.
-pub struct PayloadReader<'a> {
+pub(crate) struct PayloadReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> PayloadReader<'a> {
     /// Reader over one payload.
-    pub fn new(buf: &'a [u8]) -> PayloadReader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> PayloadReader<'a> {
         PayloadReader { buf, pos: 0 }
     }
 
@@ -287,26 +287,26 @@ impl<'a> PayloadReader<'a> {
     }
 
     /// Next u8.
-    pub fn u8(&mut self) -> Result<u8, ProtoError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, ProtoError> {
         Ok(self.take(1, "u8")?[0])
     }
 
     /// Next u32 (LE).
-    pub fn u32(&mut self) -> Result<u32, ProtoError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, ProtoError> {
         Ok(u32::from_le_bytes(
             self.take(4, "u32")?.try_into().expect("len 4"),
         ))
     }
 
     /// Next u64 (LE).
-    pub fn u64(&mut self) -> Result<u64, ProtoError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, ProtoError> {
         Ok(u64::from_le_bytes(
             self.take(8, "u64")?.try_into().expect("len 8"),
         ))
     }
 
     /// Next length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String, ProtoError> {
+    pub(crate) fn string(&mut self) -> Result<String, ProtoError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len, "string bytes")?;
         String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::Malformed {
@@ -318,7 +318,7 @@ impl<'a> PayloadReader<'a> {
     /// least `min_elem_bytes` each, checked against the bytes left in
     /// the payload — so a count is safe to allocate for before the
     /// elements are read, whatever the peer wrote.
-    pub fn count(&mut self, min_elem_bytes: usize) -> Result<usize, ProtoError> {
+    pub(crate) fn count(&mut self, min_elem_bytes: usize) -> Result<usize, ProtoError> {
         let count = self.u32()? as usize;
         if count > (self.buf.len() - self.pos) / min_elem_bytes {
             return Err(ProtoError::Malformed {
@@ -329,7 +329,7 @@ impl<'a> PayloadReader<'a> {
     }
 
     /// The payload must be fully consumed.
-    pub fn finish(self) -> Result<(), ProtoError> {
+    pub(crate) fn finish(self) -> Result<(), ProtoError> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {
@@ -341,7 +341,7 @@ impl<'a> PayloadReader<'a> {
 }
 
 /// Encode a typed error response payload.
-pub fn encode_error(code: &str, message: &str) -> Vec<u8> {
+pub(crate) fn encode_error(code: &str, message: &str) -> Vec<u8> {
     let mut buf = Vec::new();
     put_str(&mut buf, code);
     put_str(&mut buf, message);
@@ -349,7 +349,7 @@ pub fn encode_error(code: &str, message: &str) -> Vec<u8> {
 }
 
 /// Decode a typed error response payload into [`ProtoError::Remote`].
-pub fn decode_error(payload: &[u8]) -> ProtoError {
+pub(crate) fn decode_error(payload: &[u8]) -> ProtoError {
     let mut r = PayloadReader::new(payload);
     match (r.string(), r.string()) {
         (Ok(code), Ok(message)) => ProtoError::Remote { code, message },

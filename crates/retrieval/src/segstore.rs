@@ -20,7 +20,7 @@
 //!   one segment serves as the plain engine, K as a K-shard engine,
 //!   byte-identical to a monolithic build over the same docs (global
 //!   stats aggregated once; see `sharded`'s identity argument).
-//! * **Compaction** — [`reslice`] merges a generation's postings into N
+//! * **Compaction** — `reslice` merges a generation's postings into N
 //!   balanced shards (`doc_ranges` partition) without re-tokenizing:
 //!   postings, positions, doc lengths and totals are preserved exactly,
 //!   and per-term bounds are recomputed with the builder's formula, so
@@ -56,13 +56,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Manifest magic: "QGSS" (QueryGraph Segment Store).
-pub const SEGSTORE_MAGIC: [u8; 4] = *b"QGSS";
+pub(crate) const SEGSTORE_MAGIC: [u8; 4] = *b"QGSS";
 
 /// Manifest format version; the loader refuses other versions.
-pub const SEGSTORE_FORMAT_VERSION: u32 = 1;
+pub(crate) const SEGSTORE_FORMAT_VERSION: u32 = 1;
 
 /// Manifest file name inside a segstore directory.
-pub const MANIFEST_FILE: &str = "segstore.qgss";
+pub(crate) const MANIFEST_FILE: &str = "segstore.qgss";
 
 /// Typed segstore failure. Loading never panics; every error names the
 /// failing piece.
@@ -110,7 +110,7 @@ pub struct SegmentMeta {
     /// Documents in the segment.
     pub num_docs: u32,
     /// Token total of the segment.
-    pub total_tokens: u64,
+    pub(crate) total_tokens: u64,
 }
 
 /// The decoded generational manifest.
@@ -122,7 +122,7 @@ pub struct Manifest {
     /// Publish counter; bumped by every commit.
     pub generation: u64,
     /// Next unused segment sequence number.
-    pub next_seq: u64,
+    pub(crate) next_seq: u64,
     /// Live segments in global doc-id order.
     pub segments: Vec<SegmentMeta>,
 }
@@ -131,11 +131,6 @@ impl Manifest {
     /// Total documents across live segments.
     pub fn total_docs(&self) -> u64 {
         self.segments.iter().map(|s| s.num_docs as u64).sum()
-    }
-
-    /// Total tokens across live segments.
-    pub fn total_tokens(&self) -> u64 {
-        self.segments.iter().map(|s| s.total_tokens).sum()
     }
 
     /// A fingerprint of this exact generation (store fingerprint,
@@ -300,7 +295,7 @@ pub fn read_manifest(
 /// A writable segment store rooted at one directory.
 ///
 /// Writes follow the two-phase LSM discipline: [`SegStore::stage_segment`]
-/// writes an (unreferenced) segment file, [`SegStore::publish`] appends
+/// writes an (unreferenced) segment file, `SegStore::publish` appends
 /// the staged set to the manifest in one atomic swap. A crash at any
 /// point between the two leaves the previous generation intact.
 #[derive(Debug)]
@@ -345,7 +340,7 @@ impl SegStore {
 
     /// Phase 1: write one batch's index — and the phrase dictionary
     /// to embed with it (`&[]` for none) — as a new segment file. The
-    /// segment is durable but *not live* until [`SegStore::publish`]
+    /// segment is durable but *not live* until `SegStore::publish`
     /// lists it — a crash here leaves only an orphan file.
     pub fn stage_segment(
         &mut self,
@@ -367,7 +362,7 @@ impl SegStore {
     /// Phase 2: append staged segments to the live set and swap the
     /// manifest atomically (the commit point). Bumps the generation
     /// even when `staged` is empty.
-    pub fn publish(&mut self, staged: &[SegmentMeta]) -> Result<&Manifest, SegStoreError> {
+    pub(crate) fn publish(&mut self, staged: &[SegmentMeta]) -> Result<&Manifest, SegStoreError> {
         let mut next = self.manifest.clone();
         next.segments.extend_from_slice(staged);
         next.generation += 1;
@@ -417,7 +412,7 @@ pub struct LoadedGeneration {
     /// The manifest this load observed.
     pub manifest: Manifest,
     /// Loaded segments (index + phrase dictionary), manifest order.
-    pub segments: Vec<LoadedIndex>,
+    pub(crate) segments: Vec<LoadedIndex>,
     /// Wall-clock seconds each segment took to read + decode, manifest
     /// order (segments load in parallel, so these can sum past the
     /// call's own wall clock).
@@ -646,7 +641,7 @@ impl HeldSegments {
 /// by string and statistics as integer sums, so an engine over the
 /// resliced shards is report-byte-identical to a from-scratch build
 /// over the same documents.
-pub fn reslice(segments: &[&InvertedIndex], shards: usize) -> Vec<InvertedIndex> {
+pub(crate) fn reslice(segments: &[&InvertedIndex], shards: usize) -> Vec<InvertedIndex> {
     let total_docs: usize = segments.iter().map(|s| s.num_docs()).sum();
     let mut bases = Vec::with_capacity(segments.len());
     let mut next = 0usize;

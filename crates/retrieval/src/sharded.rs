@@ -599,7 +599,7 @@ impl<S: ShardHandle> crate::backend::RetrievalBackend for ScatterEngine<S> {
     }
 
     /// [`epsilon_for`] (the exact formula behind
-    /// [`crate::index::InvertedIndex::epsilon_prob`]) over the global
+    /// `crate::index::InvertedIndex::epsilon_prob`) over the global
     /// token total.
     fn epsilon_prob(&self) -> f64 {
         epsilon_for(self.total_tokens)

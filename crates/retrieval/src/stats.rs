@@ -35,7 +35,7 @@ impl FiveNumber {
 ///
 /// # Panics
 /// If `sorted` is empty or `p` is outside `[0, 1]`.
-pub fn quantile_sorted(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn quantile_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "quantile of empty data");
     assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
     if sorted.len() == 1 {
@@ -69,15 +69,6 @@ pub fn five_number(values: &[f64]) -> Option<FiveNumber> {
         max: *sorted.last().expect("non-empty"),
         mean,
     })
-}
-
-/// Arithmetic mean; `None` for empty input.
-pub fn mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        None
-    } else {
-        Some(values.iter().sum::<f64>() / values.len() as f64)
-    }
 }
 
 /// Sample Pearson correlation; `None` when undefined (fewer than two
@@ -189,7 +180,6 @@ mod tests {
     fn empty_and_nan_rejected() {
         assert!(five_number(&[]).is_none());
         assert!(five_number(&[1.0, f64::NAN]).is_none());
-        assert!(mean(&[]).is_none());
     }
 
     #[test]

@@ -35,14 +35,14 @@ impl PartialOrd for HeapEntry {
 
 /// Bounded top-k collector.
 #[derive(Debug)]
-pub struct TopK {
+pub(crate) struct TopK {
     k: usize,
     heap: BinaryHeap<HeapEntry>,
 }
 
 impl TopK {
     /// Collector that keeps the best `k` entries.
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         TopK {
             k,
             heap: BinaryHeap::with_capacity(k + 1),
@@ -50,7 +50,7 @@ impl TopK {
     }
 
     /// Offer one scored document.
-    pub fn push(&mut self, doc: u32, score: f64) {
+    pub(crate) fn push(&mut self, doc: u32, score: f64) {
         if self.k == 0 {
             return;
         }
@@ -74,7 +74,7 @@ impl TopK {
     /// the total order (descending score, ties by ascending doc id).
     /// This is the threshold the WAND-style pruned search loops test
     /// against.
-    pub fn floor(&self) -> Option<SearchHit> {
+    pub(crate) fn floor(&self) -> Option<SearchHit> {
         if self.k > 0 && self.heap.len() == self.k {
             self.heap.peek().map(|e| e.0)
         } else {
@@ -84,7 +84,7 @@ impl TopK {
 
     /// Finish: results sorted by descending score, ties by ascending doc
     /// id.
-    pub fn into_sorted(self) -> Vec<SearchHit> {
+    pub(crate) fn into_sorted(self) -> Vec<SearchHit> {
         let mut v: Vec<SearchHit> = self.heap.into_iter().map(|e| e.0).collect();
         v.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc)));
         v

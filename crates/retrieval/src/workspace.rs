@@ -25,14 +25,13 @@
 //! as its prefix; every SWAP at one position shares the leaves before
 //! it. A call then pays only for the middle and suffix leaves, plus a
 //! fresh prefix sum for each document only they match.
-//! [`ScoreWorkspace::search`] is the prefix-only call.
 //!
 //! The output contract is exact: the workspace returns bit-identical
-//! hits to running the engine on [`QueryNode::phrases_of_titles`] of
+//! hits to running the engine on `QueryNode::phrases_of_titles` of
 //! the same titles. Every document's score is the engine's sequence of
 //! `score += weight · log_belief(tf, len, p)` from `0.0`, leaves in
 //! title order — a cached partial sum is that sequence stopped after
-//! the prefix. Candidates reach the [`TopK`] in no particular order,
+//! the prefix. Candidates reach the `TopK` in no particular order,
 //! which cannot matter: it keeps the best `k` under a total order
 //! (score descending, doc id ascending). The pipeline's
 //! byte-identical-`Report` contract rests on this.
@@ -40,7 +39,6 @@
 use crate::backend::RetrievalBackend;
 use crate::engine::{SearchEngine, SearchHit};
 use crate::lm::log_belief_with_floor;
-use crate::query_lang::QueryNode;
 use crate::topk::TopK;
 use querygraph_text::tokenize;
 use std::collections::HashMap;
@@ -136,7 +134,7 @@ impl<'a, B: RetrievalBackend + ?Sized> ScoreWorkspace<'a, B> {
 
     /// Resolve `title` into a leaf, reusing an existing one when the
     /// tokenized words match. Returns `None` when the title normalizes
-    /// to nothing (mirroring [`QueryNode::phrases_of_titles`], which
+    /// to nothing (mirroring `QueryNode::phrases_of_titles`, which
     /// skips such titles).
     pub fn add_title(&mut self, title: &str) -> Option<LeafId> {
         let words = tokenize(title);
@@ -201,20 +199,21 @@ impl<'a, B: RetrievalBackend + ?Sized> ScoreWorkspace<'a, B> {
         }
     }
 
-    /// Score the `#combine` of the given leaves' phrases, returning the
-    /// best `k` documents — bit-identical to
-    /// `engine.search(&QueryNode::phrases_of_titles(titles), k)` for the
-    /// titles the leaves were created from (duplicate leaves count
-    /// twice, exactly like duplicate phrases in the AST). The
-    /// prefix-only [`ScoreWorkspace::search_split`].
-    pub fn search(&mut self, leaf_ids: &[LeafId], k: usize) -> Vec<SearchHit> {
+    /// [`ScoreWorkspace::search_split`] of one leaf sequence, with no
+    /// middle leaf and no suffix.
+    #[cfg(test)]
+    pub(crate) fn search(&mut self, leaf_ids: &[LeafId], k: usize) -> Vec<SearchHit> {
         self.search_split(leaf_ids, None, &[], k)
     }
 
-    /// [`ScoreWorkspace::search`] of the leaf sequence
-    /// `prefix ++ [middle] ++ suffix`, reusing the cached prefix when
-    /// `prefix` and the sequence length match the last call that cached
-    /// one, and caching `prefix` otherwise.
+    /// Score the `#combine` of the phrases of the leaf sequence
+    /// `prefix ++ [middle] ++ suffix`, returning the best `k` documents —
+    /// bit-identical to
+    /// `engine.search(&QueryNode::phrases_of_titles(titles), k)` for the
+    /// titles the leaves were created from (duplicate leaves count
+    /// twice, exactly like duplicate phrases in the AST). Reuses the
+    /// cached prefix when `prefix` and the sequence length match the last
+    /// call that cached one, and caches `prefix` otherwise.
     pub fn search_split(
         &mut self,
         prefix: &[LeafId],
@@ -318,28 +317,13 @@ impl<'a, B: RetrievalBackend + ?Sized> ScoreWorkspace<'a, B> {
     pub fn resolutions(&self) -> usize {
         self.resolutions
     }
-
-    /// Number of resolved leaves (≤ titles added; duplicates collapse).
-    pub fn leaf_count(&self) -> usize {
-        self.leaves.len()
-    }
-
-    /// Size of the document universe covered so far.
-    pub fn universe_size(&self) -> usize {
-        self.docs.len()
-    }
-
-    /// The reference query the engine would run for `titles` — used by
-    /// the equivalence tests.
-    pub fn reference_query<S: AsRef<str>>(titles: &[S]) -> QueryNode {
-        QueryNode::phrases_of_titles(titles)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index::IndexBuilder;
+    use crate::query_lang::QueryNode;
 
     fn engine() -> SearchEngine {
         let mut b = IndexBuilder::new();
@@ -414,7 +398,7 @@ mod tests {
         assert_eq!(a, b, "equal tokenizations share a leaf");
         assert_ne!(a, c);
         assert_eq!(ws.resolutions(), 2);
-        assert_eq!(ws.leaf_count(), 2);
+        assert_eq!(ws.leaves.len(), 2);
         // Re-searching never resolves again.
         ws.search(&[a, c], 10);
         ws.search(&[c], 10);
@@ -427,10 +411,10 @@ mod tests {
         let mut ws = ScoreWorkspace::new(&e);
         let gondola = ws.add_title("Gondola").unwrap();
         let first = ws.search(&[gondola], 10);
-        let before = ws.universe_size();
+        let before = ws.docs.len();
         // New leaf brings new docs into the universe…
         let canal = ws.add_title("Grand Canal").unwrap();
-        assert!(ws.universe_size() >= before);
+        assert!(ws.docs.len() >= before);
         // …and combined scoring still matches the engine exactly.
         let fast = ws.search(&[gondola, canal], 10);
         let slow = e.search(

@@ -57,7 +57,7 @@ fn fold_char(c: char, out: &mut String) {
 /// exact transform.
 ///
 /// ```
-/// use querygraph_text::normalize::normalize;
+/// use querygraph_text::normalize;
 /// assert_eq!(normalize("Bouches-du-Rhône"), "bouches du rhone");
 /// assert_eq!(normalize("  Ponte  dei Sospiri. "), "ponte dei sospiri");
 /// assert_eq!(normalize(""), "");
@@ -68,9 +68,8 @@ pub fn normalize(input: &str) -> String {
     out
 }
 
-/// Normalize `input`, appending to `out` (which is cleared first). The
-/// workhorse-buffer variant for hot loops: avoids one allocation per call.
-pub fn normalize_into(input: &str, out: &mut String) {
+/// Normalize `input` into `out`, which is cleared first.
+fn normalize_into(input: &str, out: &mut String) {
     out.clear();
     let mut folded = String::with_capacity(input.len());
     for c in input.chars() {
@@ -90,17 +89,6 @@ pub fn normalize_into(input: &str, out: &mut String) {
             pending_space = true;
         }
     }
-}
-
-/// True when two strings normalize to the same canonical form.
-///
-/// ```
-/// use querygraph_text::normalize::normalized_eq;
-/// assert!(normalized_eq("Grand Canal", "grand-canal"));
-/// assert!(!normalized_eq("Grand Canal", "grand canals"));
-/// ```
-pub fn normalized_eq(a: &str, b: &str) -> bool {
-    normalize(a) == normalize(b)
 }
 
 #[cfg(test)]
@@ -160,13 +148,6 @@ mod tests {
         assert_eq!(buf, "first title");
         normalize_into("B", &mut buf);
         assert_eq!(buf, "b");
-    }
-
-    #[test]
-    fn normalized_eq_is_reflexive_on_fixture_titles() {
-        for t in ["Bridge of Sighs", "Cannaregio", "Venetian Gothic buildings"] {
-            assert!(normalized_eq(t, t));
-        }
     }
 
     proptest::proptest! {

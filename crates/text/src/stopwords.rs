@@ -26,18 +26,12 @@ static STOPWORDS: &[&str] = &[
 /// stopword.
 ///
 /// ```
-/// use querygraph_text::stopwords::is_stopword;
+/// use querygraph_text::is_stopword;
 /// assert!(is_stopword("the"));
 /// assert!(!is_stopword("gondola"));
 /// ```
 pub fn is_stopword(word: &str) -> bool {
     STOPWORDS.binary_search(&word).is_ok()
-}
-
-/// True when *every* word of the slice is a stopword (used to reject
-/// stopword-only mentions). An empty slice counts as all-stopwords.
-pub fn all_stopwords<S: AsRef<str>>(words: &[S]) -> bool {
-    words.iter().all(|w| is_stopword(w.as_ref()))
 }
 
 #[cfg(test)]
@@ -69,12 +63,5 @@ mod tests {
         for w in ["venice", "gondola", "anthrax", "graffiti"] {
             assert!(!is_stopword(w), "{w} should not be a stopword");
         }
-    }
-
-    #[test]
-    fn all_stopwords_requires_every_word() {
-        assert!(all_stopwords(&["in", "the"]));
-        assert!(!all_stopwords(&["in", "venice"]));
-        assert!(all_stopwords::<&str>(&[]));
     }
 }

@@ -22,7 +22,7 @@ pub struct Token {
 /// Tokenize `input` (normalizing first) into plain words.
 ///
 /// ```
-/// use querygraph_text::tokenize::tokenize;
+/// use querygraph_text::tokenize;
 /// assert_eq!(tokenize("Gondola in Venice"), vec!["gondola", "in", "venice"]);
 /// assert!(tokenize("").is_empty());
 /// ```
@@ -38,7 +38,7 @@ pub fn tokenize(input: &str) -> Vec<String> {
 /// positions.
 ///
 /// ```
-/// use querygraph_text::tokenize::tokenize_positions;
+/// use querygraph_text::tokenize_positions;
 /// let toks = tokenize_positions("bridge of sighs");
 /// assert_eq!(toks[2].text, "sighs");
 /// assert_eq!(toks[2].position, 2);
@@ -53,16 +53,6 @@ pub fn tokenize_positions(input: &str) -> Vec<Token> {
             position: i as u32,
         })
         .collect()
-}
-
-/// Count tokens without allocating the token vector. Equivalent to
-/// `tokenize(input).len()` but cheaper; used for document-length
-/// bookkeeping during indexing.
-pub fn token_count(input: &str) -> usize {
-    normalize(input)
-        .split(' ')
-        .filter(|w| !w.is_empty())
-        .count()
 }
 
 #[cfg(test)]
@@ -88,13 +78,6 @@ mod tests {
     fn empty_input_yields_no_tokens() {
         assert!(tokenize_positions("").is_empty());
         assert!(tokenize_positions("—!…").is_empty());
-    }
-
-    #[test]
-    fn token_count_matches_tokenize() {
-        for s in ["", "one", "Summer field in Belgium (Hamois)", "a,b,,c"] {
-            assert_eq!(token_count(s), tokenize(s).len(), "input: {s:?}");
-        }
     }
 
     #[test]

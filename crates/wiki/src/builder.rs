@@ -107,14 +107,14 @@ impl KbBuilder {
     }
 
     /// Record a wiki-link `from → to`.
-    pub fn link(&mut self, from: ArticleId, to: ArticleId) {
+    pub(crate) fn link(&mut self, from: ArticleId, to: ArticleId) {
         self.links.push((from, to));
         self.link_set.insert((from, to));
     }
 
     /// Record reciprocal wiki-links between `a` and `b` (the pattern that
     /// creates the paper's length-2 cycles).
-    pub fn link_reciprocal(&mut self, a: ArticleId, b: ArticleId) {
+    pub(crate) fn link_reciprocal(&mut self, a: ArticleId, b: ArticleId) {
         self.link(a, b);
         self.link(b, a);
     }
@@ -122,7 +122,7 @@ impl KbBuilder {
     /// Whether `from → to` has already been recorded. Generators use
     /// this to keep *accidental* reciprocal pairs from inflating the
     /// calibrated reciprocity.
-    pub fn has_link(&self, from: ArticleId, to: ArticleId) -> bool {
+    pub(crate) fn has_link(&self, from: ArticleId, to: ArticleId) -> bool {
         self.link_set.contains(&(from, to))
     }
 
@@ -132,13 +132,8 @@ impl KbBuilder {
     }
 
     /// Record that `child` is inside `parent`.
-    pub fn inside(&mut self, child: CategoryId, parent: CategoryId) {
+    pub(crate) fn inside(&mut self, child: CategoryId, parent: CategoryId) {
         self.inside.push((child, parent));
-    }
-
-    /// Number of articles added so far (including redirects).
-    pub fn article_count(&self) -> usize {
-        self.articles.len()
     }
 
     /// The staged (pre-build) title of `a`. Used by generators that need
@@ -146,13 +141,8 @@ impl KbBuilder {
     ///
     /// # Panics
     /// If `a` has not been added to this builder.
-    pub fn staged_title(&self, a: ArticleId) -> &str {
+    pub(crate) fn staged_title(&self, a: ArticleId) -> &str {
         &self.articles[a.index()].title
-    }
-
-    /// Number of categories added so far.
-    pub fn category_count(&self) -> usize {
-        self.categories.len()
     }
 
     /// Validate and freeze. See the module docs for the invariants.

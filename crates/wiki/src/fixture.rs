@@ -23,9 +23,6 @@ use crate::kb::KnowledgeBase;
 /// The query keywords of ImageCLEF query #90 as used in the paper.
 pub const VENICE_QUERY: &str = "gondola in venice";
 
-/// Titles of the two query articles L(q.k) of query #90.
-pub const VENICE_QUERY_ARTICLES: [&str; 2] = ["Gondola", "Venice"];
-
 /// Build the Venice mini-Wikipedia. Deterministic: no randomness, stable
 /// ids (articles in insertion order).
 ///
@@ -163,7 +160,8 @@ mod tests {
     #[test]
     fn query_articles_resolve() {
         let kb = venice_mini_wiki();
-        for t in VENICE_QUERY_ARTICLES {
+        // The two query articles L(q.k) of query #90.
+        for t in ["Gondola", "Venice"] {
             assert!(kb.article_by_title(t).is_some(), "missing {t}");
         }
     }
@@ -279,7 +277,11 @@ mod tests {
     fn synonym_titles_flow_from_redirects() {
         let kb = venice_mini_wiki();
         let venice = kb.article_by_title("Venice").unwrap();
-        let syns: Vec<&str> = kb.synonym_titles(venice).collect();
+        let syns: Vec<&str> = kb
+            .redirects_of(venice)
+            .iter()
+            .map(|&r| kb.title(r))
+            .collect();
         assert_eq!(syns, vec!["La Serenissima"]);
     }
 

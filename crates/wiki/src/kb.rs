@@ -108,7 +108,7 @@ impl KnowledgeBase {
     }
 
     /// The article record for `a`.
-    pub fn article(&self, a: ArticleId) -> &Article {
+    pub(crate) fn article(&self, a: ArticleId) -> &Article {
         &self.articles[a.index()]
     }
 
@@ -117,13 +117,8 @@ impl KnowledgeBase {
         &self.articles[a.index()].title
     }
 
-    /// The category record for `c`.
-    pub fn category(&self, c: CategoryId) -> &Category {
-        &self.categories[c.index()]
-    }
-
     /// Display name of category `c`.
-    pub fn category_name(&self, c: CategoryId) -> &str {
+    pub(crate) fn category_name(&self, c: CategoryId) -> &str {
         &self.categories[c.index()].name
     }
 
@@ -144,7 +139,7 @@ impl KnowledgeBase {
     }
 
     /// Iterate all category ids.
-    pub fn category_ids(&self) -> impl Iterator<Item = CategoryId> + '_ {
+    pub(crate) fn category_ids(&self) -> impl Iterator<Item = CategoryId> + '_ {
         (0..self.categories.len() as u32).map(CategoryId)
     }
 
@@ -173,13 +168,6 @@ impl KnowledgeBase {
         &self.redirects_of[a.index()]
     }
 
-    /// Synonym titles of `a`: the titles of its redirect articles.
-    pub fn synonym_titles(&self, a: ArticleId) -> impl Iterator<Item = &str> + '_ {
-        self.redirects_of[a.index()]
-            .iter()
-            .map(move |&r| self.title(r))
-    }
-
     // ------------------------------------------------------------------
     // Categories
     // ------------------------------------------------------------------
@@ -188,15 +176,6 @@ impl KnowledgeBase {
     /// for redirect articles.
     pub fn categories_of(&self, a: ArticleId) -> &[CategoryId] {
         &self.categories_of[a.index()]
-    }
-
-    /// Direct parent categories of `c`.
-    pub fn parents_of(&self, c: CategoryId) -> Vec<CategoryId> {
-        self.inside
-            .iter()
-            .filter(|&&(child, _)| child == c)
-            .map(|&(_, p)| p)
-            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -209,12 +188,12 @@ impl KnowledgeBase {
     }
 
     /// All `belongs` pairs as recorded.
-    pub fn belongs(&self) -> &[(ArticleId, CategoryId)] {
+    pub(crate) fn belongs(&self) -> &[(ArticleId, CategoryId)] {
         &self.belongs
     }
 
     /// All `inside` pairs as recorded.
-    pub fn inside(&self) -> &[(CategoryId, CategoryId)] {
+    pub(crate) fn inside(&self) -> &[(CategoryId, CategoryId)] {
         &self.inside
     }
 
@@ -242,7 +221,7 @@ impl KnowledgeBase {
 
     /// True when graph node `u` is an article (redirects included).
     #[inline]
-    pub fn node_is_article(&self, u: u32) -> bool {
+    pub(crate) fn node_is_article(&self, u: u32) -> bool {
         (u as usize) < self.articles.len()
     }
 
@@ -260,7 +239,7 @@ impl KnowledgeBase {
 
     /// Map a graph node back to a category id, if it is one.
     #[inline]
-    pub fn node_category(&self, u: u32) -> Option<CategoryId> {
+    pub(crate) fn node_category(&self, u: u32) -> Option<CategoryId> {
         self.node_is_category(u)
             .then(|| CategoryId(u - self.articles.len() as u32))
     }
@@ -329,7 +308,11 @@ mod tests {
         assert_eq!(kb.resolve_redirect(ser), venice);
         assert_eq!(kb.resolve_redirect(venice), venice);
         assert_eq!(kb.redirects_of(venice), &[ser]);
-        let syns: Vec<&str> = kb.synonym_titles(venice).collect();
+        let syns: Vec<&str> = kb
+            .redirects_of(venice)
+            .iter()
+            .map(|&r| kb.title(r))
+            .collect();
         assert_eq!(syns, vec!["La Serenissima"]);
     }
 
@@ -351,8 +334,12 @@ mod tests {
         let kb = small_kb();
         let cities = CategoryId(0);
         let italy = CategoryId(3);
-        assert_eq!(kb.parents_of(cities), vec![italy]);
-        assert!(kb.parents_of(italy).is_empty());
+        let parents = |c| kb.inside().iter().filter(move |&&(child, _)| child == c);
+        assert_eq!(
+            parents(cities).map(|&(_, p)| p).collect::<Vec<_>>(),
+            vec![italy]
+        );
+        assert_eq!(parents(italy).count(), 0);
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!   hierarchy, topic-clustered articles). See DESIGN.md §1 for why this
 //!   substitution preserves the paper's analysis.
 //!
+//! [`serialize`] round-trips a knowledge base through JSON, and
+//! [`stats`] measures one against the paper's reported statistics.
+//!
 //! ## Schema (paper Fig. 1)
 //!
 //! * An **Article** has a unique title and belongs to ≥ 1 **Category**;
@@ -35,14 +38,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod builder;
+mod builder;
 pub mod fixture;
-pub mod kb;
-pub mod schema;
+mod kb;
+mod schema;
 pub mod serialize;
 pub mod stats;
 pub mod synth;
 
-pub use builder::{KbBuilder, KbValidationError};
+pub use builder::KbBuilder;
 pub use kb::KnowledgeBase;
-pub use schema::{Article, ArticleId, Category, CategoryId};
+pub use schema::ArticleId;
+pub use schema::CategoryId;

@@ -12,12 +12,12 @@ pub struct ArticleId(pub u32);
 /// Identifier of a category (dense). Category `c` occupies graph node id
 /// `num_articles + c.0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct CategoryId(pub u32);
+pub struct CategoryId(pub(crate) u32);
 
 impl ArticleId {
     /// The id as a `usize` for indexing side tables.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -25,7 +25,7 @@ impl ArticleId {
 impl CategoryId {
     /// The id as a `usize` for indexing side tables.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -47,16 +47,16 @@ impl fmt::Display for CategoryId {
 /// (§2). A redirect article carries `redirect_to = Some(main)` and, per
 /// the schema, has no categories and no outgoing links of its own.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Article {
+pub(crate) struct Article {
     /// Display title (original casing preserved).
-    pub title: String,
+    pub(crate) title: String,
     /// `Some(main)` when this article is a redirect to `main`.
-    pub redirect_to: Option<ArticleId>,
+    pub(crate) redirect_to: Option<ArticleId>,
 }
 
 impl Article {
     /// A plain (non-redirect) article.
-    pub fn new(title: impl Into<String>) -> Self {
+    pub(crate) fn new(title: impl Into<String>) -> Self {
         Article {
             title: title.into(),
             redirect_to: None,
@@ -64,7 +64,7 @@ impl Article {
     }
 
     /// A redirect article pointing at `main`.
-    pub fn redirect(title: impl Into<String>, main: ArticleId) -> Self {
+    pub(crate) fn redirect(title: impl Into<String>, main: ArticleId) -> Self {
         Article {
             title: title.into(),
             redirect_to: Some(main),
@@ -72,7 +72,7 @@ impl Article {
     }
 
     /// True when this is a redirect article.
-    pub fn is_redirect(&self) -> bool {
+    pub(crate) fn is_redirect(&self) -> bool {
         self.redirect_to.is_some()
     }
 }
@@ -80,14 +80,14 @@ impl Article {
 /// A Wikipedia category. Categories group articles (`belongs`) and nest
 /// inside other categories (`inside`), forming a tree-like structure.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Category {
+pub(crate) struct Category {
     /// Category name (original casing preserved).
-    pub name: String,
+    pub(crate) name: String,
 }
 
 impl Category {
     /// A category with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         Category { name: name.into() }
     }
 }

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Magic first line of the text format.
-pub const TEXT_HEADER: &str = "#querygraph-wiki\tv1";
+pub(crate) const TEXT_HEADER: &str = "#querygraph-wiki\tv1";
 
 /// Errors from [`load_text`].
 #[derive(Debug)]
@@ -146,15 +146,15 @@ pub fn load_text(text: &str) -> Result<KnowledgeBase, LoadError> {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KbData {
     /// `(title, redirect_target)` per article, in id order.
-    pub articles: Vec<(String, Option<u32>)>,
+    pub(crate) articles: Vec<(String, Option<u32>)>,
     /// Category names in id order.
-    pub categories: Vec<String>,
+    pub(crate) categories: Vec<String>,
     /// Link pairs.
-    pub links: Vec<(u32, u32)>,
+    pub(crate) links: Vec<(u32, u32)>,
     /// Belongs pairs (article, category).
-    pub belongs: Vec<(u32, u32)>,
+    pub(crate) belongs: Vec<(u32, u32)>,
     /// Inside pairs (child, parent).
-    pub inside: Vec<(u32, u32)>,
+    pub(crate) inside: Vec<(u32, u32)>,
 }
 
 /// Snapshot `kb` into serde-serializable [`KbData`].

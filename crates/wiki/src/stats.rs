@@ -12,22 +12,22 @@ use querygraph_graph::stats::link_reciprocity;
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct KbStats {
     /// Total articles (redirects included).
-    pub articles: usize,
+    pub(crate) articles: usize,
     /// Redirect articles.
-    pub redirects: usize,
+    pub(crate) redirects: usize,
     /// Categories.
-    pub categories: usize,
+    pub(crate) categories: usize,
     /// Directed wiki-link count.
-    pub links: usize,
+    pub(crate) links: usize,
     /// `belongs` edge count.
-    pub belongs: usize,
+    pub(crate) belongs: usize,
     /// `inside` edge count.
-    pub inside: usize,
+    pub(crate) inside: usize,
     /// Fraction of link-connected article pairs with reciprocal links
     /// (paper: 0.1147 for Wikipedia). `None` when there are no links.
     pub link_reciprocity: Option<f64>,
     /// Mean categories per non-redirect article (≥ 1 by schema).
-    pub mean_categories_per_article: f64,
+    pub(crate) mean_categories_per_article: f64,
 }
 
 /// Compute [`KbStats`] for `kb`.

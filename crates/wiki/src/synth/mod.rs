@@ -42,31 +42,31 @@ pub struct SynthWikiConfig {
     /// Non-redirect articles per topic (hub included).
     pub articles_per_topic: usize,
     /// Sub-categories per topic (the root category is extra).
-    pub categories_per_topic: usize,
+    pub(crate) categories_per_topic: usize,
     /// Probability that a link gets a reciprocal partner (paper's
     /// Wikipedia measurement: ≈ 0.1147 of connected pairs).
-    pub reciprocity: f64,
+    pub(crate) reciprocity: f64,
     /// Mean intra-topic links per article (besides hub links).
     pub intra_links_per_article: f64,
     /// Probability that the hub links a given satellite.
-    pub hub_link_prob: f64,
+    pub(crate) hub_link_prob: f64,
     /// Probability an article gets one cross-topic link.
-    pub cross_link_prob: f64,
+    pub(crate) cross_link_prob: f64,
     /// Probability a satellite belongs to a category of a neighbouring
     /// topic (inter-topic category bridges).
-    pub cross_category_prob: f64,
+    pub(crate) cross_category_prob: f64,
     /// Probability an article receives a redirect alias.
-    pub redirect_prob: f64,
+    pub(crate) redirect_prob: f64,
     /// Number of category-free link triangles spanning three topics
     /// (Fig. 8 traps).
-    pub trap_triangles: usize,
+    pub(crate) trap_triangles: usize,
     /// Mean number of *attribute* categories per satellite article —
     /// cross-cutting categories like Wikipedia's "1712 establishments"
     /// that group unrelated articles. They inflate the category share of
     /// query graphs (Table 3) without creating triangles (they attach to
     /// one in-graph article each), pulling the TPR toward the paper's
     /// ≈ 0.3.
-    pub attribute_categories_per_article: f64,
+    pub(crate) attribute_categories_per_article: f64,
 }
 
 impl SynthWikiConfig {
@@ -136,14 +136,12 @@ impl SynthWikiConfig {
 /// Per-topic bookkeeping the corpus generator consumes.
 #[derive(Debug, Clone)]
 pub struct TopicInfo {
-    /// The topic's unique noun (also the hub article's title).
-    pub name: String,
     /// The hub article.
     pub hub: ArticleId,
     /// All non-redirect articles of the topic, hub first.
     pub articles: Vec<ArticleId>,
     /// Root category followed by sub-categories.
-    pub categories: Vec<CategoryId>,
+    pub(crate) categories: Vec<CategoryId>,
 }
 
 /// A generated knowledge base plus its topic structure.
@@ -153,8 +151,6 @@ pub struct SynthWiki {
     pub kb: KnowledgeBase,
     /// Topic inventory, indexed by topic id.
     pub topics: Vec<TopicInfo>,
-    /// The config that produced this instance.
-    pub config: SynthWikiConfig,
 }
 
 impl SynthWiki {
@@ -274,7 +270,6 @@ pub fn generate(config: &SynthWikiConfig) -> SynthWiki {
         }
 
         topics.push(TopicInfo {
-            name: noun.to_string(),
             hub,
             articles,
             categories,
@@ -391,11 +386,7 @@ pub fn generate(config: &SynthWikiConfig) -> SynthWiki {
     }
 
     let kb = b.build().expect("generated KB must validate");
-    SynthWiki {
-        kb,
-        topics,
-        config: config.clone(),
-    }
+    SynthWiki { kb, topics }
 }
 
 /// Capacity of the three rotating base patterns — the boundary where
@@ -410,7 +401,7 @@ fn base_satellites_per_topic() -> usize {
 /// The largest `articles_per_topic` the title patterns can name
 /// uniquely: the three base patterns, then the two combinatorial
 /// stress-scale patterns (see `satellite_title`).
-pub fn max_satellites_per_topic() -> usize {
+pub(crate) fn max_satellites_per_topic() -> usize {
     base_satellites_per_topic()
         + vocab::ADJECTIVES.len() * vocab::OBJECTS.len()
         + vocab::ADJECTIVES.len() * vocab::PLACES.len()
@@ -515,7 +506,6 @@ mod tests {
         let w = generate(&SynthWikiConfig::small());
         for t in &w.topics {
             assert_eq!(t.articles[0], t.hub);
-            assert_eq!(w.kb.title(t.hub), t.name);
         }
     }
 

@@ -7,7 +7,7 @@
 //! redirect titles and appears nowhere else.
 
 /// One unique noun per topic; the pool size caps the number of topics.
-pub const TOPIC_NOUNS: &[&str] = &[
+pub(crate) const TOPIC_NOUNS: &[&str] = &[
     "harbor",
     "temple",
     "glacier",
@@ -132,7 +132,7 @@ pub const TOPIC_NOUNS: &[&str] = &[
 ];
 
 /// Adjectives used in `"{adjective} {noun}"` titles.
-pub const ADJECTIVES: &[&str] = &[
+pub(crate) const ADJECTIVES: &[&str] = &[
     "northern",
     "southern",
     "eastern",
@@ -176,7 +176,7 @@ pub const ADJECTIVES: &[&str] = &[
 ];
 
 /// Objects used in `"{noun} {object}"` titles.
-pub const OBJECTS: &[&str] = &[
+pub(crate) const OBJECTS: &[&str] = &[
     "gate",
     "tower",
     "market",
@@ -220,7 +220,7 @@ pub const OBJECTS: &[&str] = &[
 ];
 
 /// Places used in `"{noun} of {place}"` titles.
-pub const PLACES: &[&str] = &[
+pub(crate) const PLACES: &[&str] = &[
     "valdria",
     "montreux",
     "karelia",
@@ -254,10 +254,11 @@ pub const PLACES: &[&str] = &[
 ];
 
 /// Alias prefixes reserved for redirect titles (never in other pools).
-pub const ALIAS_PREFIXES: &[&str] = &["former", "historic", "ancient", "medieval", "classical"];
+pub(crate) const ALIAS_PREFIXES: &[&str] =
+    &["former", "historic", "ancient", "medieval", "classical"];
 
 /// Suffixes for category names: `"{noun} {suffix}"`.
-pub const CATEGORY_SUFFIXES: &[&str] = &[
+pub(crate) const CATEGORY_SUFFIXES: &[&str] = &[
     "history",
     "culture",
     "architecture",
